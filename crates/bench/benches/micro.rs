@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mincut_core::capforest::capforest;
 use mincut_core::viecut::label_propagation;
 use mincut_ds::{BQueuePq, BStackPq, BinaryHeapPq, ConcurrentUnionFind, MaxPq, UnionFind};
-use mincut_graph::contract::{contract, contract_parallel, ContractionEngine};
+use mincut_graph::contract::ContractionEngine;
 use mincut_graph::generators::{connected_gnm, random_hyperbolic_graph, RhgParams};
 use mincut_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
@@ -125,10 +125,18 @@ fn bench_contraction(c: &mut Criterion) {
     let blocks = g.n().div_ceil(16);
     let mut group = c.benchmark_group("contraction");
     group.bench_function("sequential", |b| {
-        b.iter(|| contract(&g, &labels, blocks).m())
+        b.iter(|| {
+            ContractionEngine::new()
+                .contract_sequential(&g, &labels, blocks)
+                .m()
+        })
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| contract_parallel(&g, &labels, blocks).m())
+        b.iter(|| {
+            ContractionEngine::new()
+                .contract_parallel(&g, &labels, blocks)
+                .m()
+        })
     });
     // The solvers' actual hot path: one engine reused across rounds, so
     // accumulation tables and both CSR buffers stay warm.

@@ -18,7 +18,7 @@ use mincut_bench::instances::{realworld_proxies, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::table::Table;
 use mincut_core::capforest::capforest;
-use mincut_core::viecut::{viecut, VieCutConfig};
+use mincut_core::{Session, SolveOptions};
 use mincut_ds::{BinaryHeapPq, CountingPq};
 use mincut_graph::generators::{random_hyperbolic_graph, RhgParams};
 use mincut_graph::CsrGraph;
@@ -60,14 +60,12 @@ fn main() {
 
     for (name, g) in instances {
         let delta = g.min_weighted_degree().unwrap().1;
-        let vc = viecut(
-            &g,
-            &VieCutConfig {
-                compute_side: false,
-                ..Default::default()
-            },
-        )
-        .value;
+        let vc = Session::new(&g)
+            .options(SolveOptions::new().witness(false).no_reductions())
+            .run("viecut")
+            .expect("instances have n >= 2")
+            .cut
+            .value;
 
         let mut baseline_total = None;
         for (variant, slug, bounded, bound) in [

@@ -22,7 +22,7 @@
 //! rows share the report; `solver` distinguishes them — the
 //! `cactus-repair` row reuses the PQ columns for the repair counters:
 //! pushes = repairs, raises = fallbacks, rounds = rebuilds). An
-//! optional argv[1] overrides the report name (e.g. `cactus_bench pr7`
+//! optional `argv[1]` overrides the report name (e.g. `cactus_bench pr7`
 //! → `results/BENCH_pr7.json`).
 
 use std::time::Instant;

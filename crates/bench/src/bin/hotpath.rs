@@ -114,8 +114,8 @@ struct LegacyRun {
 /// is bit-identical to the hash tally, this returns the same bound the
 /// shipped seeding computes.
 fn viecut_bound(g: &CsrGraph, seed: u64) -> (u64, PqCounters) {
+    use mincut_core::reduce::padberg_rinaldi_pass;
     use mincut_core::viecut::label_propagation::label_propagation_hash_tally;
-    use mincut_core::viecut::padberg_rinaldi_pass;
     use mincut_ds::UnionFind;
 
     const LP_ITERATIONS: usize = 2;

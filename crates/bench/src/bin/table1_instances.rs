@@ -7,7 +7,7 @@
 use mincut_bench::instances::{social_proxy, web_proxy, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::table::Table;
-use mincut_core::noi::{noi_minimum_cut, NoiConfig};
+use mincut_core::{Session, SolveOptions};
 use mincut_graph::kcore::k_core_lcc;
 use mincut_graph::{CsrGraph, NodeId};
 
@@ -51,14 +51,12 @@ fn emit_cores(table: &mut Table, report: &mut BenchReport, name: &str, g: &CsrGr
             continue;
         }
         let t0 = std::time::Instant::now();
-        let lambda = noi_minimum_cut(
-            &core,
-            &NoiConfig {
-                compute_side: false,
-                ..Default::default()
-            },
-        )
-        .value;
+        let lambda = Session::new(&core)
+            .options(SolveOptions::new().witness(false).no_reductions())
+            .run("NOIλ̂-Heap")
+            .expect("cores have n >= 8")
+            .cut
+            .value;
         let mut entry = BenchEntry::named(
             &format!("{name}/k{k}"),
             "table1/noi-core-lambda",

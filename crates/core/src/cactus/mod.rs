@@ -12,7 +12,7 @@
 //! of G): this build uses empty hub nodes where the classical
 //! presentation would use 3-cycles — both encode the same family, and
 //! the bijection is what every query relies on, so the normalisation is
-//! checked, not assumed: [`CactusBuilder`](builder::CactusBuilder)
+//! checked, not assumed: [`CactusBuilder`]
 //! re-derives every 2-cut of the built structure and compares the set
 //! against the enumerated family before returning.
 //!

@@ -5,7 +5,7 @@
 //! from scratch — n−1 max flows — but most updates change the family in
 //! a way the **old structure already describes**, so the new family can
 //! be derived from the old cactus alone and reassembled through the
-//! same [`assemble`] machinery, skipping the flows entirely:
+//! same `assemble` machinery, skipping the flows entirely:
 //!
 //! | update (λ > 0) | new λ | surviving family |
 //! |---|---|---|

@@ -27,7 +27,7 @@
 //! lives in a persistent [`ScanScratch`] (SoA: `r` values, visited stamps,
 //! the tight-edge marks folded into the union-find, the scan order) that
 //! drivers pool across contraction rounds and solver calls through a
-//! [`ScanWorkspace`]. Per-pass "clearing" is an epoch bump for the stamped
+//! `ScanWorkspace`. Per-pass "clearing" is an epoch bump for the stamped
 //! arrays and an O(1) queue [`MaxPq::reset`]; after the first pass at a
 //! given size the scan performs **no heap allocation at all**
 //! (`crates/core/tests/scan_alloc.rs` proves this with a counting global
@@ -258,7 +258,7 @@ pub fn capforest_with<P: MaxPq>(
 /// Standalone variant of [`capforest_with`]: allocates a fresh queue and
 /// scratch per call and returns an owning [`CapforestOutcome`]. Handy for
 /// tests and one-shot callers; round loops should hold a
-/// [`ScanWorkspace`] instead.
+/// `ScanWorkspace` instead.
 pub fn capforest<P: MaxPq>(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,

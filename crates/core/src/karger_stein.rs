@@ -13,74 +13,26 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::MinCutError;
-use crate::stats::{SolveContext, SolverStats};
+use crate::options::SolveOptions;
+use crate::stats::SolveContext;
 use crate::MinCutResult;
 
-/// Configuration for [`karger_stein`].
-#[derive(Clone, Debug)]
-pub struct KargerSteinConfig {
-    /// Independent repetitions of the full recursive procedure. The
-    /// classical recommendation is Θ(log² n); each repetition succeeds
-    /// with probability Ω(1/log n).
-    pub repetitions: usize,
-    pub seed: u64,
-    pub compute_side: bool,
-}
-
-impl Default for KargerSteinConfig {
-    fn default() -> Self {
-        KargerSteinConfig {
-            repetitions: 16,
-            seed: 0xca59e5,
-            compute_side: true,
-        }
-    }
-}
-
-/// Monte-Carlo minimum cut. The returned value is always the value of an
-/// actual cut (an upper bound on λ); it equals λ with high probability for
-/// sufficient repetitions. Requires n ≥ 2; handles disconnected inputs.
-pub fn karger_stein(g: &CsrGraph, cfg: &KargerSteinConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    karger_stein_instrumented(g, cfg, &mut ctx)
-        .expect("Karger-Stein without a time budget cannot fail")
-}
-
-/// [`karger_stein`] recording the best-value trajectory per repetition
-/// into the [`SolveContext`] and honoring its time budget between
-/// repetitions.
-pub fn karger_stein_instrumented(
-    g: &CsrGraph,
-    cfg: &KargerSteinConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    karger_stein_connected(g, cfg, ctx)
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both), skipping the redundant
-/// component scan.
+/// Monte-Carlo minimum cut on a connected graph with n ≥ 2 (the
+/// session preflight guarantees both). The returned value is always the
+/// value of an actual cut (an upper bound on λ); it equals λ with high
+/// probability for sufficient repetitions. Repetitions, seed and witness
+/// tracking come from `opts`; the best-value trajectory is recorded per
+/// repetition and the time budget honored between repetitions.
 pub(crate) fn karger_stein_connected(
     g: &CsrGraph,
-    cfg: &KargerSteinConfig,
+    opts: &SolveOptions,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(opts.seed);
     let mut engine = ContractionEngine::new();
     let mut best = EdgeWeight::MAX;
     let mut best_side: Option<Vec<bool>> = None;
-    for _ in 0..cfg.repetitions.max(1) {
+    for _ in 0..opts.repetitions.max(1) {
         ctx.check_budget()?;
         ctx.stats.rounds += 1;
         let membership = Membership::identity(g.n());
@@ -96,8 +48,8 @@ pub(crate) fn karger_stein_connected(
     }
     Ok(MinCutResult {
         value: best,
-        side: cfg
-            .compute_side
+        side: opts
+            .witness
             .then(|| best_side.expect("at least one cut examined")),
     })
 }
@@ -201,17 +153,24 @@ fn brute_force_small(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use mincut_graph::generators::known;
 
+    /// Runs Karger–Stein on `g` itself (no kernelization).
+    fn run_karger_stein(g: &CsrGraph, repetitions: usize, seed: u64) -> MinCutResult {
+        let opts = SolveOptions::new()
+            .repetitions(repetitions)
+            .seed(seed)
+            .no_reductions();
+        Session::new(g)
+            .options(opts)
+            .run("karger-stein")
+            .unwrap()
+            .cut
+    }
+
     fn check(g: &CsrGraph, expected: EdgeWeight, reps: usize) {
-        let r = karger_stein(
-            g,
-            &KargerSteinConfig {
-                repetitions: reps,
-                seed: 7,
-                compute_side: true,
-            },
-        );
+        let r = run_karger_stein(g, reps, 7);
         assert_eq!(r.value, expected);
         let side = r.side.unwrap();
         assert!(g.is_proper_cut(&side));
@@ -230,25 +189,11 @@ mod tests {
     #[test]
     fn value_is_always_a_real_cut_even_with_one_repetition() {
         let (g, lambda) = known::ring_of_cliques(5, 4, 3, 1);
-        let r = karger_stein(
-            &g,
-            &KargerSteinConfig {
-                repetitions: 1,
-                seed: 3,
-                compute_side: true,
-            },
-        );
+        let r = run_karger_stein(&g, 1, 3);
         assert!(
             r.value >= lambda,
             "Monte Carlo may overshoot, never undershoot"
         );
         assert_eq!(g.cut_value(&r.side.unwrap()), r.value);
-    }
-
-    #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        let r = karger_stein(&g, &KargerSteinConfig::default());
-        assert_eq!(r.value, 0);
     }
 }

@@ -4,16 +4,20 @@
 //! Minimum Cuts"* (Henzinger, Noe, Schulz; IPDPS 2019), including every
 //! algorithm the paper builds on, optimises or compares against:
 //!
-//! | Paper name | Here |
+//! | Paper name | Registered as (CLI alias) |
 //! |---|---|
-//! | CAPFOREST (NOI scan, λ̂-bounded queues, Lemma 3.1) | [`capforest`] |
-//! | NOI-HNSS, NOIλ̂-{BStack, BQueue, Heap} (±VieCut) | [`noi`] |
-//! | Parallel CAPFOREST (Algorithm 1) | [`parallel::capforest`] |
-//! | ParCut (Algorithm 2) | [`parallel::mincut`] |
-//! | VieCut (label propagation + Padberg–Rinaldi multilevel) | [`viecut`] |
-//! | Stoer–Wagner | [`stoer_wagner`] |
-//! | Karger–Stein | [`karger_stein`] |
-//! | Matula (2+ε)-approximation (§5 future work) | [`matula`] |
+//! | NOI-HNSS, NOIλ̂-{BStack, BQueue, Heap} (±VieCut) | `NOI-HNSS`, `NOIλ̂`, `NOIλ̂-VieCut` (`hnss`, `noi`, `noi-viecut`) |
+//! | ParCut (Algorithm 2) | `ParCutλ̂` (`parcut`) |
+//! | VieCut (label propagation + Padberg–Rinaldi multilevel) | `VieCut` (`viecut`) |
+//! | Stoer–Wagner | `StoerWagner` (`stoer-wagner`) |
+//! | Karger–Stein | `KargerStein` (`karger-stein`) |
+//! | Matula (2+ε)-approximation (§5 future work) | `Matula` (`matula`) |
+//!
+//! Their building blocks stay public for custom drivers: CAPFOREST with
+//! the λ̂-bounded queues and Lemma 3.1 ([`capforest`]), the parallel
+//! CAPFOREST of Algorithm 1 ([`parallel::capforest`]), label
+//! propagation ([`viecut::label_propagation`](mod@viecut::label_propagation))
+//! and the reduction passes ([`reduce`]).
 //!
 //! The flow-based comparators (Hao–Orlin/HO-CGKLS, Gomory–Hu) live in
 //! the companion crate `mincut-flow` and are registered here alongside
@@ -138,26 +142,14 @@
 //! // Deleting a crossing bridge is exact *without* a solver run.
 //! assert_eq!(dyn_cut.delete_edge(0, 8).unwrap().lambda, 1);
 //! ```
-//!
-//! The enum-based front door of earlier versions remains as a thin shim:
-//!
-//! ```
-//! use mincut_core::{minimum_cut, Algorithm};
-//! use mincut_graph::CsrGraph;
-//!
-//! let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 5)]);
-//! let result = minimum_cut(&g, Algorithm::default());
-//! assert_eq!(result.value, 2);
-//! assert!(result.verify(&g));
-//! ```
 
 pub mod cactus;
 pub mod capforest;
 pub mod dynamic;
 mod error;
-pub mod karger_stein;
-pub mod matula;
-pub mod noi;
+mod karger_stein;
+mod matula;
+mod noi;
 mod options;
 pub mod parallel;
 pub mod reduce;
@@ -210,114 +202,6 @@ impl MinCutResult {
             Some(side) => g.is_proper_cut(side) && g.cut_value(side) == self.value,
         }
     }
-}
-
-/// Algorithm selector for [`minimum_cut`], named after the variants in the
-/// paper's evaluation (§4.1).
-///
-/// Kept as a back-compat shim: each variant maps onto a registered
-/// solver family plus [`SolveOptions`]; new code should resolve solvers
-/// by name through [`SolverRegistry`] or [`Session`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Algorithm {
-    /// NOI with an unbounded binary heap — the implementation of
-    /// Henzinger, Noe, Schulz and Strash that the paper starts from.
-    NoiHnss,
-    /// NOI-HNSS seeded with the VieCut bound (NOI-HNSS-VieCut).
-    NoiHnssVieCut,
-    /// NOIλ̂: priorities capped at λ̂, with the chosen queue (§3.1.2–3.1.3).
-    NoiBounded { pq: PqKind },
-    /// NOIλ̂ seeded with the VieCut bound (NOIλ̂-·-VieCut) — the paper's
-    /// fastest sequential configuration with `pq = Heap`.
-    NoiBoundedVieCut { pq: PqKind },
-    /// ParCutλ̂: the shared-memory parallel Algorithm 2.
-    ParCut { pq: PqKind, threads: usize },
-    /// Stoer–Wagner (comparator).
-    StoerWagner,
-    /// Hao–Orlin (flow-based comparator, HO-CGKLS).
-    HaoOrlin,
-    /// Gomory–Hu cut tree (Gusfield construction): n−1 max-flows; the
-    /// classical flow reduction the paper's related work (§2.2) starts
-    /// from. Far slower, but also yields *all pairwise* min cuts.
-    GomoryHu,
-    /// Karger–Stein random contraction (Monte-Carlo comparator).
-    KargerStein { repetitions: usize },
-    /// Matula's (2+ε)-approximation (inexact; §5 future-work extension).
-    Matula { epsilon: f64 },
-    /// VieCut (inexact multilevel heuristic; upper bound, usually exact).
-    VieCut,
-}
-
-impl Default for Algorithm {
-    /// The paper's recommended sequential configuration:
-    /// NOIλ̂-Heap-VieCut.
-    fn default() -> Self {
-        Algorithm::NoiBoundedVieCut { pq: PqKind::Heap }
-    }
-}
-
-impl Algorithm {
-    /// The registry family this variant maps to, plus the options patch
-    /// it implies.
-    fn to_solver(&self, seed: u64) -> (&'static str, SolveOptions) {
-        let opts = SolveOptions::new().seed(seed);
-        match self {
-            Algorithm::NoiHnss => ("NOI-HNSS", opts),
-            Algorithm::NoiHnssVieCut => ("NOI-HNSS-VieCut", opts),
-            Algorithm::NoiBounded { pq } => ("NOIλ̂", opts.pq(*pq)),
-            Algorithm::NoiBoundedVieCut { pq } => ("NOIλ̂-VieCut", opts.pq(*pq)),
-            Algorithm::ParCut { pq, threads } => ("ParCutλ̂", opts.pq(*pq).threads(*threads)),
-            Algorithm::StoerWagner => ("StoerWagner", opts),
-            Algorithm::HaoOrlin => ("HO-CGKLS", opts),
-            Algorithm::GomoryHu => ("GomoryHu", opts),
-            Algorithm::KargerStein { repetitions } => {
-                // The seed API clamped zero to one repetition; keep that
-                // instead of tripping SolveOptions validation.
-                ("KargerStein", opts.repetitions((*repetitions).max(1)))
-            }
-            Algorithm::Matula { epsilon } => ("Matula", opts.epsilon(*epsilon)),
-            Algorithm::VieCut => ("VieCut", opts),
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Algorithm::NoiHnss => write!(f, "NOI-HNSS"),
-            Algorithm::NoiHnssVieCut => write!(f, "NOI-HNSS-VieCut"),
-            Algorithm::NoiBounded { pq } => write!(f, "NOIλ̂-{pq}"),
-            Algorithm::NoiBoundedVieCut { pq } => write!(f, "NOIλ̂-{pq}-VieCut"),
-            Algorithm::ParCut { pq, threads } => write!(f, "ParCutλ̂-{pq}(p={threads})"),
-            Algorithm::StoerWagner => write!(f, "StoerWagner"),
-            Algorithm::HaoOrlin => write!(f, "HO-CGKLS"),
-            Algorithm::GomoryHu => write!(f, "GomoryHu"),
-            Algorithm::KargerStein { repetitions } => write!(f, "KargerStein(r={repetitions})"),
-            Algorithm::Matula { epsilon } => write!(f, "Matula(ε={epsilon})"),
-            Algorithm::VieCut => write!(f, "VieCut"),
-        }
-    }
-}
-
-/// Computes a minimum cut of `g` with the chosen algorithm and a default
-/// seed. Panics if `g` has fewer than two vertices (use [`Session`] /
-/// [`Solver::solve`] for error values instead). Disconnected graphs
-/// yield value 0 with a component witness.
-pub fn minimum_cut(g: &CsrGraph, algorithm: Algorithm) -> MinCutResult {
-    minimum_cut_seeded(g, algorithm, 0xC0FFEE)
-}
-
-/// [`minimum_cut`] with an explicit seed for the randomised components
-/// (start vertices, label propagation orders, Karger–Stein contractions).
-pub fn minimum_cut_seeded(g: &CsrGraph, algorithm: Algorithm, seed: u64) -> MinCutResult {
-    let (family, opts) = algorithm.to_solver(seed);
-    let solver = SolverRegistry::global()
-        .resolve(family)
-        .expect("every Algorithm variant is registered");
-    solver
-        .solve(g, &opts)
-        .unwrap_or_else(|e| panic!("minimum cut failed: {e}"))
-        .cut
 }
 
 #[cfg(test)]
@@ -415,29 +299,12 @@ mod tests {
             par.stats.pq_ops.total() > 0,
             "worker PQ ops must be harvested"
         );
-    }
-
-    #[test]
-    fn display_names_match_paper() {
-        assert_eq!(Algorithm::NoiHnss.to_string(), "NOI-HNSS");
-        assert_eq!(
-            Algorithm::NoiBounded { pq: PqKind::BStack }.to_string(),
-            "NOIλ̂-BStack"
-        );
-        assert_eq!(Algorithm::default().to_string(), "NOIλ̂-Heap-VieCut");
-        assert_eq!(Algorithm::HaoOrlin.to_string(), "HO-CGKLS");
-        // The shim resolves every display name's family through the
-        // registry under the same spelling conventions.
-        for algo in [
-            Algorithm::NoiHnss,
-            Algorithm::default(),
-            Algorithm::ParCut {
-                pq: PqKind::BQueue,
-                threads: 2,
-            },
-        ] {
-            let (family, _) = algo.to_solver(1);
-            assert!(SolverRegistry::global().entry(family).is_some());
+        // ParCut times its bound and its round loop as separate phases.
+        for phase in ["viecut", "parcut"] {
+            assert!(
+                par.stats.phases.iter().any(|p| p.name == phase),
+                "ParCut must record a {phase:?} phase"
+            );
         }
     }
 

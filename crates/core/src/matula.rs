@@ -16,78 +16,33 @@ use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
-use crate::stats::{SolveContext, SolverStats};
+use crate::options::SolveOptions;
+use crate::stats::SolveContext;
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
 
-/// Configuration for [`matula_approx`].
-#[derive(Clone, Debug)]
-pub struct MatulaConfig {
-    /// Approximation slack ε > 0; the result is ≤ (2+ε)·λ.
-    pub epsilon: f64,
-    /// Queue used by the scan passes (future-work extension of §5: the
-    /// paper's queue optimisations applied to Matula's algorithm).
-    pub pq: PqKind,
-    pub seed: u64,
-    pub compute_side: bool,
-}
-
-impl Default for MatulaConfig {
-    fn default() -> Self {
-        MatulaConfig {
-            epsilon: 0.5,
-            pq: PqKind::Heap,
-            seed: 0x2a,
-            compute_side: true,
-        }
-    }
-}
-
-/// (2+ε)-approximate minimum cut in near-linear time. The returned value
-/// is always an actual cut of `g` with value ≤ (2+ε)·λ(G).
-/// Requires n ≥ 2; handles disconnected inputs.
-pub fn matula_approx(g: &CsrGraph, cfg: &MatulaConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    matula_approx_instrumented(g, cfg, &mut ctx).expect("Matula without a time budget cannot fail")
-}
-
-/// [`matula_approx`] recording per-pass telemetry into the
-/// [`SolveContext`] and honoring its time budget between passes.
-pub fn matula_approx_instrumented(
-    g: &CsrGraph,
-    cfg: &MatulaConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    matula_approx_connected(g, cfg, ctx)
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both), skipping the redundant
-/// component scan.
+/// (2+ε)-approximate minimum cut in near-linear time on a connected
+/// graph with n ≥ 2 (the session preflight guarantees both). The
+/// returned value is always an actual cut of `g` with value ≤ (2+ε)·λ(G).
+/// The scan passes use queue `pq` (the future-work extension of §5: the
+/// paper's queue optimisations applied to Matula's algorithm); ε, seed
+/// and witness tracking come from `opts`. Records per-pass telemetry and
+/// honors the time budget between passes.
 pub(crate) fn matula_approx_connected(
     g: &CsrGraph,
-    cfg: &MatulaConfig,
+    opts: &SolveOptions,
+    pq: PqKind,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    assert!(cfg.epsilon > 0.0, "epsilon must be positive");
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let (epsilon, compute_side) = (opts.epsilon, opts.witness);
+    assert!(epsilon > 0.0, "epsilon must be positive");
+    let mut rng = SmallRng::seed_from_u64(opts.seed);
     let mut engine = ContractionEngine::new();
     let mut ws = ScanWorkspace::new();
     let mut labels_buf: Vec<NodeId> = Vec::new();
     let mut current = g.clone();
     // Witness bookkeeping only when a side is requested (as in NOI).
-    let mut membership = Membership::identity(if cfg.compute_side { g.n() } else { 0 });
+    let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
     let mut best = EdgeWeight::MAX;
     let mut best_side: Option<Vec<bool>> = None;
 
@@ -98,7 +53,7 @@ pub(crate) fn matula_approx_connected(
         if delta < best {
             best = delta;
             ctx.stats.record_lambda(best);
-            if cfg.compute_side {
+            if compute_side {
                 best_side = Some(membership.side_of_vertices(&[dv]));
             }
         }
@@ -112,10 +67,10 @@ pub(crate) fn matula_approx_connected(
         // below the real threshold and void the guarantee (a destroyed
         // minimum cut must satisfy λ ≥ δ/(2+ε), which is what bounds the
         // answer δ ≤ (2+ε)·λ).
-        let sigma = ((delta as f64) / (2.0 + cfg.epsilon)).ceil() as EdgeWeight;
+        let sigma = ((delta as f64) / (2.0 + epsilon)).ceil() as EdgeWeight;
         let sigma = sigma.max(1);
         let start = rng.gen_range(0..current.n() as NodeId);
-        let info = ws.scan(&current, sigma, start, cfg.pq, true);
+        let info = ws.scan(&current, sigma, start, pq, true);
         ctx.stats.add_pq_ops(ws.take_ops());
         // Prefix cuts seen by the scan are real cuts; they can only help.
         // (info.lambda_hat below σ without a witness never happens, but
@@ -125,7 +80,7 @@ pub(crate) fn matula_approx_connected(
             if info.lambda_hat < best {
                 best = info.lambda_hat;
                 ctx.stats.record_lambda(best);
-                if cfg.compute_side {
+                if compute_side {
                     best_side = Some(membership.side_of_vertices(&ws.order()[..len]));
                 }
             }
@@ -139,7 +94,7 @@ pub(crate) fn matula_approx_connected(
             if phase.cut_of_phase < best {
                 best = phase.cut_of_phase;
                 ctx.stats.record_lambda(best);
-                if cfg.compute_side {
+                if compute_side {
                     best_side = Some(membership.side_of_vertices(&[phase.t]));
                 }
             }
@@ -147,7 +102,7 @@ pub(crate) fn matula_approx_connected(
         }
         let blocks = ws.uf_mut().dense_labels_into(&mut labels_buf);
         ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-        let next = if cfg.compute_side {
+        let next = if compute_side {
             engine.contract_tracked(&current, &labels_buf, blocks, &mut membership)
         } else {
             engine.contract(&current, &labels_buf, blocks)
@@ -165,21 +120,25 @@ pub(crate) fn matula_approx_connected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use mincut_graph::generators::known;
+
+    /// Runs Matula with queue `pq` on `g` itself (no kernelization).
+    fn matula(g: &CsrGraph, pq: PqKind, epsilon: f64) -> MinCutResult {
+        Session::new(g)
+            .options(SolveOptions::new().epsilon(epsilon).no_reductions())
+            .run(&format!("matula-{pq}"))
+            .unwrap()
+            .cut
+    }
 
     #[test]
     fn every_queue_kind_scans_and_respects_the_guarantee() {
         // Regression: the scan used to hardcode the binary heap and
-        // silently ignore `MatulaConfig::pq`.
+        // silently ignore the requested queue.
         let (g, l) = known::two_communities(10, 11, 2, 2, 1);
         for pq in PqKind::ALL {
-            let r = matula_approx(
-                &g,
-                &MatulaConfig {
-                    pq,
-                    ..Default::default()
-                },
-            );
+            let r = matula(&g, pq, 0.5);
             assert!(r.value >= l, "{pq}");
             let bound = ((2.0 + 0.5) * l as f64).floor() as EdgeWeight;
             assert!(r.value <= bound, "{pq}: (2+ε) violated");
@@ -192,13 +151,7 @@ mod tests {
     }
 
     fn check_approx(g: &CsrGraph, lambda: EdgeWeight, epsilon: f64) {
-        let r = matula_approx(
-            g,
-            &MatulaConfig {
-                epsilon,
-                ..Default::default()
-            },
-        );
+        let r = matula(g, PqKind::Heap, epsilon);
         assert!(r.value >= lambda, "approximation may not undershoot λ");
         let bound = ((2.0 + epsilon) * lambda as f64).floor() as EdgeWeight;
         assert!(
@@ -251,7 +204,7 @@ mod tests {
         // Not guaranteed, but documents typical behaviour the paper notes
         // for bound-driven contraction on clustered inputs.
         let (g, l) = known::barbell(10, 10, 2, 3);
-        let r = matula_approx(&g, &MatulaConfig::default());
+        let r = matula(&g, PqKind::Heap, 0.5);
         assert!(r.value <= 2 * l);
     }
 }

@@ -20,13 +20,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
-use crate::stats::{SolveContext, SolverStats};
+use crate::stats::SolveContext;
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
 
-/// Configuration for [`noi_minimum_cut`].
-#[derive(Clone, Debug)]
-pub struct NoiConfig {
+/// Parameters of one NOI run, filled in by the registry's NOI solvers
+/// and by VieCut's exact remainder solve.
+pub(crate) struct NoiParams {
     /// Which priority queue to use.
     pub pq: PqKind,
     /// Cap queue priorities at λ̂ (the paper's central optimisation).
@@ -35,78 +35,20 @@ pub struct NoiConfig {
     /// typically the VieCut result. The value must be the value of an
     /// actual cut of `g`; otherwise correctness is lost.
     pub initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
-    /// Track and return the cut side (small overhead; benches disable it).
+    /// Track and return the cut side.
     pub compute_side: bool,
     /// Seed for the random start vertex of each pass.
     pub seed: u64,
 }
 
-impl Default for NoiConfig {
-    fn default() -> Self {
-        NoiConfig {
-            pq: PqKind::Heap,
-            bounded: true,
-            initial_bound: None,
-            compute_side: true,
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl NoiConfig {
-    /// The paper's NOI-HNSS comparator: unbounded binary heap.
-    pub fn hnss() -> Self {
-        NoiConfig {
-            pq: PqKind::Heap,
-            bounded: false,
-            ..Default::default()
-        }
-    }
-
-    /// NOIλ̂ with the given queue.
-    pub fn bounded(pq: PqKind) -> Self {
-        NoiConfig {
-            pq,
-            bounded: true,
-            ..Default::default()
-        }
-    }
-}
-
-/// Exact minimum cut via NOI. Requires n ≥ 2; handles disconnected inputs.
-pub fn noi_minimum_cut(g: &CsrGraph, cfg: &NoiConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    noi_minimum_cut_instrumented(g, cfg, &mut ctx).expect("NOI without a time budget cannot fail")
-}
-
-/// [`noi_minimum_cut`] feeding per-round telemetry (λ̂ trajectory,
-/// contraction counts, rescue phases) into the [`SolveContext`] and
-/// honoring its optional time budget between rounds.
-pub fn noi_minimum_cut_instrumented(
-    g: &CsrGraph,
-    cfg: &NoiConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    noi_minimum_cut_connected(g, cfg, ctx)
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both), skipping the redundant
-/// component scan.
+/// Exact minimum cut via NOI, feeding per-round telemetry (λ̂
+/// trajectory, contraction counts, rescue phases) into the
+/// [`SolveContext`] and honoring its time budget between rounds. The
+/// input must be connected with n ≥ 2 (the session preflight
+/// guarantees both).
 pub(crate) fn noi_minimum_cut_connected(
     g: &CsrGraph,
-    cfg: &NoiConfig,
+    cfg: &NoiParams,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -228,23 +170,28 @@ pub(crate) fn noi_minimum_cut_connected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Session, SolveOptions};
     use mincut_graph::generators::known;
 
-    fn all_variants() -> Vec<NoiConfig> {
-        let mut v = vec![NoiConfig::hnss()];
-        for pq in PqKind::ALL {
-            v.push(NoiConfig::bounded(pq));
-        }
-        v
+    /// Every NOI variant, by registry spelling.
+    const VARIANTS: [&str; 4] = ["NOI-HNSS", "NOIλ̂-BStack", "NOIλ̂-BQueue", "NOIλ̂-Heap"];
+
+    /// Runs `name` on `g` itself (no kernelization).
+    fn run(g: &CsrGraph, name: &str, opts: SolveOptions) -> MinCutResult {
+        Session::new(g)
+            .options(opts.no_reductions())
+            .run(name)
+            .unwrap()
+            .cut
     }
 
     fn check_all(g: &CsrGraph, expected: EdgeWeight) {
-        for cfg in all_variants() {
-            let r = noi_minimum_cut(g, &cfg);
-            assert_eq!(r.value, expected, "value mismatch for {cfg:?}");
+        for name in VARIANTS {
+            let r = run(g, name, SolveOptions::new());
+            assert_eq!(r.value, expected, "value mismatch for {name}");
             let side = r.side.expect("witness requested");
-            assert!(g.is_proper_cut(&side), "improper witness for {cfg:?}");
-            assert_eq!(g.cut_value(&side), expected, "witness mismatch for {cfg:?}");
+            assert!(g.is_proper_cut(&side), "improper witness for {name}");
+            assert_eq!(g.cut_value(&side), expected, "witness mismatch for {name}");
         }
     }
 
@@ -295,9 +242,8 @@ mod tests {
         let (g, l) = known::two_communities(6, 6, 1, 2, 1);
         let mut side0 = vec![false; g.n()];
         side0[0] = true;
-        let mut cfg = NoiConfig::bounded(PqKind::Heap);
-        cfg.initial_bound = Some((g.cut_value(&side0), Some(side0)));
-        let r = noi_minimum_cut(&g, &cfg);
+        let opts = SolveOptions::new().initial_bound(g.cut_value(&side0), Some(side0));
+        let r = run(&g, "NOIλ̂-Heap", opts);
         assert_eq!(r.value, l);
         assert_eq!(g.cut_value(&r.side.unwrap()), l);
     }
@@ -311,31 +257,19 @@ mod tests {
         let mut side = vec![false; g.n()];
         side[..6].fill(true);
         assert_eq!(g.cut_value(&side), l);
-        let mut cfg = NoiConfig::bounded(PqKind::BQueue);
-        cfg.initial_bound = Some((l, Some(side)));
-        let r = noi_minimum_cut(&g, &cfg);
+        let r = run(
+            &g,
+            "NOIλ̂-BQueue",
+            SolveOptions::new().initial_bound(l, Some(side)),
+        );
         assert_eq!(r.value, l);
         assert_eq!(g.cut_value(&r.side.unwrap()), l);
     }
 
     #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)]);
-        for cfg in all_variants() {
-            let r = noi_minimum_cut(&g, &cfg);
-            assert_eq!(r.value, 0);
-            assert_eq!(g.cut_value(&r.side.unwrap()), 0);
-        }
-    }
-
-    #[test]
     fn no_side_mode() {
         let (g, l) = known::cycle_graph(20, 2);
-        let cfg = NoiConfig {
-            compute_side: false,
-            ..NoiConfig::bounded(PqKind::BStack)
-        };
-        let r = noi_minimum_cut(&g, &cfg);
+        let r = run(&g, "NOIλ̂-BStack", SolveOptions::new().witness(false));
         assert_eq!(r.value, l);
         assert!(r.side.is_none());
     }
@@ -344,8 +278,7 @@ mod tests {
     fn weighted_heavy_graph_uses_heap_fallback() {
         // Bound above MAX_BUCKET_BOUND forces the per-pass heap fallback.
         let (g, l) = known::two_communities(5, 5, 1, 1 << 30, 1 << 27);
-        let cfg = NoiConfig::bounded(PqKind::BStack);
-        let r = noi_minimum_cut(&g, &cfg);
+        let r = run(&g, "NOIλ̂-BStack", SolveOptions::new());
         assert_eq!(r.value, l);
     }
 }

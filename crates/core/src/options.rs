@@ -1,11 +1,10 @@
-//! [`SolveOptions`]: every knob of every solver, unified.
+//! [`SolveOptions`]: every knob of every solver, in one place.
 //!
-//! The seed code spread these across five bespoke config structs
-//! (`NoiConfig`, `ParCutConfig`, `VieCutConfig`, `KargerSteinConfig`,
-//! `MatulaConfig`). The session API passes one options value to every
-//! solver; each solver reads the fields it understands and ignores the
-//! rest, so a configuration sweep can reuse a single options value
-//! across the whole registry.
+//! The session API passes one options value to every solver; each
+//! solver reads the fields it understands and ignores the rest, so a
+//! configuration sweep can reuse a single options value across the
+//! whole registry. A solver's queue can also be pinned by its name
+//! (`NOIλ̂-BStack`); nothing else configures a solver.
 
 use std::time::Duration;
 

@@ -246,11 +246,9 @@ pub fn parallel_capforest_pooled(
     finish_round(worker_best, &lambda, lambda_hat, cuf)
 }
 
-/// Object-safe view of [`MaxPq`] for the per-round queue dispatch (the
-/// inner loop still calls through concrete monomorphised queues when the
-/// generic [`parallel_capforest`] entry point is used; here one virtual
-/// call per queue op trades a negligible cost for not triplicating the
-/// worker driver).
+/// Object-safe view of [`MaxPq`]: both drivers run the worker loop
+/// through `&mut dyn DynPq`, trading one virtual call per queue op for
+/// not triplicating the worker driver.
 trait DynPq {
     fn reset(&mut self, n: usize, max_priority: u64);
     fn push(&mut self, v: u32, prio: u64);
@@ -290,11 +288,11 @@ struct WorkerCore<'a> {
     region: &'a mut Vec<NodeId>,
 }
 
-/// Runs Algorithm 1 with `threads` workers of queue type `P`, allocating
-/// fresh worker state per call. The pooled entry point
-/// [`parallel_capforest_pooled`] is what the round loop of
-/// [`crate::parallel::mincut`] uses; this generic variant remains for
-/// tests and one-shot measurements.
+/// Runs Algorithm 1 with `threads` workers of queue type `P` on freshly
+/// allocated worker state. This is the fresh-state reference that the
+/// pooled driver's test and the `hotpath` bench compare
+/// [`parallel_capforest_pooled`] against; ParCut's round loop uses the
+/// pooled driver.
 pub fn parallel_capforest<P: MaxPq + Send>(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,

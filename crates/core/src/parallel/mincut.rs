@@ -24,234 +24,160 @@ use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
+use crate::options::SolveOptions;
 use crate::parallel::capforest::{parallel_capforest_pooled, ParWorkerPool};
-use crate::stats::{SolveContext, SolverStats};
+use crate::stats::SolveContext;
 use crate::stoer_wagner::stoer_wagner_phase;
-use crate::viecut::{viecut_connected, VieCutConfig};
+use crate::viecut::viecut_connected;
 use crate::MinCutResult;
 
-/// Configuration for [`parallel_minimum_cut`].
-#[derive(Clone, Debug)]
-pub struct ParCutConfig {
-    /// Queue used by every worker (the paper's ParCutλ̂-BStack /
-    /// ParCutλ̂-BQueue / ParCutλ̂-Heap; BQueue scales best, §4.3).
-    pub pq: PqKind,
-    /// Worker threads for the CAPFOREST rounds (rayon handles the
-    /// contraction and VieCut data-parallel phases independently).
-    pub threads: usize,
-    /// Seed λ̂ with VieCut before the exact loop (§3.3). Disable to
-    /// measure the contribution of the bound (ablation).
-    pub use_viecut: bool,
-    /// Track and return the cut side.
-    pub compute_side: bool,
-    /// RNG seed (start vertices, VieCut).
-    pub seed: u64,
-}
-
-impl Default for ParCutConfig {
-    fn default() -> Self {
-        ParCutConfig {
-            pq: PqKind::BQueue,
-            threads: crate::options::hardware_threads(),
-            use_viecut: true,
-            compute_side: true,
-            seed: 0xacc5,
-        }
-    }
-}
-
-/// Exact minimum cut, shared-memory parallel (Algorithm 2).
-/// Requires n ≥ 2; handles disconnected inputs.
-pub fn parallel_minimum_cut(g: &CsrGraph, cfg: &ParCutConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    parallel_minimum_cut_instrumented(g, cfg, &mut ctx)
-        .expect("ParCut without a time budget cannot fail")
-}
-
-/// [`parallel_minimum_cut`] feeding per-round telemetry (λ̂ trajectory,
-/// contraction counts, rescue phases, worker PQ-operation totals) into
-/// the [`SolveContext`] and honoring its time budget between rounds.
-pub fn parallel_minimum_cut_instrumented(
-    g: &CsrGraph,
-    cfg: &ParCutConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    parallel_minimum_cut_connected(g, cfg, ctx)
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both), skipping the redundant
-/// component scan.
+/// ParCut on a connected graph with n ≥ 2 (the session preflight
+/// guarantees both). Every worker scans with queue `pq`; threads, seed
+/// and witness tracking come from `opts`. Records two phases: `viecut`
+/// (the initial bound, §3.3) and `parcut` (the round loop), honoring
+/// the time budget between rounds.
 pub(crate) fn parallel_minimum_cut_connected(
     g: &CsrGraph,
-    cfg: &ParCutConfig,
+    opts: &SolveOptions,
+    pq: PqKind,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    assert!(cfg.threads >= 1);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let (threads, seed, compute_side) = (opts.threads, opts.seed, opts.witness);
+    assert!(threads >= 1);
+    let mut rng = SmallRng::seed_from_u64(seed);
 
     // Initial bound: trivial degree cut, then VieCut (§3.1.1).
     let (dv, ddeg) = g.min_weighted_degree().expect("n >= 2");
     let mut lambda = ddeg;
-    let mut best_side = cfg.compute_side.then(|| {
+    let mut best_side = compute_side.then(|| {
         let mut s = vec![false; g.n()];
         s[dv as usize] = true;
         s
     });
-    if cfg.use_viecut {
-        let vc = ctx.stats.time_phase("viecut", |stats| {
-            let mut inner = SolveContext {
-                stats,
-                deadline: ctx.deadline,
-                budget: ctx.budget,
-            };
-            viecut_connected(
-                g,
-                &VieCutConfig {
-                    compute_side: cfg.compute_side,
-                    seed: cfg.seed,
-                    ..VieCutConfig::default()
-                },
-                &mut inner,
-            )
-        })?;
-        if vc.value < lambda {
-            lambda = vc.value;
-            if cfg.compute_side {
-                best_side = Some(vc.side.expect("requested"));
-            }
+    let vc = ctx.time_phase("viecut", |inner| {
+        viecut_connected(g, seed, compute_side, inner)
+    })?;
+    if vc.value < lambda {
+        lambda = vc.value;
+        if compute_side {
+            best_side = Some(vc.side.expect("requested"));
         }
     }
     ctx.stats.record_lambda(lambda);
 
-    let mut engine = ContractionEngine::new();
-    let mut pool = ParWorkerPool::new();
-    let mut rescue_ws = ScanWorkspace::new();
-    let mut current = g.clone();
-    // Witness bookkeeping only when a side is requested (as in NOI).
-    let mut membership = Membership::identity(if cfg.compute_side { g.n() } else { 0 });
+    ctx.time_phase("parcut", |ctx| {
+        let mut engine = ContractionEngine::new();
+        let mut pool = ParWorkerPool::new();
+        let mut rescue_ws = ScanWorkspace::new();
+        let mut current = g.clone();
+        // Witness bookkeeping only when a side is requested (as in NOI).
+        let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
 
-    while current.n() > 2 {
-        ctx.check_budget()?;
-        ctx.stats.rounds += 1;
-        let mut round_span = mincut_obs::span("parcut/round");
-        round_span.arg("round", ctx.stats.rounds);
-        round_span.arg("n", current.n());
-        round_span.arg("lambda_hat", lambda);
-        round_span.arg("threads", cfg.threads);
-        let out =
-            parallel_capforest_pooled(&current, lambda, cfg.threads, cfg.seed, cfg.pq, &mut pool);
-        ctx.stats.add_pq_ops(out.pq_ops);
-        if out.lambda_hat < lambda {
-            lambda = out.lambda_hat;
-            ctx.stats.record_lambda(lambda);
-            if cfg.compute_side {
-                let prefix = out.best_prefix.as_deref().expect("improvement has witness");
-                best_side = Some(membership.side_of_vertices(prefix));
-            }
-        }
-        let cuf = out.cuf;
-
-        let (labels, blocks) = if cuf.count() < current.n() {
-            cuf.dense_labels()
-        } else {
-            // Rescue 1: one sequential CAPFOREST pass (Algorithm 2 line 5).
-            let start = rng.gen_range(0..current.n() as NodeId);
-            let seq = rescue_ws.scan(&current, lambda, start, PqKind::Heap, true);
-            ctx.stats.add_pq_ops(rescue_ws.take_ops());
-            if seq.lambda_hat < lambda {
-                lambda = seq.lambda_hat;
+        while current.n() > 2 {
+            ctx.check_budget()?;
+            ctx.stats.rounds += 1;
+            let mut round_span = mincut_obs::span("parcut/round");
+            round_span.arg("round", ctx.stats.rounds);
+            round_span.arg("n", current.n());
+            round_span.arg("lambda_hat", lambda);
+            round_span.arg("threads", threads);
+            let out = parallel_capforest_pooled(&current, lambda, threads, seed, pq, &mut pool);
+            ctx.stats.add_pq_ops(out.pq_ops);
+            if out.lambda_hat < lambda {
+                lambda = out.lambda_hat;
                 ctx.stats.record_lambda(lambda);
-                if cfg.compute_side {
-                    let len = seq.best_prefix_len.expect("improvement has witness");
-                    best_side = Some(membership.side_of_vertices(&rescue_ws.order()[..len]));
+                if compute_side {
+                    let prefix = out.best_prefix.as_deref().expect("improvement has witness");
+                    best_side = Some(membership.side_of_vertices(prefix));
                 }
             }
-            if seq.unions == 0 {
-                // Rescue 2: a Stoer–Wagner phase always contracts safely.
-                ctx.stats.sw_rescues += 1;
-                let phase = stoer_wagner_phase(&current, start);
-                if phase.cut_of_phase < lambda {
-                    lambda = phase.cut_of_phase;
+            let cuf = out.cuf;
+
+            let (labels, blocks) = if cuf.count() < current.n() {
+                cuf.dense_labels()
+            } else {
+                // Rescue 1: one sequential CAPFOREST pass (Algorithm 2 line 5).
+                let start = rng.gen_range(0..current.n() as NodeId);
+                let seq = rescue_ws.scan(&current, lambda, start, PqKind::Heap, true);
+                ctx.stats.add_pq_ops(rescue_ws.take_ops());
+                if seq.lambda_hat < lambda {
+                    lambda = seq.lambda_hat;
                     ctx.stats.record_lambda(lambda);
-                    if cfg.compute_side {
-                        best_side = Some(membership.side_of_vertices(&[phase.t]));
+                    if compute_side {
+                        let len = seq.best_prefix_len.expect("improvement has witness");
+                        best_side = Some(membership.side_of_vertices(&rescue_ws.order()[..len]));
                     }
                 }
-                rescue_ws.uf_mut().union(phase.s, phase.t);
-            }
-            rescue_ws.uf_mut().dense_labels()
-        };
+                if seq.unions == 0 {
+                    // Rescue 2: a Stoer–Wagner phase always contracts safely.
+                    ctx.stats.sw_rescues += 1;
+                    let phase = stoer_wagner_phase(&current, start);
+                    if phase.cut_of_phase < lambda {
+                        lambda = phase.cut_of_phase;
+                        ctx.stats.record_lambda(lambda);
+                        if compute_side {
+                            best_side = Some(membership.side_of_vertices(&[phase.t]));
+                        }
+                    }
+                    rescue_ws.uf_mut().union(phase.s, phase.t);
+                }
+                rescue_ws.uf_mut().dense_labels()
+            };
 
-        debug_assert!(blocks < current.n(), "every round must make progress");
-        ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-        let next = if cfg.compute_side {
-            engine.contract_tracked(&current, &labels, blocks, &mut membership)
-        } else {
-            engine.contract(&current, &labels, blocks)
-        };
-        ctx.stats.record_contraction_path(engine.last_path());
-        round_span.arg_display("path", engine.last_path());
-        engine.recycle(std::mem::replace(&mut current, next));
+            debug_assert!(blocks < current.n(), "every round must make progress");
+            ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
+            let next = if compute_side {
+                engine.contract_tracked(&current, &labels, blocks, &mut membership)
+            } else {
+                engine.contract(&current, &labels, blocks)
+            };
+            ctx.stats.record_contraction_path(engine.last_path());
+            round_span.arg_display("path", engine.last_path());
+            engine.recycle(std::mem::replace(&mut current, next));
 
-        // Trivial cuts of the collapsed graph (§3.2).
-        if let Some((v, d)) = current.min_weighted_degree() {
-            if current.n() >= 2 && d < lambda {
-                lambda = d;
-                ctx.stats.record_lambda(lambda);
-                if cfg.compute_side {
-                    best_side = Some(membership.side_of_vertices(&[v]));
+            // Trivial cuts of the collapsed graph (§3.2).
+            if let Some((v, d)) = current.min_weighted_degree() {
+                if current.n() >= 2 && d < lambda {
+                    lambda = d;
+                    ctx.stats.record_lambda(lambda);
+                    if compute_side {
+                        best_side = Some(membership.side_of_vertices(&[v]));
+                    }
                 }
             }
         }
-    }
 
-    Ok(MinCutResult {
-        value: lambda,
-        side: best_side,
+        Ok(MinCutResult {
+            value: lambda,
+            side: best_side,
+        })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use mincut_graph::generators::known;
     use mincut_graph::EdgeWeight;
 
-    fn all_configs(threads: usize) -> Vec<ParCutConfig> {
-        let mut v = Vec::new();
-        for pq in PqKind::ALL {
-            for use_viecut in [true, false] {
-                v.push(ParCutConfig {
-                    pq,
-                    threads,
-                    use_viecut,
-                    compute_side: true,
-                    seed: 99,
-                });
-            }
-        }
-        v
+    /// Runs `name` on `g` itself (no kernelization).
+    fn run(g: &CsrGraph, name: &str, opts: SolveOptions) -> MinCutResult {
+        Session::new(g)
+            .options(opts.no_reductions())
+            .run(name)
+            .unwrap()
+            .cut
     }
 
     fn check_all(g: &CsrGraph, expected: EdgeWeight, threads: usize) {
-        for cfg in all_configs(threads) {
-            let r = parallel_minimum_cut(g, &cfg);
-            assert_eq!(r.value, expected, "value mismatch for {cfg:?}");
+        for pq in PqKind::ALL {
+            let name = format!("ParCutλ̂-{pq}");
+            let r = run(g, &name, SolveOptions::new().threads(threads).seed(99));
+            assert_eq!(r.value, expected, "value mismatch for {name}");
             let side = r.side.expect("witness requested");
             assert!(g.is_proper_cut(&side));
-            assert_eq!(g.cut_value(&side), expected, "witness mismatch for {cfg:?}");
+            assert_eq!(g.cut_value(&side), expected, "witness mismatch for {name}");
         }
     }
 
@@ -274,8 +200,6 @@ mod tests {
 
     #[test]
     fn matches_sequential_noi_on_random_graphs() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(31337);
         for trial in 0..15 {
             let n = rng.gen_range(20..60);
@@ -291,16 +215,10 @@ mod tests {
                 }
             }
             let g = CsrGraph::from_edges(n, &edges);
-            let seq = crate::noi::noi_minimum_cut(&g, &crate::noi::NoiConfig::default());
+            let seq = run(&g, "NOIλ̂-Heap", SolveOptions::new());
             for threads in [1, 2, 4] {
-                let par = parallel_minimum_cut(
-                    &g,
-                    &ParCutConfig {
-                        threads,
-                        seed: trial,
-                        ..Default::default()
-                    },
-                );
+                let opts = SolveOptions::new().threads(threads).seed(trial);
+                let par = run(&g, "ParCutλ̂-BQueue", opts);
                 assert_eq!(par.value, seq.value, "trial {trial}, {threads} threads");
                 assert_eq!(g.cut_value(&par.side.unwrap()), par.value);
             }
@@ -308,17 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(5, &[(0, 1, 2), (2, 3, 2), (3, 4, 2)]);
-        let r = parallel_minimum_cut(&g, &ParCutConfig::default());
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
-    }
-
-    #[test]
     fn tiny_graph() {
         let g = CsrGraph::from_edges(2, &[(0, 1, 9)]);
-        let r = parallel_minimum_cut(&g, &ParCutConfig::default());
-        assert_eq!(r.value, 9);
+        assert_eq!(run(&g, "parcut", SolveOptions::new()).value, 9);
     }
 }

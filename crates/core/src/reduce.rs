@@ -33,15 +33,12 @@
 //!   trivial cuts are covered because the pipeline keeps λ̂ at most the
 //!   minimum weighted degree of every interim kernel).
 //! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
-//!   ([`padberg_rinaldi_pass`], lifted out of `viecut/`), adding the
+//!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
 //!   triangle test 3 on top of the edge-local tests.
 //!
 //! Contractions route through the engine's
 //! [`SEQUENTIAL_FALLBACK_THRESHOLD`](ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD)
 //! dispatch, the same knob as every solver's round loop.
-//!
-//! **Migration note.** `viecut::padberg_rinaldi_pass` still resolves (a
-//! re-export); VieCut itself now consumes the pass from here.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -505,8 +502,7 @@ impl ReductionPipeline {
 }
 
 // ---------------------------------------------------------------------
-// Padberg–Rinaldi local tests (lifted out of `viecut/padberg_rinaldi.rs`;
-// `crate::viecut::padberg_rinaldi_pass` re-exports this).
+// Padberg–Rinaldi local tests (also run by each VieCut level).
 // ---------------------------------------------------------------------
 
 /// Degree budget for the triangle test: the sorted-list intersection of
@@ -839,10 +835,13 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, lambda_hat, &mut uf);
         assert!(unions > 0, "cliques must contract");
         let (labels, blocks) = uf.dense_labels();
-        let c = mincut_graph::contract::contract(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         assert!(c.n() >= 2);
-        let r = crate::stoer_wagner::stoer_wagner(&c);
-        assert_eq!(r.value, l, "min cut must survive the PR pass");
+        assert_eq!(
+            known::brute_force_mincut(&c),
+            l,
+            "min cut must survive the PR pass"
+        );
     }
 
     #[test]
@@ -854,10 +853,9 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, u64::MAX, &mut uf);
         assert!(unions > 0);
         let (labels, blocks) = uf.dense_labels();
-        let c = mincut_graph::contract::contract(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         if c.n() >= 2 {
-            let r = crate::stoer_wagner::stoer_wagner(&c);
-            assert!(r.value >= 4);
+            assert!(known::brute_force_mincut(&c) >= 4);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! [`SolverRegistry`]: the single source of algorithm names.
 //!
-//! Every front door resolves solvers here — the library facade
-//! ([`minimum_cut`](crate::minimum_cut)), the `mincut` CLI's `-a` flag,
-//! the bench harness and the solver-matrix tests. Canonical names are
+//! Every driver resolves solvers here — [`Session`](crate::Session), the
+//! `mincut` CLI's `-a` flag, the batch service, the bench harness and
+//! the solver-matrix tests. Canonical names are
 //! the paper's §4.1 spellings (`NOIλ̂-VieCut`, `ParCutλ̂`, `HO-CGKLS`,
 //! …); aliases cover the CLI spellings (`noi-viecut`, `parcut`,
 //! `hao-orlin`). Queue-pinned spellings (`NOIλ̂-BStack`,
@@ -15,15 +15,15 @@ use mincut_ds::PqKind;
 use mincut_graph::CsrGraph;
 
 use crate::error::MinCutError;
-use crate::karger_stein::{karger_stein_connected, KargerSteinConfig};
-use crate::matula::{matula_approx_connected, MatulaConfig};
-use crate::noi::{noi_minimum_cut_connected, NoiConfig};
+use crate::karger_stein::karger_stein_connected;
+use crate::matula::matula_approx_connected;
+use crate::noi::{noi_minimum_cut_connected, NoiParams};
 use crate::options::SolveOptions;
-use crate::parallel::mincut::{parallel_minimum_cut_connected, ParCutConfig};
+use crate::parallel::mincut::parallel_minimum_cut_connected;
 use crate::solver::{Capabilities, Guarantee, Solver};
 use crate::stats::SolveContext;
 use crate::stoer_wagner::stoer_wagner_connected;
-use crate::viecut::{viecut_connected, VieCutConfig};
+use crate::viecut::viecut_connected;
 use crate::MinCutResult;
 
 /// One registered solver family.
@@ -386,21 +386,8 @@ impl Solver for NoiSolver {
         let seed = self.pinned_seed.unwrap_or(opts.seed);
         let mut initial_bound = opts.initial_bound.clone();
         if self.seed_with_viecut {
-            let vc = ctx.stats.time_phase("viecut", |stats| {
-                let mut inner = SolveContext {
-                    stats,
-                    deadline: ctx.deadline,
-                    budget: ctx.budget,
-                };
-                viecut_connected(
-                    g,
-                    &VieCutConfig {
-                        compute_side: opts.witness,
-                        seed,
-                        ..VieCutConfig::default()
-                    },
-                    &mut inner,
-                )
+            let vc = ctx.time_phase("viecut", |inner| {
+                viecut_connected(g, seed, opts.witness, inner)
             })?;
             let better = match &initial_bound {
                 Some((b, _)) if *b <= vc.value => true,
@@ -410,21 +397,14 @@ impl Solver for NoiSolver {
                 initial_bound = Some((vc.value, vc.side));
             }
         }
-        let cfg = NoiConfig {
+        let params = NoiParams {
             pq: self.effective_pq(opts),
             bounded: self.bounded,
             initial_bound,
             compute_side: opts.witness,
             seed,
         };
-        ctx.stats.time_phase("noi", |stats| {
-            let mut inner = SolveContext {
-                stats,
-                deadline: ctx.deadline,
-                budget: ctx.budget,
-            };
-            noi_minimum_cut_connected(g, &cfg, &mut inner)
-        })
+        ctx.time_phase("noi", |inner| noi_minimum_cut_connected(g, &params, inner))
     }
 }
 
@@ -460,14 +440,7 @@ impl Solver for ParCutSolver {
         opts: &SolveOptions,
         ctx: &mut SolveContext<'_>,
     ) -> Result<MinCutResult, MinCutError> {
-        let cfg = ParCutConfig {
-            pq: self.pin_pq.unwrap_or(opts.pq),
-            threads: opts.threads,
-            use_viecut: true,
-            compute_side: opts.witness,
-            seed: opts.seed,
-        };
-        parallel_minimum_cut_connected(g, &cfg, ctx)
+        parallel_minimum_cut_connected(g, opts, self.pin_pq.unwrap_or(opts.pq), ctx)
     }
 }
 
@@ -582,12 +555,7 @@ impl Solver for KargerSteinSolver {
         opts: &SolveOptions,
         ctx: &mut SolveContext<'_>,
     ) -> Result<MinCutResult, MinCutError> {
-        let cfg = KargerSteinConfig {
-            repetitions: opts.repetitions,
-            seed: opts.seed,
-            compute_side: opts.witness,
-        };
-        karger_stein_connected(g, &cfg, ctx)
+        karger_stein_connected(g, opts, ctx)
     }
 }
 
@@ -616,12 +584,7 @@ impl Solver for VieCutSolver {
         opts: &SolveOptions,
         ctx: &mut SolveContext<'_>,
     ) -> Result<MinCutResult, MinCutError> {
-        let cfg = VieCutConfig {
-            compute_side: opts.witness,
-            seed: opts.seed,
-            ..VieCutConfig::default()
-        };
-        viecut_connected(g, &cfg, ctx)
+        viecut_connected(g, opts.seed, opts.witness, ctx)
     }
 }
 
@@ -660,13 +623,7 @@ impl Solver for MatulaSolver {
         opts: &SolveOptions,
         ctx: &mut SolveContext<'_>,
     ) -> Result<MinCutResult, MinCutError> {
-        let cfg = MatulaConfig {
-            epsilon: opts.epsilon,
-            pq: self.pin_pq.unwrap_or(opts.pq),
-            seed: opts.seed,
-            compute_side: opts.witness,
-        };
-        matula_approx_connected(g, &cfg, ctx)
+        matula_approx_connected(g, opts, self.pin_pq.unwrap_or(opts.pq), ctx)
     }
 }
 

@@ -1,4 +1,5 @@
-//! [`MinCutService`]: the batch serving layer over the [`Session`] API.
+//! [`MinCutService`]: the batch serving layer over the
+//! [`Session`](crate::Session) API.
 //!
 //! The paper's evaluation (§4) sweeps many instances × algorithm
 //! configurations; a serving deployment sees the same shape of traffic —

@@ -178,15 +178,9 @@ fn solve_impl<S: Solver + ?Sized>(
         debug_assert_eq!((k.original_n, k.original_m), (g.n(), g.m()));
         Some(k)
     } else if let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions)? {
-        let run = ctx.stats.time_phase("reduce", |stats| {
-            let mut inner = SolveContext {
-                stats,
-                deadline: ctx.deadline,
-                budget: ctx.budget,
-            };
-            pipeline.run(g, opts.initial_bound.clone(), &mut inner)
-        });
-        computed = run?;
+        computed = ctx.time_phase("reduce", |inner| {
+            pipeline.run(g, opts.initial_bound.clone(), inner)
+        })?;
         Some(&computed)
     } else {
         None

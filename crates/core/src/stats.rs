@@ -332,6 +332,23 @@ impl<'a> SolveContext<'a> {
             _ => Ok(()),
         }
     }
+
+    /// Times `f` as phase `name`, handing it a context over the same
+    /// stats sink and deadline.
+    pub(crate) fn time_phase<T>(
+        &mut self,
+        name: &'static str,
+        f: impl FnOnce(&mut SolveContext<'_>) -> T,
+    ) -> T {
+        let (deadline, budget) = (self.deadline, self.budget);
+        self.stats.time_phase(name, |stats| {
+            f(&mut SolveContext {
+                stats,
+                deadline,
+                budget,
+            })
+        })
+    }
 }
 
 #[cfg(test)]

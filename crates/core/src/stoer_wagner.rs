@@ -19,7 +19,7 @@ use mincut_ds::{BinaryHeapPq, MaxPq};
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::error::MinCutError;
-use crate::stats::{SolveContext, SolverStats};
+use crate::stats::SolveContext;
 use crate::MinCutResult;
 
 /// Result of one maximum-adjacency phase. Public (doc-hidden) so the
@@ -74,26 +74,9 @@ pub fn stoer_wagner_phase(g: &CsrGraph, start: NodeId) -> SwPhase {
     }
 }
 
-/// Full Stoer–Wagner minimum cut. Handles disconnected inputs (returns 0
-/// with a component witness). Requires n ≥ 2.
-pub fn stoer_wagner(g: &CsrGraph) -> MinCutResult {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return MinCutResult {
-            value: 0,
-            side: Some(side),
-        };
-    }
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    stoer_wagner_connected(g, &mut ctx).expect("Stoer-Wagner without a time budget cannot fail")
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both). Feeds per-phase telemetry
-/// into the [`SolveContext`] and honors its time budget between phases.
+/// Full Stoer–Wagner minimum cut of a connected graph with n ≥ 2 (the
+/// session preflight guarantees both). Feeds per-phase telemetry into
+/// the [`SolveContext`] and honors its time budget between phases.
 pub(crate) fn stoer_wagner_connected(
     g: &CsrGraph,
     ctx: &mut SolveContext<'_>,
@@ -128,10 +111,12 @@ pub(crate) fn stoer_wagner_connected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SolverStats;
     use mincut_graph::generators::known;
 
     fn check(g: &CsrGraph, expected: EdgeWeight) {
-        let r = stoer_wagner(g);
+        let mut stats = SolverStats::scratch();
+        let r = stoer_wagner_connected(g, &mut SolveContext::new(&mut stats)).unwrap();
         assert_eq!(r.value, expected);
         let side = r.side.expect("witness");
         assert!(g.is_proper_cut(&side));
@@ -182,13 +167,5 @@ mod tests {
         // λ(G, s, t) for the phase's last two vertices equals the phase cut.
         let (st_cut, _) = mincut_flow::min_st_cut(&g, p.s, p.t);
         assert_eq!(st_cut, p.cut_of_phase);
-    }
-
-    #[test]
-    fn disconnected_returns_zero() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 2), (2, 3, 2)]);
-        let r = stoer_wagner(&g);
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
     }
 }

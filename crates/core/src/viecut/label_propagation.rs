@@ -41,13 +41,13 @@ const PAR_LP_MIN_ARCS: usize = 1 << 20;
 /// previous implementation paid (labels converge to a handful of hot
 /// slots after the first iteration, so the accesses stay cache-resident).
 /// The flat array is sized O(n) per chunk task, so graphs past
-/// [`FLAT_TALLY_MAX_N`] use the hash tally. The running best is evaluated
+/// `FLAT_TALLY_MAX_N` use the hash tally. The running best is evaluated
 /// incrementally in arc order either way, exactly what the old
 /// implementation did, so the chosen labels are bit-identical
 /// (`flat_tally_matches_hash_tally` pins this against the frozen baseline
 /// [`label_propagation_hash_tally`]).
 ///
-/// Graphs under [`PAR_LP_MIN_ARCS`] run the sequential SIMD path; at one
+/// Graphs under `PAR_LP_MIN_ARCS` run the sequential SIMD path; at one
 /// rayon worker it is bit-identical to the chunked path (chunks run
 /// inline in order there, so both are the same sequential visit order).
 pub fn label_propagation(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<NodeId>, usize) {

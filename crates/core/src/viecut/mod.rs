@@ -17,106 +17,53 @@
 
 pub mod label_propagation;
 
-/// Moved: the Padberg–Rinaldi tests are now a shared reduction pass in
-/// [`crate::reduce`] (every solver kernelizes with them, not just
-/// VieCut). This module re-exports the pass for back-compat.
-pub mod padberg_rinaldi {
-    pub use crate::reduce::padberg_rinaldi_pass;
-}
-
 use mincut_ds::{PqKind, UnionFind};
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership};
 
 use crate::error::MinCutError;
-use crate::noi::{noi_minimum_cut_connected, NoiConfig};
+use crate::noi::{noi_minimum_cut_connected, NoiParams};
+use crate::reduce::padberg_rinaldi_pass;
 use crate::stats::{SolveContext, SolverStats};
 use crate::MinCutResult;
 
 pub use label_propagation::label_propagation;
-pub use padberg_rinaldi::padberg_rinaldi_pass;
 
-/// Configuration for [`viecut`].
-#[derive(Clone, Debug)]
-pub struct VieCutConfig {
-    /// Label-propagation rounds per level (the reference uses 2–3).
-    pub lp_iterations: usize,
-    /// Solve exactly once the graph is at most this big.
-    pub exact_threshold: usize,
-    /// Seed for label-propagation orders and the exact solve.
-    pub seed: u64,
-    /// Track and return the cut side.
-    pub compute_side: bool,
-}
+/// Label-propagation rounds per level (the reference uses 2–3).
+const LP_ITERATIONS: usize = 2;
 
-impl Default for VieCutConfig {
-    fn default() -> Self {
-        VieCutConfig {
-            lp_iterations: 2,
-            exact_threshold: 128,
-            seed: 0x71ec,
-            compute_side: true,
-        }
-    }
-}
+/// Solve exactly once the graph is at most this big.
+const EXACT_THRESHOLD: usize = 128;
 
-/// Runs VieCut. Returns an upper bound on λ(G) that is always the value of
-/// an actual cut (witness included when `compute_side`); on the paper's
-/// benchmark families it is usually λ itself. Requires n ≥ 2.
-pub fn viecut(g: &CsrGraph, cfg: &VieCutConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    viecut_instrumented(g, cfg, &mut ctx).expect("VieCut without a time budget cannot fail")
-}
-
-/// [`viecut`] feeding per-level telemetry (λ̂ trajectory, contraction
-/// counts) into the [`SolveContext`] and honoring its optional time
-/// budget between levels.
-pub fn viecut_instrumented(
-    g: &CsrGraph,
-    cfg: &VieCutConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
-    assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    viecut_connected(g, cfg, ctx)
-}
-
-/// Algorithm body for inputs already known to be connected with n ≥ 2
-/// (the session preflight guarantees both), skipping the redundant
-/// component scan.
+/// Runs VieCut on a connected graph with n ≥ 2 (the session preflight
+/// guarantees both), feeding per-level telemetry into the
+/// [`SolveContext`] and honoring its time budget between levels.
+/// Returns an upper bound on λ(G) that is always the value of an actual
+/// cut (witness included when `compute_side`); on the paper's benchmark
+/// families it is usually λ itself. `seed` drives the label-propagation
+/// orders and the exact remainder solve.
 pub(crate) fn viecut_connected(
     g: &CsrGraph,
-    cfg: &VieCutConfig,
+    seed: u64,
+    compute_side: bool,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
     let mut engine = ContractionEngine::new();
     let mut current = g.clone();
     // Witness bookkeeping only when a side is requested (as in NOI).
-    let mut membership = Membership::identity(if cfg.compute_side { g.n() } else { 0 });
+    let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
     let contract = |engine: &mut ContractionEngine,
                     current: &CsrGraph,
                     labels: &[mincut_graph::NodeId],
                     blocks: usize,
                     membership: &mut Membership| {
-        if cfg.compute_side {
+        if compute_side {
             engine.contract_tracked(current, labels, blocks, membership)
         } else {
             engine.contract(current, labels, blocks)
         }
     };
-    let (dv, mut lambda) = {
-        let (v, d) = g.min_weighted_degree().expect("n >= 2");
-        (v, d)
-    };
-    let mut best_side: Option<Vec<bool>> = cfg.compute_side.then(|| {
+    let (dv, mut lambda) = g.min_weighted_degree().expect("n >= 2");
+    let mut best_side: Option<Vec<bool>> = compute_side.then(|| {
         let mut s = vec![false; g.n()];
         s[dv as usize] = true;
         s
@@ -124,10 +71,10 @@ pub(crate) fn viecut_connected(
 
     ctx.stats.record_lambda(lambda);
 
-    let mut level_seed = cfg.seed;
+    let mut level_seed = seed;
     let mut uf = UnionFind::new(0);
     let mut labels_buf = Vec::new();
-    while current.n() > cfg.exact_threshold {
+    while current.n() > EXACT_THRESHOLD {
         ctx.check_budget()?;
         ctx.stats.rounds += 1;
         let mut level_span = mincut_obs::span("viecut/level");
@@ -136,7 +83,7 @@ pub(crate) fn viecut_connected(
         level_span.arg("lambda_hat", lambda);
         let n_before = current.n();
         // (1) cluster.
-        let (labels, clusters) = label_propagation(&current, cfg.lp_iterations, level_seed);
+        let (labels, clusters) = label_propagation(&current, LP_ITERATIONS, level_seed);
         level_seed = level_seed.wrapping_add(0x9e37_79b9);
         if clusters == 1 {
             // The whole graph is one strongly connected cluster: there is
@@ -150,11 +97,17 @@ pub(crate) fn viecut_connected(
             let next = contract(&mut engine, &current, &labels, clusters, &mut membership);
             ctx.stats.record_contraction_path(engine.last_path());
             engine.recycle(std::mem::replace(&mut current, next));
-            update_trivial_bound(&current, &membership, &mut lambda, &mut best_side, cfg);
+            update_trivial_bound(
+                &current,
+                &membership,
+                &mut lambda,
+                &mut best_side,
+                compute_side,
+            );
             ctx.stats.record_lambda(lambda);
         }
         // (2) Padberg–Rinaldi pass on the contracted graph.
-        if current.n() > cfg.exact_threshold {
+        if current.n() > EXACT_THRESHOLD {
             uf.reset(current.n());
             let unions = padberg_rinaldi_pass(&current, lambda, &mut uf);
             if unions > 0 && uf.count() > 1 {
@@ -163,7 +116,13 @@ pub(crate) fn viecut_connected(
                 let next = contract(&mut engine, &current, &labels_buf, blocks, &mut membership);
                 ctx.stats.record_contraction_path(engine.last_path());
                 engine.recycle(std::mem::replace(&mut current, next));
-                update_trivial_bound(&current, &membership, &mut lambda, &mut best_side, cfg);
+                update_trivial_bound(
+                    &current,
+                    &membership,
+                    &mut lambda,
+                    &mut best_side,
+                    compute_side,
+                );
                 ctx.stats.record_lambda(lambda);
             }
         }
@@ -194,12 +153,12 @@ pub(crate) fn viecut_connected(
             };
             noi_minimum_cut_connected(
                 &current,
-                &NoiConfig {
+                &NoiParams {
                     pq: PqKind::Heap,
                     bounded: true,
                     initial_bound: None,
-                    compute_side: cfg.compute_side,
-                    seed: cfg.seed,
+                    compute_side,
+                    seed,
                 },
                 &mut inner,
             )?
@@ -208,7 +167,7 @@ pub(crate) fn viecut_connected(
         if exact.value < lambda {
             lambda = exact.value;
             ctx.stats.record_lambda(lambda);
-            if cfg.compute_side {
+            if compute_side {
                 best_side = Some(membership.side_of_bitmap(&exact.side.expect("requested")));
             }
         }
@@ -225,12 +184,12 @@ fn update_trivial_bound(
     membership: &Membership,
     lambda: &mut EdgeWeight,
     best_side: &mut Option<Vec<bool>>,
-    cfg: &VieCutConfig,
+    compute_side: bool,
 ) {
     if let Some((v, d)) = current.min_weighted_degree() {
         if current.n() >= 2 && d < *lambda {
             *lambda = d;
-            if cfg.compute_side {
+            if compute_side {
                 *best_side = Some(membership.side_of_vertices(&[v]));
             }
         }
@@ -240,10 +199,20 @@ fn update_trivial_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Session, SolveOptions};
     use mincut_graph::generators::known;
 
+    /// Runs VieCut on `g` itself (no kernelization).
+    fn run_viecut(g: &CsrGraph) -> MinCutResult {
+        Session::new(g)
+            .options(SolveOptions::new().no_reductions())
+            .run("viecut")
+            .unwrap()
+            .cut
+    }
+
     fn check_upper_bound(g: &CsrGraph, lambda: EdgeWeight) -> EdgeWeight {
-        let r = viecut(g, &VieCutConfig::default());
+        let r = run_viecut(g);
         assert!(r.value >= lambda, "VieCut may not go below λ");
         let side = r.side.expect("witness");
         assert!(g.is_proper_cut(&side));
@@ -275,15 +244,7 @@ mod tests {
     #[test]
     fn small_graph_goes_straight_to_exact() {
         let (g, l) = known::two_communities(6, 5, 1, 2, 1);
-        let r = viecut(&g, &VieCutConfig::default());
-        assert_eq!(r.value, l); // below exact_threshold: NOI solves exactly
-    }
-
-    #[test]
-    fn disconnected_reports_zero() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 3), (2, 3, 3)]);
-        let r = viecut(&g, &VieCutConfig::default());
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
+        assert!(g.n() <= EXACT_THRESHOLD);
+        assert_eq!(run_viecut(&g).value, l); // NOI solves exactly
     }
 }

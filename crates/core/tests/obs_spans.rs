@@ -4,8 +4,6 @@
 //! `#[test]` owns this binary — the span sink is process-wide, and a
 //! sibling test draining it concurrently would race.
 
-use mincut_core::parallel::{parallel_minimum_cut, ParCutConfig};
-use mincut_core::viecut::{viecut, VieCutConfig};
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::known;
 use mincut_obs::EventPhase;
@@ -26,21 +24,22 @@ fn enabled_tracing_captures_every_solver_layer() {
     assert_eq!(outcome.cut.value, lambda);
 
     // VieCut: level spans plus the exact-remainder handoff. Needs a
-    // graph above the exact threshold (128) or no level ever runs.
+    // graph above the exact threshold (128) or no level ever runs, so
+    // kernelization (which would collapse this graph) stays off.
     let (big, big_lambda) = known::two_communities(100, 100, 2, 2, 1);
-    let vc = viecut(&big, &VieCutConfig::default());
-    assert!(vc.value >= big_lambda);
+    let vc = Session::new(&big)
+        .options(SolveOptions::new().no_reductions())
+        .run("viecut")
+        .expect("solve");
+    assert!(vc.cut.value >= big_lambda);
 
     // ParCut with several workers: round spans plus one named track per
     // logical worker.
-    let pc = parallel_minimum_cut(
-        &g,
-        &ParCutConfig {
-            threads: 3,
-            ..Default::default()
-        },
-    );
-    assert_eq!(pc.value, lambda);
+    let pc = Session::new(&g)
+        .options(SolveOptions::new().threads(3).no_reductions())
+        .run("parcut-bqueue")
+        .expect("solve");
+    assert_eq!(pc.cut.value, lambda);
 
     let (events, threads) = mincut_obs::take_events();
     mincut_obs::set_tracing(false);

@@ -32,11 +32,9 @@
 //! lifetime of its solve and records [`ContractionEngine::last_path`]
 //! per round into its stats report.
 //!
-//! **Migration note:** the free functions [`contract`], [`contract_parallel`]
-//! and [`contract_edge`] of earlier versions remain as thin wrappers that
-//! spin up a throwaway engine — same results, same cost as before. Loops
-//! that contract repeatedly should hold a [`ContractionEngine`] and feed
-//! retired graphs back through [`ContractionEngine::recycle`].
+//! Loops that contract repeatedly hold one engine and feed retired
+//! graphs back through [`ContractionEngine::recycle`]; a one-off
+//! contraction is `ContractionEngine::new().contract(..)`.
 
 use mincut_ds::hash::FxHashMap;
 use mincut_ds::{pack_edge, unpack_edge, ShardedMap};
@@ -544,29 +542,6 @@ impl ContractionEngine {
     }
 }
 
-/// Sequentially contracts `g` according to `labels` (vertex → block id in
-/// `[0, num_blocks)`). Returns the contracted graph on `num_blocks`
-/// vertices. Thin wrapper over a throwaway [`ContractionEngine`]; round
-/// loops should hold an engine instead.
-pub fn contract(g: &CsrGraph, labels: &[NodeId], num_blocks: usize) -> CsrGraph {
-    ContractionEngine::new().contract_sequential(g, labels, num_blocks)
-}
-
-/// Parallel contraction (§3.2). Semantically identical to [`contract`];
-/// falls back to it below
-/// [`ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD`] vertices. Thin
-/// wrapper over a throwaway [`ContractionEngine`].
-pub fn contract_parallel(g: &CsrGraph, labels: &[NodeId], num_blocks: usize) -> CsrGraph {
-    ContractionEngine::new().contract_parallel(g, labels, num_blocks)
-}
-
-/// Contracts a single edge `{a, b}`: blocks are `{a, b}` and every other
-/// vertex alone. Returns the contracted graph and the labelling used.
-/// Thin wrapper over a throwaway [`ContractionEngine`].
-pub fn contract_edge(g: &CsrGraph, a: NodeId, b: NodeId) -> (CsrGraph, Vec<NodeId>) {
-    ContractionEngine::new().contract_edge(g, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +556,7 @@ mod tests {
         let g = square_with_diagonal();
         // Blocks {0,2} -> 0 and {1,3} -> 1.
         let labels = vec![0, 1, 0, 1];
-        let c = contract(&g, &labels, 2);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, 2);
         assert_eq!(c.n(), 2);
         assert_eq!(c.m(), 1);
         // All four ring edges become parallel edges between the two blocks.
@@ -594,7 +569,7 @@ mod tests {
     fn contract_identity_labels_is_isomorphic() {
         let g = square_with_diagonal();
         let labels: Vec<NodeId> = (0..4).collect();
-        let c = contract(&g, &labels, 4);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, 4);
         assert_eq!(c, g);
     }
 
@@ -612,8 +587,8 @@ mod tests {
         // Blocks of 16 consecutive vertices.
         let labels: Vec<NodeId> = (0..n as NodeId).map(|v| v / 16).collect();
         let blocks = n / 16;
-        let s = contract(&g, &labels, blocks);
-        let p = contract_parallel(&g, &labels, blocks);
+        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
         assert_eq!(s, p);
         assert_eq!(s.n(), blocks);
     }
@@ -622,7 +597,7 @@ mod tests {
     fn contraction_preserves_cross_block_cut_values() {
         let g = square_with_diagonal();
         let labels = vec![0, 1, 0, 1];
-        let c = contract(&g, &labels, 2);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, 2);
         // Cut separating the blocks has the same value in both graphs.
         let side_g = [true, false, true, false];
         let side_c = [true, false];
@@ -632,7 +607,7 @@ mod tests {
     #[test]
     fn contract_edge_basic() {
         let g = square_with_diagonal();
-        let (c, labels) = contract_edge(&g, 0, 2);
+        let (c, labels) = ContractionEngine::new().contract_edge(&g, 0, 2);
         assert_eq!(c.n(), 3);
         // Merged vertex is 0; old 3 becomes 2.
         assert_eq!(labels, vec![0, 1, 0, 2]);
@@ -644,7 +619,7 @@ mod tests {
     #[test]
     fn contract_to_single_vertex() {
         let g = square_with_diagonal();
-        let c = contract(&g, &[0, 0, 0, 0], 1);
+        let c = ContractionEngine::new().contract_sequential(&g, &[0, 0, 0, 0], 1);
         assert_eq!(c.n(), 1);
         assert_eq!(c.m(), 0);
     }
@@ -667,9 +642,9 @@ mod tests {
                 .map(|v| v % blocks as NodeId)
                 .collect();
             let expected = if round % 2 == 0 {
-                contract(&current, &labels, blocks)
+                ContractionEngine::new().contract_sequential(&current, &labels, blocks)
             } else {
-                contract_parallel(&current, &labels, blocks)
+                ContractionEngine::new().contract_parallel(&current, &labels, blocks)
             };
             let next = if round % 2 == 0 {
                 engine.contract_sequential(&current, &labels, blocks)
@@ -745,13 +720,19 @@ mod tests {
         let mut engine = ContractionEngine::new();
         let c = engine.contract(&g, &labels, 1024);
         assert_eq!(engine.last_path(), ContractionPath::SeqSort);
-        assert_eq!(c, contract(&g, &labels, 1024));
+        assert_eq!(
+            c,
+            ContractionEngine::new().contract_sequential(&g, &labels, 1024)
+        );
 
         // Few output blocks take the flat-matrix accumulator instead.
         let labels: Vec<NodeId> = (0..n as NodeId).map(|v| v % 64).collect();
         let c = engine.contract(&g, &labels, 64);
         assert_eq!(engine.last_path(), ContractionPath::SeqMatrix);
-        assert_eq!(c, contract(&g, &labels, 64));
+        assert_eq!(
+            c,
+            ContractionEngine::new().contract_sequential(&g, &labels, 64)
+        );
 
         // A small sparse graph stays on the sequential hash path.
         let g = square_with_diagonal();

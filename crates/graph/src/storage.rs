@@ -1,7 +1,7 @@
 //! Backing storage for CSR sections: owned heap vectors or borrowed
 //! read-only memory-mapped windows.
 //!
-//! [`CsrStorage`] is the abstraction that lets one [`CsrGraph`]
+//! [`CsrStorage`] is the abstraction that lets one [`CsrGraph`](crate::CsrGraph)
 //! representation serve both construction paths: graphs built in memory
 //! own plain `Vec`s, while graphs loaded from an `.smcpack` file (see
 //! [`crate::pack`]) borrow 8-byte-aligned windows of a shared mmap and
@@ -10,7 +10,7 @@
 //! through `Deref<Target = [T]>`, so neither backing is visible past
 //! this module.
 //!
-//! Mutation always lands in owned storage: [`CsrStorage::owned`] (and
+//! Mutation always lands in owned storage: `CsrStorage::owned` (and
 //! the `DerefMut` impl built on it) converts a mapped window into an
 //! owned `Vec` by copying once. The only mutation path in the workspace
 //! is the contraction engine's in-place rebuild, which clears every
@@ -186,7 +186,7 @@ pub(crate) mod mapped {
 
 /// Storage behind one CSR section: an owned `Vec` or a borrowed window
 /// of a shared read-only mmap. Reads go through `Deref<Target = [T]>`;
-/// mutation converts to owned first (see [`CsrStorage::owned`]).
+/// mutation converts to owned first (see `CsrStorage::owned`).
 pub enum CsrStorage<T: CsrScalar> {
     /// Heap-allocated, mutable in place.
     Owned(Vec<T>),

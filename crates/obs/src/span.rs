@@ -45,7 +45,7 @@ pub fn set_tracing(on: bool) {
 
 /// Applies the `SMC_TRACE` environment knob (`off` default, `on`
 /// enables; unrecognized values warn once via the shared
-/// [`mincut_ds::env_knob`] contract) and returns the resulting state.
+/// [`mincut_ds::env_knob`](mod@mincut_ds::env_knob) contract) and returns the resulting state.
 /// Drivers call this once at startup; libraries never read the
 /// environment.
 pub fn init_from_env() -> bool {

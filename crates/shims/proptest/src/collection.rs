@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specification for [`vec`]: an exact `usize` or a range.
+/// Length specification for [`vec()`]: an exact `usize` or a range.
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     lo: usize,

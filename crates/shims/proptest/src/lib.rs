@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access; this vendored shim
 //! implements the surface the workspace's property tests use — the
-//! [`Strategy`] trait with `prop_map` / `prop_flat_map`, range and tuple
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_flat_map`, range and tuple
 //! strategies, [`collection::vec`], `Just`, `any`, `prop_oneof!`, and the
 //! `proptest!` / `prop_assert*!` / `prop_assume!` macros.
 //!

@@ -8,7 +8,7 @@
 
 use sm_mincut::flow::GomoryHuTree;
 use sm_mincut::graph::generators::planted_partition;
-use sm_mincut::{minimum_cut, Algorithm, NodeId};
+use sm_mincut::{NodeId, Session};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -40,7 +40,7 @@ fn main() {
     // Its lightest edge is the global minimum cut — cross-check against
     // the paper's solver.
     let (tree_min, _) = tree.global_min_cut();
-    let exact = minimum_cut(&g, Algorithm::default());
+    let exact = Session::new(&g).run("noi-viecut").expect("n >= 2").cut;
     assert_eq!(tree_min, exact.value);
     println!("global minimum cut (tree lightest edge) = {tree_min} ✓ matches NOIλ̂-Heap-VieCut");
 

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example network_reliability`
 
 use sm_mincut::graph::generators::{random_hyperbolic_graph, RhgParams};
-use sm_mincut::{minimum_cut, Algorithm, PqKind};
+use sm_mincut::{PqKind, Session, SolveOptions};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,13 +28,12 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let cut = minimum_cut(
-        &network,
-        Algorithm::ParCut {
-            pq: PqKind::BQueue,
-            threads: std::thread::available_parallelism().map_or(2, |p| p.get()),
-        },
-    );
+    // ParCut on every hardware thread (the `SolveOptions` default).
+    let cut = Session::new(&network)
+        .options(SolveOptions::new().pq(PqKind::BQueue))
+        .run("parcut")
+        .expect("the backbone has at least two routers")
+        .cut;
     println!(
         "minimum cut λ = {} (found in {:.1} ms)",
         cut.value,

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example tsp_separation`
 
 use sm_mincut::graph::GraphBuilder;
-use sm_mincut::{minimum_cut, Algorithm, CsrGraph};
+use sm_mincut::{CsrGraph, Session};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +61,10 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let cut = minimum_cut(&support, Algorithm::default());
+    let cut = Session::new(&support)
+        .run("noi-viecut")
+        .expect("n >= 2")
+        .cut;
     let x_value = cut.value as f64 / SCALE as f64;
     println!(
         "global minimum cut: Σ x_e over δ(S) = {x_value:.2} ({:.1} ms)",

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example vlsi_partitioning`
 
 use sm_mincut::graph::GraphBuilder;
-use sm_mincut::{minimum_cut, Algorithm, CsrGraph, PqKind};
+use sm_mincut::{CsrGraph, Session, SolveOptions};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +51,8 @@ fn main() {
     println!("netlist: {} cells, {} wires", netlist.n(), netlist.m());
 
     // The optimal bipartition cuts the narrow 2-wire interface.
-    let result = minimum_cut(&netlist, Algorithm::default());
+    let session = Session::new(&netlist).options(SolveOptions::new().threads(4));
+    let result = session.run("noi-viecut").expect("netlist has cells").cut;
     println!("minimum number of crossing wires: {}", result.value);
     assert_eq!(result.value, 2);
     assert!(result.verify(&netlist));
@@ -65,24 +66,21 @@ fn main() {
     );
 
     // The paper's variants all find the same optimum; timings differ.
-    for algo in [
-        Algorithm::NoiHnss,
-        Algorithm::NoiBounded { pq: PqKind::BStack },
-        Algorithm::NoiBounded { pq: PqKind::Heap },
-        Algorithm::NoiBoundedVieCut { pq: PqKind::Heap },
-        Algorithm::ParCut {
-            pq: PqKind::BQueue,
-            threads: 4,
-        },
+    for name in [
+        "NOI-HNSS",
+        "NOIλ̂-BStack",
+        "NOIλ̂-Heap",
+        "NOIλ̂-Heap-VieCut",
+        "ParCutλ̂-BQueue",
     ] {
         let t0 = std::time::Instant::now();
-        let r = minimum_cut(&netlist, algo.clone());
+        let out = session.run(name).expect("registered solver");
         println!(
             "{:<28} λ = {}  ({:.2} ms)",
-            algo.to_string(),
-            r.value,
+            out.stats.algorithm,
+            out.cut.value,
             t0.elapsed().as_secs_f64() * 1e3
         );
-        assert_eq!(r.value, 2);
+        assert_eq!(out.cut.value, 2);
     }
 }

@@ -3,14 +3,15 @@
 //! The `-a` flag resolves through [`SolverRegistry`], the single source
 //! of algorithm names: run `mincut --list` to see every registered
 //! solver with its aliases and guarantees. `--stats` prints the run's
-//! [`SolverStats`] telemetry as one JSON object on stdout.
+//! [`SolverStats`](sm_mincut::SolverStats) telemetry as one JSON
+//! object on stdout.
 //!
 //! `--batch <MANIFEST>` switches to batch serving mode: the manifest
 //! lists one graph file per line (optionally followed by a solver name),
 //! the whole batch runs through [`MinCutService`] — concurrent workers,
 //! fingerprint result cache, shared λ̂ bounds — and one JSON object per
 //! job is emitted on stdout (JSON-lines), with the aggregate
-//! [`BatchStats`] report on stderr.
+//! [`BatchStats`](sm_mincut::BatchStats) report on stderr.
 //!
 //! Exit codes: 0 success, 1 runtime failure (I/O, parse, solver error,
 //! failed verification, any failed batch job), 2 usage error.

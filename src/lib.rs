@@ -8,7 +8,9 @@
 //!   (`mincut-graph`);
 //! * [`algorithms`] — every minimum-cut algorithm of the paper behind the
 //!   [`Solver`] registry and [`Session`] API (`mincut-core`);
-//! * [`flow`] — push-relabel max-flow and Hao–Orlin (`mincut-flow`);
+//! * [`flow`] — push-relabel max-flow (behind Gomory–Hu), Hao–Orlin, and
+//!   the Dinic max-flow whose min-cut enumeration builds the cactus
+//!   (`mincut-flow`);
 //! * [`ds`] — the priority queues and concurrent structures
 //!   (`mincut-ds`), exposed for users building their own drivers.
 //!
@@ -79,14 +81,22 @@
 //! assert_eq!(dyn_cut.insert_edge(1, 2, 3).unwrap().lambda, 2);
 //! ```
 //!
-//! The enum front door of earlier releases still works as a shim:
+//! ## Raw algorithms
+//!
+//! Every solver runs behind the kernelization pipeline by default. To
+//! run an algorithm exactly as the paper states it — say NOI-HNSS
+//! without any reduction pass — switch the passes off:
 //!
 //! ```
-//! use sm_mincut::{minimum_cut, Algorithm, CsrGraph};
+//! use sm_mincut::{CsrGraph, Reductions, Session, SolveOptions};
 //!
 //! let g = CsrGraph::from_edges(3, &[(0, 1, 2), (1, 2, 1), (2, 0, 1)]);
-//! let cut = minimum_cut(&g, Algorithm::default());
-//! assert_eq!(cut.value, 2);
+//! let outcome = Session::new(&g)
+//!     .options(SolveOptions::new().reductions(Reductions::None))
+//!     .run("NOI-HNSS")
+//!     .unwrap();
+//! assert_eq!(outcome.cut.value, 2);
+//! assert!(outcome.stats.reductions.is_empty());
 //! ```
 
 pub use mincut_core as algorithms;
@@ -97,12 +107,12 @@ pub use mincut_obs as obs;
 
 // The names a typical user needs, flattened.
 pub use mincut_core::{
-    materialize, minimum_cut, minimum_cut_seeded, parse_trace, parse_trace_op, Algorithm, BatchJob,
-    BatchReport, BatchStats, CacheStats, Cactus, CactusBuilder, CactusStats, Capabilities,
-    DynamicHandle, DynamicMinCut, DynamicStats, ErrorPolicy, Guarantee, JobReport, JobStatus,
-    Membership, MinCutError, MinCutResult, MinCutService, PqKind, ReduceOutcome,
-    ReductionPassStats, ReductionPipeline, Reductions, ServiceConfig, Session, SolveOptions,
-    SolveOutcome, Solver, SolverRegistry, SolverStats, TraceOp, UpdateReport,
+    materialize, parse_trace, parse_trace_op, BatchJob, BatchReport, BatchStats, CacheStats,
+    Cactus, CactusBuilder, CactusStats, Capabilities, DynamicHandle, DynamicMinCut, DynamicStats,
+    ErrorPolicy, Guarantee, JobReport, JobStatus, Membership, MinCutError, MinCutResult,
+    MinCutService, PqKind, ReduceOutcome, ReductionPassStats, ReductionPipeline, Reductions,
+    ServiceConfig, Session, SolveOptions, SolveOutcome, Solver, SolverRegistry, SolverStats,
+    TraceOp, UpdateReport,
 };
 pub use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, GraphBuilder, NodeId};
 

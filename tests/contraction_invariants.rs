@@ -5,9 +5,20 @@
 
 use proptest::prelude::*;
 use sm_mincut::algorithms::{Membership, SolveContext};
-use sm_mincut::graph::contract::{contract, contract_parallel, ContractionEngine};
-use sm_mincut::graph::generators::known::brute_force_mincut;
-use sm_mincut::{CsrGraph, NodeId, ReductionPipeline, SolverStats};
+use sm_mincut::graph::contract::ContractionEngine;
+use sm_mincut::{
+    CsrGraph, EdgeWeight, NodeId, ReductionPipeline, Reductions, Session, SolveOptions, SolverStats,
+};
+
+/// λ(g) by Stoer–Wagner on `g` itself (no kernelization).
+fn sw_lambda(g: &CsrGraph) -> EdgeWeight {
+    Session::new(g)
+        .options(SolveOptions::new().reductions(Reductions::None))
+        .run("stoer-wagner")
+        .unwrap()
+        .cut
+        .value
+}
 
 fn graph_and_labels() -> impl Strategy<Value = (CsrGraph, Vec<NodeId>, usize)> {
     (4usize..40).prop_flat_map(|n| {
@@ -41,14 +52,14 @@ proptest! {
 
     #[test]
     fn sequential_equals_parallel((g, labels, blocks) in graph_and_labels()) {
-        let s = contract(&g, &labels, blocks);
-        let p = contract_parallel(&g, &labels, blocks);
+        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
         prop_assert_eq!(s, p);
     }
 
     #[test]
     fn block_respecting_cuts_preserved((g, labels, blocks) in graph_and_labels()) {
-        let c = contract(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         // Any bipartition of the blocks lifts to a cut of g with the same
         // value; check a handful of deterministic bipartitions.
         for mask in 1u32..(1u32 << (blocks - 1)).min(16) {
@@ -60,7 +71,7 @@ proptest! {
 
     #[test]
     fn contraction_conserves_cross_block_weight((g, labels, blocks) in graph_and_labels()) {
-        let c = contract(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         let cross: u64 = g
             .edges()
             .filter(|&(u, v, _)| labels[u as usize] != labels[v as usize])
@@ -93,21 +104,21 @@ proptest! {
             let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
             let s2 = engine.contract_sorted(&h, &labels2, 2);
             let m2 = engine.contract_matrix(&h, &labels2, 2);
-            let h2 = contract(&h, &labels2, 2);
+            let h2 = ContractionEngine::new().contract_sequential(&h, &labels2, 2);
             prop_assert_eq!(h2.fingerprint(), s2.fingerprint());
             prop_assert_eq!(h2.fingerprint(), m2.fingerprint());
         }
     }
 
-    /// The engine's reused-scratch output is bit-identical to the old
-    /// free functions, including across recycled rounds.
+    /// The engine's reused-scratch output is bit-identical to a fresh
+    /// engine's, including across recycled rounds.
     #[test]
     fn engine_bit_identical_to_free_functions((g, labels, blocks) in graph_and_labels()) {
         let mut engine = ContractionEngine::new();
-        let s = contract(&g, &labels, blocks);
+        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         let es = engine.contract_sequential(&g, &labels, blocks);
         prop_assert_eq!(&s, &es);
-        let p = contract_parallel(&g, &labels, blocks);
+        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
         let ep = engine.contract_parallel(&g, &labels, blocks);
         prop_assert_eq!(&p, &ep);
         prop_assert_eq!(&s, &p);
@@ -116,18 +127,19 @@ proptest! {
         engine.recycle(ep);
         if blocks >= 2 {
             let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-            let s2 = contract(&es, &labels2, 2);
+            let s2 = ContractionEngine::new().contract_sequential(&es, &labels2, 2);
             let e2 = engine.contract(&es, &labels2, 2);
             prop_assert_eq!(s2, e2);
         }
     }
 
     /// The kernelization pipeline preserves λ: min(λ̂, λ(kernel)) equals
-    /// the brute-force minimum cut, and λ̂ is backed by a real witness.
+    /// λ(G), and λ̂ is backed by a real witness. Both λ values come from
+    /// Stoer–Wagner on the raw graphs, a path independent of the pipeline
+    /// (and itself checked against brute force in `cross_algorithm.rs`).
     #[test]
     fn reduction_pipeline_preserves_lambda((g, _, _) in graph_and_labels()) {
-        prop_assume!(g.n() >= 2 && g.n() <= 24);
-        let lambda = brute_force_mincut(&g);
+        let lambda = sw_lambda(&g);
         let mut stats = SolverStats::new("reduce".into(), g.n(), g.m());
         let mut ctx = SolveContext::new(&mut stats);
         let red = ReductionPipeline::standard().run(&g, None, &mut ctx).unwrap();
@@ -135,7 +147,7 @@ proptest! {
         prop_assert!(g.is_proper_cut(side));
         prop_assert_eq!(g.cut_value(side), red.lambda_hat);
         let kernel_lambda = if red.kernel.n() >= 2 {
-            brute_force_mincut(&red.kernel)
+            sw_lambda(&red.kernel)
         } else {
             u64::MAX
         };

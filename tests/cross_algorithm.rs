@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sm_mincut::graph::generators::known::brute_force_mincut;
-use sm_mincut::{minimum_cut_seeded, Algorithm, CsrGraph, NodeId, PqKind};
+use sm_mincut::{CsrGraph, MinCutResult, NodeId, Session, SolveOptions};
 
 /// Strategy: a random connected weighted graph with n in [2, 10] for the
 /// brute-force comparison tier.
@@ -31,22 +31,36 @@ fn small_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-fn exact_algorithms() -> Vec<Algorithm> {
-    let mut v = vec![
-        Algorithm::NoiHnss,
-        Algorithm::NoiHnssVieCut,
-        Algorithm::StoerWagner,
-        Algorithm::HaoOrlin,
-        Algorithm::ParCut {
-            pq: PqKind::BQueue,
-            threads: 2,
-        },
-    ];
-    for pq in PqKind::ALL {
-        v.push(Algorithm::NoiBounded { pq });
-        v.push(Algorithm::NoiBoundedVieCut { pq });
-    }
-    v
+/// Every exact solver by registry spelling; ParCut runs on two workers.
+const EXACT_SOLVERS: [&str; 11] = [
+    "NOI-HNSS",
+    "NOI-HNSS-VieCut",
+    "StoerWagner",
+    "HO-CGKLS",
+    "ParCutλ̂-BQueue",
+    "NOIλ̂-BStack",
+    "NOIλ̂-BStack-VieCut",
+    "NOIλ̂-BQueue",
+    "NOIλ̂-BQueue-VieCut",
+    "NOIλ̂-Heap",
+    "NOIλ̂-Heap-VieCut",
+];
+
+/// Solves `g` with the registry solver `name` under `opts`.
+fn cut(g: &CsrGraph, name: &str, opts: SolveOptions) -> MinCutResult {
+    Session::new(g)
+        .options(opts)
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .cut
+}
+
+/// Runs every exact solver on `g` with `seed`.
+fn exact_cuts(g: &CsrGraph, seed: u64) -> impl Iterator<Item = (&'static str, MinCutResult)> + '_ {
+    let opts = SolveOptions::new().seed(seed).threads(2);
+    EXACT_SOLVERS
+        .into_iter()
+        .map(move |name| (name, cut(g, name, opts.clone())))
 }
 
 proptest! {
@@ -55,9 +69,7 @@ proptest! {
     #[test]
     fn exact_algorithms_match_brute_force(g in small_graph(), seed in 0u64..1000) {
         let expected = brute_force_mincut(&g);
-        for algo in exact_algorithms() {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo, seed);
+        for (name, r) in exact_cuts(&g, seed) {
             prop_assert_eq!(r.value, expected, "{} on {:?}", name, g);
             prop_assert!(r.verify(&g), "{} witness", name);
         }
@@ -66,17 +78,13 @@ proptest! {
     #[test]
     fn inexact_algorithms_upper_bound(g in small_graph(), seed in 0u64..1000) {
         let expected = brute_force_mincut(&g);
-        for algo in [
-            Algorithm::VieCut,
-            Algorithm::KargerStein { repetitions: 2 },
-            Algorithm::Matula { epsilon: 0.5 },
-        ] {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo.clone(), seed);
+        let opts = SolveOptions::new().seed(seed).repetitions(2).epsilon(0.5);
+        for name in ["VieCut", "KargerStein", "Matula"] {
+            let r = cut(&g, name, opts.clone());
             prop_assert!(r.value >= expected, "{} went below λ", name);
             prop_assert!(r.verify(&g), "{} must report an actual cut", name);
-            if let Algorithm::Matula { epsilon } = algo {
-                let bound = ((2.0 + epsilon) * expected as f64).floor() as u64;
+            if name == "Matula" {
+                let bound = ((2.0 + opts.epsilon) * expected as f64).floor() as u64;
                 prop_assert!(r.value <= bound, "(2+ε) violated by {}", name);
             }
         }
@@ -105,9 +113,7 @@ fn exact_algorithms_agree_on_medium_random_graphs() {
         }
         let g = CsrGraph::from_edges(n, &edges);
         let mut value = None;
-        for algo in exact_algorithms() {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo, trial);
+        for (name, r) in exact_cuts(&g, trial) {
             assert!(r.verify(&g), "{name} witness, trial {trial}");
             match value {
                 None => value = Some(r.value),
@@ -127,9 +133,7 @@ fn exact_algorithms_agree_on_rhg() {
     let mut rng = SmallRng::seed_from_u64(5);
     let g = random_hyperbolic_graph(&RhgParams::paper(1 << 10, 12.0), &mut rng);
     let mut value = None;
-    for algo in exact_algorithms() {
-        let name = algo.to_string();
-        let r = minimum_cut_seeded(&g, algo, 17);
+    for (name, r) in exact_cuts(&g, 17) {
         assert!(r.verify(&g), "{name}");
         match value {
             None => value = Some(r.value),

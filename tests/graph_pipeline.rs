@@ -10,10 +10,15 @@ use sm_mincut::graph::generators::{
 };
 use sm_mincut::graph::io::{read_metis, write_metis};
 use sm_mincut::graph::kcore::{core_numbers, k_core_lcc};
-use sm_mincut::{minimum_cut, minimum_cut_seeded, Algorithm, CsrGraph, PqKind};
+use sm_mincut::{CsrGraph, MinCutResult, Session, SolveOptions};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Solves `g` with the registry solver `name` under `opts`.
+fn cut(g: &CsrGraph, name: &str, opts: SolveOptions) -> MinCutResult {
+    Session::new(g).options(opts).run(name).unwrap().cut
+}
 
 #[test]
 fn kcore_lcc_invariants_on_rmat() {
@@ -40,12 +45,12 @@ fn solver_invariant_under_relabelling() {
     let mut rng = SmallRng::seed_from_u64(9);
     let g = connected_gnm(120, 480, &mut rng);
     let g = randomize_weights(&g, 6, &mut rng);
-    let base = minimum_cut(&g, Algorithm::default()).value;
+    let base = cut(&g, "noi-viecut", SolveOptions::new()).value;
     for seed in 0..5 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let perm = random_permutation(g.n(), &mut rng);
         let h = g.permuted(&perm);
-        let r = minimum_cut(&h, Algorithm::default());
+        let r = cut(&h, "noi-viecut", SolveOptions::new());
         assert_eq!(r.value, base, "λ must be isomorphism-invariant");
         assert!(r.verify(&h));
     }
@@ -61,8 +66,8 @@ fn metis_roundtrip_through_solver() {
     let h = read_metis(std::io::Cursor::new(buf)).unwrap();
     assert_eq!(g, h);
     assert_eq!(
-        minimum_cut(&g, Algorithm::default()).value,
-        minimum_cut(&h, Algorithm::NoiBounded { pq: PqKind::BQueue }).value
+        cut(&g, "noi-viecut", SolveOptions::new()).value,
+        cut(&h, "NOIλ̂-BQueue", SolveOptions::new()).value
     );
 }
 
@@ -86,7 +91,7 @@ proptest! {
             .collect();
         prop_assume!(!edges.is_empty());
         let g = CsrGraph::from_edges(n, &edges);
-        let r = minimum_cut_seeded(&g, Algorithm::NoiBounded { pq: PqKind::Heap }, 1);
+        let r = cut(&g, "NOIλ̂-Heap", SolveOptions::new().seed(1));
         prop_assert_eq!(r.value == 0, !is_connected(&g));
         prop_assert!(r.verify(&g));
     }

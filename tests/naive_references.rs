@@ -125,7 +125,7 @@ proptest! {
 fn gomory_hu_global_cut_matches_noi() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use sm_mincut::{minimum_cut_seeded, Algorithm};
+    use sm_mincut::{Session, SolveOptions};
     let mut rng = SmallRng::seed_from_u64(161803);
     for trial in 0..10 {
         let n = rng.gen_range(5..30);
@@ -141,8 +141,9 @@ fn gomory_hu_global_cut_matches_noi() {
             }
         }
         let g = CsrGraph::from_edges(n, &edges);
-        let gh = minimum_cut_seeded(&g, Algorithm::GomoryHu, trial);
-        let noi = minimum_cut_seeded(&g, Algorithm::default(), trial);
+        let session = Session::new(&g).options(SolveOptions::new().seed(trial));
+        let gh = session.run("gomory-hu").unwrap().cut;
+        let noi = session.run("noi-viecut").unwrap().cut;
         assert_eq!(gh.value, noi.value, "trial {trial}");
         assert!(gh.verify(&g), "trial {trial}");
     }

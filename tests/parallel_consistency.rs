@@ -5,18 +5,33 @@
 use sm_mincut::graph::generators::{barabasi_albert, known, random_hyperbolic_graph, RhgParams};
 use sm_mincut::graph::kcore::k_core_lcc;
 use sm_mincut::{
-    materialize, minimum_cut_seeded, Algorithm, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut,
-    NodeId, PqKind, Reductions, Session, SolveOptions,
+    materialize, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut, MinCutResult, NodeId, PqKind,
+    Reductions, Session, SolveOptions,
 };
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Solves `g` with the registry solver `name` under `opts`.
+fn cut(g: &CsrGraph, name: &str, opts: SolveOptions) -> MinCutResult {
+    Session::new(g)
+        .options(opts)
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .cut
+}
+
+/// ParCut with queue `pq` on `threads` workers.
+fn parcut(g: &CsrGraph, pq: PqKind, threads: usize, seed: u64) -> MinCutResult {
+    let opts = SolveOptions::new().seed(seed).pq(pq).threads(threads);
+    cut(g, "parcut", opts)
+}
+
 fn assert_parcut_matches(g: &CsrGraph, expected: u64, label: &str) {
     for pq in PqKind::ALL {
         for threads in [1usize, 2, 3, 4, 8] {
             for seed in [1u64, 2] {
-                let r = minimum_cut_seeded(g, Algorithm::ParCut { pq, threads }, seed);
+                let r = parcut(g, pq, threads, seed);
                 assert_eq!(
                     r.value, expected,
                     "{label}: pq {pq}, {threads} threads, seed {seed}"
@@ -41,7 +56,7 @@ fn parcut_on_planted_cut_families() {
 fn parcut_on_rhg() {
     let mut rng = SmallRng::seed_from_u64(77);
     let g = random_hyperbolic_graph(&RhgParams::paper(1 << 10, 10.0), &mut rng);
-    let expected = minimum_cut_seeded(&g, Algorithm::NoiHnss, 1).value;
+    let expected = cut(&g, "NOI-HNSS", SolveOptions::new().seed(1)).value;
     assert_parcut_matches(&g, expected, "rhg");
 }
 
@@ -50,7 +65,7 @@ fn parcut_on_social_core() {
     let mut rng = SmallRng::seed_from_u64(78);
     let ba = barabasi_albert(1 << 10, 5, &mut rng);
     let (core, _) = k_core_lcc(&ba, 5);
-    let expected = minimum_cut_seeded(&core, Algorithm::NoiBounded { pq: PqKind::Heap }, 1).value;
+    let expected = cut(&core, "NOIλ̂-Heap", SolveOptions::new().seed(1)).value;
     assert_parcut_matches(&core, expected, "social_core");
 }
 
@@ -71,7 +86,7 @@ fn fixed_seed_is_deterministic_across_thread_counts() {
         for pq in PqKind::ALL {
             let mut values = Vec::new();
             for threads in [1usize, 2, 4] {
-                let r = minimum_cut_seeded(g, Algorithm::ParCut { pq, threads }, 0xD5EED);
+                let r = parcut(g, pq, threads, 0xD5EED);
                 // The witness partition must be a real cut of exactly the
                 // reported weight (region growth may pick different
                 // optimal sides per schedule; their *weight* may not
@@ -366,7 +381,7 @@ fn simd_scalar_and_native_tiers_are_bit_identical() {
     let mut rng = SmallRng::seed_from_u64(79);
     let ba = barabasi_albert(1 << 9, 5, &mut rng);
     let (core, _) = k_core_lcc(&ba, 5);
-    let l = minimum_cut_seeded(&core, Algorithm::NoiHnss, 1).value;
+    let l = cut(&core, "NOI-HNSS", SolveOptions::new().seed(1)).value;
     instances.push((core, l));
 
     for (g, l) in &instances {
@@ -414,14 +429,7 @@ fn parcut_seed_independence_of_value() {
     // scheduling-dependent; run the same config many times.
     let (g, l) = known::two_communities(30, 30, 2, 2, 1);
     for rep in 0..12 {
-        let r = minimum_cut_seeded(
-            &g,
-            Algorithm::ParCut {
-                pq: PqKind::BQueue,
-                threads: 4,
-            },
-            rep,
-        );
+        let r = parcut(&g, PqKind::BQueue, 4, rep);
         assert_eq!(r.value, l, "rep {rep}");
     }
 }

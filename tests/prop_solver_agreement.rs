@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use sm_mincut::ds::UnionFind;
-use sm_mincut::graph::contract::contract;
+use sm_mincut::graph::contract::ContractionEngine;
 use sm_mincut::graph::generators::known::brute_force_all_min_cuts;
 use sm_mincut::{CactusBuilder, CsrGraph, Session, SolveOptions, SolverRegistry};
 
@@ -95,7 +95,7 @@ proptest! {
         }
         let (labels, blocks) = uf.dense_labels();
         prop_assert!(blocks >= 2, "both sides must survive");
-        let c = contract(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
         let (contracted_lambda, _) = reference(&c);
         prop_assert_eq!(
             contracted_lambda, lambda,
