@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the building blocks — the ablations
-//! DESIGN.md calls out: priority-queue implementations head to head,
+//! behind the paper's design choices: priority-queue implementations head to head,
 //! bounded vs unbounded scans, sequential vs concurrent union-find,
 //! sequential vs parallel contraction, label propagation, push-relabel.
 

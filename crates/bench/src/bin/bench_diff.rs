@@ -12,12 +12,18 @@
 //! correctness regression, not a perf delta, and always fails the run.
 //!
 //! * `--solver PREFIX` restricts the join to solvers starting with
-//!   `PREFIX` (e.g. `--solver noi-viecut` matches the solver and its
-//!   `/legacy` control rows; use an exact name to exclude the controls).
+//!   `PREFIX` (e.g. `--solver scan/` matches both scan micro rows).
 //! * `--min-geomean X` turns the report into a gate: exit non-zero
 //!   unless the geomean speedup over the joined rows is ≥ X. Without it
 //!   the run is informational (CI uses that mode at tiny scale, where
 //!   wall times are noise).
+//!
+//! Every joined 1-thread row whose PQ-operation totals moved prints a
+//! `warning: PQ-op drift` line, followed by a summary count: one worker
+//! makes a solve deterministic, so its operation stream moves only when
+//! the scan order did. Rows at ≥ 2 threads race by design and are not
+//! compared. Like the metadata warnings below, drift never changes the
+//! exit code.
 //!
 //! Cross-machine baselines are meaningless: both files must come from
 //! the same machine (the committed `results/` protocol regenerates the
@@ -123,16 +129,25 @@ fn main() -> ExitCode {
     ]);
     let mut joined: Vec<(String, f64)> = Vec::new();
     let mut lambda_mismatches = 0usize;
-    for oe in old.entries.iter().filter(|e| matches(e)) {
-        let Some(ne) = new.entries.iter().find(|ne| ne.key() == oe.key()) else {
-            continue;
-        };
+    let (mut single_thread_rows, mut drifted) = (0usize, 0usize);
+    for (oe, ne) in old.join(&new).filter(|(oe, _)| matches(oe)) {
         if oe.lambda != ne.lambda {
             eprintln!(
                 "error: λ mismatch on {}/{}/{}t: {} -> {}",
                 oe.instance, oe.solver, oe.threads, oe.lambda, ne.lambda
             );
             lambda_mismatches += 1;
+        }
+        single_thread_rows += usize::from(oe.threads == 1);
+        if oe.pq_op_drift(ne) {
+            eprintln!(
+                "warning: PQ-op drift on {}/{}/1t: {:?} -> {:?}",
+                oe.instance,
+                oe.solver,
+                oe.pq_ops(),
+                ne.pq_ops()
+            );
+            drifted += 1;
         }
         // Degenerate timings (a zero from clock granularity) would poison
         // the geomean; clamp to a nanosecond.
@@ -175,6 +190,11 @@ fn main() -> ExitCode {
     let all: Vec<f64> = joined.iter().map(|&(_, s)| s).collect();
     let g = geomean(&all);
     println!("\ngeomean speedup: {g:.3}x over {} joined rows", all.len());
+    if drifted > 0 {
+        eprintln!("warning: PQ-op drift on {drifted} of {single_thread_rows} joined 1-thread rows");
+    } else {
+        println!("PQ-op totals identical on all {single_thread_rows} joined 1-thread rows");
+    }
 
     if lambda_mismatches > 0 {
         eprintln!("\nFAIL: {lambda_mismatches} λ mismatches — correctness regression");

@@ -1,7 +1,7 @@
 //! Regenerates **Table 1** of the paper: statistics of the benchmark
 //! instances — original size, k, core size, minimum cut λ and minimum
 //! degree δ. The web/social graphs are replaced by synthetic proxies
-//! (DESIGN.md substitution table); the preparation pipeline (k-core →
+//! (`instances::{social_proxy, web_proxy}`); the preparation pipeline (k-core →
 //! largest connected component) and the reported columns are identical.
 
 use mincut_bench::instances::{social_proxy, web_proxy, Scale};

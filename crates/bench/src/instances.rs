@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Social-network proxy (stands in for hollywood-2011 / com-orkut /
-/// twitter-2010, DESIGN.md substitution table): preferential attachment
+/// twitter-2010): preferential attachment
 /// for the power-law hubs, overlaid with an Erdős–Rényi layer so the core
 /// decomposition has the shallow-but-nonempty hierarchy of real social
 /// graphs (BA alone has degeneracy exactly its attach parameter), plus
@@ -167,8 +167,9 @@ pub fn fig2_grid(scale: Scale) -> Vec<(u32, u32, Instance)> {
 }
 
 /// "Real-world" proxy instances: k-cores of skewed synthetic graphs
-/// (substitution documented in DESIGN.md), prepared exactly like the
-/// paper's Table 1 (k-core, then largest connected component).
+/// ([`social_proxy`] and [`web_proxy`] document which paper graphs they
+/// stand in for), prepared exactly like the paper's Table 1 (k-core, then
+/// largest connected component).
 pub fn realworld_proxies(scale: Scale) -> Vec<Instance> {
     let (ba_n, rmat_scale) = match scale {
         Scale::Tiny => (1 << 10, 10),

@@ -1,5 +1,6 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md, "Per-experiment index").
+//! and figure of the paper (one binary per experiment under `src/bin/`;
+//! each module doc names the table or figure it regenerates).
 
 pub mod instances;
 pub mod report;

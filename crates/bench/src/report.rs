@@ -21,7 +21,7 @@ pub struct BenchEntry {
     /// Instance name (generator family + size).
     pub instance: String,
     /// Solver spelling as resolved through the registry, or a
-    /// micro-benchmark label (e.g. `scan/legacy-bqueue`).
+    /// micro-benchmark label (e.g. `scan/bqueue`).
     pub solver: String,
     /// Worker threads the measurement ran with.
     pub threads: usize,
@@ -211,6 +211,19 @@ impl LoadedEntry {
     pub fn key(&self) -> (String, String, usize) {
         (self.instance.clone(), self.solver.clone(), self.threads)
     }
+
+    /// PQ-operation totals as `(pushes, raises, pops)`.
+    pub fn pq_ops(&self) -> (u64, u64, u64) {
+        (self.pq_pushes, self.pq_raises, self.pq_pops)
+    }
+
+    /// Whether the PQ-operation totals moved from this row to `new`, the
+    /// same row of a later report. A 1-thread run is deterministic, so its
+    /// operation stream moves only when the scan did; rows at ≥ 2 threads
+    /// race by design and never count as drift.
+    pub fn pq_op_drift(&self, new: &LoadedEntry) -> bool {
+        self.threads == 1 && self.pq_ops() != new.pq_ops()
+    }
 }
 
 /// A parsed `BENCH_<name>.json` report.
@@ -264,6 +277,19 @@ impl LoadedReport {
             }
         }
         Ok(report)
+    }
+
+    /// Pairs every row of `self` with the row of `new` that has the same
+    /// [`LoadedEntry::key`], in `self`'s order; rows without a partner
+    /// are skipped.
+    pub fn join<'a>(
+        &'a self,
+        new: &'a LoadedReport,
+    ) -> impl Iterator<Item = (&'a LoadedEntry, &'a LoadedEntry)> + 'a {
+        self.entries.iter().filter_map(move |oe| {
+            let ne = new.entries.iter().find(|ne| ne.key() == oe.key())?;
+            Some((oe, ne))
+        })
     }
 }
 
@@ -575,7 +601,7 @@ mod tests {
         e.pq_raises = 17;
         e.pq_pops = 42;
         r.push(e);
-        let mut e = BenchEntry::named("ring_\"quoted\"_☃", "noi-viecut/legacy", 1, 8, 12);
+        let mut e = BenchEntry::named("ring_\"quoted\"_☃", "scan/bqueue", 1, 8, 12);
         e.wall_s = 0.5;
         r.push(e);
         let loaded = LoadedReport::from_json(&r.to_json()).expect("round trip");
@@ -604,6 +630,37 @@ mod tests {
         assert!(LoadedReport::from_json("[1,2]").is_err());
         assert!(LoadedReport::from_json("{\"entries\":[{}]}").is_err());
         assert!(LoadedReport::from_json("{\"name\":\"x\"} trailing").is_err());
+    }
+
+    /// Keys of the joined rows of two committed `results/` files that
+    /// show PQ-op drift.
+    fn drifted_rows(old: &str, new: &str) -> Vec<(String, String, usize)> {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let old = LoadedReport::load(results.join(old)).expect("committed baseline");
+        let new = LoadedReport::load(results.join(new)).expect("committed baseline");
+        old.join(&new)
+            .filter(|(oe, ne)| oe.pq_op_drift(ne))
+            .map(|(oe, _)| oe.key())
+            .collect()
+    }
+
+    #[test]
+    fn pq_op_drift_on_committed_baselines() {
+        // No scan changed between these two files; the 2- and 4-thread
+        // rows that raced to different totals must not count.
+        assert!(drifted_rows("BENCH_pr8.json", "BENCH_pr9.json").is_empty());
+        // Label propagation moved to the sequential path at social-core
+        // size between these two, which changes VieCut's bound there; the
+        // frozen control rows of that era raced on the chunked path.
+        let social = |solver: &str| ("social_k5_2350".to_string(), solver.to_string(), 1);
+        assert_eq!(
+            drifted_rows("BENCH_pr5.json", "BENCH_pr8.json"),
+            vec![
+                social("noi-viecut"),
+                social("noi-viecut/legacy"),
+                social("parcut/legacy")
+            ]
+        );
     }
 
     #[test]

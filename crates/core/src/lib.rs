@@ -157,7 +157,7 @@ mod registry;
 pub mod service;
 mod solver;
 mod stats;
-pub mod stoer_wagner;
+mod stoer_wagner;
 pub mod viecut;
 
 pub use cactus::{Cactus, CactusBuilder};

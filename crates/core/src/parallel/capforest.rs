@@ -17,7 +17,7 @@
 //!   worker's region prefix is a better cut (stale reads of λ̂ only make
 //!   the contraction test more conservative... or mark an edge whose
 //!   connectivity is ≥ an *older, larger* bound — still ≥ λ ≥ any final
-//!   result, see DESIGN.md "Key correctness decisions").
+//!   result).
 //!
 //! When a region's queue empties, the worker restarts from a fresh
 //! unclaimed vertex so that, as the paper requires, "after all processes
@@ -27,12 +27,12 @@
 //!
 //! Each worker's hot state — `r` values, the epoch-stamped vertex states
 //! (queued / scanned / blacklisted), the region buffer, and one
-//! instrumented instance of every queue — lives in a [`ParWorkerState`]
-//! owned by the driver's [`ParWorkerPool`] and *reused across contraction
-//! rounds*: a round hands each spawned thread `&mut` to its slot, so
-//! per-round cost is an epoch bump instead of O(n·threads) allocation and
-//! zeroing. The per-worker PQ-operation tallies come straight from the
-//! worker's own [`CountingPq`] (no thread-local counters).
+//! instrumented instance of every queue — lives in a slot of the caller's
+//! [`ParWorkerPool`] and is *reused across contraction rounds*: a round
+//! hands each spawned thread `&mut` to its slot, so per-round cost is an
+//! epoch bump instead of O(n·threads) allocation and zeroing. The
+//! per-worker PQ-operation tallies come straight from the worker's own
+//! [`CountingPq`] (no thread-local counters).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -55,8 +55,7 @@ pub struct ParCapforestOutcome {
     /// Witness for `lambda_hat` if some worker improved it: the region
     /// prefix (vertices of the current graph) achieving the bound.
     pub best_prefix: Option<Vec<NodeId>>,
-    /// Priority-queue operation totals summed over all workers (non-zero
-    /// when `P` counts, i.e. when run through a `CountingPq`).
+    /// Priority-queue operation totals summed over all workers.
     pub pq_ops: PqCounters,
 }
 
@@ -81,7 +80,7 @@ const BLACKLISTED: u8 = 2;
 
 /// One worker's persistent scratch: SoA arrays stamped by an epoch that
 /// advances once per round, plus the worker's queues.
-pub struct ParWorkerState {
+struct ParWorkerState {
     /// Weight from v into this worker's region (valid iff stamped).
     r: Vec<EdgeWeight>,
     /// QUEUED / SCANNED / BLACKLISTED (valid iff stamped).
@@ -95,14 +94,8 @@ pub struct ParWorkerState {
     heap: CountingPq<BinaryHeapPq>,
 }
 
-impl Default for ParWorkerState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ParWorkerState {
-    pub fn new() -> Self {
+    fn new() -> Self {
         ParWorkerState {
             r: Vec::new(),
             state: Vec::new(),
@@ -130,7 +123,9 @@ impl ParWorkerState {
     }
 }
 
-/// A driver-owned pool of per-worker state, reused across rounds.
+/// A driver-owned pool of per-worker state, reused across rounds. A
+/// fresh pool gives a round fresh state; results never depend on what a
+/// pool scanned before.
 #[derive(Default)]
 pub struct ParWorkerPool {
     workers: Vec<ParWorkerState>,
@@ -144,11 +139,29 @@ impl ParWorkerPool {
     }
 }
 
+/// State shared by all workers of one round: the visited array `T`, the
+/// concurrent union-find, λ̂, and the restart bookkeeping.
+struct Round<'g> {
+    g: &'g CsrGraph,
+    /// λ̂ when the round started: the bucket range and the priority cap
+    /// (λ̂ only decreases, so every capped priority fits).
+    initial_lambda: EdgeWeight,
+    visited: Vec<AtomicBool>,
+    cuf: ConcurrentUnionFind,
+    lambda: AtomicU64,
+    claimed: AtomicUsize,
+    /// Shared restart cursor over the vertex range: when a worker's
+    /// random probes fail it sweeps this cursor to find an unclaimed
+    /// start, which also covers "the sparse regions of the graph which
+    /// might otherwise not be scanned by any process".
+    cursor: AtomicUsize,
+}
+
 /// Runs Algorithm 1 with `threads` workers pulling their state from
 /// `pool` (grown on demand, reused across rounds). `lambda_hat` is the
-/// current upper bound; the queue kind dispatches per round, falling back
+/// current upper bound; every worker scans with queue `pq`, falling back
 /// to the heap when the bound exceeds the bucket range.
-pub fn parallel_capforest_pooled(
+pub fn parallel_capforest(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,
     threads: usize,
@@ -161,15 +174,15 @@ pub fn parallel_capforest_pooled(
     if pool.workers.len() < threads {
         pool.workers.resize_with(threads, ParWorkerState::new);
     }
-    let visited: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let cuf = ConcurrentUnionFind::new(n);
-    let lambda = AtomicU64::new(lambda_hat);
-    let claimed = AtomicUsize::new(0);
-    // Shared restart cursor over the vertex range: when a worker's random
-    // probes fail it sweeps this cursor to find an unclaimed start, which
-    // also covers "the sparse regions of the graph which might otherwise
-    // not be scanned by any process".
-    let cursor = AtomicUsize::new(0);
+    let round = Round {
+        g,
+        initial_lambda: lambda_hat,
+        visited: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        cuf: ConcurrentUnionFind::new(n),
+        lambda: AtomicU64::new(lambda_hat),
+        claimed: AtomicUsize::new(0),
+        cursor: AtomicUsize::new(0),
+    };
     let use_heap = lambda_hat > MAX_BUCKET_BOUND;
 
     // Each worker returns (best_alpha, witness_region_prefix, pq_ops).
@@ -181,11 +194,7 @@ pub fn parallel_capforest_pooled(
                 .take(threads)
                 .enumerate()
                 .map(|(tid, ws)| {
-                    let visited = &visited;
-                    let cuf = &cuf;
-                    let lambda = &lambda;
-                    let claimed = &claimed;
-                    let cursor = &cursor;
+                    let round = &round;
                     let wseed = seed
                         .wrapping_add(tid as u64)
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -223,16 +232,10 @@ pub fn parallel_capforest_pooled(
                             epoch: *epoch,
                             region,
                         };
-                        let mut run = |q: &mut dyn DynPq| {
-                            worker(
-                                g, lambda_hat, wseed, visited, cuf, lambda, claimed, cursor, q,
-                                &mut core,
-                            )
-                        };
                         match pq {
-                            PqKind::BStack if !use_heap => run(bstack),
-                            PqKind::BQueue if !use_heap => run(bqueue),
-                            _ => run(heap),
+                            PqKind::BStack if !use_heap => worker(round, wseed, bstack, &mut core),
+                            PqKind::BQueue if !use_heap => worker(round, wseed, bqueue, &mut core),
+                            _ => worker(round, wseed, heap, &mut core),
                         }
                     })
                 })
@@ -243,116 +246,7 @@ pub fn parallel_capforest_pooled(
                 .collect()
         });
 
-    finish_round(worker_best, &lambda, lambda_hat, cuf)
-}
-
-/// Object-safe view of [`MaxPq`]: both drivers run the worker loop
-/// through `&mut dyn DynPq`, trading one virtual call per queue op for
-/// not triplicating the worker driver.
-trait DynPq {
-    fn reset(&mut self, n: usize, max_priority: u64);
-    fn push(&mut self, v: u32, prio: u64);
-    fn raise(&mut self, v: u32, prio: u64);
-    fn pop_max(&mut self) -> Option<(u32, u64)>;
-    fn priority(&self, v: u32) -> u64;
-    fn take_ops(&mut self) -> PqCounters;
-}
-
-impl<P: MaxPq> DynPq for P {
-    fn reset(&mut self, n: usize, max_priority: u64) {
-        MaxPq::reset(self, n, max_priority);
-    }
-    fn push(&mut self, v: u32, prio: u64) {
-        MaxPq::push(self, v, prio);
-    }
-    fn raise(&mut self, v: u32, prio: u64) {
-        MaxPq::raise(self, v, prio);
-    }
-    fn pop_max(&mut self) -> Option<(u32, u64)> {
-        MaxPq::pop_max(self)
-    }
-    fn priority(&self, v: u32) -> u64 {
-        MaxPq::priority(self, v)
-    }
-    fn take_ops(&mut self) -> PqCounters {
-        MaxPq::take_ops(self)
-    }
-}
-
-/// Borrowed view of one worker's scratch for a single round.
-struct WorkerCore<'a> {
-    r: &'a mut [EdgeWeight],
-    state: &'a mut [u8],
-    stamp: &'a mut [u32],
-    epoch: u32,
-    region: &'a mut Vec<NodeId>,
-}
-
-/// Runs Algorithm 1 with `threads` workers of queue type `P` on freshly
-/// allocated worker state. This is the fresh-state reference that the
-/// pooled driver's test and the `hotpath` bench compare
-/// [`parallel_capforest_pooled`] against; ParCut's round loop uses the
-/// pooled driver.
-pub fn parallel_capforest<P: MaxPq + Send>(
-    g: &CsrGraph,
-    lambda_hat: EdgeWeight,
-    threads: usize,
-    seed: u64,
-) -> ParCapforestOutcome {
-    let n = g.n();
-    assert!(threads >= 1);
-    let visited: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let cuf = ConcurrentUnionFind::new(n);
-    let lambda = AtomicU64::new(lambda_hat);
-    let claimed = AtomicUsize::new(0);
-    let cursor = AtomicUsize::new(0);
-
-    let worker_best: Vec<(EdgeWeight, Option<Vec<NodeId>>, PqCounters)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|tid| {
-                    let visited = &visited;
-                    let cuf = &cuf;
-                    let lambda = &lambda;
-                    let claimed = &claimed;
-                    let cursor = &cursor;
-                    let wseed = seed
-                        .wrapping_add(tid as u64)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    scope.spawn(move || {
-                        let mut ws = ParWorkerState::new();
-                        ws.begin_round(n);
-                        let mut q = P::new();
-                        let mut core = WorkerCore {
-                            r: &mut ws.r,
-                            state: &mut ws.state,
-                            stamp: &mut ws.stamp,
-                            epoch: ws.epoch,
-                            region: &mut ws.region,
-                        };
-                        worker(
-                            g, lambda_hat, wseed, visited, cuf, lambda, claimed, cursor, &mut q,
-                            &mut core,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-
-    finish_round(worker_best, &lambda, lambda_hat, cuf)
-}
-
-fn finish_round(
-    worker_best: Vec<(EdgeWeight, Option<Vec<NodeId>>, PqCounters)>,
-    lambda: &AtomicU64,
-    lambda_hat: EdgeWeight,
-    cuf: ConcurrentUnionFind,
-) -> ParCapforestOutcome {
-    let final_lambda = lambda.load(Ordering::Acquire);
+    let final_lambda = round.lambda.load(Ordering::Acquire);
     let mut pq_ops = PqCounters::default();
     for (_, _, c) in &worker_best {
         pq_ops.add(*c);
@@ -371,31 +265,39 @@ fn finish_round(
         );
     }
     ParCapforestOutcome {
-        cuf,
+        cuf: round.cuf,
         lambda_hat: final_lambda,
         best_prefix,
         pq_ops,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    g: &CsrGraph,
-    initial_lambda: EdgeWeight,
+/// Borrowed view of one worker's scratch for a single round.
+struct WorkerCore<'a> {
+    r: &'a mut [EdgeWeight],
+    state: &'a mut [u8],
+    stamp: &'a mut [u32],
+    epoch: u32,
+    region: &'a mut Vec<NodeId>,
+}
+
+/// One worker's scan loop, monomorphized per queue: grows regions until
+/// every vertex is claimed and returns its best proper region-prefix cut,
+/// the witnessing prefix, and its queue's operation tallies.
+fn worker<P: MaxPq>(
+    round: &Round<'_>,
     seed: u64,
-    visited: &[AtomicBool],
-    cuf: &ConcurrentUnionFind,
-    lambda: &AtomicU64,
-    claimed: &AtomicUsize,
-    cursor: &AtomicUsize,
-    q: &mut dyn DynPq,
+    q: &mut P,
     ws: &mut WorkerCore<'_>,
 ) -> (EdgeWeight, Option<Vec<NodeId>>, PqCounters) {
+    let g = round.g;
+    let initial_lambda = round.initial_lambda;
+    let visited: &[AtomicBool] = &round.visited;
+    let (cuf, lambda) = (&round.cuf, &round.lambda);
+    let (claimed, cursor) = (&round.claimed, &round.cursor);
     let n = g.n();
     let mut rng = SmallRng::seed_from_u64(seed);
     let epoch = ws.epoch;
-    // Bucket queues need the *initial* bound: λ̂ only decreases, so every
-    // capped priority fits.
     q.reset(n, initial_lambda);
 
     let mut alpha: i128 = 0;
@@ -509,15 +411,17 @@ mod tests {
     use super::*;
     use mincut_graph::generators::known;
 
-    fn run<P: MaxPq + Send>(g: &CsrGraph, lh: EdgeWeight, threads: usize) -> ParCapforestOutcome {
-        parallel_capforest::<P>(g, lh, threads, 12345)
+    /// One round on fresh state.
+    fn run(g: &CsrGraph, lh: EdgeWeight, threads: usize, pq: PqKind) -> ParCapforestOutcome {
+        parallel_capforest(g, lh, threads, 12345, pq, &mut ParWorkerPool::new())
     }
 
     #[test]
     fn every_vertex_claimed_once() {
         let (g, _) = known::grid_graph(16, 16, 1);
+        let delta = g.min_weighted_degree().unwrap().1;
         for threads in [1, 2, 4] {
-            let out = run::<BQueuePq>(&g, g.min_weighted_degree().unwrap().1, threads);
+            let out = run(&g, delta, threads, PqKind::BQueue);
             // The union-find exists over all vertices; claiming is internal,
             // but the observable invariant is: λ̂ never below λ = 2.
             assert!(out.lambda_hat >= 2);
@@ -527,9 +431,10 @@ mod tests {
     #[test]
     fn lambda_never_below_true_minimum() {
         let (g, lambda) = known::two_communities(12, 12, 2, 2, 1);
+        let delta = g.min_weighted_degree().unwrap().1;
         for threads in [1, 2, 4] {
             for _ in 0..3 {
-                let out = run::<BinaryHeapPq>(&g, g.min_weighted_degree().unwrap().1, threads);
+                let out = run(&g, delta, threads, PqKind::Heap);
                 assert!(out.lambda_hat >= lambda);
                 if let Some(prefix) = &out.best_prefix {
                     let mut side = vec![false; g.n()];
@@ -546,8 +451,9 @@ mod tests {
     fn marked_edges_have_high_connectivity() {
         // On two dense cliques joined weakly, no cross edge may be marked.
         let (g, _) = known::two_communities(10, 10, 2, 4, 1);
+        let delta = g.min_weighted_degree().unwrap().1;
         for threads in [1, 2, 4] {
-            let out = run::<BStackPq>(&g, g.min_weighted_degree().unwrap().1, threads);
+            let out = run(&g, delta, threads, PqKind::BStack);
             for u in 0..10u32 {
                 for v in 10..20u32 {
                     assert!(
@@ -562,7 +468,7 @@ mod tests {
     #[test]
     fn single_thread_claims_whole_connected_graph() {
         let (g, _) = known::cycle_graph(64, 1);
-        let out = run::<BinaryHeapPq>(&g, 2, 1);
+        let out = run(&g, 2, 1, PqKind::Heap);
         // λ̂ = 2 is the true minimum; prefix cuts cannot beat it.
         assert_eq!(out.lambda_hat, 2);
     }
@@ -570,7 +476,7 @@ mod tests {
     #[test]
     fn disconnected_graph_reports_zero_bound() {
         let g = CsrGraph::from_edges(6, &[(0, 1, 3), (1, 2, 3), (3, 4, 3), (4, 5, 3)]);
-        let out = run::<BinaryHeapPq>(&g, 100, 2);
+        let out = run(&g, 100, 2, PqKind::Heap);
         // Some worker's region closes at a full component: a zero cut.
         assert_eq!(out.lambda_hat, 0);
         let prefix = out.best_prefix.expect("witness for the improvement");
@@ -583,9 +489,9 @@ mod tests {
 
     #[test]
     fn pooled_rounds_match_fresh_state_at_one_thread() {
-        // With one worker the round is deterministic, so a pooled pool
-        // re-run must be op-for-op identical to fresh per-call state —
-        // across several rounds and queue kinds, proving no state leaks
+        // With one worker the round is deterministic, so one pool reused
+        // across rounds, graphs and queue kinds must be op-for-op
+        // identical to a fresh pool per call — proving no state leaks
         // between epochs.
         let mut pool = ParWorkerPool::new();
         let graphs = [
@@ -597,18 +503,8 @@ mod tests {
             for g in &graphs {
                 let bound = g.min_weighted_degree().unwrap().1;
                 for pq in PqKind::ALL {
-                    let pooled = parallel_capforest_pooled(g, bound, 1, 777, pq, &mut pool);
-                    let fresh = match pq {
-                        PqKind::BStack => {
-                            parallel_capforest::<CountingPq<BStackPq>>(g, bound, 1, 777)
-                        }
-                        PqKind::BQueue => {
-                            parallel_capforest::<CountingPq<BQueuePq>>(g, bound, 1, 777)
-                        }
-                        PqKind::Heap => {
-                            parallel_capforest::<CountingPq<BinaryHeapPq>>(g, bound, 1, 777)
-                        }
-                    };
+                    let pooled = parallel_capforest(g, bound, 1, 777, pq, &mut pool);
+                    let fresh = parallel_capforest(g, bound, 1, 777, pq, &mut ParWorkerPool::new());
                     assert_eq!(pooled.lambda_hat, fresh.lambda_hat, "round {round}");
                     assert_eq!(pooled.best_prefix, fresh.best_prefix);
                     assert_eq!(pooled.pq_ops, fresh.pq_ops);

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
-use crate::parallel::capforest::{parallel_capforest_pooled, ParWorkerPool};
+use crate::parallel::capforest::{parallel_capforest, ParWorkerPool};
 use crate::stats::SolveContext;
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::viecut::viecut_connected;
@@ -81,7 +81,7 @@ pub(crate) fn parallel_minimum_cut_connected(
             round_span.arg("n", current.n());
             round_span.arg("lambda_hat", lambda);
             round_span.arg("threads", threads);
-            let out = parallel_capforest_pooled(&current, lambda, threads, seed, pq, &mut pool);
+            let out = parallel_capforest(&current, lambda, threads, seed, pq, &mut pool);
             ctx.stats.add_pq_ops(out.pq_ops);
             if out.lambda_hat < lambda {
                 lambda = out.lambda_hat;

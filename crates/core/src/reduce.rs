@@ -627,7 +627,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn kernelize(pipeline: &ReductionPipeline, g: &CsrGraph) -> ReduceOutcome {
-        let mut stats = SolverStats::scratch();
+        let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
         pipeline.run(g, None, &mut ctx).expect("no budget")
     }
@@ -770,7 +770,7 @@ mod tests {
         side[..10].fill(true);
         assert_eq!(g.cut_value(&side), l);
         let free = kernelize(&ReductionPipeline::standard(), &g);
-        let mut stats = SolverStats::scratch();
+        let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
         let seeded = ReductionPipeline::standard()
             .run(&g, Some((l, Some(side))), &mut ctx)

@@ -1105,7 +1105,7 @@ impl MinCutService {
                 return Ok((Some(k), true));
             }
         }
-        let mut scratch = SolverStats::scratch();
+        let mut scratch = SolverStats::default();
         let mut ctx = SolveContext::with_budget(&mut scratch, opts.time_budget);
         let red = Arc::new(pipeline.run(g, None, &mut ctx)?);
         if self.kernels.len() < self.config.cache_capacity {

@@ -107,11 +107,6 @@ impl SolverStats {
         }
     }
 
-    /// A stats sink for legacy entry points that discard telemetry.
-    pub(crate) fn scratch() -> Self {
-        SolverStats::default()
-    }
-
     /// Records a λ̂ value. After the first entry only *improvements* are
     /// kept, so the vector reads as a strictly decreasing trajectory —
     /// a kernel solver re-deriving its own (worse) starting bound on the
@@ -380,14 +375,14 @@ mod tests {
 
     #[test]
     fn budget_check_trips_after_deadline() {
-        let mut s = SolverStats::scratch();
+        let mut s = SolverStats::default();
         let ctx = SolveContext::with_budget(&mut s, Some(std::time::Duration::ZERO));
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(matches!(
             ctx.check_budget(),
             Err(MinCutError::TimeBudgetExceeded { .. })
         ));
-        let mut s2 = SolverStats::scratch();
+        let mut s2 = SolverStats::default();
         let ctx2 = SolveContext::new(&mut s2);
         assert!(ctx2.check_budget().is_ok());
     }

@@ -22,11 +22,8 @@ use crate::error::MinCutError;
 use crate::stats::SolveContext;
 use crate::MinCutResult;
 
-/// Result of one maximum-adjacency phase. Public (doc-hidden) so the
-/// `hotpath` bench baseline can reconstruct the pre-rewrite NOI loop,
-/// rescue phase included; not part of the supported API surface.
-#[doc(hidden)]
-pub struct SwPhase {
+/// Result of one maximum-adjacency phase.
+pub(crate) struct SwPhase {
     /// Second-to-last vertex of the order.
     pub s: NodeId,
     /// Last vertex of the order; `cut_of_phase` isolates it.
@@ -37,9 +34,7 @@ pub struct SwPhase {
 
 /// Runs one maximum-adjacency phase from `start`. Requires a connected
 /// graph with at least two vertices (callers contract components away).
-/// Public (doc-hidden) for the `hotpath` bench baseline only.
-#[doc(hidden)]
-pub fn stoer_wagner_phase(g: &CsrGraph, start: NodeId) -> SwPhase {
+pub(crate) fn stoer_wagner_phase(g: &CsrGraph, start: NodeId) -> SwPhase {
     let n = g.n();
     debug_assert!(n >= 2);
     let mut q = BinaryHeapPq::new();
@@ -115,7 +110,7 @@ mod tests {
     use mincut_graph::generators::known;
 
     fn check(g: &CsrGraph, expected: EdgeWeight) {
-        let mut stats = SolverStats::scratch();
+        let mut stats = SolverStats::default();
         let r = stoer_wagner_connected(g, &mut SolveContext::new(&mut stats)).unwrap();
         assert_eq!(r.value, expected);
         let side = r.side.expect("witness");

@@ -16,9 +16,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-/// Runs `iterations` rounds of label propagation; returns dense cluster
-/// labels in `[0, count)` and the cluster count.
-///
 /// Above this vertex count the per-chunk flat tally (two O(n) arrays per
 /// chunk task) would dominate the arc work, so large graphs keep the
 /// degree-bounded hash tally instead. Both tallies choose identical
@@ -36,16 +33,18 @@ const FLAT_TALLY_MAX_N: usize = 1 << 16;
 /// `AtomicU32`s that other workers may be storing to would be UB).
 const PAR_LP_MIN_ARCS: usize = 1 << 20;
 
+/// Runs `iterations` rounds of label propagation; returns dense cluster
+/// labels in `[0, count)` and the cluster count.
+///
 /// The per-vertex tally is a flat epoch-stamped array indexed by label —
-/// one L1-friendly indexed add per arc instead of the hash probe the
-/// previous implementation paid (labels converge to a handful of hot
-/// slots after the first iteration, so the accesses stay cache-resident).
-/// The flat array is sized O(n) per chunk task, so graphs past
-/// `FLAT_TALLY_MAX_N` use the hash tally. The running best is evaluated
-/// incrementally in arc order either way, exactly what the old
-/// implementation did, so the chosen labels are bit-identical
-/// (`flat_tally_matches_hash_tally` pins this against the frozen baseline
-/// [`label_propagation_hash_tally`]).
+/// one L1-friendly indexed add per arc instead of a hash probe (labels
+/// converge to a handful of hot slots after the first iteration, so the
+/// accesses stay cache-resident). The flat array is sized O(n) per chunk
+/// task, so graphs past `FLAT_TALLY_MAX_N` use a hash tally. The running
+/// best is evaluated incrementally in arc order either way, so the chosen
+/// labels are bit-identical to a plain hash-tally loop
+/// (`flat_tally_matches_hash_tally` pins this against the sequential
+/// hash-tally reference in this module's tests).
 ///
 /// Graphs under `PAR_LP_MIN_ARCS` run the sequential SIMD path; at one
 /// rayon worker it is bit-identical to the chunked path (chunks run
@@ -215,37 +214,31 @@ fn label_propagation_sequential(
     (out, next as usize)
 }
 
-/// The pre-rewrite tally loop, frozen verbatim: a hash-map probe per arc.
-/// Kept (doc-hidden) so the `hotpath` bench baseline can reconstruct the
-/// old VieCut seeding path; produces labels identical to
-/// [`label_propagation`] (asserted by `flat_tally_matches_hash_tally`).
-#[doc(hidden)]
-pub fn label_propagation_hash_tally(
-    g: &CsrGraph,
-    iterations: usize,
-    seed: u64,
-) -> (Vec<NodeId>, usize) {
-    let n = g.n();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let labels: Vec<AtomicU32> = (0..n as NodeId).map(AtomicU32::new).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    for _ in 0..iterations {
-        order = mincut_graph::generators::random_permutation(n, &mut rng)
-            .into_iter()
-            .map(|p| order[p as usize])
-            .collect();
-        const CHUNK: usize = 1 << 10;
-        order.par_chunks(CHUNK).for_each(|chunk| {
-            let mut tally: FxHashMap<NodeId, EdgeWeight> = FxHashMap::default();
-            for &v in chunk {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mincut_graph::generators::known;
+
+    /// Reference for `flat_tally_matches_hash_tally`: the textbook loop —
+    /// same shuffle sequence, sequential visit order, one hash-map tally
+    /// per vertex, labels densified in vertex order.
+    fn hash_tally_reference(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<NodeId>, usize) {
+        let n = g.n();
+        let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut tally: FxHashMap<NodeId, EdgeWeight> = FxHashMap::default();
+        for _ in 0..iterations {
+            order = mincut_graph::generators::random_permutation(n, &mut rng)
+                .into_iter()
+                .map(|p| order[p as usize])
+                .collect();
+            for &v in &order {
                 tally.clear();
-                let mut best_label = labels[v as usize].load(Ordering::Relaxed);
+                let mut best_label = labels[v as usize];
                 let mut best_weight = 0;
                 for (u, w) in g.arcs(v) {
-                    let lu = labels[u as usize].load(Ordering::Relaxed);
+                    let lu = labels[u as usize];
                     let e = tally.entry(lu).or_insert(0);
                     *e += w;
                     if *e > best_weight || (*e == best_weight && lu < best_label) {
@@ -254,30 +247,20 @@ pub fn label_propagation_hash_tally(
                     }
                 }
                 if best_weight > 0 {
-                    labels[v as usize].store(best_label, Ordering::Relaxed);
+                    labels[v as usize] = best_label;
                 }
             }
-        });
-    }
-    const UNSET: NodeId = NodeId::MAX;
-    let mut remap = vec![UNSET; n];
-    let mut out = vec![0 as NodeId; n];
-    let mut next = 0 as NodeId;
-    for v in 0..n {
-        let l = labels[v].load(Ordering::Relaxed) as usize;
-        if remap[l] == UNSET {
-            remap[l] = next;
-            next += 1;
         }
-        out[v] = remap[l];
+        let mut dense: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+        let out = labels
+            .iter()
+            .map(|&l| {
+                let next = dense.len() as NodeId;
+                *dense.entry(l).or_insert(next)
+            })
+            .collect();
+        (out, dense.len())
     }
-    (out, next as usize)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mincut_graph::generators::known;
 
     #[test]
     fn two_cliques_become_two_clusters() {
@@ -317,9 +300,9 @@ mod tests {
     #[test]
     fn flat_tally_matches_hash_tally() {
         // The flat epoch-stamped array tally must produce labels
-        // bit-identical to the frozen hash-tally baseline: the running
-        // best depends only on arc order, which both share. All graphs
-        // here fit in a single LP chunk (≤ 1024 vertices), so the whole
+        // bit-identical to the hash-tally reference: the running best
+        // depends only on arc order, which both share. All graphs here
+        // fit in a single LP chunk (≤ 1024 vertices), so the whole
         // propagation is deterministic at any rayon schedule and the
         // full label vectors must agree.
         use rand::Rng;
@@ -341,7 +324,7 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             for iters in [1usize, 3] {
                 let (a, ca) = label_propagation(g, iters, 1234 + i as u64);
-                let (b, cb) = label_propagation_hash_tally(g, iters, 1234 + i as u64);
+                let (b, cb) = hash_tally_reference(g, iters, 1234 + i as u64);
                 assert_eq!(ca, cb, "graph {i}, {iters} iterations");
                 assert_eq!(a, b, "graph {i}, {iters} iterations");
             }

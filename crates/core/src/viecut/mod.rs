@@ -144,7 +144,7 @@ pub(crate) fn viecut_connected(
     if current.n() >= 2 {
         let mut remainder_span = mincut_obs::span("viecut/exact-remainder");
         remainder_span.arg("n", current.n());
-        let mut nested = SolverStats::scratch();
+        let mut nested = SolverStats::default();
         let exact = {
             let mut inner = SolveContext {
                 stats: &mut nested,

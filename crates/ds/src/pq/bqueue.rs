@@ -16,9 +16,9 @@ use super::{bucket_of, MaxPq, EPOCH_LIMIT, NONE};
 /// algorithm because the grown regions are rounder.
 ///
 /// `raise` unlinks from the old bucket and appends to the new one in O(1);
-/// the observable pop order is identical to the lazy-deletion
-/// [`super::legacy::LegacyBQueuePq`] (pinned by the differential model
-/// test in `tests/pq_model.rs`).
+/// the observable pop order is pinned vertex for vertex by the
+/// exact-order reference model in `tests/pq_model.rs` (a push and a
+/// priority-changing raise enter a bucket; the first entry pops first).
 pub struct BQueuePq {
     /// `heads[b] = [head, tail]` of bucket `b`, valid iff
     /// `head_stamp[b] == epoch`; a valid `NONE` head is an emptied bucket.

@@ -21,9 +21,9 @@ use super::{bucket_of, MaxPq, EPOCH_LIMIT, NONE};
 /// (§3.1.3). `raise` unlinks the vertex from its old bucket and pushes it
 /// onto the front of the new one in O(1) — true deletion, so buckets hold
 /// only live entries and the pop loop never skips stale slots. The
-/// observable pop order is identical to the lazy-deletion
-/// [`super::legacy::LegacyBStackPq`] (pinned by the differential model
-/// test in `tests/pq_model.rs`).
+/// observable pop order is pinned vertex for vertex by the exact-order
+/// reference model in `tests/pq_model.rs` (a push and a
+/// priority-changing raise enter a bucket; the last entry pops first).
 pub struct BStackPq {
     /// `heads[b]` is the head vertex of bucket `b`, valid iff
     /// `head_stamp[b] == epoch`; a valid `NONE` head is an emptied bucket.

@@ -30,10 +30,12 @@
 //!   `Vec<Vec<_>>` pointer-chasing, no per-bucket reallocation churn.
 //! * **O(1) raise.** A priority raise unlinks the vertex from its old
 //!   bucket and relinks it into the new one; buckets contain only live
-//!   entries and `pop_max` never skips stale slots. (The pre-rewrite
-//!   lazy-deletion queues are preserved in [`legacy`] as the measurement
-//!   baseline of the `hotpath` bench; the observable pop order is
-//!   identical, which `tests/pq_model.rs` pins differentially.)
+//!   entries and `pop_max` never skips stale slots. The observable pop
+//!   order — vertex included — is pinned by the exact-order reference
+//!   model in `tests/pq_model.rs`: among the live entries of maximum
+//!   priority, BStack pops the one that entered its bucket last and
+//!   BQueue the one that entered first, where a push and a
+//!   priority-changing raise enter a bucket.
 //! * **Epoch-stamped `reset`.** Vertex membership, priorities and bucket
 //!   heads are validated against an epoch counter, so [`MaxPq::reset`]
 //!   only bumps the epoch and grows arrays to a new high-water mark:
@@ -50,13 +52,11 @@ mod bqueue;
 mod bstack;
 mod counting;
 mod heap;
-pub mod legacy;
 
 pub use bqueue::BQueuePq;
 pub use bstack::BStackPq;
 pub use counting::CountingPq;
 pub use heap::BinaryHeapPq;
-pub use legacy::{LegacyBQueuePq, LegacyBStackPq};
 
 /// Sentinel index for "no vertex" in the intrusive link arrays.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -287,12 +287,6 @@ mod tests {
         exercise_all::<BinaryHeapPq>();
     }
 
-    #[test]
-    fn legacy_queues_basic() {
-        exercise_all::<LegacyBStackPq>();
-        exercise_all::<LegacyBQueuePq>();
-    }
-
     fn exercise_lifo_within_bucket<P: MaxPq>() {
         let mut q = P::new();
         q.reset(4, 5);
@@ -308,7 +302,6 @@ mod tests {
     #[test]
     fn bstack_is_lifo_within_bucket() {
         exercise_lifo_within_bucket::<BStackPq>();
-        exercise_lifo_within_bucket::<LegacyBStackPq>();
     }
 
     fn exercise_fifo_within_bucket<P: MaxPq>() {
@@ -326,7 +319,6 @@ mod tests {
     #[test]
     fn bqueue_is_fifo_within_bucket() {
         exercise_fifo_within_bucket::<BQueuePq>();
-        exercise_fifo_within_bucket::<LegacyBQueuePq>();
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Residual network representation shared by push-relabel and Hao–Orlin.
+//! Residual network representation shared by Dinic, push-relabel and
+//! Hao–Orlin.
 
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 
@@ -16,10 +17,6 @@ pub struct Residual {
     pub to: Vec<NodeId>,
     /// Residual capacity, indexed by arc id (mutated by the algorithms).
     pub cap: Vec<EdgeWeight>,
-    /// Original capacity, retained for flow extraction by downstream
-    /// tooling and debugging sessions.
-    #[allow(dead_code)]
-    pub orig_cap: Vec<EdgeWeight>,
 }
 
 impl Residual {
@@ -49,13 +46,11 @@ impl Residual {
             arc_ids[cursor[v as usize]] = (2 * k + 1) as u32;
             cursor[v as usize] += 1;
         }
-        let orig_cap = cap.clone();
         Residual {
             first,
             arc_ids,
             to,
             cap,
-            orig_cap,
         }
     }
 
@@ -83,28 +78,6 @@ impl Residual {
             for &a in self.out_arcs(u) {
                 let v = self.to[a as usize];
                 if !side[v as usize] && self.cap[(a ^ 1) as usize] > 0 {
-                    side[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        side
-    }
-
-    /// The side of all vertices reachable *from* `s` through residual arcs
-    /// (forward BFS). `side[v] == true` means v is on s's side. The tight
-    /// cut witness for preflows is [`Residual::reaches_sink_side`]; this
-    /// forward variant is kept for flow decomposition tooling.
-    #[allow(dead_code)]
-    pub fn source_side(&self, s: NodeId) -> Vec<bool> {
-        let n = self.n();
-        let mut side = vec![false; n];
-        side[s as usize] = true;
-        let mut stack = vec![s];
-        while let Some(u) = stack.pop() {
-            for &a in self.out_arcs(u) {
-                let v = self.to[a as usize];
-                if !side[v as usize] && self.cap[a as usize] > 0 {
                     side[v as usize] = true;
                     stack.push(v);
                 }

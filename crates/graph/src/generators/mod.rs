@@ -3,7 +3,7 @@
 //! The paper's evaluation uses (a) random hyperbolic graphs with power-law
 //! exponent 5 ([`rhg`], Appendix A.1), (b) k-cores of large web and social
 //! networks — substituted here by structurally similar synthetic proxies
-//! ([`rmat`](mod@rmat), [`ba`]) as documented in DESIGN.md — and (c) RMAT graphs in
+//! ([`rmat`](mod@rmat), [`ba`]) — and (c) RMAT graphs in
 //! the comparison against Gianinazzi et al. The [`known`] module provides
 //! deterministic families with provable minimum cuts, used throughout the
 //! test suites to validate every solver against ground truth.

@@ -3,7 +3,7 @@
 //! The paper cross-references RMAT instances when dismissing the MPI
 //! Karger–Stein implementation of Gianinazzi et al. (§4.1) and we also use
 //! them, like the web-graph k-cores, as proxies for the skewed real-world
-//! instances (DESIGN.md substitution table).
+//! instances.
 
 use mincut_ds::hash::FxHashSet;
 use mincut_ds::pack_edge;

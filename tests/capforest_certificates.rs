@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use sm_mincut::algorithms::capforest::capforest;
-use sm_mincut::algorithms::parallel::capforest::parallel_capforest;
-use sm_mincut::ds::{BQueuePq, BStackPq, BinaryHeapPq};
+use sm_mincut::algorithms::parallel::{parallel_capforest, ParWorkerPool};
+use sm_mincut::ds::{BQueuePq, BStackPq, BinaryHeapPq, PqKind};
 use sm_mincut::flow::min_st_cut;
 use sm_mincut::{CsrGraph, NodeId};
 
@@ -66,7 +66,8 @@ proptest! {
     fn parallel_marks_are_sound(g in graph_strategy(), seed in 0u64..512) {
         let delta = g.min_weighted_degree().unwrap().1;
         for threads in [1usize, 2, 4] {
-            let out = parallel_capforest::<BQueuePq>(&g, delta, threads, seed);
+            let mut pool = ParWorkerPool::new();
+            let out = parallel_capforest(&g, delta, threads, seed, PqKind::BQueue, &mut pool);
             let (labels, _) = out.cuf.dense_labels();
             for u in 0..g.n() as NodeId {
                 for v in 0..u {
