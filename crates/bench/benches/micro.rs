@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mincut_core::capforest::capforest;
 use mincut_core::viecut::label_propagation;
+use mincut_ds::par::hardware_threads;
 use mincut_ds::{BQueuePq, BStackPq, BinaryHeapPq, ConcurrentUnionFind, MaxPq, UnionFind};
 use mincut_graph::contract::ContractionEngine;
 use mincut_graph::generators::{connected_gnm, random_hyperbolic_graph, RhgParams};
@@ -121,19 +122,20 @@ fn bench_union_find(c: &mut Criterion) {
 
 fn bench_contraction(c: &mut Criterion) {
     let g = test_graph();
+    let threads = hardware_threads();
     let labels: Vec<NodeId> = (0..g.n() as NodeId).map(|v| v / 16).collect();
     let blocks = g.n().div_ceil(16);
     let mut group = c.benchmark_group("contraction");
     group.bench_function("sequential", |b| {
         b.iter(|| {
-            ContractionEngine::new()
+            ContractionEngine::new(1)
                 .contract_sequential(&g, &labels, blocks)
                 .m()
         })
     });
     group.bench_function("parallel", |b| {
         b.iter(|| {
-            ContractionEngine::new()
+            ContractionEngine::new(threads)
                 .contract_parallel(&g, &labels, blocks)
                 .m()
         })
@@ -141,7 +143,7 @@ fn bench_contraction(c: &mut Criterion) {
     // The solvers' actual hot path: one engine reused across rounds, so
     // accumulation tables and both CSR buffers stay warm.
     group.bench_function("engine_reused", |b| {
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(threads);
         b.iter(|| {
             let c = engine.contract(&g, &labels, blocks);
             let m = c.m();
@@ -155,7 +157,7 @@ fn bench_contraction(c: &mut Criterion) {
 fn bench_label_propagation(c: &mut Criterion) {
     let g = test_graph();
     c.bench_function("label_propagation_2it", |b| {
-        b.iter(|| label_propagation(&g, 2, 5).1)
+        b.iter(|| label_propagation(&g, 2, 5, hardware_threads()).1)
     });
 }
 

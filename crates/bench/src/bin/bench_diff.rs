@@ -19,10 +19,11 @@
 //!   wall times are noise).
 //!
 //! Every joined 1-thread row whose PQ-operation totals moved prints a
-//! `warning: PQ-op drift` line, followed by a summary count: one worker
-//! makes a solve deterministic, so its operation stream moves only when
-//! the scan order did. Rows at ≥ 2 threads race by design and are not
-//! compared. Like the metadata warnings below, drift never changes the
+//! `warning: PQ-op drift` line, followed by a summary count: one thread
+//! makes a solve deterministic at every graph size (every parallel layer
+//! runs inline at the solve's width; `crates/core/tests/thread_width.rs`
+//! asserts it), so its operation stream moves only when the scan order
+//! did. Rows at ≥ 2 threads race by design and are not compared. Like the metadata warnings below, drift never changes the
 //! exit code.
 //!
 //! Cross-machine baselines are meaningless: both files must come from

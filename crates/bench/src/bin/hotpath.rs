@@ -183,8 +183,9 @@ fn main() {
         // ---- 2. contraction micro: hash vs radix-sort accumulation,
         // both regimes of the density heuristic (coarse labellings keep
         // the table cache-resident → hash territory; fine labellings
-        // blow it past cache → sort territory). ----
-        let mut engine = ContractionEngine::new();
+        // blow it past cache → sort territory). One thread, like the
+        // rows it writes. ----
+        let mut engine = ContractionEngine::new(1);
         for blocks in [(g.n() / 24).max(2), (g.n() / 2).max(2)] {
             let labels: Vec<NodeId> = (0..g.n() as NodeId).map(|v| v % blocks as NodeId).collect();
             let (hash_g, hash_s) =

@@ -273,7 +273,7 @@ pub fn batch_corpus(scale: Scale) -> Vec<Instance> {
 /// at 2× the available parallelism (oversubscription column, like the
 /// paper's 24-on-12).
 pub fn fig5_thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let hw = mincut_ds::par::hardware_threads();
     [1usize, 2, 4, 8, 12, 24]
         .into_iter()
         .filter(|&t| t <= (2 * hw).max(2))

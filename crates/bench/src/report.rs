@@ -157,7 +157,7 @@ impl BenchReport {
         s.push_str(&format!("\"scale\":{},", json_string(&self.scale)));
         s.push_str(&format!(
             "\"hardware_threads\":{},",
-            std::thread::available_parallelism().map_or(1, |p| p.get())
+            mincut_ds::par::hardware_threads()
         ));
         s.push_str(&format!(
             "\"simd_tier\":{},",
@@ -218,9 +218,11 @@ impl LoadedEntry {
     }
 
     /// Whether the PQ-operation totals moved from this row to `new`, the
-    /// same row of a later report. A 1-thread run is deterministic, so its
-    /// operation stream moves only when the scan did; rows at ≥ 2 threads
-    /// race by design and never count as drift.
+    /// same row of a later report. A 1-thread run is deterministic at
+    /// every graph size — every parallel layer runs inline at the solve's
+    /// width (`crates/core/tests/thread_width.rs`) — so its operation
+    /// stream moves only when the scan did; rows at ≥ 2 threads race by
+    /// design and never count as drift.
     pub fn pq_op_drift(&self, new: &LoadedEntry) -> bool {
         self.threads == 1 && self.pq_ops() != new.pq_ops()
     }

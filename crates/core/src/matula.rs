@@ -37,7 +37,7 @@ pub(crate) fn matula_approx_connected(
     let (epsilon, compute_side) = (opts.epsilon, opts.witness);
     assert!(epsilon > 0.0, "epsilon must be positive");
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let mut engine = ContractionEngine::new();
+    let mut engine = ContractionEngine::new(ctx.threads);
     let mut ws = ScanWorkspace::new();
     let mut labels_buf: Vec<NodeId> = Vec::new();
     let mut current = g.clone();

@@ -84,7 +84,7 @@ pub(crate) fn noi_minimum_cut_connected(
 
     ctx.stats.record_lambda(lambda);
 
-    let mut engine = ContractionEngine::new();
+    let mut engine = ContractionEngine::new(ctx.threads);
     let mut ws = ScanWorkspace::new();
     let mut labels_buf: Vec<NodeId> = Vec::new();
     let mut current = g.clone();

@@ -35,7 +35,10 @@ pub struct SolveOptions {
     /// Priority queue for the NOI scans, unless the solver name pins one
     /// (e.g. `NOIλ̂-BStack`).
     pub pq: PqKind,
-    /// Worker threads for the parallel solvers.
+    /// Width of every parallel layer of a solve: ParCut's CAPFOREST
+    /// workers, label propagation, contraction and the CSR rebuild. At 1
+    /// the whole solve runs on the caller's thread and is deterministic.
+    /// Defaults to the hardware thread count.
     pub threads: usize,
     /// Independent repetitions for Monte-Carlo solvers (Karger–Stein).
     pub repetitions: usize,
@@ -58,21 +61,12 @@ pub struct SolveOptions {
     pub reductions: Reductions,
 }
 
-/// Cached hardware parallelism. `available_parallelism()` re-reads
-/// cgroup limits on every call (~0.5ms in containers) and
-/// `SolveOptions::default()` sits on the per-solve path, so the probe
-/// must run once per process.
-pub(crate) fn hardware_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             seed: 0xC0FFEE,
             pq: PqKind::Heap,
-            threads: hardware_threads(),
+            threads: mincut_ds::par::hardware_threads(),
             repetitions: 16,
             epsilon: 0.5,
             initial_bound: None,

@@ -29,15 +29,16 @@
 //! (queued / scanned / blacklisted), the region buffer, and one
 //! instrumented instance of every queue — lives in a slot of the caller's
 //! [`ParWorkerPool`] and is *reused across contraction rounds*: a round
-//! hands each spawned thread `&mut` to its slot, so per-round cost is an
-//! epoch bump instead of O(n·threads) allocation and zeroing. The
-//! per-worker PQ-operation tallies come straight from the worker's own
-//! [`CountingPq`] (no thread-local counters).
+//! hands each worker `&mut` to its slot ([`mincut_ds::par::map_each`]),
+//! so per-round cost is an epoch bump instead of O(n·threads) allocation
+//! and zeroing. The per-worker PQ-operation tallies come straight from
+//! the worker's own [`CountingPq`] (no thread-local counters).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use mincut_ds::{
-    BQueuePq, BStackPq, BinaryHeapPq, ConcurrentUnionFind, CountingPq, MaxPq, PqCounters, PqKind,
+    par, BQueuePq, BStackPq, BinaryHeapPq, ConcurrentUnionFind, CountingPq, MaxPq, PqCounters,
+    PqKind,
 };
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
@@ -186,65 +187,46 @@ pub fn parallel_capforest(
     let use_heap = lambda_hat > MAX_BUCKET_BOUND;
 
     // Each worker returns (best_alpha, witness_region_prefix, pq_ops).
-    let worker_best: Vec<(EdgeWeight, Option<Vec<NodeId>>, PqCounters)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pool
-                .workers
-                .iter_mut()
-                .take(threads)
-                .enumerate()
-                .map(|(tid, ws)| {
-                    let round = &round;
-                    let wseed = seed
-                        .wrapping_add(tid as u64)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    scope.spawn(move || {
-                        // Per-worker span pinned to a named track: the
-                        // scoped threads are fresh every round, so
-                        // per-OS-thread tracks would multiply by round
-                        // count; one stable lane per logical worker
-                        // keeps the exported trace readable.
-                        let mut _wsp = mincut_obs::span("parcut/worker-scan");
-                        if _wsp.is_recording() {
-                            _wsp.pin_track(mincut_obs::named_track(&format!(
-                                "parcut-worker-{tid}"
-                            )));
-                        }
-                        _wsp.arg("worker", tid);
-                        _wsp.arg("n", n);
-                        _wsp.arg("lambda_hat", lambda_hat);
-                        ws.begin_round(n);
-                        // Split the borrow: queues out of the scratch view.
-                        let ParWorkerState {
-                            r,
-                            state,
-                            stamp,
-                            epoch,
-                            region,
-                            bstack,
-                            bqueue,
-                            heap,
-                        } = ws;
-                        let mut core = WorkerCore {
-                            r,
-                            state,
-                            stamp,
-                            epoch: *epoch,
-                            region,
-                        };
-                        match pq {
-                            PqKind::BStack if !use_heap => worker(round, wseed, bstack, &mut core),
-                            PqKind::BQueue if !use_heap => worker(round, wseed, bqueue, &mut core),
-                            _ => worker(round, wseed, heap, &mut core),
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+    let worker_best = par::map_each(&mut pool.workers[..threads], |tid, ws| {
+        let wseed = seed
+            .wrapping_add(tid as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // Per-worker span pinned to a named track: the worker threads are
+        // fresh every round, so per-OS-thread tracks would multiply by
+        // round count; one stable lane per logical worker keeps the
+        // exported trace readable.
+        let mut _wsp = mincut_obs::span("parcut/worker-scan");
+        if _wsp.is_recording() {
+            _wsp.pin_track(mincut_obs::named_track(&format!("parcut-worker-{tid}")));
+        }
+        _wsp.arg("worker", tid);
+        _wsp.arg("n", n);
+        _wsp.arg("lambda_hat", lambda_hat);
+        ws.begin_round(n);
+        // Split the borrow: queues out of the scratch view.
+        let ParWorkerState {
+            r,
+            state,
+            stamp,
+            epoch,
+            region,
+            bstack,
+            bqueue,
+            heap,
+        } = ws;
+        let mut core = WorkerCore {
+            r,
+            state,
+            stamp,
+            epoch: *epoch,
+            region,
+        };
+        match pq {
+            PqKind::BStack if !use_heap => worker(&round, wseed, bstack, &mut core),
+            PqKind::BQueue if !use_heap => worker(&round, wseed, bqueue, &mut core),
+            _ => worker(&round, wseed, heap, &mut core),
+        }
+    });
 
     let final_lambda = round.lambda.load(Ordering::Acquire);
     let mut pq_ops = PqCounters::default();

@@ -32,8 +32,9 @@ use crate::viecut::viecut_connected;
 use crate::MinCutResult;
 
 /// ParCut on a connected graph with n ≥ 2 (the session preflight
-/// guarantees both). Every worker scans with queue `pq`; threads, seed
-/// and witness tracking come from `opts`. Records two phases: `viecut`
+/// guarantees both). Every worker scans with queue `pq`; seed and
+/// witness tracking come from `opts`, the worker count from `ctx`
+/// (like every parallel layer underneath). Records two phases: `viecut`
 /// (the initial bound, §3.3) and `parcut` (the round loop), honoring
 /// the time budget between rounds.
 pub(crate) fn parallel_minimum_cut_connected(
@@ -42,7 +43,7 @@ pub(crate) fn parallel_minimum_cut_connected(
     pq: PqKind,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let (threads, seed, compute_side) = (opts.threads, opts.seed, opts.witness);
+    let (threads, seed, compute_side) = (ctx.threads, opts.seed, opts.witness);
     assert!(threads >= 1);
     let mut rng = SmallRng::seed_from_u64(seed);
 
@@ -66,7 +67,7 @@ pub(crate) fn parallel_minimum_cut_connected(
     ctx.stats.record_lambda(lambda);
 
     ctx.time_phase("parcut", |ctx| {
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(threads);
         let mut pool = ParWorkerPool::new();
         let mut rescue_ws = ScanWorkspace::new();
         let mut current = g.clone();

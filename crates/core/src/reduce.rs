@@ -393,7 +393,7 @@ impl ReductionPipeline {
         ctx: &mut SolveContext<'_>,
     ) -> Result<ReduceOutcome, MinCutError> {
         assert!(g.n() >= 2, "kernelization needs at least two vertices");
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(ctx.threads);
         let (dv, ddeg) = g.min_weighted_degree().expect("n >= 2");
         let mut state = KernelState {
             graph: Cow::Borrowed(g),
@@ -835,7 +835,7 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, lambda_hat, &mut uf);
         assert!(unions > 0, "cliques must contract");
         let (labels, blocks) = uf.dense_labels();
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
         assert!(c.n() >= 2);
         assert_eq!(
             known::brute_force_mincut(&c),
@@ -853,7 +853,7 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, u64::MAX, &mut uf);
         assert!(unions > 0);
         let (labels, blocks) = uf.dense_labels();
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
         if c.n() >= 2 {
             assert!(known::brute_force_mincut(&c) >= 4);
         }

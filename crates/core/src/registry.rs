@@ -34,7 +34,6 @@ pub struct SolverEntry {
     pub aliases: &'static [&'static str],
     /// One-line description for `--help` output.
     pub summary: &'static str,
-    pub caps: Capabilities,
     ctor: fn(Option<PqKind>) -> Box<dyn Solver>,
 }
 
@@ -42,6 +41,11 @@ impl SolverEntry {
     /// Instantiates the family, optionally pinning its queue.
     pub fn instantiate(&self, pin_pq: Option<PqKind>) -> Box<dyn Solver> {
         (self.ctor)(pin_pq)
+    }
+
+    /// The family's [`Solver::capabilities`], its one declaration.
+    pub fn caps(&self) -> Capabilities {
+        self.instantiate(None).capabilities()
     }
 }
 
@@ -59,11 +63,6 @@ impl SolverRegistry {
 
     /// All entries, in the paper's presentation order — the single
     /// source of algorithm names for every driver.
-    pub fn all(&self) -> &[SolverEntry] {
-        &self.entries
-    }
-
-    /// Iterator over [`SolverRegistry::all`].
     pub fn entries(&self) -> impl Iterator<Item = &SolverEntry> {
         self.entries.iter()
     }
@@ -81,7 +80,7 @@ impl SolverRegistry {
     pub fn instances(&self) -> Vec<Box<dyn Solver>> {
         let mut v: Vec<Box<dyn Solver>> = Vec::new();
         for entry in &self.entries {
-            if entry.caps.uses_pq {
+            if entry.caps().uses_pq {
                 for pq in PqKind::ALL {
                     v.push(entry.instantiate(Some(pq)));
                 }
@@ -134,7 +133,7 @@ impl SolverRegistry {
             .collect();
         if let Some(pin) = pq {
             if let Some(e) = self.entry(&stripped.join("-")) {
-                if e.caps.uses_pq {
+                if e.caps().uses_pq {
                     return Ok(e.instantiate(Some(pin)));
                 }
             }
@@ -151,7 +150,6 @@ impl SolverRegistry {
                 canonical: "NOI-HNSS",
                 aliases: &["noi-hnss", "hnss"],
                 summary: "NOI with an unbounded binary heap (Henzinger-Noe-Schulz-Strash baseline)",
-                caps: caps_exact(false, false, true),
                 ctor: |_| {
                     Box::new(NoiSolver {
                         bounded: false,
@@ -166,7 +164,6 @@ impl SolverRegistry {
                 canonical: "NOI-CGKLS",
                 aliases: &["noi-cgkls"],
                 summary: "NOI comparator with deterministic start selection (Chekuri et al. style)",
-                caps: caps_exact(false, false, true),
                 ctor: |_| {
                     Box::new(NoiSolver {
                         bounded: false,
@@ -181,7 +178,6 @@ impl SolverRegistry {
                 canonical: "NOI-HNSS-VieCut",
                 aliases: &["noi-hnss-viecut"],
                 summary: "NOI-HNSS seeded with the VieCut bound",
-                caps: caps_exact(false, false, true),
                 ctor: |_| {
                     Box::new(NoiSolver {
                         bounded: false,
@@ -196,7 +192,6 @@ impl SolverRegistry {
                 canonical: "NOIλ̂",
                 aliases: &["noi", "noi-bounded"],
                 summary: "NOI with priorities capped at λ̂ (§3.1.2); queue from options or name",
-                caps: caps_exact(true, false, true),
                 ctor: |pin| {
                     Box::new(NoiSolver {
                         bounded: true,
@@ -212,7 +207,6 @@ impl SolverRegistry {
                 aliases: &["noi-viecut"],
                 summary:
                     "NOIλ̂ seeded with the VieCut bound — the paper's fastest sequential variant",
-                caps: caps_exact(true, false, true),
                 ctor: |pin| {
                     Box::new(NoiSolver {
                         bounded: true,
@@ -227,81 +221,42 @@ impl SolverRegistry {
                 canonical: "ParCutλ̂",
                 aliases: &["parcut"],
                 summary: "Shared-memory parallel exact solver (Algorithm 2)",
-                caps: Capabilities {
-                    guarantee: Guarantee::Exact,
-                    parallel: true,
-                    witness: true,
-                    uses_pq: true,
-                    randomized_value: false,
-                    uses_initial_bound: false,
-                    kernelizable: true,
-                },
                 ctor: |pin| Box::new(ParCutSolver { pin_pq: pin }),
             },
             SolverEntry {
                 canonical: "StoerWagner",
                 aliases: &["stoer-wagner", "sw"],
                 summary: "Stoer-Wagner comparator (n-1 maximum-adjacency phases)",
-                caps: caps_exact(false, false, false),
                 ctor: |_| Box::new(StoerWagnerSolver),
             },
             SolverEntry {
                 canonical: "HO-CGKLS",
                 aliases: &["hao-orlin", "ho"],
                 summary: "Hao-Orlin flow-based comparator",
-                caps: caps_exact(false, false, false),
                 ctor: |_| Box::new(HaoOrlinSolver),
             },
             SolverEntry {
                 canonical: "GomoryHu",
                 aliases: &["gomory-hu"],
                 summary: "Gomory-Hu cut tree (n-1 max-flows; yields all pairwise min cuts)",
-                caps: caps_exact(false, false, false),
                 ctor: |_| Box::new(GomoryHuSolver),
             },
             SolverEntry {
                 canonical: "KargerStein",
                 aliases: &["karger-stein", "ks"],
                 summary: "Karger-Stein Monte-Carlo contraction (exact with high probability)",
-                caps: Capabilities {
-                    guarantee: Guarantee::MonteCarlo,
-                    parallel: false,
-                    witness: true,
-                    uses_pq: false,
-                    randomized_value: true,
-                    uses_initial_bound: false,
-                    kernelizable: true,
-                },
                 ctor: |_| Box::new(KargerSteinSolver),
             },
             SolverEntry {
                 canonical: "VieCut",
                 aliases: &["viecut"],
                 summary: "Multilevel heuristic upper bound (usually exact in practice)",
-                caps: Capabilities {
-                    guarantee: Guarantee::UpperBound,
-                    parallel: true,
-                    witness: true,
-                    uses_pq: false,
-                    randomized_value: true,
-                    uses_initial_bound: false,
-                    kernelizable: true,
-                },
                 ctor: |_| Box::new(VieCutSolver),
             },
             SolverEntry {
                 canonical: "Matula",
                 aliases: &["matula"],
                 summary: "Matula's (2+ε)-approximation in near-linear time (§5 extension)",
-                caps: Capabilities {
-                    guarantee: Guarantee::TwoPlusEpsilon,
-                    parallel: false,
-                    witness: true,
-                    uses_pq: true,
-                    randomized_value: true,
-                    uses_initial_bound: false,
-                    kernelizable: true,
-                },
                 ctor: |pin| Box::new(MatulaSolver { pin_pq: pin }),
             },
         ];
@@ -309,15 +264,12 @@ impl SolverRegistry {
     }
 }
 
-fn caps_exact(uses_pq: bool, parallel: bool, uses_initial_bound: bool) -> Capabilities {
+fn caps_exact(uses_pq: bool, uses_initial_bound: bool) -> Capabilities {
     Capabilities {
         guarantee: Guarantee::Exact,
-        parallel,
-        witness: true,
         uses_pq,
         randomized_value: false,
         uses_initial_bound,
-        kernelizable: true,
     }
 }
 
@@ -361,7 +313,7 @@ impl Solver for NoiSolver {
     }
 
     fn capabilities(&self) -> Capabilities {
-        caps_exact(self.bounded, false, true)
+        caps_exact(self.bounded, true)
     }
 
     fn instance_name(&self, opts: &SolveOptions) -> String {
@@ -418,15 +370,7 @@ impl Solver for ParCutSolver {
     }
 
     fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            guarantee: Guarantee::Exact,
-            parallel: true,
-            witness: true,
-            uses_pq: true,
-            randomized_value: false,
-            uses_initial_bound: false,
-            kernelizable: true,
-        }
+        caps_exact(true, false)
     }
 
     fn instance_name(&self, opts: &SolveOptions) -> String {
@@ -452,7 +396,7 @@ impl Solver for StoerWagnerSolver {
     }
 
     fn capabilities(&self) -> Capabilities {
-        caps_exact(false, false, false)
+        caps_exact(false, false)
     }
 
     fn run(
@@ -477,7 +421,7 @@ impl Solver for HaoOrlinSolver {
     }
 
     fn capabilities(&self) -> Capabilities {
-        caps_exact(false, false, false)
+        caps_exact(false, false)
     }
 
     fn run(
@@ -505,7 +449,7 @@ impl Solver for GomoryHuSolver {
     }
 
     fn capabilities(&self) -> Capabilities {
-        caps_exact(false, false, false)
+        caps_exact(false, false)
     }
 
     fn run(
@@ -536,12 +480,9 @@ impl Solver for KargerSteinSolver {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             guarantee: Guarantee::MonteCarlo,
-            parallel: false,
-            witness: true,
             uses_pq: false,
             randomized_value: true,
             uses_initial_bound: false,
-            kernelizable: true,
         }
     }
 
@@ -569,12 +510,9 @@ impl Solver for VieCutSolver {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             guarantee: Guarantee::UpperBound,
-            parallel: true,
-            witness: true,
             uses_pq: false,
             randomized_value: true,
             uses_initial_bound: false,
-            kernelizable: true,
         }
     }
 
@@ -600,12 +538,9 @@ impl Solver for MatulaSolver {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             guarantee: Guarantee::TwoPlusEpsilon,
-            parallel: false,
-            witness: true,
             uses_pq: true,
             randomized_value: true,
             uses_initial_bound: false,
-            kernelizable: true,
         }
     }
 
@@ -683,9 +618,18 @@ mod tests {
     #[test]
     fn every_entry_instantiates_with_matching_name() {
         for e in SolverRegistry::global().entries() {
-            let s = e.instantiate(None);
-            assert_eq!(s.name(), e.canonical);
-            assert_eq!(s.capabilities().guarantee, e.caps.guarantee);
+            assert_eq!(e.instantiate(None).name(), e.canonical);
+            if e.caps().uses_pq {
+                for pq in PqKind::ALL {
+                    let pinned = e.instantiate(Some(pq));
+                    assert_eq!(pinned.name(), e.canonical);
+                    assert_eq!(
+                        pinned.capabilities(),
+                        e.caps(),
+                        "a queue pin keeps the caps"
+                    );
+                }
+            }
         }
     }
 }

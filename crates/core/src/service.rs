@@ -133,8 +133,8 @@ pub enum ErrorPolicy {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads pulling jobs from the batch queue; 0 means all
-    /// available cores. Each job may additionally use its own
-    /// [`SolveOptions::threads`] for the parallel solvers.
+    /// available cores. Each job's solve runs its parallel layers at its
+    /// own [`SolveOptions::threads`].
     pub concurrency: usize,
     pub error_policy: ErrorPolicy,
     /// Wall-clock budget for a whole batch. Running jobs have their
@@ -148,9 +148,6 @@ pub struct ServiceConfig {
     /// service fed a stream of distinct graphs cannot grow without
     /// bound. [`MinCutService::clear_cache`] resets it.
     pub cache_capacity: usize,
-    /// Reuse the best cut found so far as the initial bound of later
-    /// jobs in the same family / on the same graph.
-    pub share_bounds: bool,
 }
 
 impl Default for ServiceConfig {
@@ -161,7 +158,6 @@ impl Default for ServiceConfig {
             batch_budget: None,
             cache: true,
             cache_capacity: 1 << 16,
-            share_bounds: true,
         }
     }
 }
@@ -193,11 +189,6 @@ impl ServiceConfig {
 
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.cache_capacity = entries;
-        self
-    }
-
-    pub fn share_bounds(mut self, enabled: bool) -> Self {
-        self.share_bounds = enabled;
         self
     }
 }
@@ -836,7 +827,7 @@ impl MinCutService {
     pub fn run_batch(&self, jobs: &[BatchJob]) -> BatchReport {
         let t0 = Instant::now();
         let workers = match self.config.concurrency {
-            0 => crate::options::hardware_threads(),
+            0 => mincut_ds::par::hardware_threads(),
             w => w,
         }
         .min(jobs.len().max(1));
@@ -855,15 +846,7 @@ impl MinCutService {
             deadline: self.config.batch_budget.map(|b| t0 + b),
         };
 
-        if workers <= 1 {
-            self.work(&state);
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| self.work(&state));
-                }
-            });
-        }
+        mincut_ds::par::for_each_index(workers, workers, |_| self.work(&state));
 
         let mut reports = Vec::with_capacity(jobs.len());
         for slot in &state.results {
@@ -972,12 +955,7 @@ impl MinCutService {
         let instance = solver.instance_name(&opts);
         let g = job.graph.as_ref();
 
-        let needs_fingerprint = self.config.cache || self.config.share_bounds;
-        let fingerprint = if needs_fingerprint {
-            g.fingerprint()
-        } else {
-            0
-        };
+        let fingerprint = g.fingerprint();
         // Bounds are tracked per graph (fingerprint group) and, when the
         // job declares one, per family — so a cross-graph family bound
         // never shadows an exact same-graph one.
@@ -994,9 +972,7 @@ impl MinCutService {
 
         if self.config.cache {
             if let Some((value, side)) = self.cache.lookup(fingerprint, &config_key, g.n(), g.m()) {
-                if self.config.share_bounds {
-                    self.offer_bound(state, &fp_group, job, value, side.clone(), fingerprint);
-                }
+                self.offer_bound(state, &fp_group, job, value, side.clone(), fingerprint);
                 let mut stats = SolverStats::new(instance.clone(), g.n(), g.m());
                 stats.record_lambda(value);
                 stats.total_seconds = t0.elapsed().as_secs_f64();
@@ -1011,7 +987,7 @@ impl MinCutService {
         // Only the NOI family reads `initial_bound`; donating a bound to
         // anyone else would cost an O(m) re-cost and inflate the
         // bound-reuse telemetry without affecting the solve.
-        if self.config.share_bounds && solver.capabilities().uses_initial_bound {
+        if solver.capabilities().uses_initial_bound {
             self.adopt_bound(state, &fp_group, job, g, fingerprint, &mut opts);
         }
 
@@ -1019,24 +995,21 @@ impl MinCutService {
         // configuration) kernelize once; the shared `ReduceOutcome` fans
         // out through `solve_with_kernel`. Gated on the caching layer.
         let mut kernel_reused = false;
-        let kernel: Option<Arc<ReduceOutcome>> = if self.config.cache
-            && g.n() >= 2
-            && opts.reductions.is_enabled()
-            && solver.capabilities().kernelizable
-        {
-            match self.kernel_for(fingerprint, g, &opts) {
-                Ok((k, reused)) => {
-                    if reused {
-                        kernel_reused = true;
-                        state.kernel_reuses.fetch_add(1, Ordering::Relaxed);
+        let kernel: Option<Arc<ReduceOutcome>> =
+            if self.config.cache && g.n() >= 2 && opts.reductions.is_enabled() {
+                match self.kernel_for(fingerprint, g, &opts) {
+                    Ok((k, reused)) => {
+                        if reused {
+                            kernel_reused = true;
+                            state.kernel_reuses.fetch_add(1, Ordering::Relaxed);
+                        }
+                        k
                     }
-                    k
+                    Err(e) => return report(instance, JobStatus::Failed(e), t0),
                 }
-                Err(e) => return report(instance, JobStatus::Failed(e), t0),
-            }
-        } else {
-            None
-        };
+            } else {
+                None
+            };
 
         let solved = match &kernel {
             Some(k) => solver.solve_with_kernel(g, &opts, k).map(|mut outcome| {
@@ -1064,16 +1037,14 @@ impl MinCutService {
                         self.config.cache_capacity,
                     );
                 }
-                if self.config.share_bounds {
-                    self.offer_bound(
-                        state,
-                        &fp_group,
-                        job,
-                        outcome.cut.value,
-                        outcome.cut.side.clone(),
-                        fingerprint,
-                    );
-                }
+                self.offer_bound(
+                    state,
+                    &fp_group,
+                    job,
+                    outcome.cut.value,
+                    outcome.cut.side.clone(),
+                    fingerprint,
+                );
                 report(instance, JobStatus::Solved(outcome), t0)
             }
             Err(e) => report(instance, JobStatus::Failed(e), t0),
@@ -1106,7 +1077,7 @@ impl MinCutService {
             }
         }
         let mut scratch = SolverStats::default();
-        let mut ctx = SolveContext::with_budget(&mut scratch, opts.time_budget);
+        let mut ctx = SolveContext::for_options(&mut scratch, opts);
         let red = Arc::new(pipeline.run(g, None, &mut ctx)?);
         if self.kernels.len() < self.config.cache_capacity {
             self.kernels

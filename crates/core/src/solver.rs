@@ -43,10 +43,6 @@ impl Guarantee {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capabilities {
     pub guarantee: Guarantee,
-    /// Uses worker threads ([`SolveOptions::threads`]).
-    pub parallel: bool,
-    /// Can produce a witness side when [`SolveOptions::witness`] is set.
-    pub witness: bool,
     /// Reads [`SolveOptions::pq`] (or accepts a queue-pinned name).
     pub uses_pq: bool,
     /// Output value may vary with [`SolveOptions::seed`] (inexact
@@ -56,12 +52,6 @@ pub struct Capabilities {
     /// Drivers that donate bounds — the batch service's bound sharing —
     /// skip solvers without this.
     pub uses_initial_bound: bool,
-    /// The shared preflight may run the [`ReductionPipeline`] and hand
-    /// this solver the kernel instead of the input graph
-    /// ([`SolveOptions::reductions`]). True for every built-in solver;
-    /// a custom solver that inspects the original structure (e.g. one
-    /// reporting all-pairs cuts) would clear it to opt out.
-    pub kernelizable: bool,
 }
 
 /// A finished run: the cut and its telemetry.
@@ -104,10 +94,9 @@ pub trait Solver: Send + Sync {
     /// [`MinCutError::TooFewVertices`]; a disconnected graph returns
     /// value 0 with the **smallest component** as the canonical witness,
     /// without running the algorithm. When [`SolveOptions::reductions`]
-    /// is enabled (the default) and the solver is
-    /// [kernelizable](Capabilities::kernelizable), the shared preflight
-    /// runs the [`ReductionPipeline`] first and the algorithm body only
-    /// sees the kernel; the λ̂ found during kernelization and the kernel
+    /// is enabled (the default), the shared preflight runs the
+    /// [`ReductionPipeline`] first and the algorithm body only sees the
+    /// kernel; the λ̂ found during kernelization and the kernel
     /// solve combine into the exact answer.
     fn solve(&self, g: &CsrGraph, opts: &SolveOptions) -> Result<SolveOutcome, MinCutError> {
         solve_impl(self, g, opts, None)
@@ -147,7 +136,7 @@ fn solve_impl<S: Solver + ?Sized>(
     if g.n() < 2 {
         return Err(MinCutError::TooFewVertices { n: g.n() });
     }
-    let kernelize = solver.capabilities().kernelizable && opts.reductions.is_enabled();
+    let kernelize = opts.reductions.is_enabled();
     // The pipeline's mandatory component-split preamble subsumes this
     // scan (same λ = 0, same smallest-component witness), so the O(n+m)
     // connectivity pass runs at most once per solve — and not at all for
@@ -170,7 +159,7 @@ fn solve_impl<S: Solver + ?Sized>(
 
     // PQ-operation totals flow from the drivers' own instrumented queues
     // into the context (no thread-local counters anywhere).
-    let mut ctx = SolveContext::with_budget(&mut stats, opts.time_budget);
+    let mut ctx = SolveContext::for_options(&mut stats, opts);
     let computed: ReduceOutcome;
     let kernel: Option<&ReduceOutcome> = if !kernelize {
         None

@@ -16,6 +16,7 @@ use mincut_ds::PqCounters;
 use mincut_graph::{ContractionEngine, ContractionPath, EdgeWeight};
 
 use crate::error::MinCutError;
+use crate::options::SolveOptions;
 
 /// Wall-clock share of one named stage of a run (e.g. `"viecut"` seeding
 /// vs. the exact `"noi"` loop).
@@ -138,17 +139,6 @@ impl SolverStats {
         self.add_pq_ops(nested.pq_ops);
         self.contraction_paths
             .extend_from_slice(&nested.contraction_paths);
-    }
-
-    /// Times `f` and records it as phase `name`.
-    pub fn time_phase<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
-        let t0 = Instant::now();
-        let result = f(self);
-        self.phases.push(PhaseTiming {
-            name,
-            seconds: t0.elapsed().as_secs_f64(),
-        });
-        result
     }
 
     /// Serializes the report as a single JSON object (no dependencies on
@@ -292,28 +282,36 @@ pub fn json_string(s: &str) -> String {
 }
 
 /// Mutable run context threaded through the instrumented algorithm
-/// drivers: the stats sink plus the optional deadline.
+/// drivers: the stats sink, the optional deadline, and the width every
+/// parallel loop of the run uses.
 pub struct SolveContext<'a> {
     pub stats: &'a mut SolverStats,
     pub deadline: Option<Instant>,
     /// The budget that produced `deadline` (for error reporting).
     pub budget: Option<std::time::Duration>,
+    /// Worker count of every parallel layer ([`SolveOptions::threads`]).
+    pub threads: usize,
 }
 
 impl<'a> SolveContext<'a> {
+    /// A context without a deadline, at the hardware width.
     pub fn new(stats: &'a mut SolverStats) -> Self {
         SolveContext {
             stats,
             deadline: None,
             budget: None,
+            threads: mincut_ds::par::hardware_threads(),
         }
     }
 
-    pub fn with_budget(stats: &'a mut SolverStats, budget: Option<std::time::Duration>) -> Self {
+    /// The context of a solve under `opts`: its time budget, starting
+    /// now, and its width.
+    pub fn for_options(stats: &'a mut SolverStats, opts: &SolveOptions) -> Self {
         SolveContext {
             stats,
-            deadline: budget.map(|b| Instant::now() + b),
-            budget,
+            deadline: opts.time_budget.map(|b| Instant::now() + b),
+            budget: opts.time_budget,
+            threads: opts.threads,
         }
     }
 
@@ -328,21 +326,20 @@ impl<'a> SolveContext<'a> {
         }
     }
 
-    /// Times `f` as phase `name`, handing it a context over the same
-    /// stats sink and deadline.
+    /// Runs `f` on this context and records its wall time as phase
+    /// `name`.
     pub(crate) fn time_phase<T>(
         &mut self,
         name: &'static str,
         f: impl FnOnce(&mut SolveContext<'_>) -> T,
     ) -> T {
-        let (deadline, budget) = (self.deadline, self.budget);
-        self.stats.time_phase(name, |stats| {
-            f(&mut SolveContext {
-                stats,
-                deadline,
-                budget,
-            })
-        })
+        let t0 = Instant::now();
+        let result = f(self);
+        self.stats.phases.push(PhaseTiming {
+            name,
+            seconds: t0.elapsed().as_secs_f64(),
+        });
+        result
     }
 }
 
@@ -365,7 +362,7 @@ mod tests {
     fn json_is_well_formed_and_escapes() {
         let mut s = SolverStats::new("NOIλ̂-\"Heap\"".into(), 10, 20);
         s.record_lambda(5);
-        s.time_phase("noi", |_| ());
+        SolveContext::new(&mut s).time_phase("noi", |_| ());
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\\\"Heap\\\""));
@@ -376,7 +373,8 @@ mod tests {
     #[test]
     fn budget_check_trips_after_deadline() {
         let mut s = SolverStats::default();
-        let ctx = SolveContext::with_budget(&mut s, Some(std::time::Duration::ZERO));
+        let opts = SolveOptions::new().time_budget(std::time::Duration::ZERO);
+        let ctx = SolveContext::for_options(&mut s, &opts);
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(matches!(
             ctx.check_budget(),

@@ -11,10 +11,10 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use mincut_ds::hash::FxHashMap;
+use mincut_ds::par;
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Above this vertex count the per-chunk flat tally (two O(n) arrays per
 /// chunk task) would dominate the arc work, so large graphs keep the
@@ -24,8 +24,8 @@ use rayon::prelude::*;
 const FLAT_TALLY_MAX_N: usize = 1 << 16;
 
 /// Below this many arcs the chunked parallel machinery loses outright:
-/// the shim spawns scoped threads per `par_chunks` call and the shared
-/// label array ping-pongs between cores, which measures ~5× slower than
+/// every iteration spawns scoped threads and the shared label array
+/// ping-pongs between cores, which measures ~5× slower than
 /// a plain sequential pass at a few thousand vertices on a 2-core box.
 /// Such graphs take [`label_propagation_sequential`] instead — same
 /// visit order, same tally, no atomics — which is also the path the SIMD
@@ -33,8 +33,8 @@ const FLAT_TALLY_MAX_N: usize = 1 << 16;
 /// `AtomicU32`s that other workers may be storing to would be UB).
 const PAR_LP_MIN_ARCS: usize = 1 << 20;
 
-/// Runs `iterations` rounds of label propagation; returns dense cluster
-/// labels in `[0, count)` and the cluster count.
+/// Runs `iterations` rounds of label propagation on `threads` workers;
+/// returns dense cluster labels in `[0, count)` and the cluster count.
 ///
 /// The per-vertex tally is a flat epoch-stamped array indexed by label —
 /// one L1-friendly indexed add per arc instead of a hash probe (labels
@@ -46,17 +46,23 @@ const PAR_LP_MIN_ARCS: usize = 1 << 20;
 /// (`flat_tally_matches_hash_tally` pins this against the sequential
 /// hash-tally reference in this module's tests).
 ///
-/// Graphs under `PAR_LP_MIN_ARCS` run the sequential SIMD path; at one
-/// rayon worker it is bit-identical to the chunked path (chunks run
-/// inline in order there, so both are the same sequential visit order).
-pub fn label_propagation(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<NodeId>, usize) {
+/// Graphs under `PAR_LP_MIN_ARCS`, and every graph up to
+/// `FLAT_TALLY_MAX_N` vertices at `threads == 1`, run the sequential SIMD
+/// path. At one thread the chunked path is deterministic too: its chunks
+/// run inline in order, the same sequential visit order, so its labels
+/// equal the hash-tally reference at any graph size
+/// (`single_thread_hash_path_matches_reference`).
+pub fn label_propagation(
+    g: &CsrGraph,
+    iterations: usize,
+    seed: u64,
+    threads: usize,
+) -> (Vec<NodeId>, usize) {
     let n = g.n();
     if n == 0 {
         return (Vec::new(), 0);
     }
-    if n <= FLAT_TALLY_MAX_N
-        && (g.num_arcs() < PAR_LP_MIN_ARCS || rayon::current_num_threads() == 1)
-    {
+    if n <= FLAT_TALLY_MAX_N && (g.num_arcs() < PAR_LP_MIN_ARCS || threads == 1) {
         return label_propagation_sequential(g, iterations, seed);
     }
     let labels: Vec<AtomicU32> = (0..n as NodeId).map(AtomicU32::new).collect();
@@ -70,8 +76,11 @@ pub fn label_propagation(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<Nod
             .map(|p| order[p as usize])
             .collect();
         const CHUNK: usize = 1 << 10;
+        let chunks = n.div_ceil(CHUNK);
+        let chunk = |c: usize| &order[c * CHUNK..((c + 1) * CHUNK).min(n)];
         if n <= FLAT_TALLY_MAX_N {
-            order.par_chunks(CHUNK).for_each(|chunk| {
+            par::for_each_index(chunks, threads, |c| {
+                let chunk = chunk(c);
                 // Per-chunk scratch: `tally[l]` is valid iff `stamp[l]`
                 // holds the current vertex's epoch, so no clearing
                 // between vertices. One allocation per chunk, amortised
@@ -105,9 +114,9 @@ pub fn label_propagation(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<Nod
                 }
             });
         } else {
-            order.par_chunks(CHUNK).for_each(|chunk| {
+            par::for_each_index(chunks, threads, |c| {
                 let mut tally: FxHashMap<NodeId, EdgeWeight> = FxHashMap::default();
-                for &v in chunk {
+                for &v in chunk(c) {
                     tally.clear();
                     let mut best_label = labels[v as usize].load(Ordering::Relaxed);
                     let mut best_weight = 0;
@@ -151,7 +160,7 @@ pub fn label_propagation(g: &CsrGraph, iterations: usize, seed: u64) -> (Vec<Nod
 /// [`mincut_ds::simd::gather_u32`], and the next vertex's arc stream
 /// prefetched while the current tally runs.
 ///
-/// Bit-identity with the chunked path at one worker: the chunked path
+/// Bit-identity with the chunked path at one thread: the chunked path
 /// runs its chunks inline in order there, which is exactly this visit
 /// order, and the tally updates the running best in identical arc order
 /// (the gather only hoists the label loads — within one vertex's scan no
@@ -265,7 +274,7 @@ mod tests {
     #[test]
     fn two_cliques_become_two_clusters() {
         let (g, _) = known::two_communities(10, 10, 1, 4, 1);
-        let (labels, count) = label_propagation(&g, 3, 7);
+        let (labels, count) = label_propagation(&g, 3, 7, 2);
         // The two cliques must be internally uniform.
         for c in 0..2 {
             let base = labels[c * 10];
@@ -279,7 +288,7 @@ mod tests {
     #[test]
     fn labels_are_dense() {
         let (g, _) = known::grid_graph(8, 8, 1);
-        let (labels, count) = label_propagation(&g, 2, 3);
+        let (labels, count) = label_propagation(&g, 2, 3, 2);
         assert!(count >= 1);
         let mut seen = vec![false; count];
         for &l in &labels {
@@ -292,7 +301,7 @@ mod tests {
     #[test]
     fn zero_iterations_is_identity_clustering() {
         let (g, _) = known::cycle_graph(6, 1);
-        let (labels, count) = label_propagation(&g, 0, 0);
+        let (labels, count) = label_propagation(&g, 0, 0, 2);
         assert_eq!(count, 6);
         assert_eq!(labels, (0..6).collect::<Vec<_>>());
     }
@@ -302,9 +311,8 @@ mod tests {
         // The flat epoch-stamped array tally must produce labels
         // bit-identical to the hash-tally reference: the running best
         // depends only on arc order, which both share. All graphs here
-        // fit in a single LP chunk (≤ 1024 vertices), so the whole
-        // propagation is deterministic at any rayon schedule and the
-        // full label vectors must agree.
+        // sit far below `PAR_LP_MIN_ARCS`, so they take the sequential
+        // path at any width and the full label vectors must agree.
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(99);
         let mut graphs = vec![
@@ -323,7 +331,7 @@ mod tests {
         graphs.push(CsrGraph::from_edges(120, &edges));
         for (i, g) in graphs.iter().enumerate() {
             for iters in [1usize, 3] {
-                let (a, ca) = label_propagation(g, iters, 1234 + i as u64);
+                let (a, ca) = label_propagation(g, iters, 1234 + i as u64, 2);
                 let (b, cb) = hash_tally_reference(g, iters, 1234 + i as u64);
                 assert_eq!(ca, cb, "graph {i}, {iters} iterations");
                 assert_eq!(a, b, "graph {i}, {iters} iterations");
@@ -332,9 +340,31 @@ mod tests {
     }
 
     #[test]
+    fn single_thread_hash_path_matches_reference() {
+        // Past `FLAT_TALLY_MAX_N` the chunked hash-tally path runs even at
+        // one thread; there its chunks run inline in order, so the labels
+        // must equal the sequential reference exactly. Random chords and
+        // weights make racy schedules visibly change the partition.
+        use rand::Rng;
+        let n = FLAT_TALLY_MAX_N + 4000;
+        let mut rng = SmallRng::seed_from_u64(2019);
+        let mut edges = Vec::with_capacity(3 * n);
+        for v in 0..n as NodeId {
+            edges.push((v, (v + 1) % n as NodeId, rng.gen_range(1..10)));
+            for _ in 0..2 {
+                edges.push((v, rng.gen_range(0..n as NodeId), rng.gen_range(1..10)));
+            }
+        }
+        let g = CsrGraph::from_edges(n, &edges);
+        assert!(g.n() > FLAT_TALLY_MAX_N);
+        let got = label_propagation(&g, 2, 77, 1);
+        assert_eq!(got, hash_tally_reference(&g, 2, 77));
+    }
+
+    #[test]
     fn empty_graph() {
         let g = CsrGraph::empty();
-        let (labels, count) = label_propagation(&g, 2, 0);
+        let (labels, count) = label_propagation(&g, 2, 0, 2);
         assert!(labels.is_empty());
         assert_eq!(count, 0);
     }

@@ -47,7 +47,7 @@ pub(crate) fn viecut_connected(
     compute_side: bool,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let mut engine = ContractionEngine::new();
+    let mut engine = ContractionEngine::new(ctx.threads);
     let mut current = g.clone();
     // Witness bookkeeping only when a side is requested (as in NOI).
     let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
@@ -83,7 +83,8 @@ pub(crate) fn viecut_connected(
         level_span.arg("lambda_hat", lambda);
         let n_before = current.n();
         // (1) cluster.
-        let (labels, clusters) = label_propagation(&current, LP_ITERATIONS, level_seed);
+        let (labels, clusters) =
+            label_propagation(&current, LP_ITERATIONS, level_seed, ctx.threads);
         level_seed = level_seed.wrapping_add(0x9e37_79b9);
         if clusters == 1 {
             // The whole graph is one strongly connected cluster: there is
@@ -150,6 +151,7 @@ pub(crate) fn viecut_connected(
                 stats: &mut nested,
                 deadline: ctx.deadline,
                 budget: ctx.budget,
+                threads: ctx.threads,
             };
             noi_minimum_cut_connected(
                 &current,

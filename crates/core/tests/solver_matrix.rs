@@ -4,7 +4,7 @@
 //! `known::` generators, SBM communities, small worlds, weighted
 //! variants — asserting each family's advertised guarantee (exactness
 //! or bound) and witness validity. No hand-listed algorithm vectors:
-//! [`SolverRegistry::all`] names are the single source of truth.
+//! [`SolverRegistry::entries`] names are the single source of truth.
 
 use mincut_core::{Guarantee, Session, SolveOptions, Solver, SolverRegistry};
 use mincut_graph::generators::{known, planted_partition, randomize_weights, watts_strogatz};
@@ -78,7 +78,7 @@ fn solver_matrix(g: &CsrGraph, lambda: EdgeWeight, label: &str) {
             "{label}: {} leaked a witness",
             entry.canonical
         );
-        if entry.caps.guarantee.is_exact() {
+        if entry.caps().guarantee.is_exact() {
             assert_eq!(
                 out.cut.value, lambda,
                 "{label}: {} value-only run",

@@ -1,0 +1,75 @@
+//! `SolveOptions::threads` bounds every parallel layer of a solve.
+//!
+//! At one thread, label propagation, contraction, the CSR rebuild and
+//! ParCut's CAPFOREST workers all run inline, so the solve spawns no
+//! thread (`mincut_ds::par::threads_spawned` stays put) and repeats its
+//! operation stream exactly. The graph sits past every parallel
+//! threshold: more than 2^16 vertices (label propagation's chunked hash
+//! path), at least 2^16 edges (the chunk-parallel CSR rebuild) and at
+//! least 4096 vertices (the sharded contraction path).
+//!
+//! This file is its own test binary with a single test, so no other test
+//! spawns threads while the counter is read.
+
+use mincut_core::{Session, SolveOptions, SolveOutcome};
+use mincut_ds::par;
+use mincut_graph::{CsrGraph, NodeId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// A weighted ring plus one random chord per vertex.
+fn big_graph() -> CsrGraph {
+    let n = (1 << 16) + 4000;
+    let mut rng = SmallRng::seed_from_u64(14);
+    let mut edges = Vec::with_capacity(2 * n);
+    for v in 0..n as NodeId {
+        edges.push((v, (v + 1) % n as NodeId, rng.gen_range(1..10)));
+        edges.push((v, rng.gen_range(0..n as NodeId), rng.gen_range(1..10)));
+    }
+    CsrGraph::from_edges(n, &edges)
+}
+
+/// Solves and returns the outcome with the number of threads spawned
+/// during the solve.
+fn solve(g: &CsrGraph, name: &str, opts: SolveOptions) -> (SolveOutcome, u64) {
+    let before = par::threads_spawned();
+    let out = Session::new(g).options(opts).run(name).unwrap();
+    let spawned = par::threads_spawned() - before;
+    assert!(out.cut.verify(g), "{name}: bad witness");
+    (out, spawned)
+}
+
+#[test]
+fn one_thread_spawns_nothing_and_repeats_exactly() {
+    let g = big_graph();
+    assert!(g.n() > 1 << 16 && g.m() >= 1 << 16 && g.n() >= 4096);
+
+    let mut lambda = None;
+    for name in ["noi-viecut", "parcut"] {
+        for reduce in [true, false] {
+            let mut opts = SolveOptions::new().threads(1).seed(3);
+            if !reduce {
+                opts = opts.no_reductions();
+            }
+            let (a, spawned) = solve(&g, name, opts.clone());
+            assert_eq!(spawned, 0, "{name} at one thread (reduce={reduce})");
+            assert_eq!(*lambda.get_or_insert(a.cut.value), a.cut.value, "{name}");
+            if !reduce {
+                let (b, _) = solve(&g, name, opts);
+                assert_eq!(
+                    a.stats.pq_ops, b.stats.pq_ops,
+                    "{name}: 1-thread run repeats"
+                );
+                assert_eq!(a.cut.side, b.cut.side, "{name}: 1-thread witness repeats");
+            }
+        }
+    }
+
+    let opts = SolveOptions::new().threads(2).seed(3).no_reductions();
+    let (out, spawned) = solve(&g, "parcut", opts);
+    assert_eq!(Some(out.cut.value), lambda);
+    assert!(
+        spawned > 0,
+        "parcut at two threads runs its workers in parallel"
+    );
+}

@@ -16,7 +16,9 @@
 //! * a sharded concurrent hash map [`ShardedMap`] used by parallel graph
 //!   contraction (§3.2) to aggregate the weights of parallel edges;
 //! * a fast non-cryptographic hasher ([`hash::FxHasher`]) so the hot
-//!   contraction loops do not pay SipHash costs.
+//!   contraction loops do not pay SipHash costs;
+//! * [`par`], the workspace's only spawner of threads: scoped,
+//!   statically split loops at a caller-given width.
 //!
 //! All structures are allocation-conscious: the bucket queues live on flat
 //! intrusive arrays with epoch-stamped O(1) [`pq::MaxPq::reset`], so one
@@ -25,6 +27,7 @@
 
 pub mod env_knob;
 pub mod hash;
+pub mod par;
 pub mod pq;
 mod sharded_map;
 pub mod simd;

@@ -34,11 +34,12 @@
 //!
 //! Loops that contract repeatedly hold one engine and feed retired
 //! graphs back through [`ContractionEngine::recycle`]; a one-off
-//! contraction is `ContractionEngine::new().contract(..)`.
+//! contraction is `ContractionEngine::new(threads).contract(..)`. The
+//! engine's width bounds every parallel loop it runs (the sharded
+//! accumulation and the CSR rebuild); a solver passes its own.
 
 use mincut_ds::hash::FxHashMap;
-use mincut_ds::{pack_edge, unpack_edge, ShardedMap};
-use rayon::prelude::*;
+use mincut_ds::{pack_edge, par, unpack_edge, ShardedMap};
 
 use crate::partition::Membership;
 use crate::{CsrGraph, EdgeWeight, NodeId};
@@ -88,7 +89,7 @@ impl std::fmt::Display for ContractionPath {
 /// use mincut_graph::{ContractionEngine, CsrGraph};
 ///
 /// let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 5)]);
-/// let mut engine = ContractionEngine::new();
+/// let mut engine = ContractionEngine::new(1);
 /// let c = engine.contract(&g, &[0, 1, 0, 1], 2);
 /// assert_eq!((c.n(), c.m()), (2, 1));
 /// engine.recycle(c); // hand the buffer back for the next round
@@ -119,12 +120,8 @@ pub struct ContractionEngine {
     spare: Option<CsrGraph>,
     /// Strategy taken by the most recent contraction call.
     last_path: ContractionPath,
-}
-
-impl Default for ContractionEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Width of the parallel accumulation and of the CSR rebuild.
+    threads: usize,
 }
 
 impl ContractionEngine {
@@ -155,7 +152,9 @@ impl ContractionEngine {
     /// here almost by definition.
     pub const MATRIX_MAX_BLOCKS: usize = 128;
 
-    pub fn new() -> Self {
+    /// An engine whose parallel loops run on at most `threads` workers.
+    /// The output graph is identical at every width.
+    pub fn new(threads: usize) -> Self {
         ContractionEngine {
             acc: FxHashMap::default(),
             shared: None,
@@ -168,6 +167,7 @@ impl ContractionEngine {
             label_scratch: Vec::new(),
             spare: None,
             last_path: ContractionPath::SeqHash,
+            threads,
         }
     }
 
@@ -261,9 +261,7 @@ impl ContractionEngine {
                 }
             }
         }
-        let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        out.rebuild_from_sorted_dedup_edges(num_blocks, &self.edges, &mut self.sort_scratch);
-        out
+        self.rebuild(num_blocks)
     }
 
     /// [`ContractionEngine::contract`] that also folds the round into a
@@ -358,9 +356,7 @@ impl ContractionEngine {
                 last_key = key;
             }
         }
-        let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        out.rebuild_from_sorted_dedup_edges(num_blocks, &self.edges, &mut self.sort_scratch);
-        out
+        self.rebuild(num_blocks)
     }
 
     /// LSD radix sort of `self.packed` by key, 16-bit digits, ping-pong
@@ -442,7 +438,7 @@ impl ContractionEngine {
         let shared = self.shared.take().unwrap_or_else(|| ShardedMap::new(8));
         const CHUNK: usize = 1 << 13;
         let num_chunks = n.div_ceil(CHUNK);
-        (0..num_chunks).into_par_iter().for_each(|c| {
+        par::for_each_index(num_chunks, self.threads, |c| {
             let lo = c * CHUNK;
             let hi = ((c + 1) * CHUNK).min(n);
             // Local accumulation first: parallel edges between two heavy
@@ -525,19 +521,29 @@ impl ContractionEngine {
         labels
     }
 
-    /// Sorts the staged packed edges and rebuilds a CSR graph inside the
-    /// spare buffer. The single entry point to
-    /// `CsrGraph::rebuild_from_sorted_dedup_edges` for contraction: every
-    /// contraction in the workspace funnels through here.
+    /// Sorts the staged packed edges by key and rebuilds the graph from
+    /// them.
     fn build_from_packed(&mut self, num_blocks: usize) -> CsrGraph {
-        self.packed.par_sort_unstable_by_key(|&(k, _)| k);
+        self.packed.sort_unstable_by_key(|&(k, _)| k);
         self.edges.clear();
         self.edges.extend(self.packed.iter().map(|&(k, w)| {
             let (u, v) = unpack_edge(k);
             (u, v, w)
         }));
+        self.rebuild(num_blocks)
+    }
+
+    /// Rebuilds a CSR graph from the staged normalised edge list inside
+    /// the spare buffer, at the engine's width. Every contraction in the
+    /// workspace funnels through here.
+    fn rebuild(&mut self, num_blocks: usize) -> CsrGraph {
         let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        out.rebuild_from_sorted_dedup_edges(num_blocks, &self.edges, &mut self.sort_scratch);
+        out.rebuild_from_sorted_dedup_edges(
+            num_blocks,
+            &self.edges,
+            &mut self.sort_scratch,
+            self.threads,
+        );
         out
     }
 }
@@ -556,7 +562,7 @@ mod tests {
         let g = square_with_diagonal();
         // Blocks {0,2} -> 0 and {1,3} -> 1.
         let labels = vec![0, 1, 0, 1];
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, 2);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, 2);
         assert_eq!(c.n(), 2);
         assert_eq!(c.m(), 1);
         // All four ring edges become parallel edges between the two blocks.
@@ -569,7 +575,7 @@ mod tests {
     fn contract_identity_labels_is_isomorphic() {
         let g = square_with_diagonal();
         let labels: Vec<NodeId> = (0..4).collect();
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, 4);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, 4);
         assert_eq!(c, g);
     }
 
@@ -587,8 +593,8 @@ mod tests {
         // Blocks of 16 consecutive vertices.
         let labels: Vec<NodeId> = (0..n as NodeId).map(|v| v / 16).collect();
         let blocks = n / 16;
-        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
-        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
+        let s = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let p = ContractionEngine::new(4).contract_parallel(&g, &labels, blocks);
         assert_eq!(s, p);
         assert_eq!(s.n(), blocks);
     }
@@ -597,7 +603,7 @@ mod tests {
     fn contraction_preserves_cross_block_cut_values() {
         let g = square_with_diagonal();
         let labels = vec![0, 1, 0, 1];
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, 2);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, 2);
         // Cut separating the blocks has the same value in both graphs.
         let side_g = [true, false, true, false];
         let side_c = [true, false];
@@ -607,7 +613,7 @@ mod tests {
     #[test]
     fn contract_edge_basic() {
         let g = square_with_diagonal();
-        let (c, labels) = ContractionEngine::new().contract_edge(&g, 0, 2);
+        let (c, labels) = ContractionEngine::new(1).contract_edge(&g, 0, 2);
         assert_eq!(c.n(), 3);
         // Merged vertex is 0; old 3 becomes 2.
         assert_eq!(labels, vec![0, 1, 0, 2]);
@@ -619,15 +625,15 @@ mod tests {
     #[test]
     fn contract_to_single_vertex() {
         let g = square_with_diagonal();
-        let c = ContractionEngine::new().contract_sequential(&g, &[0, 0, 0, 0], 1);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &[0, 0, 0, 0], 1);
         assert_eq!(c.n(), 1);
         assert_eq!(c.m(), 0);
     }
 
     #[test]
     fn engine_rounds_match_free_functions() {
-        // Drive one engine through several rounds with recycling; every
-        // round must be bit-identical to a fresh free-function call.
+        // Drive one 4-wide engine through several rounds with recycling;
+        // every round must be bit-identical to a fresh 1-wide engine.
         let n = 1 << 13;
         let mut edges = Vec::new();
         for v in 0..n as NodeId {
@@ -635,16 +641,16 @@ mod tests {
             edges.push((v, (v + 31) % n as NodeId, 3));
         }
         let mut current = CsrGraph::from_edges(n, &edges);
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(4);
         for round in 0..4 {
             let blocks = (current.n() / 4).max(2);
             let labels: Vec<NodeId> = (0..current.n() as NodeId)
                 .map(|v| v % blocks as NodeId)
                 .collect();
             let expected = if round % 2 == 0 {
-                ContractionEngine::new().contract_sequential(&current, &labels, blocks)
+                ContractionEngine::new(1).contract_sequential(&current, &labels, blocks)
             } else {
-                ContractionEngine::new().contract_parallel(&current, &labels, blocks)
+                ContractionEngine::new(1).contract_parallel(&current, &labels, blocks)
             };
             let next = if round % 2 == 0 {
                 engine.contract_sequential(&current, &labels, blocks)
@@ -659,7 +665,7 @@ mod tests {
     #[test]
     fn engine_tracked_contraction_updates_membership() {
         let g = square_with_diagonal();
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(1);
         let mut membership = Membership::identity(4);
         let c = engine.contract_tracked(&g, &[0, 1, 0, 1], 2, &mut membership);
         assert_eq!(c.n(), 2);
@@ -677,7 +683,7 @@ mod tests {
     #[test]
     fn sorted_path_is_bit_identical_to_hash_paths() {
         let g = square_with_diagonal();
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(4);
         let labels = vec![0, 1, 0, 1];
         let h = engine.contract_sequential(&g, &labels, 2);
         assert_eq!(engine.last_path(), ContractionPath::SeqHash);
@@ -717,12 +723,12 @@ mod tests {
         let g = CsrGraph::from_edges(n, &edges);
         assert!(g.num_arcs() >= 1 << 17);
         let labels: Vec<NodeId> = (0..n as NodeId).map(|v| v % 1024).collect();
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(1);
         let c = engine.contract(&g, &labels, 1024);
         assert_eq!(engine.last_path(), ContractionPath::SeqSort);
         assert_eq!(
             c,
-            ContractionEngine::new().contract_sequential(&g, &labels, 1024)
+            ContractionEngine::new(1).contract_sequential(&g, &labels, 1024)
         );
 
         // Few output blocks take the flat-matrix accumulator instead.
@@ -731,7 +737,7 @@ mod tests {
         assert_eq!(engine.last_path(), ContractionPath::SeqMatrix);
         assert_eq!(
             c,
-            ContractionEngine::new().contract_sequential(&g, &labels, 64)
+            ContractionEngine::new(1).contract_sequential(&g, &labels, 64)
         );
 
         // A small sparse graph stays on the sequential hash path.
@@ -743,7 +749,7 @@ mod tests {
     #[test]
     fn matrix_path_is_bit_identical_and_reusable() {
         let g = square_with_diagonal();
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(1);
         let labels = vec![0, 1, 0, 1];
         let h = engine.contract_sequential(&g, &labels, 2);
         let m = engine.contract_matrix(&g, &labels, 2);

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
+use mincut_ds::par;
 
 use crate::storage::CsrStorage;
 use crate::{EdgeWeight, NodeId};
@@ -372,14 +372,15 @@ impl CsrGraph {
         b.build()
     }
 
-    /// Internal constructor from normalised parts; used by the builder and
-    /// by the contraction engine, which guarantee the invariants.
+    /// Internal constructor from normalised parts, used by the builder.
+    /// Graph construction happens outside any solve, so a large rebuild
+    /// uses every hardware thread.
     pub(crate) fn from_sorted_dedup_edges(
         n: usize,
         edges: &[(NodeId, NodeId, EdgeWeight)],
     ) -> CsrGraph {
         let mut g = CsrGraph::empty();
-        g.rebuild_from_sorted_dedup_edges(n, edges, &mut Vec::new());
+        g.rebuild_from_sorted_dedup_edges(n, edges, &mut Vec::new(), par::hardware_threads());
         g
     }
 
@@ -389,12 +390,14 @@ impl CsrGraph {
     /// [`ContractionEngine`](crate::contract::ContractionEngine): ping-pong
     /// between two `CsrGraph` buffers means repeated contraction rounds stop
     /// allocating once both buffers are warm. `sort_scratch` is the caller's
-    /// reusable per-list sort buffer.
+    /// reusable per-list sort buffer; `threads` is the width of the
+    /// chunk-parallel counting/scatter of large edge lists.
     pub(crate) fn rebuild_from_sorted_dedup_edges(
         &mut self,
         n: usize,
         edges: &[(NodeId, NodeId, EdgeWeight)],
         sort_scratch: &mut Vec<(NodeId, EdgeWeight)>,
+        threads: usize,
     ) {
         // The edge set changes, so any cached fingerprint is stale.
         self.fp = OnceLock::new();
@@ -404,13 +407,17 @@ impl CsrGraph {
         // `owned()` drops any mmap backing up front: a mapped graph
         // recycled as a rebuild target becomes an ordinary owned one.
         let parallel = edges.len() >= PAR_REBUILD_MIN_EDGES;
+        let chunks = edges.len().div_ceil(PAR_REBUILD_CHUNK);
+        let chunk = |c: usize| {
+            &edges[c * PAR_REBUILD_CHUNK..((c + 1) * PAR_REBUILD_CHUNK).min(edges.len())]
+        };
         let xadj = self.xadj.owned();
         xadj.clear();
         xadj.resize(n + 1, 0);
         if parallel {
             let xadj = atomic_view(xadj);
-            edges.par_chunks(PAR_REBUILD_CHUNK).for_each(|chunk| {
-                for &(u, v, _) in chunk {
+            par::for_each_index(chunks, threads, |c| {
+                for &(u, v, _) in chunk(c) {
                     debug_assert!(u < v, "edges must be normalised u < v");
                     xadj[u as usize + 1].fetch_add(1, Ordering::Relaxed);
                     xadj[v as usize + 1].fetch_add(1, Ordering::Relaxed);
@@ -443,11 +450,11 @@ impl CsrGraph {
             let xadj = atomic_view(xadj);
             let adj = SendPtr(adj.as_mut_ptr());
             let weight = SendPtr(weight.as_mut_ptr());
-            edges.par_chunks(PAR_REBUILD_CHUNK).for_each(|chunk| {
+            par::for_each_index(chunks, threads, |c| {
                 // Capture the wrappers whole (not their raw-pointer
                 // fields) so the Send/Sync assertions apply.
                 let (adj, weight) = (adj, weight);
-                for &(u, v, w) in chunk {
+                for &(u, v, w) in chunk(c) {
                     let cu = xadj[u as usize].fetch_add(1, Ordering::Relaxed);
                     let cv = xadj[v as usize].fetch_add(1, Ordering::Relaxed);
                     // SAFETY: cu/cv are unique claims < num_arcs; adj and

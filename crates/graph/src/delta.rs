@@ -355,8 +355,9 @@ impl DeltaGraph {
     /// Folds the overlay into a fresh canonical [`CsrGraph`] base and
     /// returns it. The rebuild reuses the retired base's CSR buffers and
     /// the engine-style sort scratch, so repeated compactions are
-    /// allocation-free once warm. The logical graph, the epoch and the
-    /// origin fingerprint are unchanged; the new base is
+    /// allocation-free once warm; like graph construction, a large
+    /// rebuild runs at the hardware width. The logical graph, the epoch
+    /// and the origin fingerprint are unchanged; the new base is
     /// fingerprint-identical to [`CsrGraph::from_edges`] over the merged
     /// edge list.
     pub fn compact(&mut self) -> &CsrGraph {
@@ -372,7 +373,12 @@ impl DeltaGraph {
         // unique), so no merge pass is needed.
         edges.sort_unstable_by_key(|&(u, v, _)| ((u as u64) << 32) | v as u64);
         let mut next = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        next.rebuild_from_sorted_dedup_edges(self.n(), &edges, &mut self.sort_scratch);
+        next.rebuild_from_sorted_dedup_edges(
+            self.n(),
+            &edges,
+            &mut self.sort_scratch,
+            mincut_ds::par::hardware_threads(),
+        );
         let old = std::mem::replace(&mut self.base, next);
         self.spare = Some(old);
         self.edges_scratch = edges;

@@ -41,12 +41,12 @@ fn kind(g: Guarantee) -> &'static str {
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism().map_or(2, |p| p.get());
     // Gomory-Hu builds n-1 max-flow trees — orders of magnitude slower
     // on the default 2^12-vertex instances (which is the paper's point
     // about flow-based methods). Opt in with SHOWDOWN_ALL=1.
     let skip_slow = std::env::var("SHOWDOWN_ALL").is_err();
-    let opts = SolveOptions::new().seed(9).threads(threads).repetitions(5);
+    // Every parallel layer runs at the default width: all hardware threads.
+    let opts = SolveOptions::new().seed(9).repetitions(5);
 
     for (name, g) in instances() {
         println!("\n=== {name}: n = {}, m = {} ===", g.n(), g.m());
@@ -65,7 +65,8 @@ fn main() {
                 "{} returned a bad witness",
                 entry.canonical
             );
-            if entry.caps.guarantee.is_exact() {
+            let guarantee = entry.caps().guarantee;
+            if guarantee.is_exact() {
                 match exact_value {
                     None => exact_value = Some(outcome.cut.value),
                     Some(v) => assert_eq!(v, outcome.cut.value, "{} disagrees", entry.canonical),
@@ -73,7 +74,7 @@ fn main() {
             }
             rows.push((
                 outcome.stats.algorithm.clone(),
-                kind(entry.caps.guarantee),
+                kind(guarantee),
                 outcome.cut.value,
                 outcome.stats.total_seconds,
             ));

@@ -84,7 +84,10 @@ OPTIONS:
                           queue-pinned spelling like noi-bstack-viecut
                           (default noi-viecut)
   -q, --queue <KIND>      bstack | bqueue | heap (default heap)
-  -t, --threads <N>       worker threads for parcut (default: all cores)
+  -t, --threads <N>       width of every parallel layer: ParCut's scan
+                          workers, label propagation, contraction and
+                          graph rebuilds; 1 runs the solve single-threaded
+                          and deterministic (default: all cores)
   -s, --seed <N>          RNG seed (default 42)
       --budget-ms <N>     fail if a solve exceeds N milliseconds
                           (in batch mode: wall-clock budget of the batch)
@@ -178,7 +181,7 @@ fn parse_args() -> Options {
                         "{:<22} aliases: {:<28} guarantee: {:?}",
                         e.canonical,
                         e.aliases.join(", "),
-                        e.caps.guarantee
+                        e.caps().guarantee
                     );
                 }
                 exit(0)
@@ -508,7 +511,7 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
     // the machine workers × cores threads deep — and a short manifest
     // still uses the whole machine per job.
     if !cli.threads_set {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cores = sm_mincut::ds::par::hardware_threads();
         let workers = (if cli.jobs == 0 { cores } else { cli.jobs }).min(jobs.len().max(1));
         let threads = (cores / workers).max(1);
         for job in &mut jobs {

@@ -52,14 +52,14 @@ proptest! {
 
     #[test]
     fn sequential_equals_parallel((g, labels, blocks) in graph_and_labels()) {
-        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
-        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
+        let s = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let p = ContractionEngine::new(4).contract_parallel(&g, &labels, blocks);
         prop_assert_eq!(s, p);
     }
 
     #[test]
     fn block_respecting_cuts_preserved((g, labels, blocks) in graph_and_labels()) {
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
         // Any bipartition of the blocks lifts to a cut of g with the same
         // value; check a handful of deterministic bipartitions.
         for mask in 1u32..(1u32 << (blocks - 1)).min(16) {
@@ -71,7 +71,7 @@ proptest! {
 
     #[test]
     fn contraction_conserves_cross_block_weight((g, labels, blocks) in graph_and_labels()) {
-        let c = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
         let cross: u64 = g
             .edges()
             .filter(|&(u, v, _)| labels[u as usize] != labels[v as usize])
@@ -88,7 +88,7 @@ proptest! {
     /// would break bit-determinism of every solver.
     #[test]
     fn sort_matrix_and_hash_paths_are_fingerprint_identical((g, labels, blocks) in graph_and_labels()) {
-        let mut engine = ContractionEngine::new();
+        let mut engine = ContractionEngine::new(4);
         let h = engine.contract_sequential(&g, &labels, blocks);
         let s = engine.contract_sorted(&g, &labels, blocks);
         prop_assert_eq!(h.fingerprint(), s.fingerprint());
@@ -104,7 +104,7 @@ proptest! {
             let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
             let s2 = engine.contract_sorted(&h, &labels2, 2);
             let m2 = engine.contract_matrix(&h, &labels2, 2);
-            let h2 = ContractionEngine::new().contract_sequential(&h, &labels2, 2);
+            let h2 = ContractionEngine::new(1).contract_sequential(&h, &labels2, 2);
             prop_assert_eq!(h2.fingerprint(), s2.fingerprint());
             prop_assert_eq!(h2.fingerprint(), m2.fingerprint());
         }
@@ -114,11 +114,11 @@ proptest! {
     /// engine's, including across recycled rounds.
     #[test]
     fn engine_bit_identical_to_free_functions((g, labels, blocks) in graph_and_labels()) {
-        let mut engine = ContractionEngine::new();
-        let s = ContractionEngine::new().contract_sequential(&g, &labels, blocks);
+        let mut engine = ContractionEngine::new(4);
+        let s = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
         let es = engine.contract_sequential(&g, &labels, blocks);
         prop_assert_eq!(&s, &es);
-        let p = ContractionEngine::new().contract_parallel(&g, &labels, blocks);
+        let p = ContractionEngine::new(4).contract_parallel(&g, &labels, blocks);
         let ep = engine.contract_parallel(&g, &labels, blocks);
         prop_assert_eq!(&p, &ep);
         prop_assert_eq!(&s, &p);
@@ -127,7 +127,7 @@ proptest! {
         engine.recycle(ep);
         if blocks >= 2 {
             let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-            let s2 = ContractionEngine::new().contract_sequential(&es, &labels2, 2);
+            let s2 = ContractionEngine::new(1).contract_sequential(&es, &labels2, 2);
             let e2 = engine.contract(&es, &labels2, 2);
             prop_assert_eq!(s2, e2);
         }

@@ -71,10 +71,10 @@ fn parcut_on_social_core() {
 
 /// Determinism regression: with a fixed seed, the parallel exact solver
 /// must report the identical cut value — and a witness partition of that
-/// exact weight — at every worker count. The CI matrix additionally runs
-/// this suite under `RAYON_NUM_THREADS ∈ {1, 4}` (the vendored rayon
-/// shim honours it), so both the single- and multi-worker schedules of
-/// the label-propagation / contraction phases are exercised.
+/// exact weight — at every worker count. The thread count sets the width
+/// of every parallel layer (label propagation and contraction included),
+/// so the loop exercises both the inline single-worker schedules and the
+/// multi-worker ones.
 #[test]
 fn fixed_seed_is_deterministic_across_thread_counts() {
     let instances = vec![
@@ -106,10 +106,9 @@ fn fixed_seed_is_deterministic_across_thread_counts() {
 }
 
 /// The kernelization pipeline feeds the parallel solver (and runs its
-/// contractions through the engine's rayon path), so its results must be
-/// identical at every worker count and with reductions on or off. Runs
-/// under `RAYON_NUM_THREADS ∈ {1, 4}` in the CI matrix like the rest of
-/// this suite, covering both contraction schedules.
+/// contractions at the solve's width), so its results must be identical
+/// at every worker count and with reductions on or off; the 1- and
+/// 4-thread runs cover both contraction schedules.
 #[test]
 fn kernelization_is_consistent_across_thread_counts() {
     let instances = vec![
@@ -131,7 +130,7 @@ fn kernelization_is_consistent_across_thread_counts() {
         }
         // The kernel itself must be byte-stable across worker counts: the
         // pipeline is deterministic, so the reported kernel size may not
-        // vary with RAYON_NUM_THREADS or the threads option.
+        // vary with the threads option.
         let kernel_sizes: Vec<(usize, usize)> = [1usize, 4]
             .iter()
             .map(|&threads| {
@@ -149,9 +148,9 @@ fn kernelization_is_consistent_across_thread_counts() {
 /// Differential property test for the dynamic subsystem: random update
 /// traces replayed through `DynamicMinCut` must report the exact
 /// from-scratch Stoer–Wagner λ after **every** step, with a witness that
-/// re-costs to λ on the current graph — at 1 and 4 worker threads (and,
-/// in the CI matrix, under `RAYON_NUM_THREADS ∈ {1, 4}` like the rest of
-/// this suite). At the end of each trace, `DeltaGraph::compact()` must
+/// re-costs to λ on the current graph — at 1 and 4 worker threads, the
+/// width of every parallel layer of each re-solve. At the end of each
+/// trace, `DeltaGraph::compact()` must
 /// be fingerprint-identical to `CsrGraph::from_edges` on the merged edge
 /// list.
 #[test]
@@ -237,8 +236,7 @@ fn dynamic_maintainer_matches_from_scratch_on_random_traces() {
 /// indistinguishable from a from-scratch `CactusBuilder` run on the
 /// materialised graph: same λ, same min-cut count, identical enumerated
 /// family, and agreeing separating-cut answers on every vertex pair —
-/// at 1 and 4 worker threads (the CI matrix adds
-/// `RAYON_NUM_THREADS ∈ {1, 4}` on top, like the rest of this suite).
+/// at 1 and 4 worker threads, the width of every parallel layer.
 #[test]
 fn maintained_cactus_matches_from_scratch_rebuild_on_random_traces() {
     let mut rng = SmallRng::seed_from_u64(0xCAC7);
