@@ -4,8 +4,8 @@
 //! `{u, v}` of the current (contracted) graph. Every minimum cut either
 //! separates `u` from `v` or it does not. The separating ones are
 //! exactly the minimum u-v cuts *when* `maxflow(u, v) = λ` — all of
-//! them fall out of the residual closed sets of one conservation max
-//! flow ([`mincut_flow::enumerate_min_st_sides`]). The non-separating
+//! them fall out of the residual closed sets of one max flow
+//! ([`mincut_flow::MaxFlowResult::min_cut_sides`]). The non-separating
 //! ones survive the contraction `G/{u,v}` untouched, so the loop
 //! contracts the pair (through the shared [`ContractionEngine`], with a
 //! [`Membership`] folding the rounds back to original vertices) and
@@ -14,7 +14,7 @@
 //! whole family is bounded by the Dinitz–Karzanov–Lomonosov theorem at
 //! n(n−1)/2 cuts, which the loop asserts.
 
-use mincut_flow::{dinic_max_flow, enumerate_min_st_sides};
+use mincut_flow::max_flow;
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership};
 
 /// Enumerates every minimum cut of `g` (which must have λ(g) = `lambda`
@@ -37,11 +37,11 @@ pub fn all_min_cuts(g: &CsrGraph, lambda: EdgeWeight) -> Vec<Vec<bool>> {
             .edges()
             .next()
             .expect("a λ > 0 graph stays connected under contraction");
-        let (value, net) = dinic_max_flow(&cur, u, v);
-        debug_assert!(value >= lambda, "u-v flow below the global minimum");
-        if value == lambda {
+        let flow = max_flow(&cur, u, v);
+        debug_assert!(flow.value >= lambda, "u-v flow below the global minimum");
+        if flow.value == lambda {
             let budget = bound + 1 - cuts.len();
-            let (sides, truncated) = enumerate_min_st_sides(&net, u, v, budget);
+            let (sides, truncated) = flow.min_cut_sides(budget);
             assert!(
                 !truncated && cuts.len() + sides.len() <= bound,
                 "more than n(n-1)/2 minimum cuts — DKL bound violated"

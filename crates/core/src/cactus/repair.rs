@@ -41,7 +41,7 @@
 //! before it is accepted; any disagreement returns `None` and the
 //! caller falls back to the full rebuild.
 
-use mincut_flow::{dinic_max_flow, enumerate_min_st_sides};
+use mincut_flow::max_flow;
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 
 use super::builder::assemble;
@@ -113,13 +113,13 @@ impl Cactus {
         if self.lambda == 0 || !self.same_node(u, v) {
             return None;
         }
-        let (value, net) = dinic_max_flow(g, u, v);
-        if value > self.lambda {
+        let flow = max_flow(g, u, v);
+        if flow.value > self.lambda {
             // No cut separating u, v reaches λ: family — and therefore
             // structure — unchanged.
             return Some(self.clone());
         }
-        if value < self.lambda {
+        if flow.value < self.lambda {
             // λ itself dropped; the caller's λ check should have caught
             // this before asking for a repair.
             return None;
@@ -129,7 +129,7 @@ impl Cactus {
         if family.len() >= bound {
             return None;
         }
-        let (sides, truncated) = enumerate_min_st_sides(&net, u, v, bound + 1 - family.len());
+        let (sides, truncated) = flow.min_cut_sides(bound + 1 - family.len());
         if truncated {
             return None;
         }

@@ -425,7 +425,7 @@ mod tests {
             for u in 0..g.n() as NodeId {
                 for v in 0..u {
                     if uf.same(u, v) {
-                        let (cut, _) = mincut_flow::min_st_cut(&g, u, v);
+                        let cut = mincut_flow::max_flow(&g, u, v).value;
                         assert!(
                             cut >= out.lambda_hat,
                             "marked pair ({u},{v}) has connectivity {cut} < λ̂ {}",

@@ -62,9 +62,8 @@
 //! bound, heavy-edge and Padberg–Rinaldi contraction), so the algorithm
 //! body only sees the kernel; λ̂ found along the way combines exactly via
 //! `λ(G) = min(λ̂, λ(kernel))`. The [`SolveOptions::reductions`] knob
-//! selects passes or disables the pipeline (`--no-reduce` /
-//! `--reductions=<list>` on the CLI), and [`SolverStats`] reports the
-//! kernel size plus per-pass removals:
+//! disables the pipeline (`--no-reduce` on the CLI), and [`SolverStats`]
+//! reports the kernel size plus per-pass removals:
 //!
 //! ```
 //! use mincut_core::{Reductions, Session, SolveOptions};
@@ -168,7 +167,7 @@ pub use error::MinCutError;
 pub use mincut_ds::PqKind;
 pub use mincut_graph::Membership;
 pub use options::SolveOptions;
-pub use reduce::{ReduceOutcome, Reduction, ReductionPipeline, Reductions};
+pub use reduce::{ReduceOutcome, ReductionPipeline, Reductions};
 pub use registry::{SolverEntry, SolverRegistry};
 pub use service::{
     BatchJob, BatchReport, BatchStats, CacheStats, DynamicHandle, ErrorPolicy, JobReport,

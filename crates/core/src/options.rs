@@ -54,8 +54,8 @@ pub struct SolveOptions {
     /// Optional wall-clock budget; solvers check it between rounds and
     /// fail with [`MinCutError::TimeBudgetExceeded`] when it runs out.
     pub time_budget: Option<Duration>,
-    /// Kernelization passes run before the solver's main loop (default:
-    /// the full pipeline). See [`Reductions`] and the
+    /// Whether the kernelization pipeline runs before the solver's main
+    /// loop (default: on). See [`Reductions`] and the
     /// [`reduce`](crate::reduce) module; exactness is never affected —
     /// the pipeline maintains `λ(G) = min(λ̂, λ(kernel))`.
     pub reductions: Reductions,
@@ -122,7 +122,7 @@ impl SolveOptions {
         self
     }
 
-    /// Selects the kernelization passes (see [`Reductions`]).
+    /// Turns kernelization on or off (see [`Reductions`]).
     pub fn reductions(mut self, reductions: Reductions) -> Self {
         self.reductions = reductions;
         self
@@ -151,7 +151,6 @@ impl SolveOptions {
                 message: format!("epsilon must be positive, got {}", self.epsilon),
             });
         }
-        self.reductions.validate()?;
         if self.witness && matches!(&self.initial_bound, Some((_, None))) {
             return Err(MinCutError::InvalidOptions {
                 message: "initial_bound without a witness side cannot improve a witness-tracking \
@@ -193,20 +192,6 @@ mod tests {
         assert!(SolveOptions::new().repetitions(0).validate().is_err());
         assert!(SolveOptions::new().epsilon(0.0).validate().is_err());
         assert!(SolveOptions::new().epsilon(f64::NAN).validate().is_err());
-    }
-
-    #[test]
-    fn reduction_selections_validate() {
-        assert!(SolveOptions::new().no_reductions().validate().is_ok());
-        assert!(SolveOptions::new()
-            .reductions(Reductions::Only(vec!["heavy-edge".into()]))
-            .validate()
-            .is_ok());
-        assert!(SolveOptions::new()
-            .reductions(Reductions::Only(vec!["bogus".into()]))
-            .validate()
-            .is_err());
-        assert_eq!(SolveOptions::new().reductions, Reductions::All);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's speed comes from *bound-driven contraction*: cheap local
 //! tests shrink the graph to a small kernel before any expensive scan work
 //! (§3; the VieCut line of work). This module makes that a first-class,
-//! composable subsystem instead of per-solver folklore: a [`Reduction`] is
+//! composable subsystem instead of per-solver folklore: a `Reduction` is
 //! one exact pass over the current kernel, a [`ReductionPipeline`] runs a
 //! list of passes to a fixpoint through one shared
 //! [`ContractionEngine`], and the resulting [`ReduceOutcome`] carries the
@@ -51,7 +51,7 @@ use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
 use crate::error::MinCutError;
 use crate::stats::{ReductionPassStats, SolveContext};
 
-/// Which reduction passes a solve runs before its main loop
+/// Whether a solve kernelizes before its main loop
 /// ([`SolveOptions::reductions`](crate::SolveOptions::reductions)).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum Reductions {
@@ -60,9 +60,6 @@ pub enum Reductions {
     All,
     /// No kernelization (the CLI's `--no-reduce`).
     None,
-    /// Only the named passes, in the given order (the CLI's
-    /// `--reductions=<list>`). Names as in [`ReductionPipeline::pass_names`].
-    Only(Vec<String>),
 }
 
 impl Reductions {
@@ -71,27 +68,12 @@ impl Reductions {
         !matches!(self, Reductions::None)
     }
 
-    /// Rejects unknown or empty pass selections (the name check is
-    /// [`ReductionPipeline::only`]'s, so the two cannot drift).
-    pub fn validate(&self) -> Result<(), MinCutError> {
-        if let Reductions::Only(names) = self {
-            if names.is_empty() {
-                return Err(MinCutError::InvalidOptions {
-                    message: "reductions: empty pass list (use Reductions::None to disable)".into(),
-                });
-            }
-            ReductionPipeline::only(names)?;
-        }
-        Ok(())
-    }
-
     /// Stable spelling used as part of cache keys (the service's kernel
     /// cache and cut cache must distinguish reduction configurations).
-    pub fn cache_key(&self) -> String {
+    pub fn cache_key(&self) -> &'static str {
         match self {
-            Reductions::All => "all".into(),
-            Reductions::None => "none".into(),
-            Reductions::Only(names) => format!("only:{}", names.join(",")),
+            Reductions::All => "all",
+            Reductions::None => "none",
         }
     }
 }
@@ -100,13 +82,13 @@ impl Reductions {
 /// current kernel, the witness map back to the original vertices, and the
 /// best bound λ̂ seen so far (with its side over the *original* vertex
 /// set — `None` only when a sideless caller bound was adopted).
-pub struct KernelState<'e, 'g> {
+pub(crate) struct KernelState<'e, 'g> {
     /// Borrows the input until the first contraction — reduction-resistant
     /// graphs are never copied by the pipeline.
-    pub graph: Cow<'g, CsrGraph>,
-    pub membership: Membership,
-    pub lambda: EdgeWeight,
-    pub side: Option<Vec<bool>>,
+    graph: Cow<'g, CsrGraph>,
+    membership: Membership,
+    lambda: EdgeWeight,
+    side: Option<Vec<bool>>,
     engine: &'e mut ContractionEngine,
 }
 
@@ -116,7 +98,7 @@ impl KernelState<'_, '_> {
     /// pipeline outcome can be shared across jobs with different
     /// witness settings; `side` is `None` only while a sideless
     /// caller-supplied bound holds the record.
-    pub fn improve(&mut self, value: EdgeWeight, side: Option<Vec<bool>>) {
+    fn improve(&mut self, value: EdgeWeight, side: Option<Vec<bool>>) {
         if value < self.lambda {
             self.lambda = value;
             self.side = side;
@@ -159,8 +141,8 @@ impl KernelState<'_, '_> {
 
 /// One exact kernelization pass. Implementations must preserve the
 /// pipeline invariant `λ(G) = min(λ̂, λ(kernel))`.
-pub trait Reduction: Send + Sync {
-    /// Stable pass name (CLI `--reductions` spelling, stats key).
+pub(crate) trait Reduction: Send + Sync {
+    /// Stable pass name (stats key and `reduce/pass` span argument).
     fn name(&self) -> &'static str;
 
     /// Runs one pass over the kernel; returns whether it contracted.
@@ -316,7 +298,7 @@ pub fn kernel_is_terminal(kernel_n: usize, lambda_hat: EdgeWeight) -> bool {
     kernel_n < 2 || lambda_hat <= 1
 }
 
-/// A composable list of [`Reduction`] passes run to a fixpoint.
+/// A composable list of `Reduction` passes run to a fixpoint.
 pub struct ReductionPipeline {
     passes: Vec<Box<dyn Reduction>>,
 }
@@ -340,7 +322,7 @@ impl ReductionPipeline {
     }
 
     /// A pipeline of just the named passes, in the given order.
-    pub fn only<S: AsRef<str>>(names: &[S]) -> Result<Self, MinCutError> {
+    pub(crate) fn only<S: AsRef<str>>(names: &[S]) -> Result<Self, MinCutError> {
         let mut passes: Vec<Box<dyn Reduction>> = Vec::new();
         for name in names {
             passes.push(match name.as_ref() {
@@ -362,20 +344,9 @@ impl ReductionPipeline {
     }
 
     /// Builds the pipeline selected by a [`Reductions`] value: `None` when
-    /// kernelization is disabled, an error on unknown pass names (the
-    /// same check `SolveOptions::validate` runs up front).
-    pub fn from_options(r: &Reductions) -> Result<Option<Self>, MinCutError> {
-        match r {
-            Reductions::All => Ok(Some(Self::standard())),
-            Reductions::None => Ok(None),
-            Reductions::Only(names) => Self::only(names).map(Some),
-        }
-    }
-
-    /// Names of every registered pass, canonical order (CLI help,
-    /// validation).
-    pub fn pass_names() -> &'static [&'static str] {
-        PASS_NAMES
+    /// kernelization is disabled.
+    pub fn from_options(r: &Reductions) -> Option<Self> {
+        r.is_enabled().then(Self::standard)
     }
 
     /// Kernelizes `g` (n ≥ 2 required). `initial_bound` is an optional
@@ -674,7 +645,7 @@ mod tests {
         for trial in 0..60 {
             let g = random_graph(&mut rng);
             let lambda = known::brute_force_mincut(&g);
-            for name in ReductionPipeline::pass_names() {
+            for name in PASS_NAMES {
                 let p = ReductionPipeline::only(&[name]).unwrap();
                 assert_exact(&p, &g, lambda, &format!("trial {trial}, pass {name}"));
             }
@@ -697,7 +668,7 @@ mod tests {
         // triangle's min degree drops λ̂ to 7, and round two finishes.
         let g = CsrGraph::from_edges(5, &[(0, 1, 3), (0, 4, 5), (1, 2, 6), (2, 3, 4), (3, 4, 4)]);
         assert_eq!(known::brute_force_mincut(&g), 7);
-        for name in ReductionPipeline::pass_names() {
+        for name in PASS_NAMES {
             let p = ReductionPipeline::only(&[name]).unwrap();
             assert_exact(&p, &g, 7, &format!("pass {name}"));
         }
@@ -782,11 +753,6 @@ mod tests {
     #[test]
     fn unknown_pass_names_are_rejected() {
         assert!(ReductionPipeline::only(&["nope"]).is_err());
-        assert!(Reductions::Only(vec!["nope".into()]).validate().is_err());
-        assert!(Reductions::Only(vec![]).validate().is_err());
-        assert!(Reductions::Only(vec!["heavy-edge".into()])
-            .validate()
-            .is_ok());
         assert!(Reductions::All.is_enabled());
         assert!(!Reductions::None.is_enabled());
         assert_ne!(Reductions::All.cache_key(), Reductions::None.cache_key());

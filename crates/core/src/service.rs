@@ -1061,7 +1061,7 @@ impl MinCutService {
         g: &CsrGraph,
         opts: &SolveOptions,
     ) -> Result<(Option<Arc<ReduceOutcome>>, bool), MinCutError> {
-        let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions)? else {
+        let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions) else {
             return Ok((None, false));
         };
         let key = mincut_ds::hash::fnv1a_bytes(

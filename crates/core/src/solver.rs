@@ -166,7 +166,7 @@ fn solve_impl<S: Solver + ?Sized>(
     } else if let Some(k) = precomputed {
         debug_assert_eq!((k.original_n, k.original_m), (g.n(), g.m()));
         Some(k)
-    } else if let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions)? {
+    } else if let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions) {
         computed = ctx.time_phase("reduce", |inner| {
             pipeline.run(g, opts.initial_bound.clone(), inner)
         })?;

@@ -160,7 +160,7 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1, 5), (1, 2, 1), (0, 2, 2)]);
         let p = stoer_wagner_phase(&g, 0);
         // λ(G, s, t) for the phase's last two vertices equals the phase cut.
-        let (st_cut, _) = mincut_flow::min_st_cut(&g, p.s, p.t);
+        let st_cut = mincut_flow::max_flow(&g, p.s, p.t).value;
         assert_eq!(st_cut, p.cut_of_phase);
     }
 }

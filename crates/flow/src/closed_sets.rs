@@ -1,135 +1,24 @@
-//! Dinic maximum flow plus enumeration of *every* minimum s-t cut.
+//! Enumeration of *every* minimum s-t cut from one maximum flow.
 //!
-//! The push-relabel driver of this crate computes a maximum **preflow**
-//! — excess parked above level n is never routed back to the source,
-//! which is enough for the flow value and one tight cut witness, but its
-//! residual network does not characterise the full min-cut family. The
-//! cactus subsystem of `mincut-core` needs that family: a set `S ∋ s`,
-//! `t ∉ S` is a minimum s-t cut **iff** no residual arc of a maximum
-//! *flow* (with conservation) leaves `S` — the closed sets of the
-//! residual reachability order. This module therefore carries a small
-//! Dinic implementation (level graph + blocking flow, a genuine
-//! circulation-free flow) and the closed-set enumeration on top of it:
-//! SCC-condense the residual arcs, mark everything reachable from `s` as
-//! mandatory and everything reaching `t` as forbidden, and walk the
-//! ideals of the remaining DAG sinks-first. Every leaf of that walk is a
-//! distinct minimum s-t cut, so the enumeration is output-sensitive.
+//! A set `S ∋ s`, `t ∉ S` is a minimum s-t cut **iff** no residual arc
+//! of a maximum *flow* (conservation at every vertex but `s` and `t`)
+//! leaves `S` — the closed sets of the residual reachability order
+//! (Picard–Queyranne). Which maximum flow produced the residual does not
+//! matter: the family of closed sets is the same for all of them. The
+//! enumeration SCC-condenses the residual arcs, marks everything
+//! reachable from `s` as mandatory and everything reaching `t` as
+//! forbidden, and walks the ideals of the remaining DAG sinks-first.
+//! Every leaf of that walk is a distinct minimum s-t cut, so the
+//! enumeration is output-sensitive.
 
-use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
+use mincut_graph::NodeId;
 
 use crate::residual::Residual;
 
-/// Computes a maximum s-t **flow** (conservation holds everywhere) with
-/// Dinic's algorithm and returns `(value, residual)`. The residual's
-/// closed sets containing `s` but not `t` are exactly the minimum s-t
-/// cuts — feed it to [`enumerate_min_st_sides`].
-pub fn dinic_max_flow(g: &CsrGraph, s: NodeId, t: NodeId) -> (EdgeWeight, Residual) {
-    assert_ne!(s, t, "source and sink must differ");
-    assert!((s as usize) < g.n() && (t as usize) < g.n());
-    let mut _sp = mincut_obs::span("flow/dinic");
-    _sp.arg("n", g.n());
-    _sp.arg("s", s);
-    _sp.arg("t", t);
-    let mut net = Residual::new(g);
-    let n = net.n();
-    let mut value: EdgeWeight = 0;
-    let mut level = vec![u32::MAX; n];
-    let mut iter = vec![0usize; n];
-    let mut queue = std::collections::VecDeque::new();
-    loop {
-        // Level graph by BFS over residual arcs.
-        level.fill(u32::MAX);
-        level[s as usize] = 0;
-        queue.clear();
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &a in net.out_arcs(u) {
-                let v = net.to[a as usize];
-                if net.cap[a as usize] > 0 && level[v as usize] == u32::MAX {
-                    level[v as usize] = level[u as usize] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if level[t as usize] == u32::MAX {
-            return (value, net);
-        }
-        // Blocking flow by iterative DFS with current-arc pointers.
-        iter.fill(0);
-        loop {
-            let pushed = augment(&mut net, s, t, EdgeWeight::MAX, &level, &mut iter);
-            if pushed == 0 {
-                break;
-            }
-            value += pushed;
-        }
-    }
-}
-
-/// One DFS augmentation along the level graph; returns the pushed amount
-/// (0 when `s` can no longer reach `t` at this level structure).
-fn augment(
-    net: &mut Residual,
-    s: NodeId,
-    t: NodeId,
-    limit: EdgeWeight,
-    level: &[u32],
-    iter: &mut [usize],
-) -> EdgeWeight {
-    // Explicit stack of (vertex, bottleneck so far, arc taken to get here).
-    let mut path: Vec<u32> = Vec::new(); // arc ids along the current path
-    let mut v = s;
-    let mut bottleneck = limit;
-    loop {
-        if v == t {
-            // Apply the augmentation along the recorded path.
-            for &a in &path {
-                net.cap[a as usize] -= bottleneck;
-                net.cap[(a ^ 1) as usize] += bottleneck;
-            }
-            return bottleneck;
-        }
-        let vi = v as usize;
-        let arcs = net.first[vi + 1] - net.first[vi];
-        let mut advanced = false;
-        while iter[vi] < arcs {
-            let a = net.arc_ids[net.first[vi] + iter[vi]];
-            let w = net.to[a as usize];
-            if net.cap[a as usize] > 0 && level[w as usize] == level[vi] + 1 {
-                path.push(a);
-                bottleneck = bottleneck.min(net.cap[a as usize]);
-                v = w;
-                advanced = true;
-                break;
-            }
-            iter[vi] += 1;
-        }
-        if advanced {
-            continue;
-        }
-        // Dead end: retreat (or give up at the source).
-        if v == s {
-            return 0;
-        }
-        let a = path.pop().expect("non-source dead end has a path arc");
-        // The arc into the dead end is exhausted for this phase.
-        let tail = net.to[(a ^ 1) as usize];
-        iter[tail as usize] += 1;
-        v = tail;
-        // Recompute the bottleneck of the shortened path.
-        bottleneck = limit;
-        for &b in &path {
-            bottleneck = bottleneck.min(net.cap[b as usize]);
-        }
-    }
-}
-
 /// Enumerates every minimum s-t cut of the maximum flow whose residual
 /// is `net`, as source sides (`side[s] == true`). Stops after
-/// `max_cuts` sides and reports truncation via the second return value —
-/// callers enumerating *global* minimum cuts pass the Dinitz–Karzanov–
-/// Lomonosov bound n(n−1)/2 so truncation doubles as a theory check.
-pub fn enumerate_min_st_sides(
+/// `max_cuts` sides and reports truncation via the second return value.
+pub(crate) fn min_cut_sides(
     net: &Residual,
     s: NodeId,
     t: NodeId,
@@ -351,7 +240,8 @@ fn residual_sccs(net: &Residual) -> (Vec<u32>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::max_flow;
+    use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 
     fn brute_min_st_sides(g: &CsrGraph, s: NodeId, t: NodeId) -> (EdgeWeight, Vec<Vec<bool>>) {
         let n = g.n();
@@ -377,25 +267,6 @@ mod tests {
     fn sorted(mut sides: Vec<Vec<bool>>) -> Vec<Vec<bool>> {
         sides.sort();
         sides
-    }
-
-    #[test]
-    fn dinic_matches_push_relabel_values() {
-        let g = CsrGraph::from_edges(
-            6,
-            &[
-                (0, 1, 2),
-                (1, 3, 9),
-                (0, 2, 4),
-                (2, 3, 4),
-                (4, 5, 1),
-                (0, 4, 9),
-                (5, 3, 1),
-            ],
-        );
-        let (value, _) = dinic_max_flow(&g, 0, 3);
-        assert_eq!(value, crate::max_flow(&g, 0, 3).value);
-        assert_eq!(value, 7);
     }
 
     #[test]
@@ -425,9 +296,9 @@ mod tests {
                         continue;
                     }
                     let (want_value, want_sides) = brute_min_st_sides(&g, s, t);
-                    let (value, net) = dinic_max_flow(&g, s, t);
-                    assert_eq!(value, want_value, "value s={s} t={t}");
-                    let (sides, truncated) = enumerate_min_st_sides(&net, s, t, 1 << 16);
+                    let flow = max_flow(&g, s, t);
+                    assert_eq!(flow.value, want_value, "value s={s} t={t}");
+                    let (sides, truncated) = flow.min_cut_sides(1 << 16);
                     assert!(!truncated);
                     assert_eq!(
                         sorted(sides),
@@ -443,9 +314,9 @@ mod tests {
     fn truncation_reports_itself() {
         // A path has exactly 3 min 0-3 cuts; cap at 2.
         let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-        let (value, net) = dinic_max_flow(&g, 0, 3);
-        assert_eq!(value, 1);
-        let (sides, truncated) = enumerate_min_st_sides(&net, 0, 3, 2);
+        let flow = max_flow(&g, 0, 3);
+        assert_eq!(flow.value, 1);
+        let (sides, truncated) = flow.min_cut_sides(2);
         assert!(truncated);
         assert_eq!(sides.len(), 2);
     }

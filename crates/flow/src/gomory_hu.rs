@@ -130,14 +130,13 @@ fn resolve_depth(v: NodeId, parent: &[NodeId], depth: &mut [u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::push_relabel::min_st_cut;
     use mincut_graph::generators::known;
 
     fn assert_all_pairs(g: &CsrGraph) {
         let tree = GomoryHuTree::build(g);
         for u in 0..g.n() as NodeId {
             for v in 0..u {
-                let expected = min_st_cut(g, u, v).0;
+                let expected = max_flow(g, u, v).value;
                 assert_eq!(
                     tree.min_cut_between(u, v),
                     expected,
@@ -196,7 +195,7 @@ mod tests {
         assert_eq!(tree.edges().count(), g.n() - 1);
         // Every tree edge weight is a real pairwise min cut.
         for (u, v, w) in tree.edges() {
-            assert_eq!(min_st_cut(&g, u, v).0, w);
+            assert_eq!(max_flow(&g, u, v).value, w);
         }
     }
 }

@@ -2,31 +2,27 @@
 //!
 //! The flow-based side of the paper's evaluation:
 //!
-//! * [`push_relabel`](crate::max_flow) — the Goldberg–Tarjan push-relabel
-//!   maximum-flow algorithm (highest-label selection, gap heuristic, exact
-//!   initial distance labels), operating on undirected
-//!   [`mincut_graph::CsrGraph`]s;
+//! * [`max_flow`] — the Goldberg–Tarjan push-relabel maximum-flow
+//!   algorithm (highest-label selection, gap heuristic, exact initial
+//!   distance labels) on undirected [`mincut_graph::CsrGraph`]s, the
+//!   crate's one s-t engine. Its [`MaxFlowResult`] yields the flow value,
+//!   the largest minimum-cut source side, and *every* minimum s-t cut
+//!   from the closed sets of the residual network (the per-pair primitive
+//!   behind the cactus subsystem of `mincut-core`);
+//! * [`GomoryHuTree`] — Gusfield's cut tree of all pairwise connectivities,
+//!   built with n−1 [`max_flow`] calls;
 //! * [`hao_orlin`] — the Hao–Orlin global minimum cut algorithm, which runs
 //!   n−1 flow phases while *retaining* distance labels and parking
 //!   irrelevant vertices in dormant sets. This is the Rust counterpart of
 //!   the paper's comparator **HO-CGKLS** (the `ho` variant of Chekuri,
 //!   Goldberg, Karger, Levine and Stein).
-//!
-//! Also exposes [`min_st_cut`], used by the test suites to validate the
-//! connectivity lower bounds `q(e) ≤ λ(G, u, v)` that CAPFOREST certifies,
-//! and [`dinic_max_flow`] / [`enumerate_min_st_sides`] — a conservation
-//! max flow whose residual closed sets enumerate *every* minimum s-t cut
-//! (the per-pair primitive behind the cactus subsystem of `mincut-core`).
 
-mod dinic;
+mod closed_sets;
 mod gomory_hu;
 mod hao_orlin;
 mod push_relabel;
+mod residual;
 
-pub mod residual;
-
-pub use dinic::{dinic_max_flow, enumerate_min_st_sides};
 pub use gomory_hu::GomoryHuTree;
 pub use hao_orlin::{hao_orlin, HaoOrlinResult};
-pub use push_relabel::{max_flow, min_st_cut, MaxFlowResult};
-pub use residual::Residual;
+pub use push_relabel::{max_flow, MaxFlowResult};

@@ -1,4 +1,4 @@
-//! Goldberg–Tarjan push-relabel maximum flow.
+//! Goldberg–Tarjan push-relabel maximum flow — the crate's one s-t engine.
 //!
 //! Highest-label vertex selection, gap heuristic, and exact initial
 //! distance labels from a reverse BFS — the configuration that performs
@@ -12,21 +12,22 @@ use crate::residual::Residual;
 pub struct MaxFlowResult {
     /// The maximum s-t flow value = minimum s-t cut value.
     pub value: EdgeWeight,
-    /// The final residual network (for cut extraction).
+    /// The residual network of the maximum s→t flow (for cut extraction).
     pub(crate) residual: Residual,
+    pub(crate) s: NodeId,
     pub(crate) t: NodeId,
 }
 
 impl MaxFlowResult {
     /// A minimum s-t cut witness: `side[v] == true` for the source side.
     ///
-    /// The algorithm computes a maximum *preflow* (excess parked at
-    /// vertices lifted above level n is never routed back to the source —
-    /// unnecessary for the value or the cut). The tight witness is
-    /// therefore the complement of the sink side: every vertex that can
-    /// still reach `t` in the residual network is on the sink side, all
-    /// arcs into that set are saturated, and all excess outside it has
-    /// height ≥ n+1, which makes the cut value exactly `excess(t)`.
+    /// The algorithm computes a maximum *flow*: conservation holds at
+    /// every vertex but `s` and `t`. The witness is the complement of the
+    /// sink side — every vertex that can still reach `t` in the residual
+    /// network is on the sink side and all arcs into that set are
+    /// saturated, so its value is exactly the flow value. This is the
+    /// largest minimum-cut source side, which does not depend on which
+    /// maximum flow produced the residual.
     pub fn min_cut_side(&self) -> Vec<bool> {
         let mut side = self.residual.reaches_sink_side(self.t);
         for b in &mut side {
@@ -34,27 +35,47 @@ impl MaxFlowResult {
         }
         side
     }
+
+    /// Every minimum s-t cut, as source sides (`side[s] == true`), read
+    /// from the closed sets of the residual network. Stops after
+    /// `max_cuts` sides and reports truncation via the second return
+    /// value — callers enumerating *global* minimum cuts pass the
+    /// Dinitz–Karzanov–Lomonosov bound n(n−1)/2 so truncation doubles as
+    /// a theory check. The order of the sides is unspecified.
+    pub fn min_cut_sides(&self, max_cuts: usize) -> (Vec<Vec<bool>>, bool) {
+        crate::closed_sets::min_cut_sides(&self.residual, self.s, self.t, max_cuts)
+    }
 }
 
 /// Computes the maximum flow between `s` and `t` in the undirected graph
 /// `g`. Panics if `s == t` or either is out of range.
+///
+/// Push-relabel opens by saturating every source arc, and any excess
+/// that cannot reach the sink must travel back. So the flow runs from
+/// the endpoint of smaller weighted degree; when that is `t`, the t→s
+/// flow is reversed afterwards into an s→t flow of the same value
+/// (λ(s, t) = λ(t, s) on undirected graphs).
 pub fn max_flow(g: &CsrGraph, s: NodeId, t: NodeId) -> MaxFlowResult {
     assert_ne!(s, t, "source and sink must differ");
     assert!((s as usize) < g.n() && (t as usize) < g.n());
+    let mut _sp = mincut_obs::span("flow/max_flow");
+    _sp.arg("n", g.n());
+    _sp.arg("s", s);
+    _sp.arg("t", t);
     let mut net = Residual::new(g);
-    let value = push_relabel(&mut net, s, t);
+    let value = if g.weighted_degree(t) < g.weighted_degree(s) {
+        let value = push_relabel(&mut net, t, s);
+        net.reverse_flow();
+        value
+    } else {
+        push_relabel(&mut net, s, t)
+    };
     MaxFlowResult {
         value,
         residual: net,
+        s,
         t,
     }
-}
-
-/// Minimum s-t cut: value plus a witness side (source side `true`).
-pub fn min_st_cut(g: &CsrGraph, s: NodeId, t: NodeId) -> (EdgeWeight, Vec<bool>) {
-    let r = max_flow(g, s, t);
-    let side = r.min_cut_side();
-    (r.value, side)
 }
 
 /// Runs push-relabel on `net`, returns the flow value (= excess at `t`).
@@ -136,6 +157,10 @@ fn push_relabel(net: &mut Residual, s: NodeId, t: NodeId) -> EdgeWeight {
             max_h,
         );
     }
+    debug_assert!(
+        (0..n).all(|v| excess[v] == 0 || v == s as usize || v == t as usize),
+        "push-relabel must end with a flow, not a preflow"
+    );
     excess[t as usize]
 }
 
@@ -243,10 +268,6 @@ fn discharge(
         if height[vi] as usize >= max_h || excess[vi] == 0 {
             return;
         }
-        if height[vi] as usize >= net.n() && v != s {
-            // Above level n the vertex can only return excess towards the
-            // source; keep discharging — it is still active.
-        }
         // Re-queue at the new level and stop this discharge (highest-label
         // policy processes levels top-down).
         let h = height[vi] as usize;
@@ -335,12 +356,13 @@ mod tests {
     }
 
     #[test]
-    fn min_st_cut_side_is_proper_and_tight() {
+    fn min_cut_side_is_proper_and_tight() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 5), (2, 3, 1), (0, 3, 2)]);
-        let (value, side) = min_st_cut(&g, 0, 2);
-        assert_eq!(g.cut_value(&side), value);
+        let r = max_flow(&g, 0, 2);
+        let side = r.min_cut_side();
+        assert_eq!(g.cut_value(&side), r.value);
         assert!(side[0] && !side[2]);
         // Candidate cuts: {0} = 1+2 = 3, {0,1} = 5+2 = 7, {0,3} = 1+1 = 2.
-        assert_eq!(value, 2);
+        assert_eq!(r.value, 2);
     }
 }

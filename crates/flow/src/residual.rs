@@ -1,5 +1,4 @@
-//! Residual network representation shared by Dinic, push-relabel and
-//! Hao–Orlin.
+//! Residual network representation shared by push-relabel and Hao–Orlin.
 
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 
@@ -65,6 +64,16 @@ impl Residual {
         &self.arc_ids[self.first[v as usize]..self.first[v as usize + 1]]
     }
 
+    /// Turns the residual of a t→s flow into the residual of the s→t flow
+    /// of the same value: an undirected edge of weight `c` carrying `f`
+    /// from `u` to `v` holds `c − f` on `u→v` and `c + f` on `v→u`, so
+    /// negating the flow swaps the two capacities of every arc pair.
+    pub fn reverse_flow(&mut self) {
+        for pair in self.cap.chunks_exact_mut(2) {
+            pair.swap(0, 1);
+        }
+    }
+
     /// The side of all vertices that can *reach* `t` through residual arcs
     /// (reverse-residual BFS). `side[v] == true` means v is on t's side.
     pub fn reaches_sink_side(&self, t: NodeId) -> Vec<bool> {
@@ -110,6 +119,19 @@ mod tests {
             });
             let _ = head;
         }
+    }
+
+    #[test]
+    fn reverse_flow_swaps_every_arc_pair() {
+        let g = CsrGraph::from_edges(3, &[(0, 1, 4), (1, 2, 5)]);
+        let mut r = Residual::new(&g);
+        // One unit 0→1→2: the forward arcs lose it, the reverse arcs gain it.
+        for a in [0usize, 2] {
+            r.cap[a] -= 1;
+            r.cap[a ^ 1] += 1;
+        }
+        r.reverse_flow();
+        assert_eq!(r.cap, vec![5, 3, 6, 4]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the flow subsystem: max-flow/min-cut duality
-//! against a brute-force cut oracle, symmetry, monotonicity under
-//! capacity increases, and Hao–Orlin against Stoer-style enumeration.
+//! Property tests for the flow subsystem: max-flow/min-cut duality and
+//! the full minimum s-t cut family against a brute-force cut oracle,
+//! symmetry, monotonicity under capacity increases, and Hao–Orlin against
+//! Stoer-style enumeration.
 
-use mincut_flow::{hao_orlin, max_flow, min_st_cut, GomoryHuTree};
+use mincut_flow::{hao_orlin, max_flow, GomoryHuTree};
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use proptest::prelude::*;
 
@@ -38,6 +39,19 @@ fn brute_force_st_cut(g: &CsrGraph, s: NodeId, t: NodeId) -> EdgeWeight {
     best
 }
 
+/// Every minimum s-t cut as a source side, in ascending order.
+fn brute_force_min_st_sides(g: &CsrGraph, s: NodeId, t: NodeId) -> Vec<Vec<bool>> {
+    let n = g.n();
+    let best = brute_force_st_cut(g, s, t);
+    let mut sides: Vec<Vec<bool>> = (0u32..(1 << n))
+        .filter(|mask| (mask >> s) & 1 == 1 && (mask >> t) & 1 == 0)
+        .map(|mask| (0..n).map(|v| (mask >> v) & 1 == 1).collect())
+        .filter(|side: &Vec<bool>| g.cut_value(side) == best)
+        .collect();
+    sides.sort();
+    sides
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -53,6 +67,26 @@ proptest! {
         let side = r.min_cut_side();
         prop_assert!(side[s as usize] && !side[t as usize]);
         prop_assert_eq!(g.cut_value(&side), r.value);
+    }
+
+    #[test]
+    fn min_cut_sides_are_every_minimum_cut(g in small_graph(), s_raw in 0u32..16, t_raw in 0u32..16) {
+        let n = g.n() as NodeId;
+        let s = s_raw % n;
+        let t = t_raw % n;
+        prop_assume!(s != t);
+        // Random degrees put the lighter endpoint on either side, so both
+        // flow orientations of `max_flow` are exercised.
+        let r = max_flow(&g, s, t);
+        let (mut sides, truncated) = r.min_cut_sides(usize::MAX);
+        sides.sort();
+        prop_assert!(!truncated);
+        prop_assert_eq!(&sides, &brute_force_min_st_sides(&g, s, t));
+        // The witness is the largest source side: the union of them all.
+        let union: Vec<bool> = (0..g.n())
+            .map(|v| sides.iter().any(|side| side[v]))
+            .collect();
+        prop_assert_eq!(r.min_cut_side(), union);
     }
 
     #[test]
@@ -91,7 +125,7 @@ proptest! {
         // compare against Hao–Orlin's single run.
         let n = g.n() as NodeId;
         let expected = (1..n)
-            .map(|t| min_st_cut(&g, 0, t).0)
+            .map(|t| max_flow(&g, 0, t).value)
             .min()
             .expect("n >= 2");
         let ho = hao_orlin(&g);
@@ -107,7 +141,7 @@ proptest! {
             for v in 0..u {
                 prop_assert_eq!(
                     tree.min_cut_between(u, v),
-                    min_st_cut(&g, u, v).0,
+                    max_flow(&g, u, v).value,
                     "pair ({}, {})", u, v
                 );
             }

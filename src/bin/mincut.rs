@@ -23,7 +23,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 use sm_mincut::algorithms::json_string as json_str;
-use sm_mincut::algorithms::{ReductionPipeline, Reductions};
+use sm_mincut::algorithms::Reductions;
 use sm_mincut::graph::io::{read_edge_list, read_metis, GraphIoError};
 use sm_mincut::{
     parse_trace, BatchJob, Cactus, CactusBuilder, CsrGraph, ErrorPolicy, JobStatus, MinCutError,
@@ -93,8 +93,6 @@ OPTIONS:
                           (in batch mode: wall-clock budget of the batch)
       --no-reduce         skip the kernelization pipeline (reductions are
                           on by default and never change exact results)
-      --reductions <LIST> comma-separated kernelization passes to run,
-                          in order; known: {passes}
       --stats             print the SolverStats report as JSON on stdout
                           (with per-pass kernelization lines on stderr)
       --cactus            build the cactus of ALL minimum cuts and print
@@ -140,8 +138,7 @@ STREAM MODE:
                           stderr (--side/--edges are single-graph only)
 
 SOLVERS (cli name, paper name, description):
-{names}",
-        passes = ReductionPipeline::pass_names().join(", ")
+{names}"
     )
 }
 
@@ -222,23 +219,6 @@ fn parse_args() -> Options {
                 }
             },
             "--no-reduce" => opts.opts.reductions = Reductions::None,
-            _ if a == "--reductions" || a.starts_with("--reductions=") => {
-                let list = match a.strip_prefix("--reductions=") {
-                    Some(v) => v.to_string(),
-                    None => value("--reductions"),
-                };
-                let passes: Vec<String> = list
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect();
-                let selection = Reductions::Only(passes);
-                if let Err(e) = selection.validate() {
-                    eprintln!("error: {e}");
-                    exit(2)
-                }
-                opts.opts.reductions = selection;
-            }
             "--batch" => opts.batch = Some(value("--batch")),
             "--stream" => opts.stream = Some(value("--stream")),
             "-j" | "--jobs" => match value("--jobs").parse() {

@@ -8,8 +8,8 @@
 //!   (`mincut-graph`);
 //! * [`algorithms`] — every minimum-cut algorithm of the paper behind the
 //!   [`Solver`] registry and [`Session`] API (`mincut-core`);
-//! * [`flow`] — push-relabel max-flow (behind Gomory–Hu), Hao–Orlin, and
-//!   the Dinic max-flow whose min-cut enumeration builds the cactus
+//! * [`flow`] — push-relabel max-flow, whose flows back Gomory–Hu and
+//!   enumerate the minimum cuts that build the cactus, and Hao–Orlin
 //!   (`mincut-flow`);
 //! * [`ds`] — the priority queues and concurrent structures
 //!   (`mincut-ds`), exposed for users building their own drivers.

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sm_mincut::algorithms::capforest::capforest;
 use sm_mincut::algorithms::parallel::{parallel_capforest, ParWorkerPool};
 use sm_mincut::ds::{BQueuePq, BStackPq, BinaryHeapPq, PqKind};
-use sm_mincut::flow::min_st_cut;
+use sm_mincut::flow::max_flow;
 use sm_mincut::{CsrGraph, NodeId};
 
 fn graph_strategy() -> impl Strategy<Value = CsrGraph> {
@@ -37,7 +37,7 @@ fn assert_certificates(g: &CsrGraph, uf: &mut sm_mincut::ds::UnionFind, lambda_h
     for u in 0..g.n() as NodeId {
         for v in 0..u {
             if uf.same(u, v) {
-                let (cut, _) = min_st_cut(g, u, v);
+                let cut = max_flow(g, u, v).value;
                 assert!(
                     cut >= lambda_hat,
                     "pair ({u},{v}): connectivity {cut} < λ̂ {lambda_hat}"
@@ -72,7 +72,7 @@ proptest! {
             for u in 0..g.n() as NodeId {
                 for v in 0..u {
                     if labels[u as usize] == labels[v as usize] {
-                        let (cut, _) = min_st_cut(&g, u, v);
+                        let cut = max_flow(&g, u, v).value;
                         prop_assert!(
                             cut >= out.lambda_hat,
                             "threads {}: pair ({u},{v}) connectivity {cut} < λ̂ {}",

@@ -2,7 +2,8 @@
 //! the hand-verified `tests/data/barbell.trace` with `--trace-out` must
 //! produce a Chrome trace whose `dynamic/update` instant events carry
 //! exactly the λ values and cactus-maintenance classifications of the
-//! repair table in `tests/data/README.md`. This pins the whole chain —
+//! repair table in `tests/data/README.md`, and one `flow/max_flow` span
+//! per s-t flow of the cactus maintenance. This pins the whole chain —
 //! dynamic classification detection, the span sink, the exporter's JSON
 //! — to the same ground truth the dynamic unit tests use.
 
@@ -93,6 +94,20 @@ fn stream_trace_matches_hand_verified_repair_table() {
         .filter_map(Value::as_obj)
         .any(|e| field(e, "name").and_then(Value::as_str) == Some("solve"));
     assert!(has_solve, "solver spans present alongside update events");
+
+    // Every s-t flow of the cactus builds and the internal-delete repair
+    // runs through the one max-flow engine, one span per call.
+    let flow_spans: Vec<&str> = events
+        .iter()
+        .filter_map(Value::as_obj)
+        .filter_map(|e| field(e, "name").and_then(Value::as_str))
+        .filter(|name| name.starts_with("flow/"))
+        .collect();
+    assert_eq!(flow_spans.len(), 15, "one span per max flow");
+    assert!(
+        flow_spans.iter().all(|&name| name == "flow/max_flow"),
+        "one s-t flow engine: {flow_spans:?}"
+    );
 }
 
 /// A collision-safe path in the target tmpdir (no tempfile crate in
