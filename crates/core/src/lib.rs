@@ -144,6 +144,7 @@
 
 pub mod cactus;
 pub mod capforest;
+mod contracted;
 pub mod dynamic;
 mod error;
 mod karger_stein;

@@ -10,15 +10,15 @@
 //! therefore any of the three priority queues).
 
 use mincut_ds::PqKind;
-use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
+use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
+use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
 use crate::stats::SolveContext;
-use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
 
 /// (2+ε)-approximate minimum cut in near-linear time on a connected
@@ -34,33 +34,24 @@ pub(crate) fn matula_approx_connected(
     pq: PqKind,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let (epsilon, compute_side) = (opts.epsilon, opts.witness);
+    let epsilon = opts.epsilon;
     assert!(epsilon > 0.0, "epsilon must be positive");
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let mut engine = ContractionEngine::new(ctx.threads);
     let mut ws = ScanWorkspace::new();
     let mut labels_buf: Vec<NodeId> = Vec::new();
-    let mut current = g.clone();
-    // Witness bookkeeping only when a side is requested (as in NOI).
-    let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
-    let mut best = EdgeWeight::MAX;
-    let mut best_side: Option<Vec<bool>> = None;
+    // The trivial cut of every graph the loop holds is the approximation
+    // anchor; the contraction state offers each one.
+    let mut k = Contracted::new(g, opts.witness, ctx.threads);
+    ctx.stats.record_lambda(k.lambda());
 
-    while current.n() >= 2 {
+    while k.graph().n() >= 2 {
         ctx.check_budget()?;
-        // The trivial cut of the current graph is the approximation anchor.
-        let (dv, delta) = current.min_weighted_degree().expect("n >= 2");
-        if delta < best {
-            best = delta;
-            ctx.stats.record_lambda(best);
-            if compute_side {
-                best_side = Some(membership.side_of_vertices(&[dv]));
-            }
-        }
-        if current.n() == 2 {
+        let n = k.graph().n();
+        if n == 2 {
             break;
         }
         ctx.stats.rounds += 1;
+        let (_, delta) = k.graph().min_weighted_degree().expect("n >= 2");
         // Scaled threshold: contract everything certified ≥ δ/(2+ε).
         // Integer connectivities mean `q(e) ≥ δ/(2+ε)` is equivalent to
         // `q(e) ≥ ⌈δ/(2+ε)⌉`; rounding *down* here would contract edges
@@ -69,52 +60,31 @@ pub(crate) fn matula_approx_connected(
         // answer δ ≤ (2+ε)·λ).
         let sigma = ((delta as f64) / (2.0 + epsilon)).ceil() as EdgeWeight;
         let sigma = sigma.max(1);
-        let start = rng.gen_range(0..current.n() as NodeId);
-        let info = ws.scan(&current, sigma, start, pq, true);
+        let start = rng.gen_range(0..n as NodeId);
+        let info = ws.scan(k.graph(), sigma, start, pq, true);
         ctx.stats.add_pq_ops(ws.take_ops());
         // Prefix cuts seen by the scan are real cuts; they can only help.
         // (info.lambda_hat below σ without a witness never happens, but
-        // info.lambda_hat == σ < best is NOT an improvement — σ is a
+        // info.lambda_hat == σ < λ̂ is NOT an improvement — σ is a
         // threshold, not a cut.)
         if let Some(len) = info.best_prefix_len {
-            if info.lambda_hat < best {
-                best = info.lambda_hat;
-                ctx.stats.record_lambda(best);
-                if compute_side {
-                    best_side = Some(membership.side_of_vertices(&ws.order()[..len]));
-                }
-            }
+            k.offer(info.lambda_hat, &ws.order()[..len]);
+            ctx.stats.record_lambda(k.lambda());
         }
         if info.unions == 0 {
             // Degenerate weighted corner (σ can sit below every crossing
-            // point): a Stoer–Wagner phase guarantees progress and its
-            // phase cut keeps the approximation anchored.
+            // point): a Stoer–Wagner phase guarantees progress.
             ctx.stats.sw_rescues += 1;
-            let phase = stoer_wagner_phase(&current, start);
-            if phase.cut_of_phase < best {
-                best = phase.cut_of_phase;
-                ctx.stats.record_lambda(best);
-                if compute_side {
-                    best_side = Some(membership.side_of_vertices(&[phase.t]));
-                }
-            }
-            ws.uf_mut().union(phase.s, phase.t);
+            k.sw_rescue(start, ws.uf_mut());
         }
         let blocks = ws.uf_mut().dense_labels_into(&mut labels_buf);
-        ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-        let next = if compute_side {
-            engine.contract_tracked(&current, &labels_buf, blocks, &mut membership)
-        } else {
-            engine.contract(&current, &labels_buf, blocks)
-        };
-        ctx.stats.record_contraction_path(engine.last_path());
-        engine.recycle(std::mem::replace(&mut current, next));
+        ctx.stats.contracted_vertices += (n - blocks) as u64;
+        let path = k.contract(&labels_buf, blocks);
+        ctx.stats.record_contraction_path(path);
+        ctx.stats.record_lambda(k.lambda());
     }
 
-    Ok(MinCutResult {
-        value: best,
-        side: best_side,
-    })
+    Ok(k.into_result())
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! paper's sequential optimisations (§3.1).
 //!
 //! Repeats: one CAPFOREST pass marks contractible edges → collapse the
-//! marked blocks → tighten λ̂ with the trivial cuts of the contracted
-//! graph → stop at two vertices. Variants:
+//! marked blocks, which also re-checks the trivial cuts of the result
+//! (the shared contraction state of `crate::contracted`) → stop at two
+//! vertices. Variants:
 //!
 //! * **NOI-HNSS** — unbounded binary heap (the implementation of Henzinger
 //!   et al. that the paper builds on);
@@ -14,14 +15,14 @@
 //!   contractions per pass.
 
 use mincut_ds::PqKind;
-use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
+use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
+use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::stats::SolveContext;
-use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
 
 /// Parameters of one NOI run, filled in by the registry's NOI solvers
@@ -48,123 +49,57 @@ pub(crate) struct NoiParams {
 /// guarantees both).
 pub(crate) fn noi_minimum_cut_connected(
     g: &CsrGraph,
-    cfg: &NoiParams,
+    cfg: NoiParams,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Initial bound: minimum weighted degree (the trivial cut), possibly
     // beaten by a supplied bound (VieCut).
-    let (dv, ddeg) = g.min_weighted_degree().expect("n >= 2");
-    let mut lambda: EdgeWeight = ddeg;
-    let mut best_side: Option<Vec<bool>> = cfg.compute_side.then(|| {
-        let mut side = vec![false; g.n()];
-        side[dv as usize] = true;
-        side
-    });
-    if let Some((b, bside)) = &cfg.initial_bound {
-        if let Some(s) = bside {
-            // The contract on `initial_bound`: the value must be the value
-            // of an actual cut, or correctness is lost.
-            debug_assert_eq!(
-                g.cut_value(s),
-                *b,
-                "initial bound witness must match its value"
-            );
-        }
-        if *b < lambda {
-            lambda = *b;
-            if cfg.compute_side {
-                best_side = Some(bside.clone().unwrap_or_else(|| {
-                    panic!("initial bound without witness while compute_side is on")
-                }));
-            }
-        }
+    let mut k = Contracted::new(g, cfg.compute_side, ctx.threads);
+    if let Some((value, side)) = cfg.initial_bound {
+        k.adopt(value, side);
     }
+    ctx.stats.record_lambda(k.lambda());
 
-    ctx.stats.record_lambda(lambda);
-
-    let mut engine = ContractionEngine::new(ctx.threads);
     let mut ws = ScanWorkspace::new();
     let mut labels_buf: Vec<NodeId> = Vec::new();
-    let mut current = g.clone();
-    // Witness bookkeeping (per-round O(n) membership folding) is paid
-    // only when a side is requested; value-only runs — how the paper
-    // measures — skip it entirely.
-    let mut membership = Membership::identity(if cfg.compute_side { g.n() } else { 0 });
-
-    while current.n() > 2 {
+    while k.graph().n() > 2 {
         ctx.check_budget()?;
         ctx.stats.rounds += 1;
+        let n = k.graph().n();
         let mut round_span = mincut_obs::span("noi/round");
         round_span.arg("round", ctx.stats.rounds);
-        round_span.arg("n", current.n());
-        round_span.arg("lambda_hat", lambda);
-        let start = rng.gen_range(0..current.n() as NodeId);
-        let info = ws.scan(&current, lambda, start, cfg.pq, cfg.bounded);
+        round_span.arg("n", n);
+        round_span.arg("lambda_hat", k.lambda());
+        let start = rng.gen_range(0..n as NodeId);
+        let info = ws.scan(k.graph(), k.lambda(), start, cfg.pq, cfg.bounded);
         ctx.stats.add_pq_ops(ws.take_ops());
 
-        // Prefix cuts found by the scan.
-        if info.lambda_hat < lambda {
-            lambda = info.lambda_hat;
-            ctx.stats.record_lambda(lambda);
-            if cfg.compute_side {
-                let len = info.best_prefix_len.expect("improvement implies witness");
-                best_side = Some(membership.side_of_vertices(&ws.order()[..len]));
-            }
+        // The best prefix cut found by the scan.
+        if let Some(len) = info.best_prefix_len {
+            k.offer(info.lambda_hat, &ws.order()[..len]);
+            ctx.stats.record_lambda(k.lambda());
         }
 
         if info.unions == 0 {
-            // Bounded/parallel scans may come up empty (§3.2: "we can not
-            // guarantee anymore that the algorithm actually finds a
-            // contractible edge"). One Stoer–Wagner phase restores the
-            // guarantee: its cut-of-phase is recorded and its last pair is
-            // always safely contractible.
             ctx.stats.sw_rescues += 1;
             round_span.arg("sw_rescue", true);
-            let phase = stoer_wagner_phase(&current, start);
-            if phase.cut_of_phase < lambda {
-                lambda = phase.cut_of_phase;
-                ctx.stats.record_lambda(lambda);
-                if cfg.compute_side {
-                    best_side = Some(membership.side_of_vertices(&[phase.t]));
-                }
-            }
-            ws.uf_mut().union(phase.s, phase.t);
+            k.sw_rescue(start, ws.uf_mut());
         }
 
         let blocks = ws.uf_mut().dense_labels_into(&mut labels_buf);
-        debug_assert!(blocks < current.n(), "every round must make progress");
-        ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-        let next = if cfg.compute_side {
-            engine.contract_tracked(&current, &labels_buf, blocks, &mut membership)
-        } else {
-            engine.contract(&current, &labels_buf, blocks)
-        };
-        ctx.stats.record_contraction_path(engine.last_path());
-        round_span.arg_display("path", engine.last_path());
-        engine.recycle(std::mem::replace(&mut current, next));
-
-        // Trivial cuts of the contracted graph (§3.2: "If the collapsed
-        // graph G_C has a minimum degree of less than λ̂, we update λ̂").
-        // A fully collapsed graph (n = 1) has no cuts at all.
-        if let Some((v, d)) = current.min_weighted_degree() {
-            if current.n() >= 2 && d < lambda {
-                lambda = d;
-                ctx.stats.record_lambda(lambda);
-                if cfg.compute_side {
-                    best_side = Some(membership.side_of_vertices(&[v]));
-                }
-            }
-        }
+        debug_assert!(blocks < n, "every round must make progress");
+        ctx.stats.contracted_vertices += (n - blocks) as u64;
+        let path = k.contract(&labels_buf, blocks);
+        ctx.stats.record_contraction_path(path);
+        round_span.arg_display("path", path);
+        ctx.stats.record_lambda(k.lambda());
     }
 
     // Two vertices left: the remaining cut is both vertices' degree cut,
-    // already covered by the min-degree update above.
-    Ok(MinCutResult {
-        value: lambda,
-        side: best_side,
-    })
+    // already covered by the minimum-degree offers of `Contracted`.
+    Ok(k.into_result())
 }
 
 #[cfg(test)]

@@ -45,8 +45,10 @@ pub struct SolveOptions {
     /// Approximation slack ε for Matula's (2+ε)-approximation.
     pub epsilon: f64,
     /// Optional starting bound: the value of an **actual cut** of the
-    /// input (with its side, if known). Exactness is lost if the value
-    /// does not correspond to a real cut.
+    /// input (with its side, if known). A solve rejects a side that is not
+    /// a proper cut of the input or does not cost the value
+    /// ([`MinCutError::InvalidOptions`]). A sideless value cannot be
+    /// checked: it must be the value of a real cut, or exactness is lost.
     pub initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
     /// Track and return the cut side. Disable to measure value-only runs
     /// the way the paper does.
@@ -107,6 +109,8 @@ impl SolveOptions {
         self
     }
 
+    /// Seeds λ̂ with a caller's cut. A side is checked against the input
+    /// at solve time; a sideless value must be the value of a real cut.
     pub fn initial_bound(mut self, value: EdgeWeight, side: Option<Vec<bool>>) -> Self {
         self.initial_bound = Some((value, side));
         self

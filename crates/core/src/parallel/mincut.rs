@@ -15,19 +15,21 @@
 //! (§3.2: in the paper's experiments this only happens on graphs with
 //! < 50 vertices); the rescue path runs one sequential CAPFOREST and, if
 //! even that marks nothing (possible with a bounded queue), one
-//! Stoer–Wagner phase, which always makes progress.
+//! Stoer–Wagner phase, which always makes progress. G_C, λ̂ and the
+//! witness live in the contraction state every round loop shares
+//! (`crate::contracted`), which borrows G until the first contraction.
 
 use mincut_ds::PqKind;
-use mincut_graph::{ContractionEngine, CsrGraph, Membership, NodeId};
+use mincut_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
+use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
 use crate::parallel::capforest::{parallel_capforest, ParWorkerPool};
 use crate::stats::SolveContext;
-use crate::stoer_wagner::stoer_wagner_phase;
 use crate::viecut::viecut_connected;
 use crate::MinCutResult;
 
@@ -48,110 +50,62 @@ pub(crate) fn parallel_minimum_cut_connected(
     let mut rng = SmallRng::seed_from_u64(seed);
 
     // Initial bound: trivial degree cut, then VieCut (§3.1.1).
-    let (dv, ddeg) = g.min_weighted_degree().expect("n >= 2");
-    let mut lambda = ddeg;
-    let mut best_side = compute_side.then(|| {
-        let mut s = vec![false; g.n()];
-        s[dv as usize] = true;
-        s
-    });
     let vc = ctx.time_phase("viecut", |inner| {
         viecut_connected(g, seed, compute_side, inner)
     })?;
-    if vc.value < lambda {
-        lambda = vc.value;
-        if compute_side {
-            best_side = Some(vc.side.expect("requested"));
-        }
-    }
-    ctx.stats.record_lambda(lambda);
 
     ctx.time_phase("parcut", |ctx| {
-        let mut engine = ContractionEngine::new(threads);
+        let mut k = Contracted::new(g, compute_side, threads);
+        k.adopt(vc.value, vc.side);
+        ctx.stats.record_lambda(k.lambda());
         let mut pool = ParWorkerPool::new();
         let mut rescue_ws = ScanWorkspace::new();
-        let mut current = g.clone();
-        // Witness bookkeeping only when a side is requested (as in NOI).
-        let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
 
-        while current.n() > 2 {
+        while k.graph().n() > 2 {
             ctx.check_budget()?;
             ctx.stats.rounds += 1;
+            let n = k.graph().n();
             let mut round_span = mincut_obs::span("parcut/round");
             round_span.arg("round", ctx.stats.rounds);
-            round_span.arg("n", current.n());
-            round_span.arg("lambda_hat", lambda);
+            round_span.arg("n", n);
+            round_span.arg("lambda_hat", k.lambda());
             round_span.arg("threads", threads);
-            let out = parallel_capforest(&current, lambda, threads, seed, pq, &mut pool);
+            let out = parallel_capforest(k.graph(), k.lambda(), threads, seed, pq, &mut pool);
             ctx.stats.add_pq_ops(out.pq_ops);
-            if out.lambda_hat < lambda {
-                lambda = out.lambda_hat;
-                ctx.stats.record_lambda(lambda);
-                if compute_side {
-                    let prefix = out.best_prefix.as_deref().expect("improvement has witness");
-                    best_side = Some(membership.side_of_vertices(prefix));
-                }
+            if let Some(prefix) = &out.best_prefix {
+                k.offer(out.lambda_hat, prefix);
+                ctx.stats.record_lambda(k.lambda());
             }
             let cuf = out.cuf;
 
-            let (labels, blocks) = if cuf.count() < current.n() {
+            let (labels, blocks) = if cuf.count() < n {
                 cuf.dense_labels()
             } else {
                 // Rescue 1: one sequential CAPFOREST pass (Algorithm 2 line 5).
-                let start = rng.gen_range(0..current.n() as NodeId);
-                let seq = rescue_ws.scan(&current, lambda, start, PqKind::Heap, true);
+                let start = rng.gen_range(0..n as NodeId);
+                let seq = rescue_ws.scan(k.graph(), k.lambda(), start, PqKind::Heap, true);
                 ctx.stats.add_pq_ops(rescue_ws.take_ops());
-                if seq.lambda_hat < lambda {
-                    lambda = seq.lambda_hat;
-                    ctx.stats.record_lambda(lambda);
-                    if compute_side {
-                        let len = seq.best_prefix_len.expect("improvement has witness");
-                        best_side = Some(membership.side_of_vertices(&rescue_ws.order()[..len]));
-                    }
+                if let Some(len) = seq.best_prefix_len {
+                    k.offer(seq.lambda_hat, &rescue_ws.order()[..len]);
+                    ctx.stats.record_lambda(k.lambda());
                 }
                 if seq.unions == 0 {
                     // Rescue 2: a Stoer–Wagner phase always contracts safely.
                     ctx.stats.sw_rescues += 1;
-                    let phase = stoer_wagner_phase(&current, start);
-                    if phase.cut_of_phase < lambda {
-                        lambda = phase.cut_of_phase;
-                        ctx.stats.record_lambda(lambda);
-                        if compute_side {
-                            best_side = Some(membership.side_of_vertices(&[phase.t]));
-                        }
-                    }
-                    rescue_ws.uf_mut().union(phase.s, phase.t);
+                    k.sw_rescue(start, rescue_ws.uf_mut());
                 }
                 rescue_ws.uf_mut().dense_labels()
             };
 
-            debug_assert!(blocks < current.n(), "every round must make progress");
-            ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-            let next = if compute_side {
-                engine.contract_tracked(&current, &labels, blocks, &mut membership)
-            } else {
-                engine.contract(&current, &labels, blocks)
-            };
-            ctx.stats.record_contraction_path(engine.last_path());
-            round_span.arg_display("path", engine.last_path());
-            engine.recycle(std::mem::replace(&mut current, next));
-
-            // Trivial cuts of the collapsed graph (§3.2).
-            if let Some((v, d)) = current.min_weighted_degree() {
-                if current.n() >= 2 && d < lambda {
-                    lambda = d;
-                    ctx.stats.record_lambda(lambda);
-                    if compute_side {
-                        best_side = Some(membership.side_of_vertices(&[v]));
-                    }
-                }
-            }
+            debug_assert!(blocks < n, "every round must make progress");
+            ctx.stats.contracted_vertices += (n - blocks) as u64;
+            let path = k.contract(&labels, blocks);
+            ctx.stats.record_contraction_path(path);
+            round_span.arg_display("path", path);
+            ctx.stats.record_lambda(k.lambda());
         }
 
-        Ok(MinCutResult {
-            value: lambda,
-            side: best_side,
-        })
+        Ok(k.into_result())
     })
 }
 

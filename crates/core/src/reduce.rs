@@ -2,14 +2,14 @@
 //!
 //! The paper's speed comes from *bound-driven contraction*: cheap local
 //! tests shrink the graph to a small kernel before any expensive scan work
-//! (§3; the VieCut line of work). This module makes that a first-class,
-//! composable subsystem instead of per-solver folklore: a `Reduction` is
-//! one exact pass over the current kernel, a [`ReductionPipeline`] runs a
-//! list of passes to a fixpoint through one shared
-//! [`ContractionEngine`], and the resulting [`ReduceOutcome`] carries the
-//! kernel, the [`Membership`] map back to the original vertex set, the
-//! best bound λ̂ found on the way (always the value of a real cut, witness
-//! included) and per-pass telemetry.
+//! (§3; the VieCut line of work). This module makes that a first-class
+//! subsystem instead of per-solver folklore: a [`ReductionPipeline`]
+//! splits off the connected components, then runs its exact passes to a
+//! fixpoint on the same contraction state every solver's round loop uses,
+//! and the resulting [`ReduceOutcome`] carries the kernel, the
+//! [`Membership`] map back to the original vertex set, the best bound λ̂
+//! found on the way (always the value of a real cut, witness included)
+//! and per-pass telemetry.
 //!
 //! **The exactness invariant.** Every pass preserves
 //!
@@ -17,9 +17,9 @@
 //! λ(G) = min(λ̂, λ(kernel))
 //! ```
 //!
-//! * `components` — a disconnected graph has λ = 0 with the smallest
-//!   component as the canonical witness; each component collapses to one
-//!   vertex and the pipeline terminates.
+//! * `components` — the mandatory first pass: a disconnected graph has
+//!   λ = 0 with the smallest component as the canonical witness; each
+//!   component collapses to one vertex and the pipeline terminates.
 //! * `degree-bound` — walks the k-core peeling order
 //!   ([`mincut_graph::kcore::core_decomposition`]) and takes the best
 //!   *prefix cut* along it (maintained incrementally in O(n + m)). Loosely
@@ -30,24 +30,24 @@
 //! * `heavy-edge` — contracts every edge with `c(e) ≥ λ̂` (any cut
 //!   separating its endpoints pays at least `c(e)`, so no cut below λ̂ is
 //!   lost) or `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts;
-//!   trivial cuts are covered because the pipeline keeps λ̂ at most the
-//!   minimum weighted degree of every interim kernel).
+//!   trivial cuts are covered because the contraction state keeps λ̂ at
+//!   most the minimum weighted degree of every interim kernel).
 //! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
 //!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
 //!   triangle test 3 on top of the edge-local tests.
 //!
 //! Contractions route through the engine's
-//! [`SEQUENTIAL_FALLBACK_THRESHOLD`](ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD)
+//! [`SEQUENTIAL_FALLBACK_THRESHOLD`](mincut_graph::ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD)
 //! dispatch, the same knob as every solver's round loop.
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use mincut_ds::UnionFind;
 use mincut_graph::components::{connected_components, smallest_component_side};
 use mincut_graph::kcore::core_decomposition;
-use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
+use mincut_graph::{CsrGraph, EdgeWeight, Membership, NodeId};
 
+use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::stats::{ReductionPassStats, SolveContext};
 
@@ -78,187 +78,105 @@ impl Reductions {
     }
 }
 
-/// The rolling state one pipeline run threads through its passes: the
-/// current kernel, the witness map back to the original vertices, and the
-/// best bound λ̂ seen so far (with its side over the *original* vertex
-/// set — `None` only when a sideless caller bound was adopted).
-pub(crate) struct KernelState<'e, 'g> {
-    /// Borrows the input until the first contraction — reduction-resistant
-    /// graphs are never copied by the pipeline.
-    graph: Cow<'g, CsrGraph>,
-    membership: Membership,
-    lambda: EdgeWeight,
-    side: Option<Vec<bool>>,
-    engine: &'e mut ContractionEngine,
+/// One exact kernelization pass. Every pass preserves the pipeline
+/// invariant `λ(G) = min(λ̂, λ(kernel))`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pass {
+    Components,
+    DegreeBound,
+    HeavyEdge,
+    PadbergRinaldi,
 }
 
-impl KernelState<'_, '_> {
-    /// Adopts a better bound. `side` is over the original vertex set.
-    /// Sides are always tracked (even for witness-off runs) so one
-    /// pipeline outcome can be shared across jobs with different
-    /// witness settings; `side` is `None` only while a sideless
-    /// caller-supplied bound holds the record.
-    fn improve(&mut self, value: EdgeWeight, side: Option<Vec<bool>>) {
-        if value < self.lambda {
-            self.lambda = value;
-            self.side = side;
-        }
-    }
-
-    /// Adopts a better bound given as a set of *current* (kernel)
-    /// vertices on one side.
-    fn improve_current(&mut self, value: EdgeWeight, vertices: &[NodeId]) {
-        if value < self.lambda {
-            self.lambda = value;
-            self.side = Some(self.membership.side_of_vertices(vertices));
-        }
-    }
-
-    /// Contracts the kernel by `labels`, keeps membership in sync through
-    /// the engine, recycles the retired buffer, and re-checks the trivial
-    /// cuts of the new kernel (§3.2: "If the collapsed graph G_C has a
-    /// minimum degree of less than λ̂, we update λ̂") so the heavy-edge
-    /// test 2 stays exact.
-    fn contract(&mut self, labels: &[NodeId], num_blocks: usize) {
-        let next = self.engine.contract_tracked(
-            self.graph.as_ref(),
-            labels,
-            num_blocks,
-            &mut self.membership,
-        );
-        // Only an owned (already-contracted) graph goes back into the
-        // double buffer; the borrowed input belongs to the caller.
-        if let Cow::Owned(old) = std::mem::replace(&mut self.graph, Cow::Owned(next)) {
-            self.engine.recycle(old);
-        }
-        if self.graph.n() >= 2 {
-            if let Some((v, d)) = self.graph.min_weighted_degree() {
-                self.improve_current(d, &[v]);
-            }
-        }
-    }
-}
-
-/// One exact kernelization pass. Implementations must preserve the
-/// pipeline invariant `λ(G) = min(λ̂, λ(kernel))`.
-pub(crate) trait Reduction: Send + Sync {
+impl Pass {
     /// Stable pass name (stats key and `reduce/pass` span argument).
-    fn name(&self) -> &'static str;
-
-    /// Runs one pass over the kernel; returns whether it contracted.
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool;
-}
-
-/// `components`: λ = 0 on disconnected inputs, with the smallest
-/// component as the uniform witness; collapses each component.
-struct ComponentSplit;
-
-impl Reduction for ComponentSplit {
-    fn name(&self) -> &'static str {
-        "components"
-    }
-
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let (comp, ncomp) = connected_components(k.graph.as_ref());
-        if ncomp <= 1 {
-            return false;
+    fn name(self) -> &'static str {
+        match self {
+            Pass::Components => "components",
+            Pass::DegreeBound => "degree-bound",
+            Pass::HeavyEdge => "heavy-edge",
+            Pass::PadbergRinaldi => "padberg-rinaldi",
         }
-        let side_current = smallest_component_side(&comp, ncomp);
-        let side = k.membership.side_of_bitmap(&side_current);
-        k.improve(0, Some(side));
-        k.contract(&comp, ncomp);
-        true
-    }
-}
-
-/// `degree-bound`: best prefix cut along the k-core peeling order.
-struct DegreeBound;
-
-impl Reduction for DegreeBound {
-    fn name(&self) -> &'static str {
-        "degree-bound"
     }
 
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let g = k.graph.as_ref();
+    /// Runs the pass once over the kernel; returns whether it contracted.
+    fn apply(self, k: &mut Contracted<'_>) -> bool {
+        let g = k.graph();
         let n = g.n();
-        if n < 2 {
-            return false;
-        }
-        let (_, order) = core_decomposition(g);
-        let mut in_prefix = vec![false; n];
-        let mut cut: EdgeWeight = 0;
-        let mut best = (k.lambda, usize::MAX);
-        for (i, &v) in order[..n - 1].iter().enumerate() {
-            let into_prefix: EdgeWeight = g
-                .arcs(v)
-                .filter(|&(u, _)| in_prefix[u as usize])
-                .map(|(_, w)| w)
-                .sum();
-            // cut(P ∪ {v}) = cut(P) + c(v) − 2·w(v, P); never underflows
-            // because w(v, P) ≤ cut(P) and w(v, P) ≤ c(v).
-            cut += g.weighted_degree(v);
-            cut -= 2 * into_prefix;
-            in_prefix[v as usize] = true;
-            if cut < best.0 {
-                best = (cut, i);
+        match self {
+            Pass::Components => {
+                let (comp, ncomp) = connected_components(g);
+                if ncomp <= 1 {
+                    return false;
+                }
+                k.offer_bitmap(0, Some(&smallest_component_side(&comp, ncomp)));
+                k.contract(&comp, ncomp);
+                true
+            }
+            Pass::DegreeBound => {
+                let (_, order) = core_decomposition(g);
+                let mut in_prefix = vec![false; n];
+                let mut cut: EdgeWeight = 0;
+                let mut best = (k.lambda(), usize::MAX);
+                for (i, &v) in order[..n - 1].iter().enumerate() {
+                    let into_prefix: EdgeWeight = g
+                        .arcs(v)
+                        .filter(|&(u, _)| in_prefix[u as usize])
+                        .map(|(_, w)| w)
+                        .sum();
+                    // cut(P ∪ {v}) = cut(P) + c(v) − 2·w(v, P); never
+                    // underflows because w(v, P) ≤ cut(P) and
+                    // w(v, P) ≤ c(v).
+                    cut += g.weighted_degree(v);
+                    cut -= 2 * into_prefix;
+                    in_prefix[v as usize] = true;
+                    if cut < best.0 {
+                        best = (cut, i);
+                    }
+                }
+                if best.1 != usize::MAX {
+                    k.offer(best.0, &order[..=best.1]);
+                }
+                false
+            }
+            Pass::HeavyEdge | Pass::PadbergRinaldi => {
+                // Heavy-edge runs only the edge-local tests 1 and 2
+                // (triangle budget 0).
+                let budget = match self {
+                    Pass::HeavyEdge => 0,
+                    _ => TRIANGLE_DEGREE_BUDGET,
+                };
+                let mut uf = UnionFind::new(n);
+                if pr_pass(g, k.lambda(), &mut uf, budget) == 0 {
+                    return false;
+                }
+                let (labels, blocks) = uf.dense_labels();
+                k.contract(&labels, blocks);
+                true
             }
         }
-        if best.1 != usize::MAX {
-            let (value, i) = best;
-            let prefix = &order[..=i];
-            k.improve_current(value, prefix);
-        }
-        false
-    }
-}
-
-/// `heavy-edge`: contracts under the two edge-local Padberg–Rinaldi tests.
-struct HeavyEdge;
-
-impl Reduction for HeavyEdge {
-    fn name(&self) -> &'static str {
-        "heavy-edge"
     }
 
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let g = k.graph.as_ref();
-        if g.n() <= 2 {
-            return false;
-        }
-        let mut uf = UnionFind::new(g.n());
-        // Triangle budget 0: only the edge-local tests 1 and 2 run.
-        let unions = pr_pass(g, k.lambda, &mut uf, 0);
-        if unions == 0 {
-            return false;
-        }
-        let (labels, blocks) = uf.dense_labels();
-        k.contract(&labels, blocks);
-        true
-    }
-}
-
-/// `padberg-rinaldi`: the full pass including the triangle test.
-struct PadbergRinaldi;
-
-impl Reduction for PadbergRinaldi {
-    fn name(&self) -> &'static str {
-        "padberg-rinaldi"
-    }
-
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let g = k.graph.as_ref();
-        if g.n() <= 2 {
-            return false;
-        }
-        let mut uf = UnionFind::new(g.n());
-        let unions = padberg_rinaldi_pass(g, k.lambda, &mut uf);
-        if unions == 0 {
-            return false;
-        }
-        let (labels, blocks) = uf.dense_labels();
-        k.contract(&labels, blocks);
-        true
+    /// [`Pass::apply`] under a `reduce/pass` span, adding the pass's
+    /// removals and time to `stats`.
+    fn run(self, k: &mut Contracted<'_>, stats: &mut ReductionPassStats) -> bool {
+        let t0 = Instant::now();
+        let before = (k.graph().n(), k.graph().m());
+        let mut pass_span = mincut_obs::span("reduce/pass");
+        pass_span.arg("pass", self.name());
+        pass_span.arg("n", before.0);
+        pass_span.arg("m", before.1);
+        pass_span.arg("lambda_hat", k.lambda());
+        let contracted = self.apply(k);
+        let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
+        pass_span.arg("vertices_removed", removed.0);
+        pass_span.arg("edges_removed", removed.1);
+        drop(pass_span);
+        stats.rounds += 1;
+        stats.vertices_removed += removed.0 as u64;
+        stats.edges_removed += removed.1 as u64;
+        stats.seconds += t0.elapsed().as_secs_f64();
+        contracted
     }
 }
 
@@ -298,18 +216,13 @@ pub fn kernel_is_terminal(kernel_n: usize, lambda_hat: EdgeWeight) -> bool {
     kernel_n < 2 || lambda_hat <= 1
 }
 
-/// A composable list of `Reduction` passes run to a fixpoint.
+/// The component split followed by a list of exact passes run to a
+/// fixpoint.
 pub struct ReductionPipeline {
-    passes: Vec<Box<dyn Reduction>>,
+    /// The fixpoint passes, in order; the component split runs once ahead
+    /// of them.
+    passes: Vec<Pass>,
 }
-
-/// Canonical pass order of the standard pipeline.
-const PASS_NAMES: &[&str] = &[
-    "components",
-    "degree-bound",
-    "heavy-edge",
-    "padberg-rinaldi",
-];
 
 /// Fixpoint guard: contraction passes strictly shrink the kernel, so this
 /// is never the binding constraint on sane inputs.
@@ -318,29 +231,9 @@ const MAX_ROUNDS: usize = 32;
 impl ReductionPipeline {
     /// The standard pipeline: every pass, canonical order.
     pub fn standard() -> Self {
-        Self::only(PASS_NAMES).expect("canonical names are valid")
-    }
-
-    /// A pipeline of just the named passes, in the given order.
-    pub(crate) fn only<S: AsRef<str>>(names: &[S]) -> Result<Self, MinCutError> {
-        let mut passes: Vec<Box<dyn Reduction>> = Vec::new();
-        for name in names {
-            passes.push(match name.as_ref() {
-                "components" => Box::new(ComponentSplit),
-                "degree-bound" => Box::new(DegreeBound),
-                "heavy-edge" => Box::new(HeavyEdge),
-                "padberg-rinaldi" => Box::new(PadbergRinaldi),
-                other => {
-                    return Err(MinCutError::InvalidOptions {
-                        message: format!(
-                            "unknown reduction pass {other:?}; known: {}",
-                            PASS_NAMES.join(", ")
-                        ),
-                    })
-                }
-            });
+        ReductionPipeline {
+            passes: vec![Pass::DegreeBound, Pass::HeavyEdge, Pass::PadbergRinaldi],
         }
-        Ok(ReductionPipeline { passes })
     }
 
     /// Builds the pipeline selected by a [`Reductions`] value: `None` when
@@ -355,8 +248,8 @@ impl ReductionPipeline {
     /// contractions. Checks the context's time budget between passes.
     ///
     /// Disconnected inputs terminate immediately with λ̂ = 0 and the
-    /// smallest component as witness, whether or not `components` is in
-    /// the pass list — the split is the precondition of every other pass.
+    /// smallest component as witness: the split is the precondition of
+    /// every other pass.
     pub fn run(
         &self,
         g: &CsrGraph,
@@ -364,111 +257,53 @@ impl ReductionPipeline {
         ctx: &mut SolveContext<'_>,
     ) -> Result<ReduceOutcome, MinCutError> {
         assert!(g.n() >= 2, "kernelization needs at least two vertices");
-        let mut engine = ContractionEngine::new(ctx.threads);
-        let (dv, ddeg) = g.min_weighted_degree().expect("n >= 2");
-        let mut state = KernelState {
-            graph: Cow::Borrowed(g),
-            membership: Membership::identity(g.n()),
-            lambda: ddeg,
-            side: Some({
-                let mut s = vec![false; g.n()];
-                s[dv as usize] = true;
-                s
-            }),
-            engine: &mut engine,
-        };
-        if let Some((b, bside)) = initial_bound {
-            if let Some(s) = &bside {
-                debug_assert_eq!(
-                    g.cut_value(s),
-                    b,
-                    "initial bound witness must match its value"
-                );
-            }
-            if b < state.lambda {
-                // A sideless bound leaves the outcome sideless; callers
-                // with witness tracking on never supply one (validated).
-                state.lambda = b;
-                state.side = bside;
-            }
+        // Sides are always tracked (even for witness-off runs) so one
+        // outcome can be shared across jobs with different witness
+        // settings.
+        let mut k = Contracted::new(g, true, ctx.threads);
+        if let Some((value, side)) = initial_bound {
+            // A sideless bound leaves the outcome sideless; callers with
+            // witness tracking on never supply one (validated).
+            k.adopt(value, side);
         }
-        ctx.stats.record_lambda(state.lambda);
+        ctx.stats.record_lambda(k.lambda());
 
-        let mut pass_stats: Vec<ReductionPassStats> = self
-            .passes
-            .iter()
+        let mut pass_stats: Vec<ReductionPassStats> = std::iter::once(&Pass::Components)
+            .chain(&self.passes)
             .map(|p| ReductionPassStats::new(p.name()))
             .collect();
+        let (split_stats, fixpoint_stats) = pass_stats.split_at_mut(1);
 
-        // Mandatory preamble: the component split (every later pass
-        // assumes a connected kernel). Attributed to the `components`
-        // stats row when that pass is selected.
-        let t0 = Instant::now();
-        let before = (state.graph.n(), state.graph.m());
-        let split = ComponentSplit.apply(&mut state);
-        if let Some(ps) = pass_stats.iter_mut().find(|p| p.name == "components") {
-            ps.rounds += 1;
-            ps.vertices_removed += (before.0 - state.graph.n()) as u64;
-            ps.edges_removed += (before.1 - state.graph.m()) as u64;
-            ps.seconds += t0.elapsed().as_secs_f64();
-        }
-        if split {
-            ctx.stats.record_lambda(state.lambda);
-            return Ok(self.finish(state, pass_stats, g));
-        }
+        // Every later pass assumes a connected kernel. A split leaves
+        // λ̂ = 0, which ends the fixpoint before its first pass.
+        Pass::Components.run(&mut k, &mut split_stats[0]);
+        ctx.stats.record_lambda(k.lambda());
 
         'rounds: for _ in 0..MAX_ROUNDS {
             let mut contracted = false;
-            for (pass, ps) in self.passes.iter().zip(pass_stats.iter_mut()) {
-                if state.graph.n() <= 2 || state.lambda <= 1 {
+            for (&pass, ps) in self.passes.iter().zip(fixpoint_stats.iter_mut()) {
+                if k.graph().n() <= 2 || k.lambda() <= 1 {
                     break 'rounds;
                 }
-                if pass.name() == "components" {
-                    continue; // preamble already ran; kernels stay connected
-                }
                 ctx.check_budget()?;
-                let t0 = Instant::now();
-                let before = (state.graph.n(), state.graph.m());
-                let mut pass_span = mincut_obs::span("reduce/pass");
-                pass_span.arg("pass", pass.name());
-                pass_span.arg("n", before.0);
-                pass_span.arg("m", before.1);
-                pass_span.arg("lambda_hat", state.lambda);
-                contracted |= pass.apply(&mut state);
-                pass_span.arg("vertices_removed", before.0 - state.graph.n());
-                pass_span.arg("edges_removed", before.1 - state.graph.m());
-                drop(pass_span);
-                ps.rounds += 1;
-                ps.vertices_removed += (before.0 - state.graph.n()) as u64;
-                ps.edges_removed += (before.1 - state.graph.m()) as u64;
-                ps.seconds += t0.elapsed().as_secs_f64();
-                ctx.stats.record_lambda(state.lambda);
+                contracted |= pass.run(&mut k, ps);
+                ctx.stats.record_lambda(k.lambda());
             }
             if !contracted {
                 break;
             }
         }
-        Ok(self.finish(state, pass_stats, g))
-    }
 
-    fn finish(
-        &self,
-        state: KernelState<'_, '_>,
-        passes: Vec<ReductionPassStats>,
-        g: &CsrGraph,
-    ) -> ReduceOutcome {
-        ReduceOutcome {
-            // Still borrowed means nothing contracted: the one clone a
-            // reduction-resistant input pays (the pre-engine code paid it
-            // up front on every input).
-            kernel: state.graph.into_owned(),
-            membership: state.membership,
-            lambda_hat: state.lambda,
-            side: state.side,
-            passes,
+        let (kernel, membership, lambda_hat, side) = k.into_parts();
+        Ok(ReduceOutcome {
+            kernel,
+            membership: membership.expect("the pipeline tracks sides"),
+            lambda_hat,
+            side,
+            passes: pass_stats,
             original_n: g.n(),
             original_m: g.m(),
-        }
+        })
     }
 }
 
@@ -594,6 +429,7 @@ mod tests {
     use super::*;
     use crate::stats::SolverStats;
     use mincut_graph::generators::known;
+    use mincut_graph::ContractionEngine;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -639,14 +475,24 @@ mod tests {
         CsrGraph::from_edges(n, &edges)
     }
 
+    /// Each pass alone behind the mandatory component split, which runs
+    /// alone under the name `components`.
+    fn single_pass_pipelines() -> Vec<(&'static str, ReductionPipeline)> {
+        let mut pipelines = vec![("components", ReductionPipeline { passes: vec![] })];
+        for pass in ReductionPipeline::standard().passes {
+            let passes = vec![pass];
+            pipelines.push((pass.name(), ReductionPipeline { passes }));
+        }
+        pipelines
+    }
+
     #[test]
     fn every_pass_alone_preserves_lambda_on_random_graphs() {
         let mut rng = SmallRng::seed_from_u64(0x2ed);
         for trial in 0..60 {
             let g = random_graph(&mut rng);
             let lambda = known::brute_force_mincut(&g);
-            for name in PASS_NAMES {
-                let p = ReductionPipeline::only(&[name]).unwrap();
+            for (name, p) in single_pass_pipelines() {
                 assert_exact(&p, &g, lambda, &format!("trial {trial}, pass {name}"));
             }
             assert_exact(
@@ -668,8 +514,7 @@ mod tests {
         // triangle's min degree drops λ̂ to 7, and round two finishes.
         let g = CsrGraph::from_edges(5, &[(0, 1, 3), (0, 4, 5), (1, 2, 6), (2, 3, 4), (3, 4, 4)]);
         assert_eq!(known::brute_force_mincut(&g), 7);
-        for name in PASS_NAMES {
-            let p = ReductionPipeline::only(&[name]).unwrap();
+        for (name, p) in single_pass_pipelines() {
             assert_exact(&p, &g, 7, &format!("pass {name}"));
         }
         assert_exact(&ReductionPipeline::standard(), &g, 7, "standard");
@@ -705,7 +550,9 @@ mod tests {
         }
         edges.push((0, 5, 1));
         let g = CsrGraph::from_edges(11, &edges);
-        let p = ReductionPipeline::only(&["degree-bound"]).unwrap();
+        let p = ReductionPipeline {
+            passes: vec![Pass::DegreeBound],
+        };
         let out = kernelize(&p, &g);
         assert_eq!(out.lambda_hat, 1, "the bridge is the best prefix cut");
         assert_eq!(g.cut_value(out.side.as_ref().unwrap()), 1);
@@ -751,8 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_pass_names_are_rejected() {
-        assert!(ReductionPipeline::only(&["nope"]).is_err());
+    fn reductions_switch_and_cache_keys() {
         assert!(Reductions::All.is_enabled());
         assert!(!Reductions::None.is_enabled());
         assert_ne!(Reductions::All.cache_key(), Reductions::None.cache_key());

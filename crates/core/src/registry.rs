@@ -356,7 +356,7 @@ impl Solver for NoiSolver {
             compute_side: opts.witness,
             seed,
         };
-        ctx.time_phase("noi", |inner| noi_minimum_cut_connected(g, &params, inner))
+        ctx.time_phase("noi", |inner| noi_minimum_cut_connected(g, params, inner))
     }
 }
 

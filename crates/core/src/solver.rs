@@ -136,6 +136,20 @@ fn solve_impl<S: Solver + ?Sized>(
     if g.n() < 2 {
         return Err(MinCutError::TooFewVertices { n: g.n() });
     }
+    // A sided bound is checked against the graph: every solver adopts it
+    // as λ̂, so a side that is no cut, or costs more than its value, would
+    // come back as a wrong λ. (`is_proper_cut` checks the length too.)
+    if let Some((value, Some(side))) = &opts.initial_bound {
+        if !g.is_proper_cut(side) || g.cut_value(side) != *value {
+            return Err(MinCutError::InvalidOptions {
+                message: format!(
+                    "initial_bound side is not a proper cut of value {value} of this \
+                     {}-vertex graph",
+                    g.n()
+                ),
+            });
+        }
+    }
     let kernelize = opts.reductions.is_enabled();
     // The pipeline's mandatory component-split preamble subsumes this
     // scan (same λ = 0, same smallest-component witness), so the O(n+m)
@@ -177,7 +191,7 @@ fn solve_impl<S: Solver + ?Sized>(
 
     let result = match kernel {
         None => solver.run(g, opts, &mut ctx),
-        Some(red) => finish_with_kernel(solver, g, opts, red, &mut ctx),
+        Some(red) => finish_with_kernel(solver, opts, red, &mut ctx),
     };
     let cut = match result {
         Ok(cut) => cut,
@@ -202,7 +216,6 @@ fn solve_impl<S: Solver + ?Sized>(
 /// witness mapped back through the membership — is exact.
 fn finish_with_kernel<S: Solver + ?Sized>(
     solver: &S,
-    g: &CsrGraph,
     opts: &SolveOptions,
     red: &ReduceOutcome,
     ctx: &mut SolveContext<'_>,
@@ -222,9 +235,6 @@ fn finish_with_kernel<S: Solver + ?Sized>(
     let mut best_side: Option<Vec<bool>> = red.side.clone();
     if let Some((b, bside)) = &opts.initial_bound {
         if *b < lambda_hat {
-            if let Some(s) = bside {
-                debug_assert_eq!(g.cut_value(s), *b, "initial bound witness must match");
-            }
             lambda_hat = *b;
             best_side = bside.clone();
         }

@@ -10,10 +10,12 @@
 //! The paper shows this algorithm is far slower in practice than NOI
 //! (experiments of Jünger et al.), so here it serves two roles: a
 //! comparator, and — one phase at a time — the *guaranteed-progress
-//! fallback* used by the NOI and ParCut drivers when a (bounded /
+//! fallback* that the NOI, ParCut and Matula drivers take through the
+//! shared contraction state's `sw_rescue` when a (bounded /
 //! early-terminated) CAPFOREST pass marks no edge (§3.3, Algorithm 2
 //! lines 4–6 use plain CAPFOREST; a Stoer–Wagner phase is the classical
-//! equivalent with an unconditional guarantee).
+//! equivalent with an unconditional guarantee). As a comparator it keeps
+//! its own loop: its λ̂ follows the phase cuts alone.
 
 use mincut_ds::{BinaryHeapPq, MaxPq};
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};

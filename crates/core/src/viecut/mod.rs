@@ -11,15 +11,17 @@
 //! minimum cuts — but every value it reports is the value of an actual
 //! cut of the input (trivial degree cuts of interim graphs, or the exact
 //! solution of the final collapsed graph, both mapped back through
-//! [`Membership`]). That *upper-bound validity* is all the exact drivers
-//! rely on (§3.1.1: "As we set λ̂ to the result of VieCut when running
-//! NOI, we can therefore guarantee a correct result").
+//! [`Membership`](mincut_graph::Membership)). That *upper-bound validity*
+//! is all the exact drivers rely on (§3.1.1: "As we set λ̂ to the result
+//! of VieCut when running NOI, we can therefore guarantee a correct
+//! result").
 
 pub mod label_propagation;
 
 use mincut_ds::{PqKind, UnionFind};
-use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership};
+use mincut_graph::CsrGraph;
 
+use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::noi::{noi_minimum_cut_connected, NoiParams};
 use crate::reduce::padberg_rinaldi_pass;
@@ -47,44 +49,26 @@ pub(crate) fn viecut_connected(
     compute_side: bool,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let mut engine = ContractionEngine::new(ctx.threads);
-    let mut current = g.clone();
-    // Witness bookkeeping only when a side is requested (as in NOI).
-    let mut membership = Membership::identity(if compute_side { g.n() } else { 0 });
-    let contract = |engine: &mut ContractionEngine,
-                    current: &CsrGraph,
-                    labels: &[mincut_graph::NodeId],
-                    blocks: usize,
-                    membership: &mut Membership| {
-        if compute_side {
-            engine.contract_tracked(current, labels, blocks, membership)
-        } else {
-            engine.contract(current, labels, blocks)
-        }
-    };
-    let (dv, mut lambda) = g.min_weighted_degree().expect("n >= 2");
-    let mut best_side: Option<Vec<bool>> = compute_side.then(|| {
-        let mut s = vec![false; g.n()];
-        s[dv as usize] = true;
-        s
-    });
-
-    ctx.stats.record_lambda(lambda);
+    let mut k = Contracted::new(g, compute_side, ctx.threads);
+    ctx.stats.record_lambda(k.lambda());
 
     let mut level_seed = seed;
     let mut uf = UnionFind::new(0);
     let mut labels_buf = Vec::new();
-    while current.n() > EXACT_THRESHOLD {
+    while k.graph().n() > EXACT_THRESHOLD {
         ctx.check_budget()?;
         ctx.stats.rounds += 1;
+        let n_before = k.graph().n();
         let mut level_span = mincut_obs::span("viecut/level");
         level_span.arg("level", ctx.stats.rounds);
-        level_span.arg("n", current.n());
-        level_span.arg("lambda_hat", lambda);
-        let n_before = current.n();
+        level_span.arg("n", n_before);
+        level_span.arg("lambda_hat", k.lambda());
         // (1) cluster.
-        let (labels, clusters) =
-            label_propagation(&current, LP_ITERATIONS, level_seed, ctx.threads);
+        let (labels, clusters) = {
+            let mut lp_span = mincut_obs::span("viecut/label-propagation");
+            lp_span.arg("n", n_before);
+            label_propagation(k.graph(), LP_ITERATIONS, level_seed, ctx.threads)
+        };
         level_seed = level_seed.wrapping_add(0x9e37_79b9);
         if clusters == 1 {
             // The whole graph is one strongly connected cluster: there is
@@ -93,47 +77,36 @@ pub(crate) fn viecut_connected(
             // alone. Hand straight over to the exact solver.
             break;
         }
-        if clusters < current.n() {
-            ctx.stats.contracted_vertices += (current.n() - clusters) as u64;
-            let next = contract(&mut engine, &current, &labels, clusters, &mut membership);
-            ctx.stats.record_contraction_path(engine.last_path());
-            engine.recycle(std::mem::replace(&mut current, next));
-            update_trivial_bound(
-                &current,
-                &membership,
-                &mut lambda,
-                &mut best_side,
-                compute_side,
-            );
-            ctx.stats.record_lambda(lambda);
+        if clusters < n_before {
+            ctx.stats.contracted_vertices += (n_before - clusters) as u64;
+            let path = k.contract(&labels, clusters);
+            ctx.stats.record_contraction_path(path);
+            ctx.stats.record_lambda(k.lambda());
         }
         // (2) Padberg–Rinaldi pass on the contracted graph.
-        if current.n() > EXACT_THRESHOLD {
-            uf.reset(current.n());
-            let unions = padberg_rinaldi_pass(&current, lambda, &mut uf);
+        let n = k.graph().n();
+        if n > EXACT_THRESHOLD {
+            let unions = {
+                let mut pr_span = mincut_obs::span("viecut/padberg-rinaldi");
+                pr_span.arg("n", n);
+                uf.reset(n);
+                padberg_rinaldi_pass(k.graph(), k.lambda(), &mut uf)
+            };
             if unions > 0 && uf.count() > 1 {
                 let blocks = uf.dense_labels_into(&mut labels_buf);
-                ctx.stats.contracted_vertices += (current.n() - blocks) as u64;
-                let next = contract(&mut engine, &current, &labels_buf, blocks, &mut membership);
-                ctx.stats.record_contraction_path(engine.last_path());
-                engine.recycle(std::mem::replace(&mut current, next));
-                update_trivial_bound(
-                    &current,
-                    &membership,
-                    &mut lambda,
-                    &mut best_side,
-                    compute_side,
-                );
-                ctx.stats.record_lambda(lambda);
+                ctx.stats.contracted_vertices += (n - blocks) as u64;
+                let path = k.contract(&labels_buf, blocks);
+                ctx.stats.record_contraction_path(path);
+                ctx.stats.record_lambda(k.lambda());
             }
         }
-        if current.n() <= 1 {
+        if k.graph().n() <= 1 {
             break; // fully collapsed: λ̂ is whatever trivial cuts we saw
         }
         // Require geometric shrinkage (the multilevel contract of the
         // reference implementation); below 5% progress the remaining work
         // is cheaper in the exact solver.
-        if current.n() * 20 > n_before * 19 {
+        if k.graph().n() * 20 > n_before * 19 {
             break;
         }
     }
@@ -142,9 +115,9 @@ pub(crate) fn viecut_connected(
     // preserves connectivity). Runs against a nested stats sink: its λ̂
     // trajectory concerns the collapsed graph and would pollute ours,
     // but its work counters are ours.
-    if current.n() >= 2 {
+    if k.graph().n() >= 2 {
         let mut remainder_span = mincut_obs::span("viecut/exact-remainder");
-        remainder_span.arg("n", current.n());
+        remainder_span.arg("n", k.graph().n());
         let mut nested = SolverStats::default();
         let exact = {
             let mut inner = SolveContext {
@@ -154,8 +127,8 @@ pub(crate) fn viecut_connected(
                 threads: ctx.threads,
             };
             noi_minimum_cut_connected(
-                &current,
-                &NoiParams {
+                k.graph(),
+                NoiParams {
                     pq: PqKind::Heap,
                     bounded: true,
                     initial_bound: None,
@@ -166,36 +139,11 @@ pub(crate) fn viecut_connected(
             )?
         };
         ctx.stats.absorb_work(&nested);
-        if exact.value < lambda {
-            lambda = exact.value;
-            ctx.stats.record_lambda(lambda);
-            if compute_side {
-                best_side = Some(membership.side_of_bitmap(&exact.side.expect("requested")));
-            }
-        }
+        k.offer_bitmap(exact.value, exact.side.as_deref());
+        ctx.stats.record_lambda(k.lambda());
     }
 
-    Ok(MinCutResult {
-        value: lambda,
-        side: best_side,
-    })
-}
-
-fn update_trivial_bound(
-    current: &CsrGraph,
-    membership: &Membership,
-    lambda: &mut EdgeWeight,
-    best_side: &mut Option<Vec<bool>>,
-    compute_side: bool,
-) {
-    if let Some((v, d)) = current.min_weighted_degree() {
-        if current.n() >= 2 && d < *lambda {
-            *lambda = d;
-            if compute_side {
-                *best_side = Some(membership.side_of_vertices(&[v]));
-            }
-        }
-    }
+    Ok(k.into_result())
 }
 
 #[cfg(test)]
@@ -203,6 +151,7 @@ mod tests {
     use super::*;
     use crate::{Session, SolveOptions};
     use mincut_graph::generators::known;
+    use mincut_graph::EdgeWeight;
 
     /// Runs VieCut on `g` itself (no kernelization).
     fn run_viecut(g: &CsrGraph) -> MinCutResult {

@@ -6,7 +6,7 @@
 
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::known;
-use mincut_obs::EventPhase;
+use mincut_obs::{ArgValue, EventPhase};
 
 #[test]
 fn enabled_tracing_captures_every_solver_layer() {
@@ -23,10 +23,13 @@ fn enabled_tracing_captures_every_solver_layer() {
         .expect("solve");
     assert_eq!(outcome.cut.value, lambda);
 
-    // VieCut: level spans plus the exact-remainder handoff. Needs a
-    // graph above the exact threshold (128) or no level ever runs, so
-    // kernelization (which would collapse this graph) stays off.
-    let (big, big_lambda) = known::two_communities(100, 100, 2, 2, 1);
+    // VieCut: level spans with their label-propagation and
+    // Padberg–Rinaldi children, plus the exact-remainder handoff. A level
+    // only runs above the exact threshold (128 vertices), and its PR pass
+    // only when label propagation leaves more than that: here one cluster
+    // per clique, 200 of them. Kernelization (which would collapse this
+    // graph) stays off.
+    let (big, big_lambda) = known::ring_of_cliques(200, 4, 2, 1);
     let vc = Session::new(&big)
         .options(SolveOptions::new().no_reductions())
         .run("viecut")
@@ -51,12 +54,23 @@ fn enabled_tracing_captures_every_solver_layer() {
         "capforest/scan",
         "noi/round",
         "viecut/level",
+        "viecut/label-propagation",
+        "viecut/padberg-rinaldi",
         "viecut/exact-remainder",
         "parcut/round",
         "parcut/worker-scan",
     ] {
         assert!(count(name) > 0, "no {name:?} span recorded");
     }
+
+    // The pipeline's component split is a pass like the others.
+    let components = ArgValue::from("components");
+    assert!(
+        events
+            .iter()
+            .any(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&components)),
+        "no reduce/pass span for the component split"
+    );
 
     // The solve span carries the telemetry args the exporter documents.
     let solve = events

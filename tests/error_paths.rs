@@ -9,7 +9,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sm_mincut::graph::io::{read_edge_list, read_metis, GraphIoError};
-use sm_mincut::{parse_trace, CsrGraph, DynamicMinCut, MinCutError, Session, SolveOptions};
+use sm_mincut::{
+    parse_trace, CsrGraph, DynamicMinCut, MinCutError, Session, SolveOptions, SolverRegistry,
+};
 
 // ---------------------------------------------------------------------
 // Library layer: parsers.
@@ -74,6 +76,34 @@ fn solver_errors_are_values_not_panics() {
             .unwrap_err(),
         MinCutError::InvalidOptions { .. }
     ));
+
+    // A sided initial bound is checked against the graph for every
+    // solver, since each one adopts it as λ̂: a side that costs more than
+    // its value, a short side and a side that is no cut at all are option
+    // errors, not a wrong λ. On C5 (λ = 2), {0, 2} costs 4.
+    let (g, _) = sm_mincut::graph::generators::known::cycle_graph(5, 1);
+    let lies: [(u64, Vec<bool>); 3] = [
+        (1, vec![true, false, true, false, false]),
+        (1, vec![true, false]),
+        (0, vec![true; 5]),
+    ];
+    for entry in SolverRegistry::global().entries() {
+        let name = entry.canonical;
+        for base in [SolveOptions::new(), SolveOptions::new().no_reductions()] {
+            for (value, side) in &lies {
+                let opts = base.clone().initial_bound(*value, Some(side.clone()));
+                let err = Session::new(&g).options(opts).run(name).unwrap_err();
+                assert!(
+                    matches!(err, MinCutError::InvalidOptions { .. }),
+                    "{name}, bound {value} on {side:?}: {err:?}"
+                );
+            }
+            let honest = base.initial_bound(2, Some(vec![true, true, false, false, false]));
+            let out = Session::new(&g).options(honest).run(name).unwrap();
+            assert_eq!(out.cut.value, 2, "{name}");
+            assert!(out.cut.verify(&g), "{name}");
+        }
+    }
 }
 
 #[test]
