@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the building blocks — the ablations
 //! behind the paper's design choices: priority-queue implementations head to head,
 //! bounded vs unbounded scans, sequential vs concurrent union-find,
-//! sequential vs parallel contraction, label propagation, push-relabel.
+//! one-off vs reused-engine contraction, label propagation, push-relabel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mincut_core::capforest::capforest;
@@ -130,13 +130,6 @@ fn bench_contraction(c: &mut Criterion) {
         b.iter(|| {
             ContractionEngine::new(1)
                 .contract_sequential(&g, &labels, blocks)
-                .m()
-        })
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| {
-            ContractionEngine::new(threads)
-                .contract_parallel(&g, &labels, blocks)
                 .m()
         })
     });

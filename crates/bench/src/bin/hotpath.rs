@@ -9,9 +9,10 @@
 //!    queue). The warm passes must equal a fresh
 //!    `capforest::<CountingPq<_>>` pass: λ̂, unions, witness length, scan
 //!    order and PQ-operation tallies.
-//! 2. **Contraction micro** — hash-path vs. radix-sort-path accumulation
-//!    on dense labellings; the output graphs must be equal with equal
-//!    fingerprints.
+//! 2. **Contraction micro** — the hash accumulator on a coarse and a fine
+//!    labelling, and the matrix accumulator on a labelling of at most
+//!    `MATRIX_MAX_BLOCKS` blocks; each must build the graph `contract`
+//!    builds, fingerprint included.
 //! 3. **End-to-end** — `noi-viecut` at 1 thread and ParCut at 1/2/4
 //!    workers through `Session`; every row of an instance must report the
 //!    same λ.
@@ -140,7 +141,7 @@ fn main() {
     println!("== Hot path: CAPFOREST scan, contraction, end to end (scale {scale:?}) ==\n");
 
     let mut scan_table = Table::new(&["instance", "queue", "wall_s", "pq_total"]);
-    let mut contract_table = Table::new(&["instance", "blocks", "hash_s", "sort_s", "speedup"]);
+    let mut contract_table = Table::new(&["instance", "accumulator", "blocks", "wall_s"]);
     let mut e2e_table = Table::new(&[
         "instance", "solver", "threads", "wall_s", "lambda", "pq_total",
     ]);
@@ -180,33 +181,43 @@ fn main() {
             report.push(entry);
         }
 
-        // ---- 2. contraction micro: hash vs radix-sort accumulation,
-        // both regimes of the density heuristic (coarse labellings keep
-        // the table cache-resident → hash territory; fine labellings
-        // blow it past cache → sort territory). One thread, like the
-        // rows it writes. ----
+        // ---- 2. contraction micro: the hash accumulator on a coarse
+        // and a fine labelling, the matrix accumulator on at most
+        // MATRIX_MAX_BLOCKS blocks. One thread, like the rows it writes. ----
         let mut engine = ContractionEngine::new(1);
-        for blocks in [(g.n() / 24).max(2), (g.n() / 2).max(2)] {
+        let coarse = (g.n() / 24).max(2);
+        let fine = (g.n() / 2).max(2);
+        let few = coarse.min(ContractionEngine::MATRIX_MAX_BLOCKS);
+        for (accumulator, blocks) in [
+            ("seq-hash", coarse),
+            ("seq-hash", fine),
+            ("seq-matrix", few),
+        ] {
             let labels: Vec<NodeId> = (0..g.n() as NodeId).map(|v| v % blocks as NodeId).collect();
-            let (hash_g, hash_s) =
-                time_reps(reps, || engine.contract_sequential(g, &labels, blocks));
-            let (sort_g, sort_s) = time_reps(reps, || engine.contract_sorted(g, &labels, blocks));
-            assert_eq!(hash_g, sort_g, "{}: sort path diverged", case.name);
-            assert_eq!(hash_g.fingerprint(), sort_g.fingerprint());
+            let expected = engine.contract(g, &labels, blocks);
+            let (c, wall) = if accumulator == "seq-hash" {
+                time_reps(reps, || engine.contract_sequential(g, &labels, blocks))
+            } else {
+                time_reps(reps, || engine.contract_matrix(g, &labels, blocks))
+            };
+            assert_eq!(c, expected, "{}: {accumulator} diverged", case.name);
+            assert_eq!(c.fingerprint(), expected.fingerprint());
             contract_table.row(vec![
                 case.name.clone(),
+                accumulator.into(),
                 blocks.to_string(),
-                format!("{hash_s:.6}"),
-                format!("{sort_s:.6}"),
-                format!("{:.2}", hash_s / sort_s.max(1e-12)),
+                format!("{wall:.6}"),
             ]);
-            for (solver, wall) in [("contract/seq-hash", hash_s), ("contract/seq-sort", sort_s)] {
-                let mut entry =
-                    BenchEntry::named(&format!("{}/b{blocks}", case.name), solver, 1, g.n(), g.m());
-                entry.wall_s = wall;
-                entry.reps = reps;
-                report.push(entry);
-            }
+            let mut entry = BenchEntry::named(
+                &format!("{}/b{blocks}", case.name),
+                &format!("contract/{accumulator}"),
+                1,
+                g.n(),
+                g.m(),
+            );
+            entry.wall_s = wall;
+            entry.reps = reps;
+            report.push(entry);
         }
 
         // ---- 3. end-to-end: noi-viecut and parcut. ----
@@ -250,7 +261,7 @@ fn main() {
 
     println!("-- CAPFOREST scan: one bounded pass on warm state (≡ a fresh pass) --");
     scan_table.emit("hotpath_scan");
-    println!("\n-- contraction: hash vs radix-sort accumulation (equal graphs asserted) --");
+    println!("\n-- contraction: hash and matrix accumulators (≡ `contract` asserted) --");
     contract_table.emit("hotpath_contract");
     println!("\n-- end-to-end: shipped solvers (λ identical per instance) --");
     e2e_table.emit("hotpath_e2e");
@@ -259,5 +270,5 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => println!("\ncould not write BENCH json: {e}"),
     }
-    println!("warm scans ≡ fresh passes, hash ≡ sort contraction, λ identical per instance ✓");
+    println!("warm scans ≡ fresh passes, hash and matrix ≡ contract, λ identical per instance ✓");
 }

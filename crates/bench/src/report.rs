@@ -44,9 +44,7 @@ pub struct BenchEntry {
     /// Outer rounds and contraction-path attribution of the last rep.
     pub rounds: u64,
     pub contractions_seq_hash: u64,
-    pub contractions_seq_sort: u64,
     pub contractions_seq_matrix: u64,
-    pub contractions_parallel: u64,
 }
 
 impl BenchEntry {
@@ -68,9 +66,7 @@ impl BenchEntry {
             kernel_m: 0,
             rounds: 0,
             contractions_seq_hash: 0,
-            contractions_seq_sort: 0,
             contractions_seq_matrix: 0,
-            contractions_parallel: 0,
         }
     }
 
@@ -87,9 +83,7 @@ impl BenchEntry {
         for p in &s.contraction_paths {
             match p {
                 ContractionPath::SeqHash => self.contractions_seq_hash += 1,
-                ContractionPath::SeqSort => self.contractions_seq_sort += 1,
                 ContractionPath::SeqMatrix => self.contractions_seq_matrix += 1,
-                ContractionPath::Parallel => self.contractions_parallel += 1,
             }
         }
     }
@@ -100,8 +94,7 @@ impl BenchEntry {
              \"lambda\":{},\"wall_s\":{:.9},\"reps\":{},\
              \"pq_ops\":{{\"pushes\":{},\"raises\":{},\"pops\":{}}},\
              \"kernel_n\":{},\"kernel_m\":{},\"rounds\":{},\
-             \"contractions\":{{\"seq_hash\":{},\"seq_sort\":{},\"seq_matrix\":{},\
-             \"parallel\":{}}}}}",
+             \"contractions\":{{\"seq_hash\":{},\"seq_matrix\":{}}}}}",
             json_string(&self.instance),
             json_string(&self.solver),
             self.threads,
@@ -117,9 +110,7 @@ impl BenchEntry {
             self.kernel_m,
             self.rounds,
             self.contractions_seq_hash,
-            self.contractions_seq_sort,
             self.contractions_seq_matrix,
-            self.contractions_parallel,
         )
     }
 }
@@ -582,14 +573,14 @@ mod tests {
         let mut e = BenchEntry::named("ring_8", "noi-viecut", 2, 8, 12);
         e.lambda = 3;
         e.wall_s = 0.25;
-        e.contractions_seq_sort = 4;
+        e.contractions_seq_matrix = 4;
         r.push(e);
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"name\":\"unit\""));
         assert!(j.contains("\"scale\":\"tiny\""));
         assert!(j.contains("\"solver\":\"noi-viecut\""));
-        assert!(j.contains("\"seq_sort\":4"));
+        assert!(j.contains("\"seq_matrix\":4"));
     }
 
     #[test]

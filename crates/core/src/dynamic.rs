@@ -271,6 +271,10 @@ pub struct DynamicMinCut {
     solver: String,
     opts: SolveOptions,
     lambda: EdgeWeight,
+    /// Total edge weight W of the current graph (each edge once). An
+    /// insert that would take it past `EdgeWeight::MAX / 2` is rejected,
+    /// so λ + w and merged edge weights cannot wrap.
+    total_weight: EdgeWeight,
     /// Witness side of `lambda` over the (fixed) vertex set. Always
     /// tracked — the crossing test is the heart of the maintenance — so
     /// [`SolveOptions::witness`] is forced on internally.
@@ -307,11 +311,16 @@ impl DynamicMinCut {
         opts.validate()?;
         // Resolve now so a typo fails at construction, not mid-trace.
         SolverRegistry::global().resolve(solver)?;
+        let graph: DeltaGraph = graph.into();
+        let total_weight = graph
+            .edges()
+            .fold(0, |t: EdgeWeight, (_, _, w)| t.saturating_add(w));
         let mut this = DynamicMinCut {
-            graph: graph.into(),
+            graph,
             solver: solver.to_string(),
             opts,
             lambda: 0,
+            total_weight,
             side: Vec::new(),
             stats: DynamicStats::default(),
             cactus: None,
@@ -523,7 +532,9 @@ impl DynamicMinCut {
     /// Inserts the edge `{u, v}` with weight `w` and updates `(λ,
     /// witness)`: no work beyond the overlay write unless the edge
     /// crosses the witness, in which case a re-solve runs with
-    /// `initial_bound = λ + w`.
+    /// `initial_bound = λ + w`. An insert that would take the total edge
+    /// weight past `EdgeWeight::MAX / 2` is an
+    /// [`InvalidUpdate`](MinCutError::InvalidUpdate) and changes nothing.
     pub fn insert_edge(
         &mut self,
         u: NodeId,
@@ -537,6 +548,18 @@ impl DynamicMinCut {
                 message: format!("zero-weight insert on edge ({u},{v})"),
             });
         }
+        let Some(total_weight) = self
+            .total_weight
+            .checked_add(w)
+            .filter(|&t| t <= EdgeWeight::MAX / 2)
+        else {
+            return Err(MinCutError::InvalidUpdate {
+                message: format!(
+                    "insert of weight {w} on edge ({u},{v}) takes the total edge weight past {}",
+                    EdgeWeight::MAX / 2
+                ),
+            });
+        };
         let crossing = self.side[u as usize] != self.side[v as usize];
         let old_lambda = self.lambda;
         // Absorb test *before* the mutation: endpoints sharing a cactus
@@ -548,6 +571,7 @@ impl DynamicMinCut {
             .map(|c| c.same_node(u, v))
             .unwrap_or(false);
         self.graph.insert_edge(u, v, w);
+        self.total_weight = total_weight;
         self.stats.insertions += 1;
         if crossing {
             // The old witness is still a real cut, now of value λ + w:
@@ -586,6 +610,7 @@ impl DynamicMinCut {
                 message: format!("no edge ({u},{v}) to delete"),
             });
         };
+        self.total_weight -= w;
         self.stats.deletions += 1;
         let report = if crossing {
             // Exact: every cut loses at most w, the witness loses exactly
@@ -955,6 +980,7 @@ mod tests {
         let (g, l) = known::cycle_graph(5, 2);
         let mut dm = DynamicMinCut::new(g, "noi", SolveOptions::new()).unwrap();
         let epoch = dm.epoch();
+        let side = dm.witness().to_vec();
         assert!(matches!(
             dm.insert_edge(0, 0, 1),
             Err(MinCutError::InvalidUpdate { .. })
@@ -971,8 +997,34 @@ mod tests {
             dm.delete_edge(0, 2), // chord absent in a cycle
             Err(MinCutError::InvalidUpdate { .. })
         ));
+        // Inserts that would take the total edge weight W = 10 past
+        // EdgeWeight::MAX / 2, on a new chord and on an existing edge
+        // (whose merged weight would wrap), up to wrapping u64 itself.
+        let room = EdgeWeight::MAX / 2 - 10;
+        for w in [room + 1, EdgeWeight::MAX - 1, EdgeWeight::MAX] {
+            for (u, v) in [(0, 2), (0, 1)] {
+                assert!(
+                    matches!(
+                        dm.insert_edge(u, v, w),
+                        Err(MinCutError::InvalidUpdate { .. })
+                    ),
+                    "insert ({u},{v}) of {w}"
+                );
+            }
+        }
         assert_eq!(dm.epoch(), epoch);
         assert_eq!(dm.lambda(), l);
+        assert_eq!(dm.witness(), &side[..]);
+        assert_eq!(dm.graph().edge_weight(0, 1), Some(2));
+        // Exactly at the bound the insert goes through; a delete makes
+        // room again.
+        assert_eq!(dm.insert_edge(0, 2, room).unwrap().lambda, l);
+        assert!(matches!(
+            dm.insert_edge(1, 3, 1),
+            Err(MinCutError::InvalidUpdate { .. })
+        ));
+        dm.delete_edge(0, 2).unwrap();
+        assert_eq!(dm.insert_edge(1, 3, 1).unwrap().lambda, l);
     }
 
     #[test]

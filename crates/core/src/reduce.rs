@@ -36,9 +36,9 @@
 //!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
 //!   triangle test 3 on top of the edge-local tests.
 //!
-//! Contractions route through the engine's
-//! [`SEQUENTIAL_FALLBACK_THRESHOLD`](mincut_graph::ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD)
-//! dispatch, the same knob as every solver's round loop.
+//! Contractions run through
+//! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
+//! the same accumulator choice as every solver's round loop.
 
 use std::time::Instant;
 

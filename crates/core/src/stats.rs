@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use mincut_ds::PqCounters;
-use mincut_graph::{ContractionEngine, ContractionPath, EdgeWeight};
+use mincut_graph::{ContractionPath, EdgeWeight};
 
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
@@ -74,11 +74,10 @@ pub struct SolverStats {
     pub contracted_vertices: u64,
     /// Stoer–Wagner rescue phases taken when a scan marked nothing.
     pub sw_rescues: u64,
-    /// Which [`ContractionEngine`] accumulation strategy each contraction
-    /// round took, in round order (the engine's density heuristic and the
-    /// `SEQUENTIAL_FALLBACK_THRESHOLD` dispatch decide; both constants
-    /// are exported in [`SolverStats::to_json`] so bench output can
-    /// attribute hash-vs-sort wins to the rounds that took each path).
+    /// Which [`ContractionEngine`](mincut_graph::ContractionEngine)
+    /// accumulator each contraction round took, in round order
+    /// (`seq-matrix` or `seq-hash`, by the rule documented on
+    /// [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract)).
     pub contraction_paths: Vec<ContractionPath>,
     /// Priority-queue operation totals (pushes / raises / pops) across
     /// the run, including parallel workers.
@@ -123,8 +122,9 @@ impl SolverStats {
         self.pq_ops.add(c);
     }
 
-    /// Records which accumulation path a contraction round took (read
-    /// from [`ContractionEngine::last_path`] right after the round).
+    /// Records which accumulator a contraction round took (read from
+    /// [`ContractionEngine::last_path`](mincut_graph::ContractionEngine::last_path)
+    /// right after the round).
     pub fn record_contraction_path(&mut self, path: ContractionPath) {
         self.contraction_paths.push(path);
     }
@@ -185,12 +185,6 @@ impl SolverStats {
             s.push_str(&json_string(&p.to_string()));
         }
         s.push_str("],");
-        s.push_str(&format!(
-            "\"contraction_dispatch\":{{\"sequential_fallback_threshold\":{},\
-             \"sort_min_estimated_pairs\":{}}},",
-            ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD,
-            ContractionEngine::SORT_MIN_ESTIMATED_PAIRS
-        ));
         s.push_str(&format!(
             "\"kernel_n\":{},\"kernel_m\":{},",
             self.kernel_n, self.kernel_m

@@ -13,8 +13,8 @@
 //! * a sequential [`UnionFind`] and a wait-free [`ConcurrentUnionFind`]
 //!   (Anderson & Woll style) used by the parallel CAPFOREST (Algorithm 1)
 //!   to mark contractible edges from many threads;
-//! * a sharded concurrent hash map [`ShardedMap`] used by parallel graph
-//!   contraction (§3.2) to aggregate the weights of parallel edges;
+//! * a sharded concurrent hash map [`ShardedMap`] behind the batch
+//!   service's cut, kernel and cactus caches;
 //! * a fast non-cryptographic hasher ([`hash::FxHasher`]) so the hot
 //!   contraction loops do not pay SipHash costs;
 //! * [`par`], the workspace's only spawner of threads: scoped,

@@ -1,13 +1,12 @@
-//! Sharded concurrent hash map for parallel graph contraction.
+//! Sharded concurrent hash map behind the service's caches.
 //!
 //! Section 3.2 of the paper builds the contracted graph with a concurrent
-//! hash table (they use the folklore growing table of Maier, Sanders and
-//! Dementiev): every edge of the old graph is hashed by the pair of block
-//! ids of its endpoints and its weight is added to the accumulated weight of
-//! the corresponding contracted edge. We implement the same functionality
-//! with a fixed set of lock-striped shards — simpler, dependency-free and
-//! adequate because the key universe (contracted edges) is known to be no
-//! larger than the old edge set.
+//! hash table (the folklore growing table of Maier, Sanders and
+//! Dementiev). Contraction here accumulates into a sequential
+//! clear-and-reuse table instead (see `mincut-graph`'s `contract`
+//! module); this map, a fixed set of lock-striped shards, backs the
+//! batch service's fingerprint-keyed cut, kernel and cactus caches,
+//! which many worker threads read and fill at once.
 
 use std::hash::{BuildHasher, Hash};
 
@@ -37,17 +36,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
             hasher: FxBuildHasher::default(),
             mask: (n - 1) as u64,
         }
-    }
-
-    /// Creates a map sized for roughly `expected` entries: enough shards
-    /// that a default of 8 threads rarely collide.
-    pub fn with_expected_len(expected: usize) -> Self {
-        let bits = match expected {
-            0..=1024 => 3,
-            1025..=65536 => 6,
-            _ => 8,
-        };
-        Self::new(bits)
     }
 
     #[inline]
@@ -93,54 +81,11 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shards[shard].lock().remove(key)
     }
 
-    /// Drains the map into a vector of entries (single-threaded epilogue).
-    pub fn drain_into_vec(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Drains the map into a caller-owned vector, appending entries. The
-    /// shards keep their allocated capacity, so a map that is drained and
-    /// refilled repeatedly (the contraction engine's round loop) stops
-    /// allocating once warm.
-    pub fn drain_into(&self, out: &mut Vec<(K, V)>) {
-        for s in self.shards.iter() {
-            let mut guard = s.lock();
-            out.reserve(guard.len());
-            out.extend(guard.drain());
-        }
-    }
-
     /// Removes every entry, keeping shard capacity for reuse.
     pub fn clear(&self) {
         for s in self.shards.iter() {
             s.lock().clear();
         }
-    }
-
-    /// Visits every entry (shard by shard, holding one lock at a time).
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for s in self.shards.iter() {
-            let guard = s.lock();
-            for (k, v) in guard.iter() {
-                f(k, v);
-            }
-        }
-    }
-
-    /// Number of shards (for tests and tuning).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl ShardedMap<u64, u64> {
-    /// Specialised accumulate for the contraction use case: adds `w` to the
-    /// weight stored under the packed edge key.
-    #[inline]
-    pub fn add_weight(&self, key: u64, w: u64) {
-        self.merge_insert(key, w, |acc, w| *acc += w);
     }
 }
 
@@ -162,12 +107,16 @@ pub fn unpack_edge(key: u64) -> (u32, u32) {
 mod tests {
     use super::*;
 
+    fn add(m: &ShardedMap<u64, u64>, key: u64, w: u64) {
+        m.merge_insert(key, w, |acc, w| *acc += w);
+    }
+
     #[test]
     fn merge_insert_accumulates() {
         let m: ShardedMap<u64, u64> = ShardedMap::new(2);
-        m.add_weight(7, 3);
-        m.add_weight(7, 4);
-        m.add_weight(8, 1);
+        add(&m, 7, 3);
+        add(&m, 7, 4);
+        add(&m, 8, 1);
         assert_eq!(m.get_cloned(&7), Some(7));
         assert_eq!(m.get_cloned(&8), Some(1));
         assert_eq!(m.len(), 2);
@@ -191,29 +140,27 @@ mod tests {
                 let m = &m;
                 s.spawn(move || {
                     for i in 0..10_000u64 {
-                        m.add_weight(i % keys, 1);
+                        add(m, i % keys, 1);
                     }
                 });
             }
         });
-        let mut total = 0;
-        m.for_each(|_, &v| total += v);
-        assert_eq!(total, 4 * 10_000);
-        // Every key gets either floor or ceil of its share.
-        m.for_each(|&k, &v| {
+        assert_eq!(m.len(), keys as usize);
+        for k in 0..keys {
             let expected = (0..10_000u64).filter(|i| i % keys == k).count() as u64 * 4;
-            assert_eq!(v, expected);
-        });
+            assert_eq!(m.get_cloned(&k), Some(expected));
+        }
     }
 
     #[test]
-    fn drain_empties_map() {
+    fn remove_and_clear_empty_the_map() {
         let m: ShardedMap<u64, u64> = ShardedMap::new(1);
-        m.add_weight(1, 1);
-        m.add_weight(2, 2);
-        let mut v = m.drain_into_vec();
-        v.sort_unstable();
-        assert_eq!(v, vec![(1, 1), (2, 2)]);
+        add(&m, 1, 1);
+        add(&m, 2, 2);
+        assert_eq!(m.remove(&1), Some(1));
+        assert_eq!(m.remove(&1), None);
+        assert_eq!(m.len(), 1);
+        m.clear();
         assert!(m.is_empty());
     }
 }

@@ -1,21 +1,20 @@
-//! SIMD micro-kernels for the scan/tally/contract hot loops.
+//! SIMD micro-kernels for the scan and tally hot loops.
 //!
 //! # Why a kernel layer
 //!
 //! The cache-conscious rewrite (see the `hotpath` bench) left the per-arc
 //! inner loops scalar and latency-bound: weighted-degree accumulation
-//! over the CSR weight stream, label-propagation tallies gathering
-//! labels through an index indirection, and the LSD radix histogram of
-//! the sort-based contraction path. Those loops vectorize — but the
+//! over the CSR weight stream, and label-propagation tallies gathering
+//! labels through an index indirection. Those loops vectorize — but the
 //! surrounding algorithms pin *bit-identical* results (λ identity and
 //! PQ-op-stream identity are hard-asserted by the `hotpath` bench), so
 //! every kernel here is written as a pure data-layout transformation of
-//! its scalar twin: integer sums reassociate losslessly, gathers are
-//! load hoists, and histogram counts are commutative. The scalar
-//! reference implementation of every kernel ships alongside the vector
-//! paths and the property tests in `tests/simd_kernels.rs` pin
-//! bit-identity across tiers for every length class (empty, single
-//! element, sub-lane, and non-multiple-of-lane-width tails).
+//! its scalar twin: integer sums reassociate losslessly and gathers are
+//! load hoists. The scalar reference implementation of every kernel
+//! ships alongside the vector paths and the property tests in
+//! `tests/simd_kernels.rs` pin bit-identity across tiers for every
+//! length class (empty, single element, sub-lane, and
+//! non-multiple-of-lane-width tails).
 //!
 //! # Runtime detection strategy
 //!
@@ -27,8 +26,8 @@
 //! | tier     | requirement                         | used for                    |
 //! |----------|-------------------------------------|-----------------------------|
 //! | `Scalar` | none (portable reference)           | always available            |
-//! | `Sse2`   | x86_64 (SSE2 is baseline)           | 2×u64 sums, 4×u32 gathers (batched bounds check, lane-peeled loads), 4×u64 digit extraction |
-//! | `Avx2`   | `is_x86_feature_detected!("avx2")`  | 4×u64 sums, 8×u32 gathers, 4×u64 digit extraction |
+//! | `Sse2`   | x86_64 (SSE2 is baseline)           | 2×u64 sums, 4×u32 gathers (batched bounds check, lane-peeled loads) |
+//! | `Avx2`   | `is_x86_feature_detected!("avx2")`  | 4×u64 sums, 8×u32 gathers   |
 //!
 //! Detection runs once and is cached in a [`OnceLock`]; the per-call
 //! dispatch is one relaxed atomic load (the [`force_tier`] override) plus
@@ -266,65 +265,12 @@ pub fn gather_u32_scalar(table: &[u32], idx: &[u32], out: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------
-// radix_histogram16 — counting pass of the LSD radix sort (contraction)
-// ---------------------------------------------------------------------
-
-/// Number of buckets of one 16-bit radix digit.
-pub const RADIX16: usize = 1 << 16;
-
-/// Adds the histogram of the 16-bit digit `(key >> shift) & 0xFFFF` of
-/// every `(key, weight)` pair into `hist` (length [`RADIX16`], not
-/// cleared here — callers zero it between passes). Counts are sums, so
-/// every tier produces bit-identical totals; the vector tiers extract
-/// digits four keys at a time into a small buffer and the increments
-/// stay scalar (x86 has no conflict-free scatter-increment below
-/// AVX-512).
-#[inline]
-pub fn radix_histogram16(pairs: &[(u64, u64)], shift: u32, hist: &mut [u32]) {
-    radix_histogram16_with_tier(active_tier(), pairs, shift, hist)
-}
-
-/// [`radix_histogram16`] at an explicit tier.
-#[inline]
-pub fn radix_histogram16_with_tier(
-    tier: SimdTier,
-    pairs: &[(u64, u64)],
-    shift: u32,
-    hist: &mut [u32],
-) {
-    assert_eq!(hist.len(), RADIX16, "radix_histogram16: bad histogram size");
-    assert!(shift <= 48, "radix_histogram16: shift must leave a digit");
-    #[cfg(target_arch = "x86_64")]
-    if tier >= SimdTier::Sse2 && pairs.len() >= 32 {
-        unsafe {
-            match tier {
-                SimdTier::Avx2 => x86::radix_histogram16_avx2(pairs, shift, hist),
-                _ => x86::radix_histogram16_sse2(pairs, shift, hist),
-            }
-        }
-        return;
-    }
-    let _ = tier;
-    radix_histogram16_scalar(pairs, shift, hist);
-}
-
-/// The scalar reference.
-#[inline]
-pub fn radix_histogram16_scalar(pairs: &[(u64, u64)], shift: u32, hist: &mut [u32]) {
-    for &(key, _) in pairs {
-        hist[((key >> shift) as usize) & (RADIX16 - 1)] += 1;
-    }
-}
-
-// ---------------------------------------------------------------------
 // x86_64 tiers
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
-
-    use super::RADIX16;
 
     /// # Safety
     /// SSE2 is baseline on x86_64; always safe to call there.
@@ -472,90 +418,6 @@ mod x86 {
             *out.get_unchecked_mut(i) = *table.get_unchecked(*idx.get_unchecked(i) as usize);
         }
     }
-
-    /// Shared digit-buffer histogram body: extract 16-bit digits of a
-    /// block of keys with `extract`, then count them with unrolled
-    /// scalar increments (conflict-safe).
-    macro_rules! histogram_body {
-        ($pairs:expr, $shift:expr, $hist:expr, $block:expr, $extract:expr) => {{
-            let pairs: &[(u64, u64)] = $pairs;
-            let hist: &mut [u32] = $hist;
-            const BLOCK: usize = $block;
-            let mut digits = [0u16; BLOCK];
-            let mut i = 0;
-            while i + BLOCK <= pairs.len() {
-                $extract(&pairs[i..i + BLOCK], $shift, &mut digits);
-                for &d in &digits {
-                    *hist.get_unchecked_mut(d as usize) += 1;
-                }
-                i += BLOCK;
-            }
-            for &(key, _) in &pairs[i..] {
-                *hist.get_unchecked_mut(((key >> $shift) as usize) & (RADIX16 - 1)) += 1;
-            }
-        }};
-    }
-
-    /// # Safety
-    /// SSE2 is baseline on x86_64; `hist.len() == RADIX16` (asserted by
-    /// the dispatching wrapper) keeps the unchecked increments in range
-    /// (a 16-bit digit cannot exceed it).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn radix_histogram16_sse2(pairs: &[(u64, u64)], shift: u32, hist: &mut [u32]) {
-        histogram_body!(
-            pairs,
-            shift,
-            hist,
-            16,
-            |block: &[(u64, u64)], shift: u32, digits: &mut [u16; 16]| {
-                // (key, weight) pairs stride 16 bytes; lane 0 of each 128-bit
-                // load is the key. Two pairs per load, shift+mask, pack.
-                let p = block.as_ptr() as *const __m128i;
-                let shift_v = _mm_cvtsi32_si128(shift as i32);
-                let mask = _mm_set1_epi64x(0xFFFF);
-                for c in 0..8 {
-                    // Loads: pair 2c (key in lane0) and pair 2c+1.
-                    let a = _mm_loadu_si128(p.add(c * 2)); // [key0, w0]
-                    let b = _mm_loadu_si128(p.add(c * 2 + 1)); // [key1, w1]
-                    let keys = _mm_unpacklo_epi64(a, b); // [key0, key1]
-                    let d = _mm_and_si128(_mm_srl_epi64(keys, shift_v), mask);
-                    digits[c * 2] = _mm_cvtsi128_si32(d) as u16;
-                    digits[c * 2 + 1] = _mm_cvtsi128_si32(_mm_srli_si128::<8>(d)) as u16;
-                }
-            }
-        );
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2; same bounds argument as the SSE2
-    /// tier for the unchecked increments.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn radix_histogram16_avx2(pairs: &[(u64, u64)], shift: u32, hist: &mut [u32]) {
-        histogram_body!(
-            pairs,
-            shift,
-            hist,
-            16,
-            |block: &[(u64, u64)], shift: u32, digits: &mut [u16; 16]| {
-                // Gather the 4 keys of 4 consecutive pairs (stride 2 in u64
-                // units), shift+mask, store 4 digits at a time.
-                let base = block.as_ptr() as *const i64;
-                let stride = _mm_setr_epi32(0, 2, 4, 6);
-                let shift_v = _mm_cvtsi32_si128(shift as i32);
-                let mask = _mm256_set1_epi64x(0xFFFF);
-                for c in 0..4 {
-                    let keys = _mm256_i32gather_epi64::<8>(base.add(c * 8), stride);
-                    let d = _mm256_and_si256(_mm256_srl_epi64(keys, shift_v), mask);
-                    let mut lanes = [0u64; 4];
-                    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, d);
-                    digits[c * 4] = lanes[0] as u16;
-                    digits[c * 4 + 1] = lanes[1] as u16;
-                    digits[c * 4 + 2] = lanes[2] as u16;
-                    digits[c * 4 + 3] = lanes[3] as u16;
-                }
-            }
-        );
-    }
 }
 
 #[cfg(test)]
@@ -596,19 +458,6 @@ mod tests {
             let mut out = vec![0u32; idx.len()];
             gather_u32_with_tier(tier, &table, &idx, &mut out);
             assert_eq!(out, expect, "{tier:?}");
-        }
-
-        let pairs: Vec<(u64, u64)> = (0..4097u64)
-            .map(|i| (i.wrapping_mul(0xD1B54A32D192ED03), i))
-            .collect();
-        for shift in [0u32, 16, 32, 48] {
-            let mut expect = vec![0u32; RADIX16];
-            radix_histogram16_scalar(&pairs, shift, &mut expect);
-            for tier in SimdTier::ALL {
-                let mut hist = vec![0u32; RADIX16];
-                radix_histogram16_with_tier(tier, &pairs, shift, &mut hist);
-                assert_eq!(hist, expect, "{tier:?} shift {shift}");
-            }
         }
     }
 

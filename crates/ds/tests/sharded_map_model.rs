@@ -1,7 +1,7 @@
 //! Model test: the sharded concurrent map must behave exactly like a
-//! plain `HashMap` under any sequential operation interleaving, and
-//! accumulate exactly under concurrent writers (the §3.2 contraction
-//! use case: summing parallel-edge weights).
+//! plain `HashMap` under any sequential interleaving of the operations
+//! the service's caches use, and `merge_insert` must combine exactly
+//! under concurrent writers.
 
 use mincut_ds::{pack_edge, unpack_edge, ShardedMap};
 use proptest::prelude::*;
@@ -11,6 +11,7 @@ use std::collections::HashMap;
 enum Op {
     Add { key: u64, w: u64 },
     Get { key: u64 },
+    Remove { key: u64 },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -18,6 +19,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             3 => (0u64..64, 1u64..100).prop_map(|(key, w)| Op::Add { key, w }),
             1 => (0u64..64).prop_map(|key| Op::Get { key }),
+            1 => (0u64..64).prop_map(|key| Op::Remove { key }),
         ],
         1..200,
     )
@@ -33,20 +35,23 @@ proptest! {
         for op in ops {
             match op {
                 Op::Add { key, w } => {
-                    map.add_weight(key, w);
+                    map.merge_insert(key, w, |acc, w| *acc += w);
                     *model.entry(key).or_insert(0) += w;
                 }
                 Op::Get { key } => {
                     prop_assert_eq!(map.get_cloned(&key), model.get(&key).copied());
                 }
+                Op::Remove { key } => {
+                    prop_assert_eq!(map.remove(&key), model.remove(&key));
+                }
             }
         }
         prop_assert_eq!(map.len(), model.len());
-        let mut drained = map.drain_into_vec();
-        drained.sort_unstable();
-        let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(drained, expected);
+        for key in 0u64..64 {
+            prop_assert_eq!(map.get_cloned(&key), model.get(&key).copied());
+        }
+        map.clear();
+        prop_assert!(map.is_empty());
     }
 
     #[test]
@@ -65,7 +70,7 @@ proptest! {
 
 #[test]
 fn concurrent_writers_accumulate_exactly() {
-    let map: ShardedMap<u64, u64> = ShardedMap::with_expected_len(1 << 14);
+    let map: ShardedMap<u64, u64> = ShardedMap::new(6);
     let per_thread = 50_000u64;
     std::thread::scope(|s| {
         for t in 0..4u64 {
@@ -73,12 +78,12 @@ fn concurrent_writers_accumulate_exactly() {
             s.spawn(move || {
                 for i in 0..per_thread {
                     // Overlapping key ranges across threads.
-                    map.add_weight((i + t * 17) % 1000, 1);
+                    map.merge_insert((i + t * 17) % 1000, 1, |acc, w| *acc += w);
                 }
             });
         }
     });
-    let mut total = 0;
-    map.for_each(|_, &v| total += v);
+    assert_eq!(map.len(), 1000);
+    let total: u64 = (0..1000).map(|k| map.get_cloned(&k).unwrap()).sum();
     assert_eq!(total, 4 * per_thread);
 }

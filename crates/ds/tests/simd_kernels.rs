@@ -6,8 +6,7 @@
 //! that claim rests on.
 
 use mincut_ds::simd::{
-    gather_u32_scalar, gather_u32_with_tier, radix_histogram16_scalar, radix_histogram16_with_tier,
-    sum_u64_scalar, sum_u64_with_tier, SimdTier, RADIX16,
+    gather_u32_scalar, gather_u32_with_tier, sum_u64_scalar, sum_u64_with_tier, SimdTier,
 };
 
 /// Deterministic xorshift64* stream (the ds crate carries no rand dep).
@@ -93,40 +92,5 @@ fn gather_u32_bounds_check_covers_vector_batches() {
             });
             assert!(r.is_err(), "{tier:?} must reject index at {bad_pos}");
         }
-    }
-}
-
-#[test]
-fn radix_histogram16_all_tiers_match_scalar() {
-    let mut rng = Rng(0x5EED_0003);
-    for &len in LENGTHS {
-        let pairs: Vec<(u64, u64)> = (0..len).map(|_| (rng.next(), rng.next())).collect();
-        for shift in [0u32, 16, 32, 48] {
-            let mut expect = vec![0u32; RADIX16];
-            radix_histogram16_scalar(&pairs, shift, &mut expect);
-            for tier in SimdTier::ALL {
-                let mut hist = vec![0u32; RADIX16];
-                radix_histogram16_with_tier(tier, &pairs, shift, &mut hist);
-                assert_eq!(hist, expect, "{tier:?} len {len} shift {shift}");
-            }
-        }
-    }
-}
-
-#[test]
-fn radix_histogram16_accumulates_without_clearing() {
-    // The kernel contract is "add into hist", so two calls must equal
-    // one call over the concatenation — at every tier.
-    let mut rng = Rng(0x5EED_0004);
-    let a: Vec<(u64, u64)> = (0..97).map(|_| (rng.next(), 0)).collect();
-    let b: Vec<(u64, u64)> = (0..41).map(|_| (rng.next(), 0)).collect();
-    let both: Vec<(u64, u64)> = a.iter().chain(&b).copied().collect();
-    for tier in SimdTier::ALL {
-        let mut two_calls = vec![0u32; RADIX16];
-        radix_histogram16_with_tier(tier, &a, 16, &mut two_calls);
-        radix_histogram16_with_tier(tier, &b, 16, &mut two_calls);
-        let mut one_call = vec![0u32; RADIX16];
-        radix_histogram16_with_tier(tier, &both, 16, &mut one_call);
-        assert_eq!(two_calls, one_call, "{tier:?}");
     }
 }

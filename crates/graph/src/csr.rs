@@ -77,7 +77,12 @@ impl Eq for CsrGraph {}
 
 impl CsrGraph {
     /// Builds a graph directly from an edge list. Convenience wrapper around
-    /// [`GraphBuilder`].
+    /// [`GraphBuilder`], with its caller contract: the total edge weight
+    /// W (each undirected edge counted once, duplicates included) is at
+    /// most `EdgeWeight::MAX / 2`. Under that bound every weighted
+    /// degree, every cut value and the arc sum 2W fit in an
+    /// [`EdgeWeight`]; the text readers in [`crate::io`] reject inputs
+    /// that break it.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, EdgeWeight)]) -> Self {
         let mut b = GraphBuilder::new(n);
         for &(u, v, w) in edges {
@@ -536,6 +541,10 @@ impl CsrGraph {
 /// Accumulates an edge list and normalises it into a [`CsrGraph`]:
 /// self-loops are dropped, duplicate/parallel edges are merged by summing
 /// their weights, zero-weight edges are dropped.
+///
+/// Caller contract: the weights added sum to at most
+/// `EdgeWeight::MAX / 2`. Neither the merge nor the solvers check for
+/// overflow, so past that bound weights, degrees and cut values wrap.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,

@@ -75,6 +75,27 @@ fn parse_unsigned(line: usize, token: &str, what: &str) -> Result<u64, GraphIoEr
     token.parse().map_err(|e| int_err(line, e))
 }
 
+/// Adds one edge record's weight to the running total edge weight W
+/// (each undirected edge counted once) and rejects the record that takes
+/// W past `EdgeWeight::MAX / 2`. Under that bound every weighted degree,
+/// every cut value and the arc sum 2W fit in an [`EdgeWeight`]; past it
+/// the solvers' sums would wrap and report a wrong λ.
+fn add_to_total(total: &mut EdgeWeight, w: EdgeWeight, line: usize) -> Result<(), GraphIoError> {
+    match total.checked_add(w) {
+        Some(t) if t <= EdgeWeight::MAX / 2 => {
+            *total = t;
+            Ok(())
+        }
+        _ => Err(parse_err(
+            line,
+            format!(
+                "total edge weight exceeds {} (EdgeWeight::MAX / 2)",
+                EdgeWeight::MAX / 2
+            ),
+        )),
+    }
+}
+
 /// Reads a METIS graph file.
 ///
 /// Header `n m [fmt]`; `fmt` ∈ {absent, 0, 1, 00, 01, …, 011}: only the
@@ -82,7 +103,9 @@ fn parse_unsigned(line: usize, token: &str, what: &str) -> Result<u64, GraphIoEr
 /// supported, vertex weights are skipped. Vertex ids are 1-based; `%` lines
 /// are comments. Self-loops and negative values are parse errors — the
 /// solvers assume loop-free graphs, and silently dropping bad records
-/// would let corrupt instances through a serving pipeline unnoticed.
+/// would let corrupt instances through a serving pipeline unnoticed. So
+/// is a total edge weight above `EdgeWeight::MAX / 2` (each undirected
+/// edge counted once), the bound [`CsrGraph::from_edges`] documents.
 pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
     let start = Instant::now();
     let mut span = mincut_obs::span("ingest/parse");
@@ -125,6 +148,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
     }
 
     let mut b = GraphBuilder::with_capacity(n, m);
+    let mut total: EdgeWeight = 0;
     let mut vertex = 0usize;
     for (no, line) in lines {
         let line = line?;
@@ -172,6 +196,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
             };
             // Every undirected edge appears twice; keep the canonical copy.
             if vertex < nb - 1 {
+                add_to_total(&mut total, w, no + 1)?;
                 b.add_edge(vertex as NodeId, (nb - 1) as NodeId, w);
             }
         }
@@ -225,8 +250,9 @@ pub fn write_metis<W: Write>(g: &CsrGraph, mut writer: W) -> std::io::Result<()>
 
 /// Reads a whitespace-separated edge list: `u v [w]` per line, 0-based ids,
 /// `#` and `%` comments. The vertex count is `max id + 1` unless a larger
-/// `n` is given. Self-loops (`u == v`) and negative ids/weights are parse
-/// errors, matching the METIS reader's strictness.
+/// `n` is given. Self-loops (`u == v`), negative ids/weights and a total
+/// edge weight above `EdgeWeight::MAX / 2` are parse errors, matching the
+/// METIS reader's strictness.
 pub fn read_edge_list<R: BufRead>(
     reader: R,
     n_hint: Option<usize>,
@@ -236,6 +262,7 @@ pub fn read_edge_list<R: BufRead>(
     span.arg("format", "edge-list");
     let mut bytes = 0u64;
     let mut edges: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::new();
+    let mut total: EdgeWeight = 0;
     let mut max_id: u64 = 0;
     for (no, line) in reader.lines().enumerate() {
         let line = line?;
@@ -266,6 +293,7 @@ pub fn read_edge_list<R: BufRead>(
                 format!("self-loop on vertex {u} not allowed"),
             ));
         }
+        add_to_total(&mut total, w, no + 1)?;
         max_id = max_id.max(u).max(v);
         edges.push((u as NodeId, v as NodeId, w));
     }
@@ -352,6 +380,17 @@ mod tests {
     fn metis_rejects_wrong_edge_count() {
         let text = "3 5\n2\n1\n\n";
         assert!(read_metis(Cursor::new(text)).is_err());
+    }
+
+    #[test]
+    fn metis_rejects_total_weight_past_the_bound() {
+        // Path 1–2–3: W = 2^62 + (2^62 − 1) = EdgeWeight::MAX / 2 parses,
+        // one more unit on the second edge is rejected at its record.
+        let path = |w2: u64| format!("3 2 001\n2 {h}\n1 {h} 3 {w2}\n2 {w2}\n", h = 1u64 << 62);
+        let g = read_metis(Cursor::new(path((1 << 62) - 1))).unwrap();
+        assert_eq!(g.total_edge_weight(), EdgeWeight::MAX / 2);
+        let err = read_metis(Cursor::new(path(1 << 62))).unwrap_err();
+        assert!(matches!(err, GraphIoError::Parse { line: 3, .. }), "{err}");
     }
 
     #[test]

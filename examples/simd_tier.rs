@@ -4,22 +4,18 @@
 //! would cost.
 //!
 //! For every tier available on this CPU (scalar is always there; SSE2
-//! and AVX2 join when detected at runtime) the example times the three
+//! and AVX2 join when detected at runtime) the example times the two
 //! vectorized kernels on data shaped exactly like the solver hot loops
-//! — weighted-degree sums over CSR weight slices, label gathers over
-//! the arc stream, and the 16-bit radix histogram of packed contraction
-//! triples — then runs one end-to-end solve and shows the tier the
-//! session actually reported in `SolverStats::simd_tier`.
+//! — weighted-degree sums over CSR weight slices and label gathers over
+//! the arc stream — then runs one end-to-end solve and shows the tier
+//! the session actually reported in `SolverStats::simd_tier`.
 //!
 //! Run with: `cargo run --release --example simd_tier`
 //! (set SIMD_TIER_N to scale the instance; default ~2000 vertices)
 
 use std::time::Instant;
 
-use sm_mincut::ds::simd::{
-    active_tier, detected_tier, force_tier, gather_u32, radix_histogram16, sum_u64, SimdTier,
-    RADIX16,
-};
+use sm_mincut::ds::simd::{active_tier, detected_tier, force_tier, gather_u32, sum_u64, SimdTier};
 use sm_mincut::graph::generators::known;
 use sm_mincut::{CsrGraph, Session, SolveOptions};
 
@@ -46,21 +42,14 @@ fn main() {
     println!("detected SIMD tier: {}", detected_tier().name());
     println!("active   SIMD tier: {} (SMC_SIMD)\n", active_tier().name());
 
-    // Hot-loop shaped inputs: every vertex's weight slice (sum), the
-    // whole arc stream as gather indices into a label table, and the
-    // packed (key, weight) pairs a contraction round radix-sorts.
+    // Hot-loop shaped inputs: every vertex's weight slice (sum) and the
+    // whole arc stream as gather indices into a label table.
     let n = g.n();
     let labels: Vec<u32> = (0..n as u32).rev().collect();
     let arcs: Vec<u32> = (0..n as u32)
         .flat_map(|v| g.arc_slices(v).0.iter().copied())
         .collect();
-    let pairs: Vec<(u64, u64)> = arcs
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| (((a as u64) << 32) | i as u64, 1))
-        .collect();
     let mut gathered = vec![0u32; arcs.len()];
-    let mut hist = vec![0u32; RADIX16];
 
     let tiers: Vec<SimdTier> = SimdTier::ALL
         .iter()
@@ -68,8 +57,8 @@ fn main() {
         .filter(|&t| t <= detected_tier())
         .collect();
     println!(
-        "{:<8} {:>16} {:>16} {:>16}",
-        "tier", "sum_u64 Melem/s", "gather Melem/s", "hist16 Melem/s"
+        "{:<8} {:>16} {:>16}",
+        "tier", "sum_u64 Melem/s", "gather Melem/s"
     );
     let reps = 9;
     for &tier in &tiers {
@@ -81,19 +70,14 @@ fn main() {
             }
         });
         let t_gather = time_it(reps, || gather_u32(&labels, &arcs, &mut gathered));
-        let t_hist = time_it(reps, || {
-            hist.iter_mut().for_each(|h| *h = 0);
-            radix_histogram16(&pairs, 16, &mut hist);
-        });
         let rate = |elems: usize, s: f64| elems as f64 / s.max(1e-12) / 1e6;
         println!(
-            "{:<8} {:>16.1} {:>16.1} {:>16.1}",
+            "{:<8} {:>16.1} {:>16.1}",
             tier.name(),
             rate(arcs.len(), t_sum),
             rate(arcs.len(), t_gather),
-            rate(pairs.len(), t_hist),
         );
-        std::hint::black_box((&sink, &gathered, &hist));
+        std::hint::black_box((&sink, &gathered));
     }
     force_tier(None);
 
@@ -110,7 +94,7 @@ fn main() {
         out.stats.simd_tier
     );
 
-    // The tiers must agree bit-for-bit — same sums, gathers and counts.
+    // The tiers must agree bit-for-bit — same sums and gathers.
     let reference: CsrGraph = g.clone();
     force_tier(Some(SimdTier::Scalar));
     let scalar = Session::new(&reference)

@@ -1,7 +1,8 @@
-//! Property tests for the contraction substrate (§3.2): sequential and
-//! parallel contraction agree, cut values of cluster-respecting cuts are
-//! preserved, total boundary weight is conserved, and the membership
-//! tracker composes correctly over multiple rounds.
+//! Property tests for the contraction substrate (§3.2): contraction is
+//! identical at every width and through both accumulators, cut values of
+//! cluster-respecting cuts are preserved, total boundary weight is
+//! conserved, and the membership tracker composes correctly over
+//! multiple rounds.
 
 use proptest::prelude::*;
 use sm_mincut::algorithms::{Membership, SolveContext};
@@ -51,10 +52,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sequential_equals_parallel((g, labels, blocks) in graph_and_labels()) {
-        let s = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
-        let p = ContractionEngine::new(4).contract_parallel(&g, &labels, blocks);
-        prop_assert_eq!(s, p);
+    fn contract_is_identical_at_every_width((g, labels, blocks) in graph_and_labels()) {
+        let one = ContractionEngine::new(1).contract(&g, &labels, blocks);
+        let four = ContractionEngine::new(4).contract(&g, &labels, blocks);
+        prop_assert_eq!(one.fingerprint(), four.fingerprint());
+        prop_assert_eq!(one, four);
     }
 
     #[test]
@@ -81,33 +83,24 @@ proptest! {
         prop_assert_eq!(c.n(), blocks);
     }
 
-    /// All four accumulation paths — hash, radix-sort, flat-matrix and
-    /// sharded-parallel — must produce fingerprint-identical `CsrGraph`s
-    /// on random multigraphs, warm buffers included: the density
-    /// heuristic may switch paths between rounds, so any divergence
-    /// would break bit-determinism of every solver.
+    /// The matrix and hash accumulators must produce
+    /// fingerprint-identical `CsrGraph`s on random multigraphs, warm
+    /// buffers included: `contract` may switch accumulators between
+    /// rounds, so any divergence would break bit-determinism of every
+    /// solver.
     #[test]
-    fn sort_matrix_and_hash_paths_are_fingerprint_identical((g, labels, blocks) in graph_and_labels()) {
+    fn matrix_and_hash_accumulators_are_fingerprint_identical((g, labels, blocks) in graph_and_labels()) {
         let mut engine = ContractionEngine::new(4);
         let h = engine.contract_sequential(&g, &labels, blocks);
-        let s = engine.contract_sorted(&g, &labels, blocks);
-        prop_assert_eq!(h.fingerprint(), s.fingerprint());
-        prop_assert_eq!(&h, &s);
         let m = engine.contract_matrix(&g, &labels, blocks);
         prop_assert_eq!(h.fingerprint(), m.fingerprint());
         prop_assert_eq!(&h, &m);
-        let p = engine.contract_parallel(&g, &labels, blocks);
-        prop_assert_eq!(h.fingerprint(), p.fingerprint());
-        // A second sorted round over the contracted graph reuses the warm
-        // radix scratch; it must still match a fresh hash contraction.
-        if blocks >= 2 {
-            let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-            let s2 = engine.contract_sorted(&h, &labels2, 2);
-            let m2 = engine.contract_matrix(&h, &labels2, 2);
-            let h2 = ContractionEngine::new(1).contract_sequential(&h, &labels2, 2);
-            prop_assert_eq!(h2.fingerprint(), s2.fingerprint());
-            prop_assert_eq!(h2.fingerprint(), m2.fingerprint());
-        }
+        // A second round over the contracted graph reuses the warm
+        // matrix; it must still match a fresh hash contraction.
+        let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
+        let m2 = engine.contract_matrix(&h, &labels2, 2);
+        let h2 = ContractionEngine::new(1).contract_sequential(&h, &labels2, 2);
+        prop_assert_eq!(h2.fingerprint(), m2.fingerprint());
     }
 
     /// The engine's reused-scratch output is bit-identical to a fresh
@@ -115,22 +108,20 @@ proptest! {
     #[test]
     fn engine_bit_identical_to_free_functions((g, labels, blocks) in graph_and_labels()) {
         let mut engine = ContractionEngine::new(4);
-        let s = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
-        let es = engine.contract_sequential(&g, &labels, blocks);
+        let s = ContractionEngine::new(1).contract(&g, &labels, blocks);
+        let es = engine.contract(&g, &labels, blocks);
         prop_assert_eq!(&s, &es);
-        let p = ContractionEngine::new(4).contract_parallel(&g, &labels, blocks);
-        let ep = engine.contract_parallel(&g, &labels, blocks);
-        prop_assert_eq!(&p, &ep);
-        prop_assert_eq!(&s, &p);
+        let h = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let eh = engine.contract_sequential(&g, &labels, blocks);
+        prop_assert_eq!(&h, &eh);
+        prop_assert_eq!(&s, &h);
         // A second, recycled round over the contracted graph: the warm
         // buffers must not leak state between rounds.
-        engine.recycle(ep);
-        if blocks >= 2 {
-            let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-            let s2 = ContractionEngine::new(1).contract_sequential(&es, &labels2, 2);
-            let e2 = engine.contract(&es, &labels2, 2);
-            prop_assert_eq!(s2, e2);
-        }
+        engine.recycle(eh);
+        let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
+        let s2 = ContractionEngine::new(1).contract_sequential(&es, &labels2, 2);
+        let e2 = engine.contract(&es, &labels2, 2);
+        prop_assert_eq!(s2, e2);
     }
 
     /// The kernelization pipeline preserves λ: min(λ̂, λ(kernel)) equals

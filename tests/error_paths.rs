@@ -57,6 +57,45 @@ fn negative_weights_and_self_loops_are_rejected_not_panics() {
     }
 }
 
+/// Graph files whose total edge weight W (each edge once) passes
+/// `EdgeWeight::MAX / 2`: weights, degrees and cut values used to wrap,
+/// and every solver printed λ = 0.
+const OVERFLOWING_EDGE_LISTS: [(&str, &str); 3] = [
+    (
+        "wrap_max.txt",
+        "0 1 18446744073709551615\n1 2 18446744073709551615\n2 0 1\n",
+    ),
+    (
+        "wrap_2_63.txt",
+        "0 1 9223372036854775808\n1 2 9223372036854775808\n2 0 9223372036854775808\n",
+    ),
+    ("wrap_merge.txt", "0 1 18446744073709551615\n0 1 1\n1 2 1\n"),
+];
+
+/// The path 0–1–2 at the bound: W = 2^62 + (2^62 − 1) = EdgeWeight::MAX / 2.
+const PATH_AT_THE_BOUND: &str = "0 1 4611686018427387904\n1 2 4611686018427387903\n";
+
+#[test]
+fn total_edge_weight_past_the_bound_is_a_parse_error() {
+    for (name, text) in OVERFLOWING_EDGE_LISTS {
+        let err = read_edge_list(Cursor::new(text), None).expect_err(name);
+        assert!(
+            matches!(err, GraphIoError::Parse { line: 1, .. }),
+            "{name}: {err}"
+        );
+    }
+    // At the bound every registry solver still solves exactly.
+    let g = read_edge_list(Cursor::new(PATH_AT_THE_BOUND), None).unwrap();
+    for entry in SolverRegistry::global().entries() {
+        let name = entry.canonical;
+        for opts in [SolveOptions::new(), SolveOptions::new().no_reductions()] {
+            let out = Session::new(&g).options(opts).run(name).unwrap();
+            assert_eq!(out.cut.value, (1 << 62) - 1, "{name}");
+            assert!(out.cut.verify(&g), "{name}");
+        }
+    }
+}
+
 #[test]
 fn solver_errors_are_values_not_panics() {
     let tiny = CsrGraph::from_edges(1, &[]);
@@ -400,6 +439,44 @@ fn cli_exit_codes_for_single_graph_failures() {
         Some(2)
     );
     assert_eq!(mincut_bin().output().unwrap().status.code(), Some(2));
+}
+
+#[test]
+fn cli_rejects_total_edge_weight_overflow() {
+    for (name, text) in OVERFLOWING_EDGE_LISTS {
+        let out = mincut_bin().arg(scratch_file(name, text)).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("total edge weight"), "{name}: {stderr}");
+    }
+    let out = mincut_bin()
+        .arg(scratch_file("path_at_the_bound.txt", PATH_AT_THE_BOUND))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("4611686018427387903"), "{stdout}");
+
+    // A stream insert that would take the triangle's W = 5 past the
+    // bound (the true λ after it would be 4; the wrapped sums reported
+    // 1 and 0): exit 1 with an error row for the insert, λ untouched.
+    let triangle = scratch_file("triangle_3_1_1.txt", "0 1 3\n1 2 1\n2 0 1\n");
+    for w in ["18446744073709551615", "18446744073709551614"] {
+        let trace = scratch_file(&format!("wrap_insert_{w}.trace"), &format!("i 0 2 {w}\n"));
+        let out = mincut_bin()
+            .args(["--stream"])
+            .arg(&trace)
+            .arg(&triangle)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "insert {w}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.starts_with("{\"index\":0,\"status\":\"error\"")
+                && stdout.contains("total edge weight"),
+            "insert {w}: {stdout}"
+        );
+    }
 }
 
 #[test]
