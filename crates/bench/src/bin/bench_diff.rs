@@ -30,7 +30,7 @@
 //! the same machine (the committed `results/` protocol regenerates the
 //! old baseline from its tagged commit on the current machine first).
 //! The tool warns when the recorded `hardware_threads` or `simd_tier`
-//! differ.
+//! (the CPU's vector level) differ: either means a different machine.
 
 use std::process::ExitCode;
 

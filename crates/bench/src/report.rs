@@ -225,8 +225,9 @@ pub struct LoadedReport {
     pub name: String,
     pub scale: String,
     pub hardware_threads: usize,
-    /// SIMD tier the run dispatched to (empty for reports written before
-    /// the field existed).
+    /// The CPU's widest vector level (`mincut_ds::simd::active_tier`), a
+    /// machine property like `hardware_threads` (empty for reports
+    /// written before the field existed).
     pub simd_tier: String,
     pub entries: Vec<LoadedEntry>,
 }

@@ -32,7 +32,6 @@ fn solver_stats_json_round_trips() {
     let obj = root.as_obj().expect("stats JSON is an object");
 
     assert_eq!(field(obj, "algorithm").as_str(), Some(s.algorithm.as_str()));
-    assert_eq!(field(obj, "simd_tier").as_str(), Some(s.simd_tier));
     assert_eq!(field(obj, "n").as_u64(), s.n as u64);
     assert_eq!(field(obj, "m").as_u64(), s.m as u64);
     assert_eq!(field(obj, "rounds").as_u64(), s.rounds);

@@ -57,10 +57,6 @@ impl ReductionPassStats {
 pub struct SolverStats {
     /// Fully-qualified instance name, e.g. `NOIλ̂-BQueue-VieCut`.
     pub algorithm: String,
-    /// Which `mincut_ds::simd` kernel tier the solve ran at
-    /// (`scalar` / `sse2` / `avx2`, per the `SMC_SIMD` knob and runtime
-    /// feature detection).
-    pub simd_tier: &'static str,
     /// Input size (vertices, edges).
     pub n: usize,
     pub m: usize,
@@ -100,7 +96,6 @@ impl SolverStats {
     pub fn new(algorithm: String, n: usize, m: usize) -> Self {
         SolverStats {
             algorithm,
-            simd_tier: mincut_ds::simd::active_tier().name(),
             n,
             m,
             ..Default::default()
@@ -147,7 +142,6 @@ impl SolverStats {
         let mut s = String::with_capacity(256);
         s.push('{');
         push_json_str(&mut s, "algorithm", &self.algorithm);
-        push_json_str(&mut s, "simd_tier", self.simd_tier);
         s.push_str(&format!(
             "\"n\":{},\"m\":{},\"rounds\":{},\"contracted_vertices\":{},\"sw_rescues\":{},",
             self.n, self.m, self.rounds, self.contracted_vertices, self.sw_rescues

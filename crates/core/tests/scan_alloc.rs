@@ -1,20 +1,27 @@
-//! Proof that the CAPFOREST hot path allocates nothing once warm.
+//! Proof that the CAPFOREST hot path allocates nothing once warm, and
+//! that label propagation allocates per call, not per vertex chunk.
 //!
 //! A counting global allocator wraps the system allocator; after one
 //! warm-up pass per (graph, queue) pair, further passes through
 //! [`capforest_with`] with the pooled [`ScanScratch`] and an epoch-reset
 //! queue must perform **zero** heap allocations — the whole point of the
-//! intrusive-queue + scan-scratch rewrite. This file intentionally holds
-//! a single `#[test]` so no sibling test can allocate concurrently and
-//! pollute the counter.
+//! intrusive-queue + scan-scratch rewrite. A one-worker
+//! [`label_propagation`] call must perform the same small number of
+//! allocations at n = 2^12 and n = 2^17: each worker's tally is
+//! allocated once, whatever the graph size. This file intentionally
+//! holds a single `#[test]` so no sibling test can allocate concurrently
+//! and pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mincut_core::capforest::{capforest_with, ScanScratch};
+use mincut_core::viecut::label_propagation;
 use mincut_ds::{BQueuePq, BStackPq, BinaryHeapPq, CountingPq, MaxPq};
 use mincut_graph::generators::known;
-use mincut_graph::CsrGraph;
+use mincut_graph::{CsrGraph, NodeId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAllocator;
 
@@ -78,6 +85,28 @@ fn assert_scan_allocation_free<P: MaxPq>(g: &CsrGraph, bound: u64, label: &str) 
     }
 }
 
+/// A ring on `n` vertices plus two random weighted chords per vertex.
+fn ring_with_chords(n: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity(3 * n);
+    for v in 0..n as NodeId {
+        edges.push((v, (v + 1) % n as NodeId, rng.gen_range(1..10)));
+        for _ in 0..2 {
+            edges.push((v, rng.gen_range(0..n as NodeId), rng.gen_range(1..10)));
+        }
+    }
+    CsrGraph::from_edges(n, &edges)
+}
+
+/// Allocations of one single-worker label-propagation call on `g`.
+fn label_propagation_allocations(g: &CsrGraph) -> u64 {
+    let before = allocations();
+    let (labels, _) = label_propagation(g, 2, 5, 1);
+    let after = allocations();
+    assert_eq!(labels.len(), g.n());
+    after - before
+}
+
 #[test]
 fn warm_capforest_scan_performs_zero_allocations() {
     // The scan now opens a `capforest/scan` span unconditionally; with
@@ -114,4 +143,10 @@ fn warm_capforest_scan_performs_zero_allocations() {
         0,
         "shrinking-graph reuse must not allocate"
     );
+
+    // Label propagation: the count must not grow with n.
+    let small = label_propagation_allocations(&ring_with_chords(1 << 12, 3));
+    let large = label_propagation_allocations(&ring_with_chords(1 << 17, 4));
+    assert_eq!(small, large, "allocations grew from n = 2^12 to n = 2^17");
+    assert!(small <= 16, "{small} allocations per call");
 }

@@ -1,9 +1,8 @@
 //! Shared warn-once parsing for the `SMC_*` environment knobs.
 //!
-//! Three knobs steer the stack from the environment — `SMC_SCALE`
-//! (bench instance sizes), `SMC_SIMD` (kernel tier pinning) and
-//! `SMC_TRACE` (span collection) — and all of them follow the same
-//! contract:
+//! Two knobs steer the stack from the environment — `SMC_SCALE`
+//! (bench instance sizes) and `SMC_TRACE` (span collection) — and both
+//! follow the same contract:
 //!
 //! * the variable is read once per call site (callers cache the result
 //!   in a `OnceLock` when process-wide stability matters);
@@ -14,11 +13,6 @@
 //!   <choices>); using <fallback>` — and then selects the default, so a
 //!   typo'd knob cannot silently burn a full-scale bench session *and*
 //!   cannot spam a per-solve loop.
-//!
-//! Before this module each knob hand-rolled the contract (one
-//! `std::sync::Once` in `mincut-bench`, one `OnceLock` in `simd`), and
-//! the copies had already drifted on case sensitivity and empty-value
-//! handling. Every knob now routes through [`env_knob`].
 
 use std::sync::{Mutex, OnceLock};
 

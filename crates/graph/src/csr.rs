@@ -199,9 +199,8 @@ impl CsrGraph {
             .zip(self.neighbor_weights(v).iter().copied())
     }
 
-    /// The `(targets, weights)` CSR rows of `v` as parallel slices — the
-    /// form the `mincut_ds::simd` kernels in the scan/tally hot loops
-    /// consume directly.
+    /// The `(targets, weights)` CSR rows of `v` as parallel slices, the
+    /// form the CAPFOREST scan loops index directly.
     #[inline]
     pub fn arc_slices(&self, v: NodeId) -> (&[NodeId], &[EdgeWeight]) {
         let lo = self.xadj[v as usize];
@@ -532,9 +531,10 @@ impl CsrGraph {
         let n = self.n();
         let wdeg = self.wdeg.owned();
         wdeg.clear();
-        wdeg.extend(
-            (0..n).map(|v| mincut_ds::simd::sum_u64(&self.weight[self.xadj[v]..self.xadj[v + 1]])),
-        );
+        wdeg.extend((0..n).map(|v| {
+            let row = &self.weight[self.xadj[v]..self.xadj[v + 1]];
+            row.iter().copied().fold(0, EdgeWeight::wrapping_add)
+        }));
     }
 }
 
@@ -595,7 +595,13 @@ impl GraphBuilder {
     }
 
     /// Normalises and freezes into a [`CsrGraph`].
-    pub fn build(mut self) -> CsrGraph {
+    pub fn build(self) -> CsrGraph {
+        CsrGraph::from_sorted_dedup_edges(self.n, &self.into_merged_edges())
+    }
+
+    /// The buffered edges sorted by `(u, v)` with `u < v`, parallel
+    /// copies merged by summing their weights.
+    pub(crate) fn into_merged_edges(mut self) -> Vec<(NodeId, NodeId, EdgeWeight)> {
         self.edges
             .sort_unstable_by_key(|&(u, v, _)| ((u as u64) << 32) | v as u64);
         // Merge duplicates in place.
@@ -612,7 +618,7 @@ impl GraphBuilder {
             }
         }
         self.edges.truncate(out);
-        CsrGraph::from_sorted_dedup_edges(self.n, &self.edges)
+        self.edges
     }
 }
 

@@ -106,6 +106,9 @@ fn add_to_total(total: &mut EdgeWeight, w: EdgeWeight, line: usize) -> Result<()
 /// would let corrupt instances through a serving pipeline unnoticed. So
 /// is a total edge weight above `EdgeWeight::MAX / 2` (each undirected
 /// edge counted once), the bound [`CsrGraph::from_edges`] documents.
+/// Every edge must appear in both endpoints' lists with the same total
+/// weight (parallel entries merge); a one-way entry or a weight mismatch
+/// is a parse error naming the edge.
 pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
     let start = Instant::now();
     let mut span = mincut_obs::span("ingest/parse");
@@ -147,8 +150,12 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
         return Err(parse_err(header_no, "vertex sizes not supported"));
     }
 
+    // Every undirected edge appears twice: `b` builds the graph from the
+    // copy in the lower endpoint's list, `mirror` collects the other copy
+    // to check against it.
     let mut b = GraphBuilder::with_capacity(n, m);
-    let mut total: EdgeWeight = 0;
+    let mut mirror = GraphBuilder::with_capacity(n, m);
+    let (mut total, mut mirror_total): (EdgeWeight, EdgeWeight) = (0, 0);
     let mut vertex = 0usize;
     for (no, line) in lines {
         let line = line?;
@@ -194,11 +201,13 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
             } else {
                 1
             };
-            // Every undirected edge appears twice; keep the canonical copy.
-            if vertex < nb - 1 {
-                add_to_total(&mut total, w, no + 1)?;
-                b.add_edge(vertex as NodeId, (nb - 1) as NodeId, w);
-            }
+            let (copy, sum) = if vertex < nb - 1 {
+                (&mut b, &mut total)
+            } else {
+                (&mut mirror, &mut mirror_total)
+            };
+            add_to_total(sum, w, no + 1)?;
+            copy.add_edge(vertex as NodeId, (nb - 1) as NodeId, w);
         }
         vertex += 1;
     }
@@ -208,7 +217,35 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
             format!("expected {n} vertex lines, got {vertex}"),
         ));
     }
-    let g = b.build();
+    let (edges, mirrored) = (b.into_merged_edges(), mirror.into_merged_edges());
+    if edges != mirrored {
+        // Both lists agree before index `k`, so the smaller key at `k`
+        // is the first edge whose two copies differ.
+        let k = edges
+            .iter()
+            .zip(&mirrored)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (lo, up) = (edges.get(k), mirrored.get(k));
+        let &(u, v, _) = lo
+            .into_iter()
+            .chain(up)
+            .min_by_key(|e| (e.0, e.1))
+            .expect("unequal lists have an entry at their first difference");
+        let w = |e: Option<&(NodeId, NodeId, EdgeWeight)>| {
+            e.filter(|e| (e.0, e.1) == (u, v)).map_or(0, |e| e.2)
+        };
+        let (u, v) = (u + 1, v + 1);
+        return Err(parse_err(
+            0,
+            format!(
+                "edge {u}-{v} has total weight {} in vertex {u}'s list but {} in vertex {v}'s",
+                w(lo),
+                w(up)
+            ),
+        ));
+    }
+    let g = CsrGraph::from_sorted_dedup_edges(n, &edges);
     if g.m() != m {
         return Err(parse_err(
             0,
@@ -391,6 +428,30 @@ mod tests {
         assert_eq!(g.total_edge_weight(), EdgeWeight::MAX / 2);
         let err = read_metis(Cursor::new(path(1 << 62))).unwrap_err();
         assert!(matches!(err, GraphIoError::Parse { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn metis_rejects_one_way_entries_and_weight_mismatches() {
+        // Vertex 3 lists 1, but vertex 1 does not list 3.
+        let err = read_metis(Cursor::new("3 1\n2\n1\n1\n")).unwrap_err();
+        assert!(matches!(err, GraphIoError::Parse { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("edge 1-3 has total weight 0 in vertex 1's list but 1 in vertex 3's"),
+            "{err}"
+        );
+        // Edge 1-2 weighs 5 in vertex 1's list and 4 in vertex 2's.
+        let err = read_metis(Cursor::new("3 3 1\n2 5 3 1\n1 4 3 2\n1 1 2 2\n")).unwrap_err();
+        assert!(matches!(err, GraphIoError::Parse { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("edge 1-2 has total weight 5 in vertex 1's list but 4 in vertex 2's"),
+            "{err}"
+        );
+        // Symmetric parallel entries merge on both sides and still load.
+        let g = read_metis(Cursor::new("3 2\n2 2 3\n1 1\n1\n")).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(2));
+        assert_eq!(g.edge_weight(0, 2), Some(1));
     }
 
     #[test]

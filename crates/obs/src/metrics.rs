@@ -155,15 +155,19 @@ impl MetricsRegistry {
 
     /// Freezes every instrument into a [`MetricsSnapshot`]. Relaxed
     /// reads: concurrent updates may or may not be included, which is
-    /// the usual metrics contract.
+    /// the usual metrics contract. The counters always include
+    /// `par.threads_spawned`, read from [`mincut_ds::par::threads_spawned`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
+        let mut counters: Vec<(String, u64)> = self
             .counters
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
+        let spawned = "par.threads_spawned";
+        let at = counters.partition_point(|(k, _)| k.as_str() < spawned);
+        counters.insert(at, (spawned.to_string(), mincut_ds::par::threads_spawned()));
         let gauges = self
             .gauges
             .lock()
@@ -211,7 +215,8 @@ impl MetricsRegistry {
     }
 
     /// Zeroes every registered instrument (tests and bench harnesses;
-    /// handles stay valid).
+    /// handles stay valid). `par.threads_spawned` is not registered here
+    /// and keeps counting from process start.
     pub fn reset(&self) {
         for c in self
             .counters
@@ -366,6 +371,8 @@ mod tests {
                 .map(|(_, v)| *v)
         };
         assert_eq!(get("test.jobs"), Some(4));
+        assert!(get("par.threads_spawned").is_some());
+        assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(
             snap.gauges
                 .iter()

@@ -479,6 +479,30 @@ fn cli_rejects_total_edge_weight_overflow() {
     }
 }
 
+/// METIS files whose two copies of an edge disagree. Both used to load
+/// and print a λ: vertex 3 looked isolated in the first (λ = 0), and the
+/// second kept vertex 1's weight for edge 1-2.
+const ASYMMETRIC_METIS: [(&str, &str); 2] = [
+    // Vertex 3 lists 1, but vertex 1 does not list 3.
+    ("one_way_entry.graph", "3 1\n2\n1\n1\n"),
+    // Edge 1-2 weighs 5 in vertex 1's list and 4 in vertex 2's.
+    (
+        "weight_mismatch.graph",
+        "3 3 1\n2 5 3 1\n1 4 3 2\n1 1 2 2\n",
+    ),
+];
+
+#[test]
+fn cli_rejects_asymmetric_metis_files() {
+    for (name, text) in ASYMMETRIC_METIS {
+        let out = mincut_bin().arg(scratch_file(name, text)).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("failed to parse"), "{name}: {stderr}");
+        assert!(stderr.contains("edge 1-"), "{name}: {stderr}");
+    }
+}
+
 #[test]
 fn cli_batch_manifest_entries_report_errors_and_exit_nonzero() {
     let manifest = scratch_file(

@@ -5,7 +5,8 @@
 //! repair table in `tests/data/README.md`, and one `flow/max_flow` span
 //! per s-t flow of the cactus maintenance. This pins the whole chain —
 //! dynamic classification detection, the span sink, the exporter's JSON
-//! — to the same ground truth the dynamic unit tests use.
+//! — to the same ground truth the dynamic unit tests use. A second check
+//! reads the thread-spawn counter from `--metrics-out`.
 
 use mincut_bench::report::json::{self, Value};
 
@@ -108,6 +109,37 @@ fn stream_trace_matches_hand_verified_repair_table() {
         flow_spans.iter().all(|&name| name == "flow/max_flow"),
         "one s-t flow engine: {flow_spans:?}"
     );
+}
+
+/// `--metrics-out` carries the process's thread-spawn count: a 1-thread
+/// ParCut solve spawns no thread, a 2-thread one spawns its scan workers.
+#[test]
+fn metrics_export_counts_spawned_threads() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let spawned = |threads: &str| {
+        let out = tempfile_path(&format!("grid3x3_metrics_t{threads}.json"));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_mincut"))
+            .args(["-t", threads, "--no-reduce", "-a", "parcut"])
+            .arg(format!("{root}/tests/data/grid3x3.txt"))
+            .arg("--metrics-out")
+            .arg(&out)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("run the mincut binary");
+        assert!(status.success(), "-t {threads} run failed");
+        let text = std::fs::read_to_string(&out).expect("metrics file written");
+        let _ = std::fs::remove_file(&out);
+        let parsed = json::parse(&text).expect("metrics are valid JSON");
+        parsed
+            .as_obj()
+            .and_then(|o| field(o, "counters"))
+            .and_then(Value::as_obj)
+            .and_then(|c| field(c, "par.threads_spawned"))
+            .map(Value::as_u64)
+            .expect("par.threads_spawned counter")
+    };
+    assert_eq!(spawned("1"), 0, "a 1-thread solve spawns no thread");
+    assert!(spawned("2") >= 2, "a 2-thread ParCut spawns its workers");
 }
 
 /// A collision-safe path in the target tmpdir (no tempfile crate in

@@ -360,67 +360,6 @@ fn maintained_cactus_matches_from_scratch_rebuild_on_random_traces() {
     }
 }
 
-/// SIMD differential: with the micro-kernel tier forced to scalar vs.
-/// the detected native tier, every solve must be bit-identical — same
-/// λ, same witness side vector, and (on the deterministic sequential
-/// schedule) the same PQ-op stream. The CI matrix additionally runs the
-/// whole suite under `SMC_SIMD=scalar`; this test flips the tier
-/// *in-process* via `force_tier` because the env knob is read once per
-/// process, so one run covers the scalar/native A/B at both worker
-/// widths.
-#[test]
-fn simd_scalar_and_native_tiers_are_bit_identical() {
-    use sm_mincut::ds::simd::{force_tier, SimdTier};
-
-    let mut instances = vec![
-        known::two_communities(20, 25, 3, 2, 1),
-        known::ring_of_cliques(7, 6, 2, 1),
-    ];
-    let mut rng = SmallRng::seed_from_u64(79);
-    let ba = barabasi_albert(1 << 9, 5, &mut rng);
-    let (core, _) = k_core_lcc(&ba, 5);
-    let l = cut(&core, "NOI-HNSS", SolveOptions::new().seed(1)).value;
-    instances.push((core, l));
-
-    for (g, l) in &instances {
-        for solver in ["noi-viecut", "parcut"] {
-            for threads in [1usize, 4] {
-                let tag = format!("{solver}, {threads} threads, n={}", g.n());
-                let run = |tier: Option<SimdTier>| {
-                    force_tier(tier);
-                    let out = Session::new(g)
-                        .options(SolveOptions::new().seed(0xD5EED).threads(threads))
-                        .run(solver)
-                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    force_tier(None);
-                    out
-                };
-                let scalar = run(Some(SimdTier::Scalar));
-                let native = run(None);
-                assert_eq!(scalar.cut.value, *l, "{tag}: scalar λ");
-                assert_eq!(native.cut.value, *l, "{tag}: native λ");
-                assert!(scalar.cut.verify(g), "{tag}: scalar witness");
-                assert!(native.cut.verify(g), "{tag}: native witness");
-                assert_eq!(
-                    scalar.cut.side, native.cut.side,
-                    "{tag}: witness side vectors must be bit-identical"
-                );
-                // The kernels must not perturb the PQ-op stream of the
-                // deterministic sequential schedule (arc order and all
-                // r-value comparisons are untouched by the vector paths).
-                if threads == 1 {
-                    let (s, n) = (&scalar.stats.pq_ops, &native.stats.pq_ops);
-                    assert_eq!(
-                        (s.pushes, s.raises, s.pops),
-                        (n.pushes, n.raises, n.pops),
-                        "{tag}: PQ-op stream drifted between tiers"
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn parcut_seed_independence_of_value() {
     // The *value* must be deterministic even though region growth is
