@@ -12,11 +12,10 @@
 //!   jobs don't serialise the queue because workers pull the next index
 //!   from a shared atomic cursor rather than owning a static slice.
 //! * **Caching** — results are memoised in a fingerprint-keyed cut
-//!   cache built on [`mincut_ds::ShardedMap`] (the §3.2 concurrent-table
-//!   design): the key is [`CsrGraph::fingerprint`] plus the resolved
-//!   solver instance configuration, so a repeat submission is served
-//!   without re-solving. The cache persists across batches for the
-//!   lifetime of the service.
+//!   cache, a locked hash table like the kernel and cactus caches: the
+//!   key is [`CsrGraph::fingerprint`] plus the resolved solver instance
+//!   configuration, so a repeat submission is served without re-solving.
+//!   The cache persists across batches for the lifetime of the service.
 //! * **Bound sharing** — jobs that share a graph (same fingerprint) or a
 //!   declared [`BatchJob::family`] reuse the best cut found so far as
 //!   [`SolveOptions::initial_bound`] for later jobs, the paper's λ̂
@@ -57,10 +56,10 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mincut_ds::ShardedMap;
+use mincut_ds::hash::FxHashMap;
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
 use crate::cactus::Cactus;
@@ -143,8 +142,9 @@ pub struct ServiceConfig {
     pub batch_budget: Option<Duration>,
     /// Serve repeat submissions from the fingerprint-keyed cut cache.
     pub cache: bool,
-    /// Entry cap for the cut cache: once reached, new results are no
-    /// longer memoised (existing entries keep serving) so a long-lived
+    /// Entry cap for each of the cut, kernel and cactus caches, exact:
+    /// once a cache holds this many entries, new results are no longer
+    /// memoised there (existing entries keep serving) so a long-lived
     /// service fed a stream of distinct graphs cannot grow without
     /// bound. [`MinCutService::clear_cache`] resets it.
     pub cache_capacity: usize,
@@ -350,8 +350,31 @@ struct CacheEntry {
     side: Option<Vec<bool>>,
 }
 
+/// One cache table, keyed by a folded fingerprint/config hash.
+type Table<V> = Mutex<FxHashMap<u64, V>>;
+
+/// Locks a cache table. Nothing but one map operation on `u64` keys
+/// ever runs under the lock, which leaves the table valid even if it
+/// unwinds, so a poisoned lock is taken over instead of failing every
+/// later request.
+fn locked<V>(table: &Table<V>) -> MutexGuard<'_, FxHashMap<u64, V>> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Inserts `value` unless `table` already holds `capacity` entries, and
+/// reports whether it did. The length check and the insert share one
+/// lock, so concurrent inserts cannot overshoot the cap.
+fn insert_capped<V>(table: &Table<V>, key: u64, value: V, capacity: usize) -> bool {
+    let mut map = locked(table);
+    let room = map.len() < capacity;
+    if room {
+        map.insert(key, value);
+    }
+    room
+}
+
 struct CutCache {
-    map: ShardedMap<u64, CacheEntry>,
+    map: Table<CacheEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -361,7 +384,7 @@ struct CutCache {
 impl CutCache {
     fn new() -> Self {
         CutCache {
-            map: ShardedMap::new(6),
+            map: Table::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -384,9 +407,10 @@ impl CutCache {
         n: usize,
         m: usize,
     ) -> Option<(EdgeWeight, Option<Vec<bool>>)> {
-        let found = self
-            .map
-            .get_cloned(&Self::key(fingerprint, config))
+        let entry = locked(&self.map)
+            .get(&Self::key(fingerprint, config))
+            .cloned();
+        let found = entry
             .filter(|e| e.fingerprint == fingerprint && e.config == config && e.n == n && e.m == m)
             .map(|e| (e.value, e.side));
         match found {
@@ -412,12 +436,6 @@ impl CutCache {
         side: Option<Vec<bool>>,
         capacity: usize,
     ) {
-        // Soft cap (concurrent inserts may overshoot by a few entries):
-        // a full cache stops memoising instead of growing unboundedly.
-        if self.map.len() >= capacity {
-            return;
-        }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
         let entry = CacheEntry {
             fingerprint,
             config: config.to_string(),
@@ -426,17 +444,19 @@ impl CutCache {
             value,
             side,
         };
-        self.map
-            .merge_insert(Self::key(fingerprint, config), entry, |slot, new| {
-                *slot = new
-            });
+        if insert_capped(&self.map, Self::key(fingerprint, config), entry, capacity) {
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Reclaims the entry a mutation made stale: the epoch-keyed scheme
     /// guarantees `(fingerprint, config)` can never be served again, so
     /// the slot (and its O(n) witness) goes back to the cache budget.
     fn invalidate(&self, fingerprint: u64, config: &str) {
-        if self.map.remove(&Self::key(fingerprint, config)).is_some() {
+        if locked(&self.map)
+            .remove(&Self::key(fingerprint, config))
+            .is_some()
+        {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             mincut_obs::metrics()
                 .counter("service.cache.invalidations")
@@ -449,7 +469,7 @@ impl CutCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
-            entries: self.map.len(),
+            entries: locked(&self.map).len(),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
@@ -508,7 +528,7 @@ pub struct MinCutService {
     /// Kernelized-graph cache: fingerprint (+ reduction configuration) →
     /// the shared [`ReduceOutcome`], so batch jobs on the same graph
     /// kernelize once. Persists across batches, like the cut cache.
-    kernels: ShardedMap<u64, Arc<ReduceOutcome>>,
+    kernels: Table<Arc<ReduceOutcome>>,
     /// Hosted dynamic graphs ([`MinCutService::register_dynamic`]).
     dynamic: Mutex<std::collections::HashMap<u64, Arc<DynamicEntry>>>,
     next_dynamic: AtomicU64,
@@ -517,7 +537,7 @@ pub struct MinCutService {
     /// into one key, with a `|cactus` marker) and tallied into the same
     /// [`CacheStats`]. Mutations invalidate the previous epoch's entry
     /// exactly like cut entries.
-    cacti: ShardedMap<u64, Arc<Cactus>>,
+    cacti: Table<Arc<Cactus>>,
 }
 
 impl Default for MinCutService {
@@ -531,10 +551,10 @@ impl MinCutService {
         MinCutService {
             config,
             cache: CutCache::new(),
-            kernels: ShardedMap::new(4),
+            kernels: Table::default(),
             dynamic: Mutex::new(std::collections::HashMap::new()),
             next_dynamic: AtomicU64::new(0),
-            cacti: ShardedMap::new(4),
+            cacti: Table::default(),
         }
     }
 
@@ -549,9 +569,9 @@ impl MinCutService {
 
     /// Drops every memoised result, kernel and cactus (counters kept).
     pub fn clear_cache(&self) {
-        self.cache.map.clear();
-        self.kernels.clear();
-        self.cacti.clear();
+        locked(&self.cache.map).clear();
+        locked(&self.kernels).clear();
+        locked(&self.cacti).clear();
     }
 
     /// Runs one job outside a batch (no skips, same cache and bounds).
@@ -640,8 +660,7 @@ impl MinCutService {
             let fingerprint = maintainer.graph().origin_fingerprint();
             let stale = entry.epoch_config(before);
             self.cache.invalidate(fingerprint, &stale);
-            if self
-                .cacti
+            if locked(&self.cacti)
                 .remove(&Self::cactus_key(fingerprint, &stale))
                 .is_some()
             {
@@ -708,7 +727,8 @@ impl MinCutService {
         let g = maintainer.graph();
         let key = Self::cactus_key(g.origin_fingerprint(), &entry.epoch_config(g.epoch()));
         if self.config.cache {
-            if let Some(cactus) = self.cacti.get_cloned(&key) {
+            let cached = locked(&self.cacti).get(&key).cloned();
+            if let Some(cactus) = cached {
                 if cactus.n() == g.n() && cactus.lambda() == maintainer.lambda() {
                     self.cache.hits.fetch_add(1, Ordering::Relaxed);
                     mincut_obs::metrics().counter("service.cache.hits").inc();
@@ -726,10 +746,15 @@ impl MinCutService {
                 })?
                 .clone(),
         );
-        if self.config.cache && self.cacti.len() < self.config.cache_capacity {
+        if self.config.cache
+            && insert_capped(
+                &self.cacti,
+                key,
+                Arc::clone(&cactus),
+                self.config.cache_capacity,
+            )
+        {
             self.cache.insertions.fetch_add(1, Ordering::Relaxed);
-            self.cacti
-                .merge_insert(key, Arc::clone(&cactus), |slot, new| *slot = new);
         }
         Ok((cactus, false))
     }
@@ -1068,7 +1093,8 @@ impl MinCutService {
             fingerprint ^ mincut_ds::hash::FNV1A_OFFSET,
             opts.reductions.cache_key().as_bytes(),
         );
-        if let Some(k) = self.kernels.get_cloned(&key) {
+        let cached = locked(&self.kernels).get(&key).cloned();
+        if let Some(k) = cached {
             // The n/m check guards against a fingerprint collision; the
             // pipeline is deterministic, so an entry that matches is
             // exactly what this job would compute.
@@ -1079,10 +1105,7 @@ impl MinCutService {
         let mut scratch = SolverStats::default();
         let mut ctx = SolveContext::for_options(&mut scratch, opts);
         let red = Arc::new(pipeline.run(g, None, &mut ctx)?);
-        if self.kernels.len() < self.config.cache_capacity {
-            self.kernels
-                .merge_insert(key, red.clone(), |slot, new| *slot = new);
-        }
+        insert_capped(&self.kernels, key, red.clone(), self.config.cache_capacity);
         Ok((Some(red), false))
     }
 
@@ -1413,6 +1436,17 @@ mod tests {
         let again = service.run_batch(&jobs);
         assert_eq!(again.stats.cache_hits, 2);
         assert_eq!(again.stats.solved, 3);
+
+        // Concurrent workers: each table checks its length and inserts
+        // under one lock, so the cap holds exactly.
+        let service = MinCutService::new(ServiceConfig::new().concurrency(4).cache_capacity(2));
+        let jobs: Vec<BatchJob> = (4..12)
+            .map(|n| BatchJob::new(known::cycle_graph(n, 1).0, "stoer-wagner"))
+            .collect();
+        assert!(service.run_batch(&jobs).all_ok());
+        let cs = service.cache_stats();
+        assert_eq!((cs.entries, cs.insertions), (2, 2));
+        assert_eq!(locked(&service.kernels).len(), 2);
     }
 
     #[test]
@@ -1523,7 +1557,7 @@ mod tests {
         // Query after every mutation so both caches are populated at
         // every epoch — the worst case for a leak.
         let cuts0 = service.cache_stats().entries;
-        let cacti0 = service.cacti.len();
+        let cacti0 = locked(&service.cacti).len();
         for round in 0..20u32 {
             let (u, v) = (round % 6, (round + 2) % 6);
             let op = if round % 2 == 0 {
@@ -1541,10 +1575,10 @@ mod tests {
                 "cut cache leaked at round {round}: {}",
                 service.cache_stats().entries
             );
+            let cacti = locked(&service.cacti).len();
             assert!(
-                service.cacti.len() <= cacti0 + 1,
-                "cactus cache leaked at round {round}: {}",
-                service.cacti.len()
+                cacti <= cacti0 + 1,
+                "cactus cache leaked at round {round}: {cacti}"
             );
         }
         // Every successful mutation evicts a cut entry and (except the

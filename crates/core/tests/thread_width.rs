@@ -3,27 +3,34 @@
 //! At one thread, label propagation, contraction, the CSR rebuild and
 //! ParCut's CAPFOREST workers all run inline, so the solve spawns no
 //! thread (`mincut_ds::par::threads_spawned` stays put) and repeats its
-//! operation stream exactly. The graph sits past every parallel
-//! threshold: more than 2^16 vertices (label propagation's chunked hash
-//! path) and at least 2^16 edges (the chunk-parallel CSR rebuild).
+//! operation stream exactly. The solve graph has at least 2^16 edges,
+//! past the chunk-parallel CSR rebuild's threshold. Label propagation
+//! goes wide only past `PAR_LP_MIN_ARCS` = 2^20 arcs, which a solve
+//! graph this size stays below, so the test also calls
+//! `label_propagation` directly on a graph past 2^20 arcs: at one thread
+//! it spawns nothing, at two it spawns workers, and its labels are dense
+//! either way.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! spawns threads while the counter is read.
 
+use mincut_core::viecut::label_propagation;
 use mincut_core::{Session, SolveOptions, SolveOutcome};
 use mincut_ds::par;
 use mincut_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A weighted ring plus one random chord per vertex.
-fn big_graph() -> CsrGraph {
-    let n = (1 << 16) + 4000;
-    let mut rng = SmallRng::seed_from_u64(14);
-    let mut edges = Vec::with_capacity(2 * n);
+/// A weighted ring on `n` vertices plus `chords` random chords per
+/// vertex.
+fn ring_with_chords(n: usize, chords: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity((1 + chords) * n);
     for v in 0..n as NodeId {
         edges.push((v, (v + 1) % n as NodeId, rng.gen_range(1..10)));
-        edges.push((v, rng.gen_range(0..n as NodeId), rng.gen_range(1..10)));
+        for _ in 0..chords {
+            edges.push((v, rng.gen_range(0..n as NodeId), rng.gen_range(1..10)));
+        }
     }
     CsrGraph::from_edges(n, &edges)
 }
@@ -38,9 +45,40 @@ fn solve(g: &CsrGraph, name: &str, opts: SolveOptions) -> (SolveOutcome, u64) {
     (out, spawned)
 }
 
+/// Runs label propagation and returns the number of threads spawned
+/// during the call, after checking that the labels are dense: every
+/// label is below the cluster count and every id is used.
+fn propagate(g: &CsrGraph, threads: usize) -> u64 {
+    let before = par::threads_spawned();
+    let (labels, count) = label_propagation(g, 2, 5, threads);
+    let spawned = par::threads_spawned() - before;
+    let mut used = vec![false; count];
+    for &l in &labels {
+        assert!(
+            (l as usize) < count,
+            "{threads} threads: label {l} of {count}"
+        );
+        used[l as usize] = true;
+    }
+    assert!(
+        used.iter().all(|&u| u),
+        "{threads} threads: unused cluster id"
+    );
+    spawned
+}
+
 #[test]
 fn one_thread_spawns_nothing_and_repeats_exactly() {
-    let g = big_graph();
+    let g = ring_with_chords(1 << 17, 4, 22);
+    assert!(g.num_arcs() >= 1 << 20, "{} arcs", g.num_arcs());
+    assert_eq!(propagate(&g, 1), 0, "label propagation at one thread");
+    assert!(
+        propagate(&g, 2) > 0,
+        "label propagation at two threads goes wide"
+    );
+    drop(g);
+
+    let g = ring_with_chords((1 << 16) + 4000, 1, 14);
     assert!(g.n() > 1 << 16 && g.m() >= 1 << 16);
 
     let mut lambda = None;

@@ -3,7 +3,8 @@
 //! extra dependency for its hot hash-table loops.
 //!
 //! HashDoS resistance is irrelevant here: keys are graph-internal vertex and
-//! edge identifiers, never attacker-controlled strings.
+//! edge identifiers, never attacker-controlled strings. [`pack_edge`] packs
+//! an unordered vertex pair into the one-word key those tables use.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -96,9 +97,24 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `std::collections::HashSet` pre-configured with the Fx hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// Packs an unordered vertex pair into a single `u64` key (smaller id in the
+/// high half so keys sort like `(min, max)` pairs).
+#[inline]
+pub fn pack_edge(u: u32, v: u32) -> u64 {
+    let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
+    ((lo as u64) << 32) | hi as u64
+}
+
+/// Inverse of [`pack_edge`].
+#[inline]
+pub fn unpack_edge(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_one<T: Hash>(v: T) -> u64 {
@@ -144,5 +160,29 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m[&500], 1000);
+    }
+
+    #[test]
+    fn pack_unpack_roundtrip() {
+        for (u, v) in [(0u32, 0u32), (1, 2), (2, 1), (u32::MAX, 5)] {
+            let key = pack_edge(u, v);
+            let (lo, hi) = unpack_edge(key);
+            assert_eq!((lo, hi), (u.min(v), u.max(v)));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pack_edge_is_injective_on_unordered_pairs(
+            a in 0u32..10_000, b in 0u32..10_000, c in 0u32..10_000, d in 0u32..10_000
+        ) {
+            prop_assume!(a != b && c != d);
+            let k1 = pack_edge(a, b);
+            let k2 = pack_edge(c, d);
+            let same_pair = (a.min(b), a.max(b)) == (c.min(d), c.max(d));
+            prop_assert_eq!(k1 == k2, same_pair);
+            let (lo, hi) = unpack_edge(k1);
+            prop_assert_eq!((lo, hi), (a.min(b), a.max(b)));
+        }
     }
 }

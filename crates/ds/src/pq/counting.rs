@@ -26,14 +26,6 @@ pub struct CountingPq<P> {
     counters: PqCounters,
 }
 
-impl<P> CountingPq<P> {
-    /// The tallies accumulated since construction / the last
-    /// [`MaxPq::take_ops`], without resetting them.
-    pub fn ops(&self) -> PqCounters {
-        self.counters
-    }
-}
-
 impl<P: MaxPq> MaxPq for CountingPq<P> {
     fn new() -> Self {
         CountingPq {
@@ -106,18 +98,17 @@ mod tests {
         assert_eq!(q.pop_max(), Some((0, 9)));
         assert_eq!(q.pop_max(), Some((1, 7)));
         assert_eq!(q.pop_max(), None);
+        let c = q.take_ops();
         assert_eq!(
-            q.ops(),
+            c,
             PqCounters {
                 pushes: 2,
                 raises: 1,
                 pops: 2
             }
         );
-        let c = q.take_ops();
         assert_eq!(c.total(), 5);
         // Counters were reset by the take.
-        assert_eq!(q.ops(), PqCounters::default());
         assert_eq!(q.take_ops(), PqCounters::default());
     }
 

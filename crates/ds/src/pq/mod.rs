@@ -5,29 +5,32 @@
 //! priorities of its neighbours. The paper (§3.1.3) shows that because many
 //! vertices share the maximum priority in practice, the *tie-breaking policy*
 //! of the queue changes which edges become contractible, and the queue's
-//! constant factors dominate the running time. Three implementations are
-//! therefore provided:
+//! constant factors dominate the running time. One bucket queue at two tie
+//! orders and one heap are therefore provided:
 //!
-//! * [`BStackPq`] — bucket array, LIFO within a bucket. The scan immediately
-//!   revisits the vertex whose priority was just raised, behaving
-//!   depth-first-like.
-//! * [`BQueuePq`] — bucket array, FIFO within a bucket. The scan explores
-//!   older discoveries first, behaving breadth-first-like; the paper finds
-//!   this is the best parallel variant.
+//! * [`BucketPq`] — bucket array whose const parameter is the order within
+//!   a bucket, the only thing the paper's two bucket variants differ in:
+//!   * [`BStackPq`] = `BucketPq<false>`, LIFO within a bucket. The scan
+//!     immediately revisits the vertex whose priority was just raised,
+//!     behaving depth-first-like.
+//!   * [`BQueuePq`] = `BucketPq<true>`, FIFO within a bucket. The scan
+//!     explores older discoveries first, behaving breadth-first-like; the
+//!     paper finds this is the best parallel variant.
 //! * [`BinaryHeapPq`] — addressable binary heap with Wegener's bottom-up
 //!   deletion heuristic; a neutral middle ground and the only option when
 //!   priorities are unbounded (plain NOI without the λ̂ cap).
 //!
 //! # Flat intrusive layout
 //!
-//! Because the queue constants dominate the scan, the two bucket queues are
+//! Because the queue constants dominate the scan, the bucket queue is
 //! built for cache behaviour rather than convenience:
 //!
 //! * **No per-bucket containers.** A bucket is a doubly-linked list whose
 //!   links live *intrusively* in one flat per-vertex `[next, prev]` array;
-//!   the bucket array itself is just head (and, for FIFO, tail) indices.
-//!   One allocation for all links, one for all bucket heads — no
-//!   `Vec<Vec<_>>` pointer-chasing, no per-bucket reallocation churn.
+//!   the bucket array itself is just head indices, plus a separate tail
+//!   array that only the FIFO order grows. One allocation for all links,
+//!   one for all bucket heads — no `Vec<Vec<_>>` pointer-chasing, no
+//!   per-bucket reallocation churn.
 //! * **O(1) raise.** A priority raise unlinks the vertex from its old
 //!   bucket and relinks it into the new one; buckets contain only live
 //!   entries and `pop_max` never skips stale slots. The observable pop
@@ -48,33 +51,13 @@
 //! assertion, and an equal-priority `raise` returns before touching any
 //! bucket or heap state.
 
-mod bqueue;
-mod bstack;
+mod bucket;
 mod counting;
 mod heap;
 
-pub use bqueue::BQueuePq;
-pub use bstack::BStackPq;
+pub use bucket::{BQueuePq, BStackPq, BucketPq};
 pub use counting::CountingPq;
 pub use heap::BinaryHeapPq;
-
-/// Sentinel index for "no vertex" in the intrusive link arrays.
-pub(crate) const NONE: u32 = u32::MAX;
-
-/// Epochs at or above this trigger a full stamp wipe on the next `reset`
-/// instead of a plain increment, so stamps can never collide across an
-/// epoch-counter wrap.
-pub(crate) const EPOCH_LIMIT: u32 = u32::MAX - 1;
-
-/// Bucket index of a priority, shared by both bucket queues.
-#[inline]
-pub(crate) fn bucket_of(prio: u64, max_priority: u64) -> usize {
-    debug_assert!(
-        prio <= max_priority,
-        "priority {prio} exceeds bucket range {max_priority}"
-    );
-    prio as usize
-}
 
 /// Snapshot of the operation counters of a [`CountingPq`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -138,17 +121,6 @@ pub trait MaxPq {
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Pushes `v` if absent, raises it otherwise. The workhorse of the
-    /// CAPFOREST inner loop.
-    #[inline]
-    fn push_or_raise(&mut self, v: u32, prio: u64) {
-        if self.contains(v) {
-            self.raise(v, prio);
-        } else {
-            self.push(v, prio);
-        }
     }
 
     /// Returns and resets the accumulated operation tallies. Only
