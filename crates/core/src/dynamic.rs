@@ -80,6 +80,7 @@
 //! ```
 
 use std::io::BufRead;
+use std::sync::Arc;
 use std::time::Instant;
 
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
@@ -285,8 +286,11 @@ pub struct DynamicMinCut {
     /// on. Kept in lock-step with `(λ, witness)` by edge-local repair
     /// ([`crate::cactus::repair`]) with
     /// [`refresh_cactus`](DynamicMinCut::refresh_cactus) as the
-    /// fallback.
-    cactus: Option<Cactus>,
+    /// fallback. An update that changes the family installs a new
+    /// cactus instead of editing this one, so readers share it through
+    /// the `Arc` (the service hands it out without copying) and a
+    /// reader's cactus keeps describing the epoch it was fetched at.
+    cactus: Option<Arc<Cactus>>,
     /// Whether structure-crossing updates try edge-local repair before
     /// rebuilding (on by default; the A/B knob of
     /// [`set_cactus_repair`](DynamicMinCut::set_cactus_repair)).
@@ -389,14 +393,14 @@ impl DynamicMinCut {
             let cactus = CactusBuilder::new().build_with_lambda(&csr, self.lambda)?;
             self.stats.cactus_rebuilds += 1;
             self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
-            self.cactus = Some(cactus);
+            self.cactus = Some(Arc::new(cactus));
         }
-        Ok(self.cactus.as_ref().expect("just built"))
+        Ok(self.cactus.as_deref().expect("just built"))
     }
 
     /// The maintained cactus, when cactus maintenance is on.
     #[inline]
-    pub fn cactus(&self) -> Option<&Cactus> {
+    pub fn cactus(&self) -> Option<&Arc<Cactus>> {
         self.cactus.as_ref()
     }
 
@@ -424,7 +428,7 @@ impl DynamicMinCut {
 
     fn require_cactus(&self) -> Result<&Cactus, MinCutError> {
         self.cactus
-            .as_ref()
+            .as_deref()
             .ok_or_else(|| MinCutError::CactusUnavailable {
                 message: "enable cactus maintenance first (DynamicMinCut::enable_cactus, \
                       or --cactus on the CLI)"
@@ -486,8 +490,12 @@ impl DynamicMinCut {
                 self.stats.queries += 1;
                 Ok(self.report(false))
             }
+            // The checks of `min_cut_separating`, in its order, without
+            // computing the cut: callers that want it ask the cactus.
             TraceOp::QuerySeparating { u, v } => {
-                self.min_cut_separating(u, v)?;
+                self.check_consistent()?;
+                self.check_endpoints(u, v)?;
+                self.require_cactus()?;
                 self.stats.queries += 1;
                 Ok(self.report(false))
             }
@@ -727,7 +735,7 @@ impl DynamicMinCut {
     fn commit_repair(&mut self, repaired: Option<Cactus>, t0: Instant) -> Result<(), MinCutError> {
         match repaired {
             Some(cactus) => {
-                self.cactus = Some(cactus);
+                self.cactus = Some(Arc::new(cactus));
                 self.stats.cactus_repairs += 1;
                 self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
                 Ok(())
@@ -775,7 +783,7 @@ impl DynamicMinCut {
         let cactus = CactusBuilder::new().build_with_lambda(&csr, self.lambda)?;
         self.stats.cactus_rebuilds += 1;
         self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
-        self.cactus = Some(cactus);
+        self.cactus = Some(Arc::new(cactus));
         Ok(())
     }
 

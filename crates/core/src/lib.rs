@@ -123,9 +123,9 @@
 //! [`DeltaGraph`](mincut_graph::DeltaGraph) overlay, re-solving — seeded
 //! through [`SolveOptions::initial_bound`] — only when an update crosses
 //! the witness in a way that can change the answer (see the
-//! [`dynamic`] module docs for the case analysis). The service exposes
-//! it with `(fingerprint, epoch)` cache keys, and the CLI as
-//! `mincut --stream <trace>`:
+//! [`dynamic`] module docs for the case analysis). The service hosts it
+//! behind a handle that answers every read from its own maintainer, and
+//! the CLI exposes it as `mincut --stream <trace>`:
 //!
 //! ```
 //! use mincut_core::{DynamicMinCut, SolveOptions};

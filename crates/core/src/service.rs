@@ -12,8 +12,8 @@
 //!   jobs don't serialise the queue because workers pull the next index
 //!   from a shared atomic cursor rather than owning a static slice.
 //! * **Caching** — results are memoised in a fingerprint-keyed cut
-//!   cache, a locked hash table like the kernel and cactus caches: the
-//!   key is [`CsrGraph::fingerprint`] plus the resolved solver instance
+//!   cache, a locked hash table like the kernel cache: the key is
+//!   [`CsrGraph::fingerprint`] plus the resolved solver instance
 //!   configuration, so a repeat submission is served without re-solving.
 //!   The cache persists across batches for the lifetime of the service.
 //! * **Bound sharing** — jobs that share a graph (same fingerprint) or a
@@ -23,10 +23,10 @@
 //!   bounds are re-evaluated on the receiving graph before use
 //!   (`cut_value` of the witness side), so exactness is never lost.
 //! * **Dynamic graphs** — [`MinCutService::register_dynamic`] hosts a
-//!   mutating graph behind a [`DynamicMinCut`] maintainer; updates and
-//!   queries are served with `(origin_fingerprint, epoch)` cache keys,
-//!   so a mutation can never be answered from a stale entry, and every
-//!   epoch advance is tallied in [`CacheStats::invalidations`].
+//!   mutating graph behind a [`DynamicMinCut`] maintainer, the only copy
+//!   of that graph's λ, witness and cactus. Updates and queries lock the
+//!   handle's maintainer and answer from it; they touch no cache, so no
+//!   handle can be served another handle's state.
 //! * **Budgets and policies** — an optional per-batch wall-clock budget
 //!   clamps every job's [`SolveOptions::time_budget`] to the remaining
 //!   batch time; [`ErrorPolicy::FailFast`] skips the rest of a batch
@@ -140,9 +140,11 @@ pub struct ServiceConfig {
     /// per-job budgets clamped to the remaining batch time; jobs that
     /// start after it expires are skipped.
     pub batch_budget: Option<Duration>,
-    /// Serve repeat submissions from the fingerprint-keyed cut cache.
+    /// Serve repeat batch submissions from the fingerprint-keyed cut
+    /// cache, and share kernels through the kernel cache. Dynamic
+    /// handles never read either: they answer from their maintainers.
     pub cache: bool,
-    /// Entry cap for each of the cut, kernel and cactus caches, exact:
+    /// Entry cap for each of the cut and kernel caches, exact:
     /// once a cache holds this many entries, new results are no longer
     /// memoised there (existing entries keep serving) so a long-lived
     /// service fed a stream of distinct graphs cannot grow without
@@ -325,12 +327,6 @@ pub struct CacheStats {
     pub misses: u64,
     pub insertions: u64,
     pub entries: usize,
-    /// Entries invalidated by a dynamic-graph mutation: each epoch
-    /// advance removes the previous epoch's cached result (the
-    /// `(fingerprint, epoch)` key scheme means it could never be served
-    /// again), so a long update stream cannot saturate the cache with
-    /// dead entries.
-    pub invalidations: u64,
 }
 
 /// The memoised result of one (graph, solver configuration) pair.
@@ -350,13 +346,13 @@ struct CacheEntry {
     side: Option<Vec<bool>>,
 }
 
-/// One cache table, keyed by a folded fingerprint/config hash.
+/// One locked table on `u64` keys: a cache (keyed by a folded
+/// fingerprint/config hash) or the hosted dynamic handles.
 type Table<V> = Mutex<FxHashMap<u64, V>>;
 
-/// Locks a cache table. Nothing but one map operation on `u64` keys
-/// ever runs under the lock, which leaves the table valid even if it
-/// unwinds, so a poisoned lock is taken over instead of failing every
-/// later request.
+/// Locks a table. Nothing but one map operation on `u64` keys ever runs
+/// under the lock, which leaves the table valid even if it unwinds, so a
+/// poisoned lock is taken over instead of failing every later request.
 fn locked<V>(table: &Table<V>) -> MutexGuard<'_, FxHashMap<u64, V>> {
     table.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -378,7 +374,6 @@ struct CutCache {
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl CutCache {
@@ -388,7 +383,6 @@ impl CutCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -449,28 +443,12 @@ impl CutCache {
         }
     }
 
-    /// Reclaims the entry a mutation made stale: the epoch-keyed scheme
-    /// guarantees `(fingerprint, config)` can never be served again, so
-    /// the slot (and its O(n) witness) goes back to the cache budget.
-    fn invalidate(&self, fingerprint: u64, config: &str) {
-        if locked(&self.map)
-            .remove(&Self::key(fingerprint, config))
-            .is_some()
-        {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            mincut_obs::metrics()
-                .counter("service.cache.invalidations")
-                .inc();
-        }
-    }
-
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             entries: locked(&self.map).len(),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
 }
@@ -506,18 +484,9 @@ struct BatchState<'a> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DynamicHandle(u64);
 
-/// One hosted dynamic graph: the maintainer plus its epoch-less cache
-/// configuration prefix.
-struct DynamicEntry {
-    maintainer: Mutex<DynamicMinCut>,
-    /// Cache-key prefix identifying the solver configuration; the
-    /// current epoch is appended per lookup/insert.
-    config: String,
-}
-
-impl DynamicEntry {
-    fn epoch_config(&self, epoch: u64) -> String {
-        format!("{}|epoch={epoch}", self.config)
+fn unknown_handle(handle: DynamicHandle) -> MinCutError {
+    MinCutError::InvalidUpdate {
+        message: format!("unknown dynamic handle {:?}", handle),
     }
 }
 
@@ -529,15 +498,10 @@ pub struct MinCutService {
     /// the shared [`ReduceOutcome`], so batch jobs on the same graph
     /// kernelize once. Persists across batches, like the cut cache.
     kernels: Table<Arc<ReduceOutcome>>,
-    /// Hosted dynamic graphs ([`MinCutService::register_dynamic`]).
-    dynamic: Mutex<std::collections::HashMap<u64, Arc<DynamicEntry>>>,
+    /// Hosted dynamic graphs ([`MinCutService::register_dynamic`]), each
+    /// maintainer behind its own lock.
+    dynamic: Table<Arc<Mutex<DynamicMinCut>>>,
     next_dynamic: AtomicU64,
-    /// Cactus cache for dynamic graphs with cactus maintenance on:
-    /// keyed like the cut cache (`(origin_fingerprint, epoch)` folded
-    /// into one key, with a `|cactus` marker) and tallied into the same
-    /// [`CacheStats`]. Mutations invalidate the previous epoch's entry
-    /// exactly like cut entries.
-    cacti: Table<Arc<Cactus>>,
 }
 
 impl Default for MinCutService {
@@ -552,9 +516,8 @@ impl MinCutService {
             config,
             cache: CutCache::new(),
             kernels: Table::default(),
-            dynamic: Mutex::new(std::collections::HashMap::new()),
+            dynamic: Table::default(),
             next_dynamic: AtomicU64::new(0),
-            cacti: Table::default(),
         }
     }
 
@@ -567,11 +530,12 @@ impl MinCutService {
         self.cache.stats()
     }
 
-    /// Drops every memoised result, kernel and cactus (counters kept).
+    /// Drops every memoised batch result and kernel (counters kept).
+    /// Hosted dynamic graphs keep serving: their state lives in their
+    /// maintainers, not in the caches.
     pub fn clear_cache(&self) {
         locked(&self.cache.map).clear();
         locked(&self.kernels).clear();
-        locked(&self.cacti).clear();
     }
 
     /// Runs one job outside a batch (no skips, same cache and bounds).
@@ -583,41 +547,21 @@ impl MinCutService {
     }
 
     // -----------------------------------------------------------------
-    // Dynamic graphs: epoch-keyed serving over a DynamicMinCut.
+    // Dynamic graphs: each handle answers from its own DynamicMinCut.
     // -----------------------------------------------------------------
 
     /// Hosts a mutable graph: runs the initial solve and returns a
     /// handle for [`MinCutService::dynamic_update`] /
-    /// [`MinCutService::dynamic_lambda`]. Results are memoised in the
-    /// same cut cache as batch jobs, but keyed by
-    /// `(origin_fingerprint, epoch)` — a mutation *cannot* be served a
-    /// stale entry, because the epoch in the key changes with it (the
-    /// staleness hazard a bare [`CsrGraph::fingerprint`] key would
-    /// have). Each epoch advance evicts the now-unservable previous
-    /// entry and counts it in [`CacheStats::invalidations`].
+    /// [`MinCutService::dynamic_lambda`]. The handle's
+    /// [`DynamicMinCut`] is the only copy of its graph's λ and witness,
+    /// so every read reflects the handle's own updates and nothing else.
     pub fn register_dynamic(
         &self,
         graph: impl Into<DeltaGraph>,
         solver: &str,
         opts: SolveOptions,
     ) -> Result<DynamicHandle, MinCutError> {
-        let instance = SolverRegistry::global()
-            .resolve(solver)?
-            .instance_name(&opts);
-        let config = format!(
-            "dyn|{instance}|seed={}|red={}",
-            opts.seed,
-            opts.reductions.cache_key()
-        );
-        let maintainer = DynamicMinCut::new(graph, solver, opts)?;
-        let entry = Arc::new(DynamicEntry {
-            maintainer: Mutex::new(maintainer),
-            config,
-        });
-        self.cache_dynamic_state(&entry);
-        let id = self.next_dynamic.fetch_add(1, Ordering::Relaxed);
-        self.dynamic.lock().unwrap().insert(id, entry);
-        Ok(DynamicHandle(id))
+        Ok(self.host(DynamicMinCut::new(graph, solver, opts)?))
     }
 
     /// Like [`MinCutService::register_dynamic`], but the maintainer
@@ -630,141 +574,68 @@ impl MinCutService {
         solver: &str,
         opts: SolveOptions,
     ) -> Result<DynamicHandle, MinCutError> {
-        let handle = self.register_dynamic(graph, solver, opts)?;
-        let entry = self.dynamic_entry(handle)?;
-        if let Err(e) = entry.maintainer.lock().unwrap().enable_cactus() {
-            let _ = self.unregister_dynamic(handle);
-            return Err(e);
-        }
-        Ok(handle)
+        let mut maintainer = DynamicMinCut::new(graph, solver, opts)?;
+        maintainer.enable_cactus()?;
+        Ok(self.host(maintainer))
     }
 
-    /// Applies one trace operation to a hosted dynamic graph. Mutations
-    /// advance the epoch: the previous epoch's cut-cache entry *and*
-    /// cactus-cache entry are both evicted (and counted as invalidated)
-    /// and the new `(λ, witness)` is memoised under the new
-    /// `(fingerprint, epoch)` key. A failed re-solve is surfaced, never
-    /// cached: the stale entries are still evicted (the mutation stuck
-    /// even though the solve did not), but the poisoned state is not
-    /// memoised — recover with [`MinCutService::dynamic_rebuild`].
+    fn host(&self, maintainer: DynamicMinCut) -> DynamicHandle {
+        let id = self.next_dynamic.fetch_add(1, Ordering::Relaxed);
+        locked(&self.dynamic).insert(id, Arc::new(Mutex::new(maintainer)));
+        DynamicHandle(id)
+    }
+
+    /// Applies one trace operation to a hosted dynamic graph
+    /// ([`DynamicMinCut::apply`]). A failed re-solve poisons the
+    /// maintainer, and every later read surfaces that instead of a
+    /// stale λ — recover with [`MinCutService::dynamic_rebuild`].
     pub fn dynamic_update(
         &self,
         handle: DynamicHandle,
         op: &TraceOp,
     ) -> Result<UpdateReport, MinCutError> {
-        let entry = self.dynamic_entry(handle)?;
-        let mut maintainer = entry.maintainer.lock().unwrap();
-        let before = maintainer.epoch();
-        let result = maintainer.apply(op);
-        if maintainer.epoch() != before && self.config.cache {
-            let fingerprint = maintainer.graph().origin_fingerprint();
-            let stale = entry.epoch_config(before);
-            self.cache.invalidate(fingerprint, &stale);
-            if locked(&self.cacti)
-                .remove(&Self::cactus_key(fingerprint, &stale))
-                .is_some()
-            {
-                self.cache.invalidations.fetch_add(1, Ordering::Relaxed);
-                mincut_obs::metrics()
-                    .counter("service.cache.invalidations")
-                    .inc();
-            }
-            drop(maintainer);
-            // Skips poisoned maintainers internally (check_consistent).
-            self.cache_dynamic_state(&entry);
-        }
-        result
+        self.maintainer(handle)?.lock().unwrap().apply(op)
     }
 
     /// Recovers a hosted maintainer that a failed re-solve poisoned:
     /// re-solves from the current [`DeltaGraph`] state
-    /// ([`DynamicMinCut::rebuild`]), clearing the poison, and memoises
-    /// the fresh `(λ, witness)` under the current epoch's key. Safe to
-    /// call on a healthy maintainer (it is just a from-scratch solve).
+    /// ([`DynamicMinCut::rebuild`]), clearing the poison. Safe to call
+    /// on a healthy maintainer (it is just a from-scratch solve).
     pub fn dynamic_rebuild(&self, handle: DynamicHandle) -> Result<UpdateReport, MinCutError> {
-        let entry = self.dynamic_entry(handle)?;
-        let report = entry.maintainer.lock().unwrap().rebuild()?;
-        self.cache_dynamic_state(&entry);
-        Ok(report)
+        self.maintainer(handle)?.lock().unwrap().rebuild()
     }
 
-    /// Serves the current λ (and whether it came from the epoch-keyed
-    /// cut cache rather than the maintainer).
-    pub fn dynamic_lambda(&self, handle: DynamicHandle) -> Result<(EdgeWeight, bool), MinCutError> {
-        let entry = self.dynamic_entry(handle)?;
-        let maintainer = entry.maintainer.lock().unwrap();
+    /// Serves the current λ of a hosted dynamic graph and the graph
+    /// epoch it describes.
+    pub fn dynamic_lambda(&self, handle: DynamicHandle) -> Result<(EdgeWeight, u64), MinCutError> {
+        let maintainer = self.maintainer(handle)?;
+        let maintainer = maintainer.lock().unwrap();
         maintainer.check_consistent()?;
-        let g = maintainer.graph();
-        if self.config.cache {
-            let config = entry.epoch_config(g.epoch());
-            if let Some((value, _)) =
-                self.cache
-                    .lookup(g.origin_fingerprint(), &config, g.n(), g.m())
-            {
-                return Ok((value, true));
-            }
-            let lambda = maintainer.lambda();
-            drop(maintainer);
-            self.cache_dynamic_state(&entry);
-            Ok((lambda, false))
-        } else {
-            Ok((maintainer.lambda(), false))
-        }
+        Ok((maintainer.lambda(), maintainer.epoch()))
     }
 
     /// Serves the cactus of all minimum cuts of a hosted dynamic graph
-    /// (and whether it came from the epoch-keyed cactus cache). The
-    /// handle must have been registered with
+    /// and the graph epoch it describes. The cactus is shared with the
+    /// maintainer, not copied: a later mutation installs a new cactus
+    /// and leaves the returned one describing this epoch. The handle
+    /// must have been registered with
     /// [`MinCutService::register_dynamic_with_cactus`] — without
     /// maintenance this is [`MinCutError::CactusUnavailable`].
-    pub fn dynamic_cactus(
-        &self,
-        handle: DynamicHandle,
-    ) -> Result<(Arc<Cactus>, bool), MinCutError> {
-        let entry = self.dynamic_entry(handle)?;
-        let maintainer = entry.maintainer.lock().unwrap();
+    pub fn dynamic_cactus(&self, handle: DynamicHandle) -> Result<(Arc<Cactus>, u64), MinCutError> {
+        let maintainer = self.maintainer(handle)?;
+        let maintainer = maintainer.lock().unwrap();
         maintainer.check_consistent()?;
-        let g = maintainer.graph();
-        let key = Self::cactus_key(g.origin_fingerprint(), &entry.epoch_config(g.epoch()));
-        if self.config.cache {
-            let cached = locked(&self.cacti).get(&key).cloned();
-            if let Some(cactus) = cached {
-                if cactus.n() == g.n() && cactus.lambda() == maintainer.lambda() {
-                    self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                    mincut_obs::metrics().counter("service.cache.hits").inc();
-                    return Ok((cactus, true));
-                }
-            }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-            mincut_obs::metrics().counter("service.cache.misses").inc();
-        }
-        let cactus = Arc::new(
-            maintainer
-                .cactus()
-                .ok_or_else(|| MinCutError::CactusUnavailable {
-                    message: "register the graph with register_dynamic_with_cactus".to_string(),
-                })?
-                .clone(),
-        );
-        if self.config.cache
-            && insert_capped(
-                &self.cacti,
-                key,
-                Arc::clone(&cactus),
-                self.config.cache_capacity,
-            )
-        {
-            self.cache.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((cactus, false))
+        let cactus = maintainer
+            .cactus()
+            .ok_or_else(|| MinCutError::CactusUnavailable {
+                message: "register the graph with register_dynamic_with_cactus".to_string(),
+            })?;
+        Ok((Arc::clone(cactus), maintainer.epoch()))
     }
 
     /// Batch separating queries answered from *one* cactus fetch: for
     /// each pair `(u, v)` the side of some minimum cut separating them,
-    /// or `None` when no minimum cut does (same cactus node). A k-pair
-    /// fan-out costs one epoch-keyed cache probe (or one clone of the
-    /// maintained cactus) instead of k, which is what makes the CLI's
-    /// consecutive `qs` stream ops cheap.
+    /// or `None` when no minimum cut does (same cactus node).
     pub fn min_cuts_separating_many(
         &self,
         handle: DynamicHandle,
@@ -785,66 +656,27 @@ impl MinCutService {
             .collect()
     }
 
-    /// Cactus-cache key: the cut-cache key of the same
-    /// `(origin_fingerprint, epoch)` pair with a `|cactus` marker
-    /// appended, so the two caches can never collide on a config.
-    fn cactus_key(fingerprint: u64, epoch_config: &str) -> u64 {
-        CutCache::key(fingerprint, &format!("{epoch_config}|cactus"))
-    }
-
     /// Lifetime counters of a hosted dynamic graph.
     pub fn dynamic_stats(&self, handle: DynamicHandle) -> Result<DynamicStats, MinCutError> {
-        let entry = self.dynamic_entry(handle)?;
-        let stats = entry.maintainer.lock().unwrap().stats().clone();
+        let stats = self.maintainer(handle)?.lock().unwrap().stats().clone();
         Ok(stats)
     }
 
-    /// Drops a hosted dynamic graph, returning its final counters. Its
-    /// cache entries age out with the cache (the final epoch's entry
-    /// stays valid — the graph can no longer mutate).
+    /// Drops a hosted dynamic graph, and with it the only copy of its
+    /// state, returning its final counters.
     pub fn unregister_dynamic(&self, handle: DynamicHandle) -> Result<DynamicStats, MinCutError> {
-        let entry = self
-            .dynamic
-            .lock()
-            .unwrap()
+        let maintainer = locked(&self.dynamic)
             .remove(&handle.0)
-            .ok_or_else(|| MinCutError::InvalidUpdate {
-                message: format!("unknown dynamic handle {:?}", handle),
-            })?;
-        let stats = entry.maintainer.lock().unwrap().stats().clone();
+            .ok_or_else(|| unknown_handle(handle))?;
+        let stats = maintainer.lock().unwrap().stats().clone();
         Ok(stats)
     }
 
-    fn dynamic_entry(&self, handle: DynamicHandle) -> Result<Arc<DynamicEntry>, MinCutError> {
-        self.dynamic
-            .lock()
-            .unwrap()
+    fn maintainer(&self, handle: DynamicHandle) -> Result<Arc<Mutex<DynamicMinCut>>, MinCutError> {
+        locked(&self.dynamic)
             .get(&handle.0)
             .cloned()
-            .ok_or_else(|| MinCutError::InvalidUpdate {
-                message: format!("unknown dynamic handle {:?}", handle),
-            })
-    }
-
-    /// Memoises the maintainer's current `(λ, witness)` under its
-    /// `(origin_fingerprint, epoch)` key.
-    fn cache_dynamic_state(&self, entry: &DynamicEntry) {
-        if !self.config.cache {
-            return;
-        }
-        let maintainer = entry.maintainer.lock().unwrap();
-        if maintainer.check_consistent().is_err() {
-            return; // never memoise a (λ, graph) pair that is out of sync
-        }
-        let g = maintainer.graph();
-        self.cache.insert(
-            g.origin_fingerprint(),
-            &entry.epoch_config(g.epoch()),
-            (g.n(), g.m()),
-            maintainer.lambda(),
-            Some(maintainer.witness().to_vec()),
-            self.config.cache_capacity,
-        );
+            .ok_or_else(|| unknown_handle(handle))
     }
 
     /// Runs a batch of jobs and reports per-job outcomes (in submission
@@ -1450,61 +1282,115 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_graphs_serve_epoch_keyed_results() {
+    fn dynamic_graphs_are_served_from_their_maintainers() {
         use crate::dynamic::TraceOp;
 
-        let service = MinCutService::new(ServiceConfig::new().concurrency(1));
-        let (g, l) = known::two_communities(6, 6, 1, 2, 1); // bridge (0,6), λ = 1
-        let h = service
-            .register_dynamic(g, "noi-viecut", SolveOptions::new().seed(1))
-            .unwrap();
+        // Every read answers from the maintainer whatever the batch
+        // cache setting, and no dynamic op touches the batch caches.
+        for cache in [true, false] {
+            let service = MinCutService::new(ServiceConfig::new().concurrency(1).cache(cache));
+            let (g, l) = known::two_communities(6, 6, 1, 2, 1); // bridge (0,6), λ = 1
+            let h = service
+                .register_dynamic_with_cactus(g, "noi-viecut", SolveOptions::new().seed(1))
+                .unwrap();
+            let served = |lambda, epoch| {
+                assert_eq!(service.dynamic_lambda(h).unwrap(), (lambda, epoch));
+                let (c, at) = service.dynamic_cactus(h).unwrap();
+                assert_eq!((c.lambda(), c.count_min_cuts(), at), (lambda, 1, epoch));
+            };
+            served(l, 0);
 
-        // Registration memoised epoch 0; the query is a cache hit.
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (l, true));
+            // A second bridge: epoch 1, λ = 2.
+            let r = service
+                .dynamic_update(h, &TraceOp::Insert { u: 1, v: 7, w: 1 })
+                .unwrap();
+            assert_eq!((r.lambda, r.epoch), (2, 1));
+            served(2, 1);
 
-        // A second bridge: epoch 1, new entry, old one counted stale.
-        let r = service
-            .dynamic_update(h, &TraceOp::Insert { u: 1, v: 7, w: 1 })
-            .unwrap();
-        assert_eq!((r.lambda, r.epoch), (2, 1));
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (2, true));
-        let cs = service.cache_stats();
-        assert_eq!(cs.invalidations, 1, "epoch 0 entry evicted");
-        assert_eq!(cs.entries, 1, "only the current epoch stays cached");
+            // Queries do not advance the epoch.
+            let r = service.dynamic_update(h, &TraceOp::Query).unwrap();
+            assert_eq!((r.lambda, r.epoch, r.resolved), (2, 1, false));
+            served(2, 1);
 
-        // Queries do not advance the epoch or invalidate anything.
-        let r = service.dynamic_update(h, &TraceOp::Query).unwrap();
-        assert_eq!((r.lambda, r.epoch, r.resolved), (2, 1, false));
-        assert_eq!(service.cache_stats().invalidations, 1);
+            // Crossing deletion: epoch 2, λ back to 1, no solver run.
+            let r = service
+                .dynamic_update(h, &TraceOp::Delete { u: 0, v: 6 })
+                .unwrap();
+            assert_eq!((r.lambda, r.resolved), (1, false));
+            served(1, 2);
+            assert_eq!(
+                service.cache_stats(),
+                CacheStats::default(),
+                "cache({cache})"
+            );
 
-        // Crossing deletion: epoch 2, λ back to 1, no solver run.
-        let r = service
-            .dynamic_update(h, &TraceOp::Delete { u: 0, v: 6 })
-            .unwrap();
-        assert_eq!((r.lambda, r.resolved), (1, false));
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (1, true));
-        assert_eq!(service.cache_stats().invalidations, 2);
+            let stats = service.dynamic_stats(h).unwrap();
+            assert_eq!(
+                (stats.insertions, stats.deletions, stats.queries),
+                (1, 1, 1)
+            );
 
-        let stats = service.dynamic_stats(h).unwrap();
-        assert_eq!(
-            (stats.insertions, stats.deletions, stats.queries),
-            (1, 1, 1)
-        );
-
-        let final_stats = service.unregister_dynamic(h).unwrap();
-        assert_eq!(final_stats, stats);
-        assert!(matches!(
-            service.dynamic_lambda(h),
-            Err(MinCutError::InvalidUpdate { .. })
-        ));
-        assert!(matches!(
-            service.unregister_dynamic(h),
-            Err(MinCutError::InvalidUpdate { .. })
-        ));
+            let final_stats = service.unregister_dynamic(h).unwrap();
+            assert_eq!(final_stats, stats);
+            assert!(matches!(
+                service.dynamic_lambda(h),
+                Err(MinCutError::InvalidUpdate { .. })
+            ));
+            assert!(matches!(
+                service.unregister_dynamic(h),
+                Err(MinCutError::InvalidUpdate { .. })
+            ));
+        }
     }
 
     #[test]
-    fn dynamic_cacti_are_epoch_cached_and_invalidated() {
+    fn handles_on_one_graph_serve_their_own_state() {
+        use crate::dynamic::TraceOp;
+
+        // Two handles on one graph and configuration, mutated differently
+        // to the same epoch, n and m: each serves its own λ.
+        let service = MinCutService::new(ServiceConfig::new().concurrency(1));
+        let (g, _) = known::two_communities(6, 6, 1, 2, 1); // bridge (0,6), λ = 1
+        let opts = SolveOptions::new().seed(1);
+        let a = service
+            .register_dynamic(g.clone(), "noi-viecut", opts.clone())
+            .unwrap();
+        let b = service.register_dynamic(g, "noi-viecut", opts).unwrap();
+        service
+            .dynamic_update(a, &TraceOp::Insert { u: 1, v: 7, w: 1 })
+            .unwrap();
+        service
+            .dynamic_update(b, &TraceOp::Insert { u: 1, v: 7, w: 3 })
+            .unwrap();
+        assert_eq!(service.dynamic_lambda(a).unwrap(), (2, 1));
+        assert_eq!(service.dynamic_lambda(b).unwrap(), (4, 1));
+
+        // The same for cacti: on a C6, a heavy chord 0–2 on A leaves no
+        // minimum cut separating 0 from 2, while B's chord 0–3 does not
+        // touch the cut {0, 3, 4, 5} (which costs 7 in A's graph).
+        let (g, _) = known::cycle_graph(6, 1);
+        let opts = SolveOptions::new().seed(1);
+        let a = service
+            .register_dynamic_with_cactus(g.clone(), "noi-viecut", opts.clone())
+            .unwrap();
+        let b = service
+            .register_dynamic_with_cactus(g, "noi-viecut", opts)
+            .unwrap();
+        service
+            .dynamic_update(a, &TraceOp::Insert { u: 0, v: 2, w: 5 })
+            .unwrap();
+        service
+            .dynamic_update(b, &TraceOp::Insert { u: 0, v: 3, w: 5 })
+            .unwrap();
+        assert!(service.min_cuts_separating_many(b, &[(0, 2)]).unwrap()[0].is_some());
+        assert_eq!(
+            service.min_cuts_separating_many(a, &[(0, 2)]).unwrap(),
+            vec![None]
+        );
+    }
+
+    #[test]
+    fn dynamic_cacti_are_shared_with_the_maintainer() {
         use crate::dynamic::TraceOp;
 
         let service = MinCutService::new(ServiceConfig::new().concurrency(1));
@@ -1513,25 +1399,20 @@ mod tests {
             .register_dynamic_with_cactus(g, "noi-viecut", SolveOptions::new().seed(1))
             .unwrap();
 
-        // First query memoises the epoch-0 cactus, second one hits it.
-        let (c, from_cache) = service.dynamic_cactus(h).unwrap();
-        assert!(!from_cache);
-        assert_eq!((c.lambda(), c.count_min_cuts()), (2, 10));
-        let (c2, from_cache) = service.dynamic_cactus(h).unwrap();
-        assert!(from_cache);
-        assert_eq!(c2.count_min_cuts(), 10);
+        // Two fetches at one epoch share one cactus: no copy is made.
+        let (c, epoch) = service.dynamic_cactus(h).unwrap();
+        assert_eq!((c.lambda(), c.count_min_cuts(), epoch), (2, 10, 0));
+        let (c2, _) = service.dynamic_cactus(h).unwrap();
+        assert!(Arc::ptr_eq(&c, &c2));
 
-        // A chord drops the count; the epoch-0 cactus (and λ entry)
-        // are both evicted and the new epoch serves the new cactus.
-        let inv0 = service.cache_stats().invalidations;
+        // A chord drops the count: the next fetch serves the new family,
+        // while the cactus taken before the mutation still holds the old.
         service
             .dynamic_update(h, &TraceOp::Insert { u: 0, v: 2, w: 5 })
             .unwrap();
-        assert_eq!(service.cache_stats().invalidations, inv0 + 2);
-        let (c, from_cache) = service.dynamic_cactus(h).unwrap();
-        assert!(!from_cache);
-        assert_eq!((c.lambda(), c.count_min_cuts()), (2, 4));
-        assert!(service.dynamic_cactus(h).unwrap().1);
+        let (c3, epoch) = service.dynamic_cactus(h).unwrap();
+        assert_eq!((c3.lambda(), c3.count_min_cuts(), epoch), (2, 4, 1));
+        assert_eq!(c.count_min_cuts(), 10);
 
         // Plain handles have no cactus to serve.
         let (g, _) = known::cycle_graph(5, 1);
@@ -1545,53 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn long_update_streams_leak_neither_cut_nor_cactus_entries() {
-        use crate::dynamic::TraceOp;
-
-        let service = MinCutService::new(ServiceConfig::new().concurrency(1));
-        let (g, _) = known::cycle_graph(6, 1);
-        let h = service
-            .register_dynamic_with_cactus(g, "noi-viecut", SolveOptions::new().seed(1))
-            .unwrap();
-
-        // Query after every mutation so both caches are populated at
-        // every epoch — the worst case for a leak.
-        let cuts0 = service.cache_stats().entries;
-        let cacti0 = locked(&service.cacti).len();
-        for round in 0..20u32 {
-            let (u, v) = (round % 6, (round + 2) % 6);
-            let op = if round % 2 == 0 {
-                TraceOp::Insert { u, v, w: 1 }
-            } else {
-                TraceOp::Delete { u, v }
-            };
-            let _ = service.dynamic_update(h, &op); // failed deletes are fine
-            service.dynamic_lambda(h).unwrap();
-            service.dynamic_cactus(h).unwrap();
-            // Only the *current* epoch's entries may live in either
-            // cache: each mutation must evict, not just re-key.
-            assert!(
-                service.cache_stats().entries <= cuts0 + 1,
-                "cut cache leaked at round {round}: {}",
-                service.cache_stats().entries
-            );
-            let cacti = locked(&service.cacti).len();
-            assert!(
-                cacti <= cacti0 + 1,
-                "cactus cache leaked at round {round}: {cacti}"
-            );
-        }
-        // Every successful mutation evicts a cut entry and (except the
-        // first, which predates any cactus query) a cactus entry.
-        let stats = service.cache_stats();
-        assert!(
-            stats.invalidations >= 15,
-            "evictions must be counted: {}",
-            stats.invalidations
-        );
-    }
-
-    #[test]
     fn batch_separating_queries_are_served_from_one_cactus() {
         let service = MinCutService::new(ServiceConfig::new().concurrency(1));
         let (g, _) = known::two_communities(5, 5, 1, 3, 2); // bridge (0,5), λ=1
@@ -1599,7 +1433,6 @@ mod tests {
             .register_dynamic_with_cactus(g, "noi-viecut", SolveOptions::new().seed(1))
             .unwrap();
 
-        let hits0 = service.cache_stats().hits;
         let answers = service
             .min_cuts_separating_many(h, &[(0, 5), (1, 2), (3, 9), (4, 4)])
             .unwrap();
@@ -1612,11 +1445,6 @@ mod tests {
         assert!(answers[3].is_none(), "u == v never separates");
         assert_eq!(answers[2], answers[0], "cross-bridge pairs see the cut");
 
-        // The whole batch consumed at most one fresh fetch; a second
-        // batch is pure cache hits.
-        service.min_cuts_separating_many(h, &[(0, 7)]).unwrap();
-        assert!(service.cache_stats().hits > hits0);
-
         // Out-of-range pairs fail the batch loudly instead of panicking.
         assert!(matches!(
             service.min_cuts_separating_many(h, &[(0, 99)]),
@@ -1625,7 +1453,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_dynamic_state_is_surfaced_not_cached_and_rebuild_recovers() {
+    fn poisoned_dynamic_state_is_surfaced_and_rebuild_recovers() {
         use crate::dynamic::TraceOp;
 
         let service = MinCutService::new(ServiceConfig::new().concurrency(1));
@@ -1637,81 +1465,33 @@ mod tests {
 
         // Zero the budget so the re-solve after a crossing insert fails
         // mid-update: mutation stuck, epoch advanced, solve poisoned.
-        {
-            let entry = service.dynamic_entry(h).unwrap();
-            entry.maintainer.lock().unwrap().options_mut().time_budget = Some(Duration::ZERO);
-        }
+        let set_budget = |budget| {
+            service
+                .maintainer(h)
+                .unwrap()
+                .lock()
+                .unwrap()
+                .options_mut()
+                .time_budget = budget;
+        };
+        set_budget(Some(Duration::ZERO));
         service
             .dynamic_update(h, &TraceOp::Insert { u: 1, v: 7, w: 1 })
             .unwrap_err();
 
-        // The poisoned state is surfaced on every read path and never
-        // memoised under the new epoch.
+        // The poisoned state is surfaced on every read path.
         assert!(service.dynamic_lambda(h).is_err());
         assert!(service.dynamic_cactus(h).is_err());
-        let (fp, config, n, m) = {
-            let entry = service.dynamic_entry(h).unwrap();
-            let maintainer = entry.maintainer.lock().unwrap();
-            let g = maintainer.graph();
-            (
-                g.origin_fingerprint(),
-                entry.epoch_config(g.epoch()),
-                g.n(),
-                g.m(),
-            )
-        };
-        assert!(
-            service.cache.lookup(fp, &config, n, m).is_none(),
-            "poisoned epoch must not be served from cache"
-        );
+        assert!(service.min_cuts_separating_many(h, &[(0, 6)]).is_err());
 
         // Fix the cause and rebuild through the service: poison clears
         // and serving resumes at the post-mutation λ.
-        {
-            let entry = service.dynamic_entry(h).unwrap();
-            entry.maintainer.lock().unwrap().options_mut().time_budget = None;
-        }
+        set_budget(None);
         let report = service.dynamic_rebuild(h).unwrap();
         assert_eq!(report.lambda, l + 1);
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (l + 1, true));
+        assert_eq!(service.dynamic_lambda(h).unwrap(), (l + 1, 1));
         assert!(service.dynamic_cactus(h).unwrap().0.count_min_cuts() >= 1);
-    }
-
-    #[test]
-    fn dynamic_cacti_work_with_the_cache_disabled() {
-        use crate::dynamic::TraceOp;
-
-        let service = MinCutService::new(ServiceConfig::new().cache(false));
-        let (g, _) = known::cycle_graph(4, 3); // λ = 6, 6 min cuts
-        let h = service
-            .register_dynamic_with_cactus(g, "noi-viecut", SolveOptions::new())
-            .unwrap();
-        assert_eq!(service.dynamic_cactus(h).unwrap().0.count_min_cuts(), 6);
-        service
-            .dynamic_update(h, &TraceOp::Delete { u: 0, v: 1 })
-            .unwrap();
-        let (c, from_cache) = service.dynamic_cactus(h).unwrap();
-        assert!(!from_cache, "no cache to hit");
-        assert_eq!((c.lambda(), c.count_min_cuts()), (3, 3));
-        assert_eq!(service.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn dynamic_graphs_work_with_the_cache_disabled() {
-        use crate::dynamic::TraceOp;
-
-        let service = MinCutService::new(ServiceConfig::new().cache(false));
-        let (g, l) = known::two_communities(6, 6, 1, 2, 1); // bridge (0,6), λ = 1
-        let h = service
-            .register_dynamic(g, "stoer-wagner", SolveOptions::new())
-            .unwrap();
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (l, false));
-        service
-            .dynamic_update(h, &TraceOp::Insert { u: 1, v: 7, w: 1 })
-            .unwrap();
-        assert_eq!(service.dynamic_lambda(h).unwrap(), (l + 1, false));
-        let cs = service.cache_stats();
-        assert_eq!((cs.insertions, cs.invalidations), (0, 0));
+        assert!(service.min_cuts_separating_many(h, &[(0, 6)]).unwrap()[0].is_some());
     }
 
     #[test]

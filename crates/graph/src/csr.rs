@@ -266,10 +266,9 @@ impl CsrGraph {
     /// instance: a cache keyed by it would silently serve results for a
     /// graph that no longer exists. `CsrGraph` itself is immutable, so
     /// the only mutation path in the workspace is
-    /// [`DeltaGraph`](crate::DeltaGraph) — which keeps the construction
-    /// fingerprint as a stable anchor and folds its `epoch` counter into
-    /// every derived cache key (`(origin_fingerprint, epoch)`), exactly
-    /// so stale entries can never be confused with current ones.
+    /// [`DeltaGraph`](crate::DeltaGraph), and no cache is keyed by a
+    /// graph that mutates: the service answers a hosted graph's reads
+    /// from its own maintainer.
     ///
     /// The value is computed once and cached (`CsrGraph` is immutable;
     /// the contraction engine's internal rebuild resets the cache).

@@ -22,11 +22,11 @@
 //! the compacted base is fingerprint-identical to
 //! [`CsrGraph::from_edges`] over the merged edge list.
 //!
-//! **Cache-key discipline.** [`CsrGraph::fingerprint`] must never be used
-//! as a cache key across mutation; `DeltaGraph` is the only mutation path
-//! in the workspace, and callers key caches by
-//! `(origin_fingerprint(), epoch())` — the service layer in `mincut-core`
-//! folds exactly that pair into its cut-cache keys.
+//! **No cache keys across mutation.** [`CsrGraph::fingerprint`] must
+//! never be used as a cache key across mutation, and `DeltaGraph` is the
+//! only mutation path in the workspace. Nothing keys a cache by a
+//! mutating graph: the service layer in `mincut-core` answers every read
+//! of a hosted graph from that graph's own maintainer.
 //!
 //! [`epoch`]: DeltaGraph::epoch
 //! [`n`]: DeltaGraph::n
@@ -90,10 +90,6 @@ pub struct DeltaGraph {
     m: usize,
     /// Advances on every successful mutation (never on compaction).
     epoch: u64,
-    /// Fingerprint of the graph this overlay started from; stable across
-    /// both mutation and compaction, the anchor half of the
-    /// `(origin_fingerprint, epoch)` cache key.
-    origin_fingerprint: u64,
     /// Times the overlay was folded into the base.
     compactions: u64,
     /// Merged-edge staging area recycled across compactions.
@@ -123,14 +119,12 @@ impl DeltaGraph {
             .map(|v| base.weighted_degree(v))
             .collect();
         let m = base.m();
-        let origin_fingerprint = base.fingerprint();
         DeltaGraph {
             base,
             overlay: FxHashMap::default(),
             wdeg,
             m,
             epoch: 0,
-            origin_fingerprint,
             compactions: 0,
             edges_scratch: Vec::new(),
             sort_scratch: Vec::new(),
@@ -158,14 +152,6 @@ impl DeltaGraph {
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Fingerprint of the base this overlay was constructed from; stable
-    /// across mutation *and* compaction. `(origin_fingerprint, epoch)`
-    /// identifies the current logical graph for cache keys.
-    #[inline]
-    pub fn origin_fingerprint(&self) -> u64 {
-        self.origin_fingerprint
     }
 
     /// Number of edges currently overridden by the overlay.
@@ -356,10 +342,9 @@ impl DeltaGraph {
     /// returns it. The rebuild reuses the retired base's CSR buffers and
     /// the engine-style sort scratch, so repeated compactions are
     /// allocation-free once warm; like graph construction, a large
-    /// rebuild runs at the hardware width. The logical graph, the epoch
-    /// and the origin fingerprint are unchanged; the new base is
-    /// fingerprint-identical to [`CsrGraph::from_edges`] over the merged
-    /// edge list.
+    /// rebuild runs at the hardware width. The logical graph and the
+    /// epoch are unchanged; the new base is fingerprint-identical to
+    /// [`CsrGraph::from_edges`] over the merged edge list.
     pub fn compact(&mut self) -> &CsrGraph {
         if self.overlay.is_empty() {
             return &self.base;
@@ -483,15 +468,12 @@ mod tests {
         g.delete_edge(3, 0);
         g.insert_edge(1, 3, 2);
         let reference = reference(&g);
-        let (m, epoch, origin) = (g.m(), g.epoch(), g.origin_fingerprint());
+        let (m, epoch) = (g.m(), g.epoch());
         let compacted = g.compact();
         assert_eq!(compacted.fingerprint(), reference.fingerprint());
         assert_eq!(compacted, &reference);
         assert_eq!(g.overlay_len(), 0);
-        assert_eq!(
-            (g.m(), g.epoch(), g.origin_fingerprint()),
-            (m, epoch, origin)
-        );
+        assert_eq!((g.m(), g.epoch()), (m, epoch));
         assert_eq!(g.compactions(), 1);
         // Second compact is a no-op on an empty overlay.
         g.compact();

@@ -620,46 +620,7 @@ fn run_stream_mode(cli: &Options, trace_path: &str) -> ! {
         sm_mincut::obs::flight().dump_to_stderr("dynamic update failure");
         finish(cli, 1)
     };
-    let mut index = 0;
-    while index < ops.len() {
-        // A run of consecutive `qs` ops is a fan-out over one epoch:
-        // answer the whole run from a single cached cactus fetch
-        // (min_cuts_separating_many) instead of one fetch per op.
-        if matches!(ops[index], TraceOp::QuerySeparating { .. }) {
-            let start = index;
-            let mut pairs = Vec::new();
-            while let Some(&TraceOp::QuerySeparating { u, v }) = ops.get(index) {
-                pairs.push((u, v));
-                index += 1;
-            }
-            let mut reports = Vec::with_capacity(pairs.len());
-            for (k, op) in ops[start..index].iter().enumerate() {
-                match service.dynamic_update(handle, op) {
-                    Ok(r) => reports.push(r),
-                    Err(e) => fail(start + k, e),
-                }
-            }
-            let cuts = service
-                .min_cuts_separating_many(handle, &pairs)
-                .unwrap_or_else(|e| fail(start, e));
-            for (k, (&(u, v), report)) in pairs.iter().zip(&reports).enumerate() {
-                let cut = match &cuts[k] {
-                    Some(side) => Cactus::side_to_json(side),
-                    None => "null".into(),
-                };
-                println!(
-                    "{{\"index\":{},\"op\":\"qs\",\"u\":{u},\"v\":{v},\"cut\":{cut},\
-                     \"epoch\":{},\"lambda\":{},\"resolved\":{}}}",
-                    start + k,
-                    report.epoch,
-                    report.lambda,
-                    report.resolved
-                );
-            }
-            continue;
-        }
-
-        let op = &ops[index];
+    for (index, op) in ops.iter().enumerate() {
         let report = match service.dynamic_update(handle, op) {
             Ok(r) => r,
             Err(e) => fail(index, e),
@@ -668,7 +629,7 @@ fn run_stream_mode(cli: &Options, trace_path: &str) -> ! {
             TraceOp::Insert { u, v, w } => format!("\"op\":\"i\",\"u\":{u},\"v\":{v},\"w\":{w}"),
             TraceOp::Delete { u, v } => format!("\"op\":\"d\",\"u\":{u},\"v\":{v}"),
             TraceOp::Query => "\"op\":\"q\"".into(),
-            // The count query carries its answer in the JSON row;
+            // The cactus queries carry their answers in the JSON row;
             // without --cactus, dynamic_update already failed above.
             TraceOp::QueryCount => {
                 let (cactus, _) = service
@@ -676,13 +637,23 @@ fn run_stream_mode(cli: &Options, trace_path: &str) -> ! {
                     .unwrap_or_else(|e| fail(index, e));
                 format!("\"op\":\"qc\",\"count\":{}", cactus.count_min_cuts())
             }
-            TraceOp::QuerySeparating { .. } => unreachable!("handled by the batched run above"),
+            TraceOp::QuerySeparating { u, v } => {
+                let cut = match service
+                    .min_cuts_separating_many(handle, &[(u, v)])
+                    .unwrap_or_else(|e| fail(index, e))
+                    .pop()
+                    .flatten()
+                {
+                    Some(side) => Cactus::side_to_json(&side),
+                    None => "null".into(),
+                };
+                format!("\"op\":\"qs\",\"u\":{u},\"v\":{v},\"cut\":{cut}")
+            }
         };
         println!(
             "{{\"index\":{index},{op_fields},\"epoch\":{},\"lambda\":{},\"resolved\":{}}}",
             report.epoch, report.lambda, report.resolved
         );
-        index += 1;
     }
 
     let stats = service

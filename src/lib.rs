@@ -68,8 +68,8 @@
 //! [`DeltaGraph`] overlay, re-solving (bound-seeded) only when an update
 //! crosses the witness in a way that can change the answer; the
 //! `mincut --stream <trace>` CLI mode and the `dynamic_stream` example
-//! drive it end to end, and [`MinCutService::register_dynamic`] serves
-//! it with `(fingerprint, epoch)` cache keys:
+//! drive it end to end, and [`MinCutService::register_dynamic`] hosts
+//! it behind a handle that answers every read from its own maintainer:
 //!
 //! ```
 //! use sm_mincut::{CsrGraph, DynamicMinCut, SolveOptions};

@@ -766,6 +766,48 @@ fn cli_stream_cactus_queries_exit_codes() {
     assert!(lines[1].contains("\"op\":\"qs\"") && lines[1].contains("\"cut\":["));
     assert!(lines[2].contains("\"op\":\"qs\"") && lines[2].contains("\"cut\":null"));
 
+    // Exact rows on C5 (λ = 2, its 10 minimum cuts are the pairs of
+    // cycle edges, so each vertex alone is one). The heavy chord 0–2
+    // leaves the 4 cuts that keep 0 and 2 together: {1}, {3}, {4},
+    // {3, 4}. Deleting 0–1 crosses the maintained witness (λ = 2 − 1,
+    // no re-solve) and leaves vertex 1 hanging by one unit edge: {1} is
+    // the only minimum cut, reported from 0's side for `qs 0 1`.
+    let trace = scratch_file(
+        "cactus_cycle5.trace",
+        "qs 0 2\nqs 1 3\nqs 2 4\nqc\ni 0 2 5\nqs 0 2\nqs 1 4\nqs 3 4\n\
+         d 0 1\nqs 0 1\nqs 2 4\nqc\nq\n",
+    );
+    let expected = "\
+{\"index\":0,\"op\":\"qs\",\"u\":0,\"v\":2,\"cut\":[0],\"epoch\":0,\"lambda\":2,\"resolved\":false}
+{\"index\":1,\"op\":\"qs\",\"u\":1,\"v\":3,\"cut\":[1],\"epoch\":0,\"lambda\":2,\"resolved\":false}
+{\"index\":2,\"op\":\"qs\",\"u\":2,\"v\":4,\"cut\":[2],\"epoch\":0,\"lambda\":2,\"resolved\":false}
+{\"index\":3,\"op\":\"qc\",\"count\":10,\"epoch\":0,\"lambda\":2,\"resolved\":false}
+{\"index\":4,\"op\":\"i\",\"u\":0,\"v\":2,\"w\":5,\"epoch\":1,\"lambda\":2,\"resolved\":true}
+{\"index\":5,\"op\":\"qs\",\"u\":0,\"v\":2,\"cut\":null,\"epoch\":1,\"lambda\":2,\"resolved\":false}
+{\"index\":6,\"op\":\"qs\",\"u\":1,\"v\":4,\"cut\":[1],\"epoch\":1,\"lambda\":2,\"resolved\":false}
+{\"index\":7,\"op\":\"qs\",\"u\":3,\"v\":4,\"cut\":[3],\"epoch\":1,\"lambda\":2,\"resolved\":false}
+{\"index\":8,\"op\":\"d\",\"u\":0,\"v\":1,\"epoch\":2,\"lambda\":1,\"resolved\":false}
+{\"index\":9,\"op\":\"qs\",\"u\":0,\"v\":1,\"cut\":[0,2,3,4],\"epoch\":2,\"lambda\":1,\"resolved\":false}
+{\"index\":10,\"op\":\"qs\",\"u\":2,\"v\":4,\"cut\":null,\"epoch\":2,\"lambda\":1,\"resolved\":false}
+{\"index\":11,\"op\":\"qc\",\"count\":1,\"epoch\":2,\"lambda\":1,\"resolved\":false}
+{\"index\":12,\"op\":\"q\",\"epoch\":2,\"lambda\":1,\"resolved\":false}
+";
+    for threads in ["1", "2"] {
+        let out = mincut_bin()
+            .args(["-t", threads, "--stream"])
+            .arg(&trace)
+            .arg("--cactus")
+            .arg(data("cycle5.graph"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            expected,
+            "-t {threads}"
+        );
+    }
+
     // The same queries without --cactus: runtime failure (exit 1) with
     // an error JSON row pointing at the fix.
     let out = mincut_bin()
