@@ -122,21 +122,16 @@ fn bench_union_find(c: &mut Criterion) {
 
 fn bench_contraction(c: &mut Criterion) {
     let g = test_graph();
-    let threads = hardware_threads();
     let labels: Vec<NodeId> = (0..g.n() as NodeId).map(|v| v / 16).collect();
     let blocks = g.n().div_ceil(16);
     let mut group = c.benchmark_group("contraction");
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            ContractionEngine::new(1)
-                .contract_sequential(&g, &labels, blocks)
-                .m()
-        })
+    group.bench_function("fresh_engine", |b| {
+        b.iter(|| ContractionEngine::new().contract(&g, &labels, blocks).m())
     });
     // The solvers' actual hot path: one engine reused across rounds, so
-    // accumulation tables and both CSR buffers stay warm.
+    // its scratch and both CSR buffers stay warm.
     group.bench_function("engine_reused", |b| {
-        let mut engine = ContractionEngine::new(threads);
+        let mut engine = ContractionEngine::new();
         b.iter(|| {
             let c = engine.contract(&g, &labels, blocks);
             let m = c.m();

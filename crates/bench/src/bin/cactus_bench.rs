@@ -16,7 +16,9 @@
 //!   every update. All three must agree on λ *and* on the min-cut count
 //!   after every operation — that differential check makes this bin the
 //!   CI smoke test of the cactus subsystem (`SMC_SCALE=tiny`),
-//!   mirroring `dynamic_throughput`.
+//!   mirroring `dynamic_throughput`. (a) and (b) are timed as the best of
+//!   [`GATE_REPLAYS`](mincut_bench::runner::GATE_REPLAYS) replays, each
+//!   one checked, because their ratio is gated.
 //!
 //! Writes `results/BENCH_cactus.json` (build, maintenance, and repair
 //! rows share the report; `solver` distinguishes them — the
@@ -29,6 +31,7 @@ use std::time::Instant;
 
 use mincut_bench::instances::Scale;
 use mincut_bench::report::{BenchEntry, BenchReport};
+use mincut_bench::runner::best_replay;
 use mincut_bench::table::Table;
 use mincut_core::cactus::CactusBuilder;
 use mincut_core::dynamic::{materialize, DynamicMinCut, TraceOp};
@@ -158,20 +161,23 @@ fn main() {
         // rebuild-only (`set_cactus_repair(false)`), same trace.
         let trace = make_trace(&case.graph, updates, 0xCAC);
         let run_maintained = |repair: bool| {
-            let t0 = Instant::now();
-            let mut dm = DynamicMinCut::new(case.graph.clone(), "parcut", opts.clone())
-                .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-            dm.enable_cactus()
-                .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-            dm.set_cactus_repair(repair);
-            let mut seq = Vec::with_capacity(trace.len());
-            for op in &trace {
-                let lambda = dm.apply(op).expect("valid trace").lambda;
-                let cactus = dm.cactus().expect("maintenance enabled");
-                seq.push((lambda, cactus.count_min_cuts()));
-            }
-            let stats = dm.stats().clone();
-            (t0.elapsed().as_secs_f64(), seq, stats)
+            let mut stats = None;
+            let (seq, secs) = best_replay(&format!("{} repair={repair}", case.name), || {
+                let mut dm = DynamicMinCut::new(case.graph.clone(), "parcut", opts.clone())
+                    .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+                dm.enable_cactus()
+                    .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+                dm.set_cactus_repair(repair);
+                let mut seq = Vec::with_capacity(trace.len());
+                for op in &trace {
+                    let lambda = dm.apply(op).expect("valid trace").lambda;
+                    let cactus = dm.cactus().expect("maintenance enabled");
+                    seq.push((lambda, cactus.count_min_cuts()));
+                }
+                stats = Some(dm.stats().clone());
+                seq
+            });
+            (secs, seq, stats.expect("at least one replay"))
         };
         let (maint_s, maintained, stats) = run_maintained(true);
         let (no_repair_s, no_repair, off_stats) = run_maintained(false);

@@ -8,14 +8,16 @@
 //! sequences are identical. The maintainer's amortized per-update cost
 //! must beat one full cold solve per update on the clustered families —
 //! that assertion makes this bin the CI smoke test of the dynamic
-//! subsystem (`SMC_SCALE=tiny`), mirroring `reduction_impact`.
+//! subsystem (`SMC_SCALE=tiny`), mirroring `reduction_impact`. Both
+//! sides are millisecond-scale, so each is timed as the best of
+//! [`GATE_REPLAYS`](mincut_bench::runner::GATE_REPLAYS) replays, every
+//! one of them checked.
 //!
 //! Sizes follow `SMC_SCALE` (tiny/small/full) like every other bench bin.
 
-use std::time::Instant;
-
 use mincut_bench::instances::Scale;
 use mincut_bench::report::{BenchEntry, BenchReport};
+use mincut_bench::runner::best_replay;
 use mincut_bench::table::Table;
 use mincut_core::dynamic::{materialize, DynamicMinCut, TraceOp};
 use mincut_core::{Session, SolveOptions};
@@ -114,37 +116,41 @@ fn main() {
             let opts = SolveOptions::new().seed(11).threads(threads);
 
             // Incremental path: one maintainer across the whole trace.
-            let t0 = Instant::now();
-            let mut dm = DynamicMinCut::new(case.graph.clone(), "parcut", opts.clone())
-                .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-            let mut dyn_lambdas = Vec::with_capacity(trace.len());
-            for op in &trace {
-                dyn_lambdas.push(dm.apply(op).expect("valid trace").lambda);
-            }
-            let dyn_s = t0.elapsed().as_secs_f64();
-            let resolves = dm.stats().resolves;
+            let tag = format!("{} (p={threads})", case.name);
+            let mut resolves = 0;
+            let (dyn_lambdas, dyn_s) = best_replay(&format!("{tag} maintained"), || {
+                let mut dm = DynamicMinCut::new(case.graph.clone(), "parcut", opts.clone())
+                    .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+                let lambdas: Vec<EdgeWeight> = trace
+                    .iter()
+                    .map(|op| dm.apply(op).expect("valid trace").lambda)
+                    .collect();
+                resolves = dm.stats().resolves;
+                lambdas
+            });
 
             // Baseline: cold solve on the materialised graph per update.
-            let t0 = Instant::now();
-            let mut shadow = DeltaGraph::new(case.graph.clone());
-            let mut full_lambdas = Vec::with_capacity(trace.len());
-            for op in &trace {
-                match *op {
-                    TraceOp::Insert { u, v, w } => shadow.insert_edge(u, v, w),
-                    TraceOp::Delete { u, v } => {
-                        shadow.delete_edge(u, v).expect("valid trace");
+            let (full_lambdas, full_s) = best_replay(&format!("{tag} cold"), || {
+                let mut shadow = DeltaGraph::new(case.graph.clone());
+                let mut lambdas = Vec::with_capacity(trace.len());
+                for op in &trace {
+                    match *op {
+                        TraceOp::Insert { u, v, w } => shadow.insert_edge(u, v, w),
+                        TraceOp::Delete { u, v } => {
+                            shadow.delete_edge(u, v).expect("valid trace");
+                        }
+                        // Queries (plain or cactus) leave the graph alone.
+                        TraceOp::Query | TraceOp::QueryCount | TraceOp::QuerySeparating { .. } => {}
                     }
-                    // Queries (plain or cactus) leave the graph alone.
-                    TraceOp::Query | TraceOp::QueryCount | TraceOp::QuerySeparating { .. } => {}
+                    let g = materialize(&shadow);
+                    let out = Session::new(&g)
+                        .options(opts.clone())
+                        .run("parcut")
+                        .unwrap_or_else(|e| panic!("{}: baseline: {e}", case.name));
+                    lambdas.push(out.cut.value);
                 }
-                let g = materialize(&shadow);
-                let out = Session::new(&g)
-                    .options(opts.clone())
-                    .run("parcut")
-                    .unwrap_or_else(|e| panic!("{}: baseline: {e}", case.name));
-                full_lambdas.push(out.cut.value);
-            }
-            let full_s = t0.elapsed().as_secs_f64();
+                lambdas
+            });
 
             assert_eq!(
                 dyn_lambdas, full_lambdas,

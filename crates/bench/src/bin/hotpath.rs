@@ -9,10 +9,14 @@
 //!    queue). The warm passes must equal a fresh
 //!    `capforest::<CountingPq<_>>` pass: λ̂, unions, witness length, scan
 //!    order and PQ-operation tallies.
-//! 2. **Contraction micro** — the hash accumulator on a coarse and a fine
-//!    labelling, and the matrix accumulator on a labelling of at most
-//!    `MATRIX_MAX_BLOCKS` blocks; each must build the graph `contract`
-//!    builds, fingerprint included.
+//! 2. **Contraction micro** — the engine's one accumulator, warm and
+//!    recycled, on the three shapes of round the solvers produce: a
+//!    near-identity labelling (n − n/1000 blocks from merging the
+//!    endpoints of random edges, like a reduction round that removes a
+//!    handful of vertices), a coarse one (n/24 blocks) and a few-block
+//!    one (min(n/24, 128) blocks). Each output must equal
+//!    `CsrGraph::from_edges` over the relabelled edges, by value and by
+//!    fingerprint.
 //! 3. **End-to-end** — `noi-viecut` at 1 thread and ParCut at 1/2/4
 //!    workers through `Session`; every row of an instance must report the
 //!    same λ.
@@ -30,10 +34,12 @@ use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::table::Table;
 use mincut_core::capforest::{capforest, capforest_with, ScanInfo, ScanScratch};
 use mincut_core::{Session, SolveOptions};
-use mincut_ds::{BQueuePq, BStackPq, CountingPq, MaxPq, PqCounters, PqKind};
+use mincut_ds::{BQueuePq, BStackPq, CountingPq, MaxPq, PqCounters, PqKind, UnionFind};
 use mincut_graph::generators::known;
 use mincut_graph::kcore::k_core_lcc;
 use mincut_graph::{ContractionEngine, CsrGraph, NodeId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0xbeef;
 
@@ -76,6 +82,31 @@ fn cases(scale: Scale) -> Vec<Case> {
         });
     }
     out
+}
+
+/// `v mod blocks`: a labelling onto `blocks` blocks that spreads every
+/// cluster over all of them.
+fn modulo_labels(n: usize, blocks: usize) -> (Vec<NodeId>, usize) {
+    (
+        (0..n as NodeId).map(|v| v % blocks as NodeId).collect(),
+        blocks,
+    )
+}
+
+/// A near-identity labelling: the endpoints of random edges merged until
+/// n/1000 vertices (at least one) are gone, numbered densely.
+fn near_identity_labels(g: &CsrGraph, seed: u64) -> (Vec<NodeId>, usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut uf = UnionFind::new(g.n());
+    let target = g.n() - (g.n() / 1000).max(1);
+    while uf.count() > target {
+        let u = rng.gen_range(0..g.n() as NodeId);
+        let nbrs = g.neighbors(u);
+        if !nbrs.is_empty() {
+            uf.union(u, nbrs[rng.gen_range(0..nbrs.len())]);
+        }
+    }
+    uf.dense_labels()
 }
 
 fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
@@ -141,7 +172,7 @@ fn main() {
     println!("== Hot path: CAPFOREST scan, contraction, end to end (scale {scale:?}) ==\n");
 
     let mut scan_table = Table::new(&["instance", "queue", "wall_s", "pq_total"]);
-    let mut contract_table = Table::new(&["instance", "accumulator", "blocks", "wall_s"]);
+    let mut contract_table = Table::new(&["instance", "shape", "blocks", "wall_s"]);
     let mut e2e_table = Table::new(&[
         "instance", "solver", "threads", "wall_s", "lambda", "pq_total",
     ]);
@@ -181,36 +212,42 @@ fn main() {
             report.push(entry);
         }
 
-        // ---- 2. contraction micro: the hash accumulator on a coarse
-        // and a fine labelling, the matrix accumulator on at most
-        // MATRIX_MAX_BLOCKS blocks. One thread, like the rows it writes. ----
-        let mut engine = ContractionEngine::new(1);
+        // ---- 2. contraction micro: one warm, recycled engine on the
+        // near-identity, coarse and few-block shapes. ----
+        let mut engine = ContractionEngine::new();
         let coarse = (g.n() / 24).max(2);
-        let fine = (g.n() / 2).max(2);
-        let few = coarse.min(ContractionEngine::MATRIX_MAX_BLOCKS);
-        for (accumulator, blocks) in [
-            ("seq-hash", coarse),
-            ("seq-hash", fine),
-            ("seq-matrix", few),
+        for (shape, (labels, blocks)) in [
+            ("near-identity", near_identity_labels(g, SEED)),
+            ("coarse", modulo_labels(g.n(), coarse)),
+            ("few", modulo_labels(g.n(), coarse.min(128))),
         ] {
-            let labels: Vec<NodeId> = (0..g.n() as NodeId).map(|v| v % blocks as NodeId).collect();
-            let expected = engine.contract(g, &labels, blocks);
-            let (c, wall) = if accumulator == "seq-hash" {
-                time_reps(reps, || engine.contract_sequential(g, &labels, blocks))
-            } else {
-                time_reps(reps, || engine.contract_matrix(g, &labels, blocks))
-            };
-            assert_eq!(c, expected, "{}: {accumulator} diverged", case.name);
+            let edges: Vec<_> = g
+                .edges()
+                .map(|(u, v, w)| (labels[u as usize], labels[v as usize], w))
+                .collect();
+            let expected = CsrGraph::from_edges(blocks, &edges);
+            let warm = engine.contract(g, &labels, blocks);
+            engine.recycle(warm);
+            let mut last: Option<CsrGraph> = None;
+            let ((), wall) = time_reps(reps, || {
+                let c = engine.contract(g, &labels, blocks);
+                if let Some(old) = last.replace(c) {
+                    engine.recycle(old);
+                }
+            });
+            let c = last.expect("at least one rep");
+            assert_eq!(c, expected, "{}: {shape} contraction diverged", case.name);
             assert_eq!(c.fingerprint(), expected.fingerprint());
+            engine.recycle(c);
             contract_table.row(vec![
                 case.name.clone(),
-                accumulator.into(),
+                shape.into(),
                 blocks.to_string(),
                 format!("{wall:.6}"),
             ]);
             let mut entry = BenchEntry::named(
                 &format!("{}/b{blocks}", case.name),
-                &format!("contract/{accumulator}"),
+                &format!("contract/{shape}"),
                 1,
                 g.n(),
                 g.m(),
@@ -261,7 +298,7 @@ fn main() {
 
     println!("-- CAPFOREST scan: one bounded pass on warm state (≡ a fresh pass) --");
     scan_table.emit("hotpath_scan");
-    println!("\n-- contraction: hash and matrix accumulators (≡ `contract` asserted) --");
+    println!("\n-- contraction: near-identity, coarse and few-block rounds (≡ the builder) --");
     contract_table.emit("hotpath_contract");
     println!("\n-- end-to-end: shipped solvers (λ identical per instance) --");
     e2e_table.emit("hotpath_e2e");
@@ -270,5 +307,5 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => println!("\ncould not write BENCH json: {e}"),
     }
-    println!("warm scans ≡ fresh passes, hash and matrix ≡ contract, λ identical per instance ✓");
+    println!("warm scans ≡ fresh passes, contractions ≡ the builder, λ identical per instance ✓");
 }

@@ -5,15 +5,14 @@
 //! *diffable against the committed baseline of the previous one* instead
 //! of living in scrollback. The schema is flat on purpose — one entry per
 //! (instance, solver, thread-count) measurement carrying wall time, the
-//! PQ-operation totals, kernel sizes, per-path contraction-round counts
-//! and a peak-RSS proxy — and the regeneration protocol is documented in
+//! PQ-operation totals, kernel sizes, round counts and a peak-RSS
+//! proxy — and the regeneration protocol is documented in
 //! ROADMAP.md ("Performance").
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mincut_core::{json_string, SolveOutcome};
-use mincut_graph::ContractionPath;
 
 /// One measurement row of a [`BenchReport`].
 #[derive(Clone, Debug)]
@@ -41,10 +40,8 @@ pub struct BenchEntry {
     /// Kernel the solver ran on (0/0 when kernelization was off).
     pub kernel_n: usize,
     pub kernel_m: usize,
-    /// Outer rounds and contraction-path attribution of the last rep.
+    /// Outer rounds of the last rep.
     pub rounds: u64,
-    pub contractions_seq_hash: u64,
-    pub contractions_seq_matrix: u64,
 }
 
 impl BenchEntry {
@@ -65,8 +62,6 @@ impl BenchEntry {
             kernel_n: 0,
             kernel_m: 0,
             rounds: 0,
-            contractions_seq_hash: 0,
-            contractions_seq_matrix: 0,
         }
     }
 
@@ -80,12 +75,6 @@ impl BenchEntry {
         self.kernel_n = s.kernel_n;
         self.kernel_m = s.kernel_m;
         self.rounds = s.rounds;
-        for p in &s.contraction_paths {
-            match p {
-                ContractionPath::SeqHash => self.contractions_seq_hash += 1,
-                ContractionPath::SeqMatrix => self.contractions_seq_matrix += 1,
-            }
-        }
     }
 
     fn to_json(&self) -> String {
@@ -93,8 +82,7 @@ impl BenchEntry {
             "{{\"instance\":{},\"solver\":{},\"threads\":{},\"n\":{},\"m\":{},\
              \"lambda\":{},\"wall_s\":{:.9},\"reps\":{},\
              \"pq_ops\":{{\"pushes\":{},\"raises\":{},\"pops\":{}}},\
-             \"kernel_n\":{},\"kernel_m\":{},\"rounds\":{},\
-             \"contractions\":{{\"seq_hash\":{},\"seq_matrix\":{}}}}}",
+             \"kernel_n\":{},\"kernel_m\":{},\"rounds\":{}}}",
             json_string(&self.instance),
             json_string(&self.solver),
             self.threads,
@@ -109,8 +97,6 @@ impl BenchEntry {
             self.kernel_n,
             self.kernel_m,
             self.rounds,
-            self.contractions_seq_hash,
-            self.contractions_seq_matrix,
         )
     }
 }
@@ -574,14 +560,14 @@ mod tests {
         let mut e = BenchEntry::named("ring_8", "noi-viecut", 2, 8, 12);
         e.lambda = 3;
         e.wall_s = 0.25;
-        e.contractions_seq_matrix = 4;
+        e.rounds = 4;
         r.push(e);
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"name\":\"unit\""));
         assert!(j.contains("\"scale\":\"tiny\""));
         assert!(j.contains("\"solver\":\"noi-viecut\""));
-        assert!(j.contains("\"seq_matrix\":4"));
+        assert!(j.contains("\"rounds\":4"));
     }
 
     #[test]

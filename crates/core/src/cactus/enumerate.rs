@@ -28,8 +28,7 @@ pub fn all_min_cuts(g: &CsrGraph, lambda: EdgeWeight) -> Vec<Vec<bool>> {
     assert!(lambda > 0, "λ = 0 families are not explicitly enumerable");
     let bound = n * (n - 1) / 2;
     let mut cuts: Vec<Vec<bool>> = Vec::new();
-    // Single-edge contractions always take the sequential path.
-    let mut engine = ContractionEngine::new(1);
+    let mut engine = ContractionEngine::new();
     let mut membership = Membership::identity(n);
     let mut cur = g.clone();
     while cur.n() > 1 {

@@ -24,7 +24,7 @@
 use std::borrow::Cow;
 
 use mincut_ds::UnionFind;
-use mincut_graph::{ContractionEngine, ContractionPath, CsrGraph, EdgeWeight, Membership, NodeId};
+use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
@@ -44,8 +44,8 @@ pub(crate) struct Contracted<'g> {
 
 impl<'g> Contracted<'g> {
     /// Starts on `g` (n ≥ 2) with λ̂ at the minimum weighted degree and
-    /// that vertex alone as the side. `threads` is the contraction width.
-    pub fn new(g: &'g CsrGraph, track_sides: bool, threads: usize) -> Self {
+    /// that vertex alone as the side.
+    pub fn new(g: &'g CsrGraph, track_sides: bool) -> Self {
         let (v, degree) = g.min_weighted_degree().expect("n >= 2");
         let membership = track_sides.then(|| Membership::identity(g.n()));
         let side = membership.as_ref().map(|m| m.side_of_vertices(&[v]));
@@ -54,7 +54,7 @@ impl<'g> Contracted<'g> {
             membership,
             lambda: degree,
             side,
-            engine: ContractionEngine::new(threads),
+            engine: ContractionEngine::new(),
         }
     }
 
@@ -106,9 +106,8 @@ impl<'g> Contracted<'g> {
 
     /// Collapses the current graph by `labels` (vertex → block in
     /// `[0, blocks)`), then offers the new graph's minimum-degree cut when
-    /// it still has two vertices. Returns the accumulation path the
-    /// engine took, for the caller's telemetry.
-    pub fn contract(&mut self, labels: &[NodeId], blocks: usize) -> ContractionPath {
+    /// it still has two vertices.
+    pub fn contract(&mut self, labels: &[NodeId], blocks: usize) {
         let next = self.engine.contract(&self.graph, labels, blocks);
         if let Some(m) = &mut self.membership {
             m.contract(labels, blocks);
@@ -122,7 +121,6 @@ impl<'g> Contracted<'g> {
             let (v, degree) = self.graph.min_weighted_degree().expect("n >= 2");
             self.offer(degree, &[v]);
         }
-        self.engine.last_path()
     }
 
     /// The rescue for a scan that marked nothing (§3.2: bounded and
@@ -179,7 +177,7 @@ mod tests {
     #[test]
     fn offered_vertex_sets_map_back_to_cuts_of_the_input() {
         let g = two_cliques();
-        let mut k = Contracted::new(&g, true, 1);
+        let mut k = Contracted::new(&g, true);
         assert_eq!(k.lambda(), 9);
         // {0, 1} and {4, 5}, then {01, 2}: no contracted vertex beats
         // the degree bound.
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn untracked_sides_yield_no_witness() {
         let g = two_cliques();
-        let mut k = Contracted::new(&g, false, 1);
+        let mut k = Contracted::new(&g, false);
         k.contract(&[0, 0, 1, 2, 3, 3, 4, 5], 6);
         k.offer(2, &[0, 1]);
         k.adopt(1, Some(vec![true; 8]));
@@ -210,7 +208,7 @@ mod tests {
     fn contracting_to_one_vertex_offers_nothing() {
         // A lone vertex has weighted degree 0 but no cut at all.
         let (g, _) = known::cycle_graph(4, 3);
-        let mut k = Contracted::new(&g, true, 1);
+        let mut k = Contracted::new(&g, true);
         k.contract(&[0, 0, 0, 0], 1);
         assert_eq!(k.graph().n(), 1);
         let r = k.into_result();
@@ -221,7 +219,7 @@ mod tests {
     #[test]
     fn the_input_is_borrowed_until_the_first_contraction() {
         let g = two_cliques();
-        let mut k = Contracted::new(&g, true, 1);
+        let mut k = Contracted::new(&g, true);
         k.offer(2, &[0, 1, 2, 3]);
         k.adopt(1, None);
         assert!(std::ptr::eq(k.graph(), &g), "no copy of the input");
@@ -232,7 +230,7 @@ mod tests {
     #[test]
     fn sw_rescue_unions_the_phase_pair_and_keeps_the_bound() {
         let g = two_cliques();
-        let mut k = Contracted::new(&g, true, 1);
+        let mut k = Contracted::new(&g, true);
         k.contract(&[0, 0, 1, 2, 3, 3, 4, 5], 6);
         let phase = stoer_wagner_phase(k.graph(), 0);
         let mut uf = UnionFind::new(k.graph().n());

@@ -29,7 +29,7 @@ pub(crate) fn karger_stein_connected(
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let mut engine = ContractionEngine::new(ctx.threads);
+    let mut engine = ContractionEngine::new();
     let mut best = EdgeWeight::MAX;
     let mut best_side: Option<Vec<bool>> = None;
     for _ in 0..opts.repetitions.max(1) {

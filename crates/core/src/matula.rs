@@ -41,7 +41,7 @@ pub(crate) fn matula_approx_connected(
     let mut labels_buf: Vec<NodeId> = Vec::new();
     // The trivial cut of every graph the loop holds is the approximation
     // anchor; the contraction state offers each one.
-    let mut k = Contracted::new(g, opts.witness, ctx.threads);
+    let mut k = Contracted::new(g, opts.witness);
     ctx.stats.record_lambda(k.lambda());
 
     while k.graph().n() >= 2 {
@@ -79,8 +79,7 @@ pub(crate) fn matula_approx_connected(
         }
         let blocks = ws.uf_mut().dense_labels_into(&mut labels_buf);
         ctx.stats.contracted_vertices += (n - blocks) as u64;
-        let path = k.contract(&labels_buf, blocks);
-        ctx.stats.record_contraction_path(path);
+        k.contract(&labels_buf, blocks);
         ctx.stats.record_lambda(k.lambda());
     }
 

@@ -56,7 +56,7 @@ pub(crate) fn noi_minimum_cut_connected(
 
     // Initial bound: minimum weighted degree (the trivial cut), possibly
     // beaten by a supplied bound (VieCut).
-    let mut k = Contracted::new(g, cfg.compute_side, ctx.threads);
+    let mut k = Contracted::new(g, cfg.compute_side);
     if let Some((value, side)) = cfg.initial_bound {
         k.adopt(value, side);
     }
@@ -91,9 +91,7 @@ pub(crate) fn noi_minimum_cut_connected(
         let blocks = ws.uf_mut().dense_labels_into(&mut labels_buf);
         debug_assert!(blocks < n, "every round must make progress");
         ctx.stats.contracted_vertices += (n - blocks) as u64;
-        let path = k.contract(&labels_buf, blocks);
-        ctx.stats.record_contraction_path(path);
-        round_span.arg_display("path", path);
+        k.contract(&labels_buf, blocks);
         ctx.stats.record_lambda(k.lambda());
     }
 

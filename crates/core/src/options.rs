@@ -36,9 +36,9 @@ pub struct SolveOptions {
     /// (e.g. `NOIλ̂-BStack`).
     pub pq: PqKind,
     /// Width of every parallel layer of a solve: ParCut's CAPFOREST
-    /// workers, label propagation, contraction and the CSR rebuild. At 1
-    /// the whole solve runs on the caller's thread and is deterministic.
-    /// Defaults to the hardware thread count.
+    /// workers and label propagation. Contraction is sequential at every
+    /// width. At 1 the whole solve runs on the caller's thread and is
+    /// deterministic. Defaults to the hardware thread count.
     pub threads: usize,
     /// Independent repetitions for Monte-Carlo solvers (Karger–Stein).
     pub repetitions: usize,

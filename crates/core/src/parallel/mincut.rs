@@ -55,7 +55,7 @@ pub(crate) fn parallel_minimum_cut_connected(
     })?;
 
     ctx.time_phase("parcut", |ctx| {
-        let mut k = Contracted::new(g, compute_side, threads);
+        let mut k = Contracted::new(g, compute_side);
         k.adopt(vc.value, vc.side);
         ctx.stats.record_lambda(k.lambda());
         let mut pool = ParWorkerPool::new();
@@ -99,9 +99,7 @@ pub(crate) fn parallel_minimum_cut_connected(
 
             debug_assert!(blocks < n, "every round must make progress");
             ctx.stats.contracted_vertices += (n - blocks) as u64;
-            let path = k.contract(&labels, blocks);
-            ctx.stats.record_contraction_path(path);
-            round_span.arg_display("path", path);
+            k.contract(&labels, blocks);
             ctx.stats.record_lambda(k.lambda());
         }
 

@@ -20,13 +20,13 @@
 //! * `components` — the mandatory first pass: a disconnected graph has
 //!   λ = 0 with the smallest component as the canonical witness; each
 //!   component collapses to one vertex and the pipeline terminates.
-//! * `degree-bound` — walks the k-core peeling order
-//!   ([`mincut_graph::kcore::core_decomposition`]) and takes the best
-//!   *prefix cut* along it (maintained incrementally in O(n + m)). Loosely
-//!   attached structure peels first, so this generalises the trivial
-//!   minimum-degree cut: the first prefix is a single minimum-degree
-//!   vertex, later prefixes capture whole satellite communities. Bound
-//!   only; never contracts.
+//! * `degree-bound` — takes the best *prefix cut* along the k-core
+//!   peeling order ([`mincut_graph::kcore::peel_prefix_cuts`]), whose
+//!   values the peel itself sums in its one O(n + m) pass over the arcs.
+//!   Loosely attached structure peels first, so this generalises the
+//!   trivial minimum-degree cut: the first prefix is a single
+//!   minimum-degree vertex, later prefixes capture whole satellite
+//!   communities. Bound only; never contracts.
 //! * `heavy-edge` — contracts every edge with `c(e) ≥ λ̂` (any cut
 //!   separating its endpoints pays at least `c(e)`, so no cut below λ̂ is
 //!   lost) or `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts;
@@ -34,17 +34,19 @@
 //!   most the minimum weighted degree of every interim kernel).
 //! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
 //!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
-//!   triangle test 3 on top of the edge-local tests.
+//!   triangle test 3 on top of the edge-local tests. Test 3 merges the
+//!   two endpoints' sorted adjacency lists only until the common
+//!   neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not the sum.
 //!
 //! Contractions run through
 //! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
-//! the same accumulator choice as every solver's round loop.
+//! the same accumulator every solver's round loop uses.
 
 use std::time::Instant;
 
 use mincut_ds::UnionFind;
 use mincut_graph::components::{connected_components, smallest_component_side};
-use mincut_graph::kcore::core_decomposition;
+use mincut_graph::kcore::peel_prefix_cuts;
 use mincut_graph::{CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::contracted::Contracted;
@@ -114,26 +116,14 @@ impl Pass {
                 true
             }
             Pass::DegreeBound => {
-                let (_, order) = core_decomposition(g);
-                let mut in_prefix = vec![false; n];
-                let mut cut: EdgeWeight = 0;
+                // The first prefix reaching the strict minimum below λ̂;
+                // the whole vertex set (i = n − 1) is no cut.
                 let mut best = (k.lambda(), usize::MAX);
-                for (i, &v) in order[..n - 1].iter().enumerate() {
-                    let into_prefix: EdgeWeight = g
-                        .arcs(v)
-                        .filter(|&(u, _)| in_prefix[u as usize])
-                        .map(|(_, w)| w)
-                        .sum();
-                    // cut(P ∪ {v}) = cut(P) + c(v) − 2·w(v, P); never
-                    // underflows because w(v, P) ≤ cut(P) and
-                    // w(v, P) ≤ c(v).
-                    cut += g.weighted_degree(v);
-                    cut -= 2 * into_prefix;
-                    in_prefix[v as usize] = true;
-                    if cut < best.0 {
+                let order = peel_prefix_cuts(g, |i, cut| {
+                    if i + 1 < n && cut < best.0 {
                         best = (cut, i);
                     }
-                }
+                });
                 if best.1 != usize::MAX {
                     k.offer(best.0, &order[..=best.1]);
                 }
@@ -260,7 +250,7 @@ impl ReductionPipeline {
         // Sides are always tracked (even for witness-off runs) so one
         // outcome can be shared across jobs with different witness
         // settings.
-        let mut k = Contracted::new(g, true, ctx.threads);
+        let mut k = Contracted::new(g, true);
         if let Some((value, side)) = initial_bound {
             // A sideless bound leaves the outcome sideless; callers with
             // witness tracking on never supply one (validated).
@@ -338,7 +328,8 @@ const TRIANGLE_DEGREE_BUDGET: usize = 256;
 /// 3. `c(e) + Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x)) ≥ λ̂` — every cut
 ///    separating u and v also pays, for each common neighbour x, the
 ///    cheaper of its two triangle edges (x lands on one side); exact-safe
-///    for cuts below λ̂.
+///    for cuts below λ̂. The sum is only compared with λ̂, so its merge
+///    stops as soon as the bound is met.
 ///
 /// The fourth Padberg–Rinaldi condition (a triangle/degree hybrid) is
 /// deliberately omitted: tests 1–3 already capture nearly all
@@ -388,12 +379,12 @@ fn pr_pass(
                 }
                 continue;
             }
-            // Test 3: aggregate triangle bound via sorted-list intersection.
+            // Test 3: aggregate triangle bound via sorted-list
+            // intersection. Test 1 failed, so `need` = λ̂ − c(e) > 0.
             if g.degree(u) + g.degree(v) > triangle_budget {
                 continue;
             }
-            let bound = w + common_neighbor_min_sum(g, u, v);
-            if bound >= lambda_hat && uf.union(u, v) {
+            if triangle_bound_reaches(g, u, v, lambda_hat - w) && uf.union(u, v) {
                 unions += 1;
             }
         }
@@ -401,13 +392,15 @@ fn pr_pass(
     unions
 }
 
-/// `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x))` by merging the two sorted
-/// adjacency lists.
-fn common_neighbor_min_sum(g: &CsrGraph, u: NodeId, v: NodeId) -> EdgeWeight {
-    let nu = g.neighbors(u);
-    let wu = g.neighbor_weights(u);
-    let nv = g.neighbors(v);
-    let wv = g.neighbor_weights(v);
+/// Whether `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x)) ≥ need`, by merging
+/// the two sorted adjacency lists. Test 3 only compares the sum with the
+/// bound, so the merge stops at the first common neighbour that brings
+/// the running sum to `need`; on dense clusters that is a few matches
+/// into the lists.
+fn triangle_bound_reaches(g: &CsrGraph, u: NodeId, v: NodeId, need: EdgeWeight) -> bool {
+    debug_assert!(need > 0, "test 1 handles c(e) ≥ λ̂");
+    let (nu, wu) = g.arc_slices(u);
+    let (nv, wv) = g.arc_slices(v);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sum = 0;
     while i < nu.len() && j < nv.len() {
@@ -416,12 +409,15 @@ fn common_neighbor_min_sum(g: &CsrGraph, u: NodeId, v: NodeId) -> EdgeWeight {
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 sum += wu[i].min(wv[j]);
+                if sum >= need {
+                    return true;
+                }
                 i += 1;
                 j += 1;
             }
         }
     }
-    sum
+    false
 }
 
 #[cfg(test)]
@@ -606,6 +602,112 @@ mod tests {
 
     // ----- Padberg–Rinaldi pass tests (moved with the implementation) ----
 
+    /// The pass with test 3's full merge: the whole common-neighbour sum,
+    /// then the comparison.
+    fn full_merge_pr_pass(
+        g: &CsrGraph,
+        lambda_hat: EdgeWeight,
+        uf: &mut UnionFind,
+        triangle_budget: usize,
+    ) -> usize {
+        let mut unions = 0;
+        let mut matched = vec![false; g.n()];
+        for u in 0..g.n() as NodeId {
+            let du = g.weighted_degree(u);
+            for (v, w) in g.arcs(u) {
+                if u >= v {
+                    continue;
+                }
+                let dv = g.weighted_degree(v);
+                if w >= lambda_hat {
+                    if uf.union(u, v) {
+                        unions += 1;
+                    }
+                    continue;
+                }
+                if 2 * w >= du.min(dv) && !matched[u as usize] && !matched[v as usize] {
+                    if uf.union(u, v) {
+                        matched[u as usize] = true;
+                        matched[v as usize] = true;
+                        unions += 1;
+                    }
+                    continue;
+                }
+                if g.degree(u) + g.degree(v) > triangle_budget {
+                    continue;
+                }
+                let bound = w + common_neighbor_min_sum(g, u, v);
+                if bound >= lambda_hat && uf.union(u, v) {
+                    unions += 1;
+                }
+            }
+        }
+        unions
+    }
+
+    /// `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x))` over the whole merge.
+    fn common_neighbor_min_sum(g: &CsrGraph, u: NodeId, v: NodeId) -> EdgeWeight {
+        let (nu, wu) = g.arc_slices(u);
+        let (nv, wv) = g.arc_slices(v);
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut sum = 0;
+        while i < nu.len() && j < nv.len() {
+            match nu[i].cmp(&nv[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    sum += wu[i].min(wv[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn test3_stopping_at_the_bound_matches_the_full_merge() {
+        // Every λ̂ from 1 to past the largest weighted degree meets each
+        // edge's triangle sum exactly once, so a stop one match late or
+        // early changes a union somewhere. Dense graphs keep test 2 quiet
+        // and feed test 3; sparse ones are where test 2 fires.
+        let mut rng = SmallRng::seed_from_u64(0x3e3);
+        let mut test2_fired = false;
+        for trial in 0..120 {
+            let dense = trial % 2 == 0;
+            let n = rng.gen_range(5..24usize);
+            let mut edges = Vec::new();
+            for v in 1..n as NodeId {
+                edges.push((rng.gen_range(0..v), v, rng.gen_range(1..8)));
+            }
+            let extra = if dense { 5 * n } else { n / 3 };
+            for _ in 0..extra {
+                let u = rng.gen_range(0..n as NodeId);
+                let v = rng.gen_range(0..n as NodeId);
+                edges.push((u, v, rng.gen_range(1..4)));
+            }
+            let g = CsrGraph::from_edges(n, &edges);
+            let max_degree = (0..n as NodeId)
+                .map(|v| g.weighted_degree(v))
+                .max()
+                .unwrap();
+            for lambda_hat in 1..=max_degree + 1 {
+                for budget in [0, TRIANGLE_DEGREE_BUDGET] {
+                    let mut uf = UnionFind::new(n);
+                    let unions = pr_pass(&g, lambda_hat, &mut uf, budget);
+                    let mut reference = UnionFind::new(n);
+                    let expected = full_merge_pr_pass(&g, lambda_hat, &mut reference, budget);
+                    let tag = format!("trial {trial}, λ̂ {lambda_hat}, budget {budget}");
+                    assert_eq!(unions, expected, "{tag}: unions");
+                    assert_eq!(uf.dense_labels(), reference.dense_labels(), "{tag}: blocks");
+                    // Above every weight only test 2 can fire at budget 0.
+                    test2_fired |= lambda_hat > max_degree && budget == 0 && unions > 0;
+                }
+            }
+        }
+        assert!(test2_fired, "some graph must exercise test 2");
+    }
+
     #[test]
     fn heavy_edge_contracts_under_test1() {
         let g = CsrGraph::from_edges(3, &[(0, 1, 10), (1, 2, 1), (0, 2, 1)]);
@@ -647,7 +749,7 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, lambda_hat, &mut uf);
         assert!(unions > 0, "cliques must contract");
         let (labels, blocks) = uf.dense_labels();
-        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract(&g, &labels, blocks);
         assert!(c.n() >= 2);
         assert_eq!(
             known::brute_force_mincut(&c),
@@ -665,7 +767,7 @@ mod tests {
         let unions = padberg_rinaldi_pass(&g, u64::MAX, &mut uf);
         assert!(unions > 0);
         let (labels, blocks) = uf.dense_labels();
-        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract(&g, &labels, blocks);
         if c.n() >= 2 {
             assert!(known::brute_force_mincut(&c) >= 4);
         }

@@ -6,14 +6,15 @@
 //! unlocked by the VieCut bound (§3.1.1), bound improvements per pass.
 //! These counters make that measurable on every run instead of only
 //! inside the bench harness: the λ̂ trajectory, contraction and rescue
-//! counts (with the accumulation path each round took), PQ operation
-//! totals (harvested from the drivers' [`mincut_ds::CountingPq`]
-//! instances) and named phase timings.
+//! counts, PQ operation totals (harvested from the drivers'
+//! [`mincut_ds::CountingPq`] instances), per-pass kernelization counters
+//! and named phase timings. Where each contraction round's time goes is
+//! the `contract/round` span's business, not this report's.
 
 use std::time::Instant;
 
 use mincut_ds::PqCounters;
-use mincut_graph::{ContractionPath, EdgeWeight};
+use mincut_graph::EdgeWeight;
 
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
@@ -70,11 +71,6 @@ pub struct SolverStats {
     pub contracted_vertices: u64,
     /// Stoer–Wagner rescue phases taken when a scan marked nothing.
     pub sw_rescues: u64,
-    /// Which [`ContractionEngine`](mincut_graph::ContractionEngine)
-    /// accumulator each contraction round took, in round order
-    /// (`seq-matrix` or `seq-hash`, by the rule documented on
-    /// [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract)).
-    pub contraction_paths: Vec<ContractionPath>,
     /// Priority-queue operation totals (pushes / raises / pops) across
     /// the run, including parallel workers.
     pub pq_ops: PqCounters,
@@ -117,13 +113,6 @@ impl SolverStats {
         self.pq_ops.add(c);
     }
 
-    /// Records which accumulator a contraction round took (read from
-    /// [`ContractionEngine::last_path`](mincut_graph::ContractionEngine::last_path)
-    /// right after the round).
-    pub fn record_contraction_path(&mut self, path: ContractionPath) {
-        self.contraction_paths.push(path);
-    }
-
     /// Absorbs the work counters of a nested run (e.g. VieCut's exact
     /// solve of the collapsed remainder) without adopting its λ̂
     /// trajectory, which concerns a different graph.
@@ -132,8 +121,6 @@ impl SolverStats {
         self.contracted_vertices += nested.contracted_vertices;
         self.sw_rescues += nested.sw_rescues;
         self.add_pq_ops(nested.pq_ops);
-        self.contraction_paths
-            .extend_from_slice(&nested.contraction_paths);
     }
 
     /// Serializes the report as a single JSON object (no dependencies on
@@ -169,14 +156,6 @@ impl SolverStats {
             s.push('{');
             push_json_str(&mut s, "name", p.name);
             s.push_str(&format!("\"seconds\":{:.9}}}", p.seconds));
-        }
-        s.push_str("],");
-        s.push_str("\"contraction_paths\":[");
-        for (i, p) in self.contraction_paths.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json_string(&p.to_string()));
         }
         s.push_str("],");
         s.push_str(&format!(

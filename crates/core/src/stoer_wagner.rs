@@ -78,7 +78,7 @@ pub(crate) fn stoer_wagner_connected(
     g: &CsrGraph,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let mut engine = ContractionEngine::new(ctx.threads);
+    let mut engine = ContractionEngine::new();
     let mut current = g.clone();
     let mut membership = Membership::identity(g.n());
     let mut best = EdgeWeight::MAX;

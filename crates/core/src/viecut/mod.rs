@@ -3,7 +3,7 @@
 //!
 //! Each level: (1) cluster the graph with parallel label propagation —
 //! minimum cuts rarely split a strongly connected cluster; (2) contract
-//! the clusters (shared-memory parallel contraction); (3) run a
+//! the clusters (one sequential contraction round); (3) run a
 //! linear-work pass of Padberg–Rinaldi local tests to contract further.
 //! Repeat until the graph is small, then solve it *exactly* with NOI.
 //!
@@ -49,7 +49,7 @@ pub(crate) fn viecut_connected(
     compute_side: bool,
     ctx: &mut SolveContext<'_>,
 ) -> Result<MinCutResult, MinCutError> {
-    let mut k = Contracted::new(g, compute_side, ctx.threads);
+    let mut k = Contracted::new(g, compute_side);
     ctx.stats.record_lambda(k.lambda());
 
     let mut level_seed = seed;
@@ -79,8 +79,7 @@ pub(crate) fn viecut_connected(
         }
         if clusters < n_before {
             ctx.stats.contracted_vertices += (n_before - clusters) as u64;
-            let path = k.contract(&labels, clusters);
-            ctx.stats.record_contraction_path(path);
+            k.contract(&labels, clusters);
             ctx.stats.record_lambda(k.lambda());
         }
         // (2) Padberg–Rinaldi pass on the contracted graph.
@@ -95,8 +94,7 @@ pub(crate) fn viecut_connected(
             if unions > 0 && uf.count() > 1 {
                 let blocks = uf.dense_labels_into(&mut labels_buf);
                 ctx.stats.contracted_vertices += (n - blocks) as u64;
-                let path = k.contract(&labels_buf, blocks);
-                ctx.stats.record_contraction_path(path);
+                k.contract(&labels_buf, blocks);
                 ctx.stats.record_lambda(k.lambda());
             }
         }

@@ -1,10 +1,10 @@
 //! `SolveOptions::threads` bounds every parallel layer of a solve.
 //!
-//! At one thread, label propagation, contraction, the CSR rebuild and
-//! ParCut's CAPFOREST workers all run inline, so the solve spawns no
-//! thread (`mincut_ds::par::threads_spawned` stays put) and repeats its
-//! operation stream exactly. The solve graph has at least 2^16 edges,
-//! past the chunk-parallel CSR rebuild's threshold. Label propagation
+//! At one thread, label propagation and ParCut's CAPFOREST workers run
+//! inline, and contraction never leaves the caller's thread, so the
+//! solve spawns no thread (`mincut_ds::par::threads_spawned` stays put)
+//! and repeats its operation stream exactly. The solve graph has more
+//! than 2^16 vertices and edges. Label propagation
 //! goes wide only past `PAR_LP_MIN_ARCS` = 2^20 arcs, which a solve
 //! graph this size stays below, so the test also calls
 //! `label_propagation` directly on a graph past 2^20 arcs: at one thread

@@ -1,9 +1,10 @@
 //! The workspace's one source of threads.
 //!
-//! Every parallel loop — ParCut's CAPFOREST workers, chunked
-//! contraction, the CSR rebuild, label propagation and the batch
-//! service's job workers — runs through the two scoped helpers below at
-//! a width its caller passes in (for a solve, `SolveOptions::threads`).
+//! Every parallel loop — ParCut's CAPFOREST workers, label propagation,
+//! the CSR rebuild of graph construction and `DeltaGraph` compaction,
+//! and the batch service's job workers — runs through the two scoped
+//! helpers below at a width its caller passes in (for a solve,
+//! `SolveOptions::threads`).
 //! Nothing else spawns a thread or asks the OS for its core count.
 //!
 //! Splitting is static: [`for_each_index`] hands worker `w` the

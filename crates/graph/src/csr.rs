@@ -271,7 +271,7 @@ impl CsrGraph {
     /// from its own maintainer.
     ///
     /// The value is computed once and cached (`CsrGraph` is immutable;
-    /// the contraction engine's internal rebuild resets the cache).
+    /// the in-place rebuilds of recycled buffers reset the cache).
     /// Graphs loaded from an `.smcpack` file arrive with the cache
     /// pre-seeded from the pack header, so service cache keys cost zero
     /// hashing on reload.
@@ -387,14 +387,40 @@ impl CsrGraph {
         g
     }
 
+    /// Empties this graph for an in-place rebuild and hands out its owned
+    /// `(xadj, adj, weight, wdeg)` buffers, each cleared with its capacity
+    /// kept. The caller refills them to the CSR invariants (`xadj` starts
+    /// at 0 and has n + 1 entries; rows sorted, no self-loops, no repeated
+    /// targets). The cached fingerprint is reset. The
+    /// [`ContractionEngine`](crate::contract::ContractionEngine) writes its
+    /// rows through this, so a recycled graph's allocation is reused.
+    pub(crate) fn sections_for_rebuild(
+        &mut self,
+    ) -> (
+        &mut Vec<usize>,
+        &mut Vec<NodeId>,
+        &mut Vec<EdgeWeight>,
+        &mut Vec<EdgeWeight>,
+    ) {
+        self.fp = OnceLock::new();
+        let xadj = self.xadj.owned();
+        let adj = self.adj.owned();
+        let weight = self.weight.owned();
+        let wdeg = self.wdeg.owned();
+        xadj.clear();
+        adj.clear();
+        weight.clear();
+        wdeg.clear();
+        (xadj, adj, weight, wdeg)
+    }
+
     /// Rebuilds this graph in place from a normalised (sorted, deduplicated,
-    /// `u < v`) edge list, reusing the existing CSR buffers' capacity. This
-    /// is the allocation-free core of the
-    /// [`ContractionEngine`](crate::contract::ContractionEngine): ping-pong
-    /// between two `CsrGraph` buffers means repeated contraction rounds stop
-    /// allocating once both buffers are warm. `sort_scratch` is the caller's
-    /// reusable per-list sort buffer; `threads` is the width of the
-    /// chunk-parallel counting/scatter of large edge lists.
+    /// `u < v`) edge list, reusing the existing CSR buffers' capacity: the
+    /// core of [`GraphBuilder::build`] and of
+    /// [`DeltaGraph::compact`](crate::DeltaGraph::compact), which recycles
+    /// its retired base. `sort_scratch` is the caller's reusable per-list
+    /// sort buffer; `threads` is the width of the chunk-parallel
+    /// counting/scatter of large edge lists.
     pub(crate) fn rebuild_from_sorted_dedup_edges(
         &mut self,
         n: usize,

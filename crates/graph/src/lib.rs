@@ -12,10 +12,10 @@
 //!   composed queries and an allocation-recycling `compact()`. This is
 //!   the workspace's **only** mutation path — everything else keys
 //!   caches off the immutable [`CsrGraph::fingerprint`];
-//! * [`contract`] — weighted graph contraction, sequential and parallel
-//!   (§3.2 of the paper), collapsing union-find blocks into single vertices
-//!   while summing parallel edge weights. The [`ContractionEngine`] owns
-//!   double-buffered CSR scratch and reusable accumulation tables so
+//! * [`contract`] — weighted graph contraction (§3.2 of the paper),
+//!   collapsing union-find blocks into single vertices while summing
+//!   parallel edge weights. The [`ContractionEngine`] writes each
+//!   contracted vertex's CSR row directly into a double buffer, so
 //!   repeated contraction rounds are allocation-free after warm-up;
 //! * [`partition`] — the [`Membership`] witness tracker (§3.3) mapping
 //!   contracted vertices back to the original vertex set;
@@ -46,7 +46,7 @@ pub mod partition;
 pub mod stats;
 pub mod storage;
 
-pub use contract::{ContractionEngine, ContractionPath};
+pub use contract::ContractionEngine;
 pub use csr::{CsrGraph, GraphBuilder};
 pub use delta::DeltaGraph;
 pub use partition::{signature_classes, Membership};

@@ -1,25 +1,27 @@
 //! Proof that a warm `ContractionEngine` round allocates nothing.
 //!
 //! A counting global allocator wraps the system allocator (the protocol
-//! of `pack_alloc.rs`). At width 1, after one warm-up round of each
-//! shape with its output handed back through `recycle`, repeating a
-//! matrix round and a hash round must perform zero heap allocations: the
-//! accumulators, the staging buffers and the recycled output graph all
-//! keep their capacity. The graph has more than 4096 vertices and the
-//! hash round more than 128 blocks, the shape of the big rounds in the
-//! solvers. This file intentionally holds a single `#[test]` so no
-//! sibling test can allocate concurrently and pollute the counter.
+//! of `pack_alloc.rs`). After one warm-up round of each shape with its
+//! output handed back through `recycle`, repeating the rounds must
+//! perform zero heap allocations: the engine's scratch and the recycled
+//! output graph keep their capacity. The four shapes are the ones the
+//! solvers produce: a round onto a few blocks (bound-driven first
+//! rounds), a round onto many blocks, a near-identity round (the
+//! reduction pipeline removing a handful of vertices) and a single-edge
+//! contraction (Stoer–Wagner, the cactus enumeration). This file
+//! intentionally holds a single `#[test]` so no sibling test can
+//! allocate concurrently and pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mincut_graph::{ContractionEngine, ContractionPath, CsrGraph, NodeId};
+use mincut_graph::{ContractionEngine, CsrGraph, Membership, NodeId};
 
 struct CountingAllocator;
 
 // Per-thread counter: the libtest harness thread may allocate
-// concurrently with the test thread. At width 1 the engine runs every
-// loop inline on the calling thread, so this thread sees all of it.
+// concurrently with the test thread. The engine runs on the calling
+// thread, so this thread sees all of its allocations.
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
@@ -51,19 +53,32 @@ fn allocations() -> u64 {
     ALLOCATIONS.try_with(|c| c.get()).unwrap_or(0)
 }
 
-/// One matrix round and one hash round, each output recycled.
-fn two_rounds(
+/// One round of each labelling and one single-edge contraction, each
+/// output recycled.
+fn rounds(
     engine: &mut ContractionEngine,
     g: &CsrGraph,
-    matrix: (&[NodeId], usize),
-    hash: (&[NodeId], usize),
+    shapes: &[(&[NodeId], usize)],
+    membership: &mut Membership,
 ) {
-    let c = engine.contract(g, matrix.0, matrix.1);
-    assert_eq!(engine.last_path(), ContractionPath::SeqMatrix);
+    for &(labels, blocks) in shapes {
+        let c = engine.contract(g, labels, blocks);
+        assert_eq!(c.n(), blocks);
+        engine.recycle(c);
+    }
+    let c = engine.contract_edge_tracked(g, 0, 1, membership);
+    assert_eq!(c.n(), g.n() - 1);
     engine.recycle(c);
-    let c = engine.contract(g, hash.0, hash.1);
-    assert_eq!(engine.last_path(), ContractionPath::SeqHash);
-    engine.recycle(c);
+}
+
+/// A membership over `n` current vertices whose vertex 0 already holds
+/// two originals, so folding the edge {0, 1} into it needs no new
+/// allocation: the counter then sees only the engine.
+fn roomy_membership(n: usize) -> Membership {
+    let mut m = Membership::identity(n + 1);
+    let labels: Vec<NodeId> = (0..=n as NodeId).map(|v| v % n as NodeId).collect();
+    m.contract(&labels, n);
+    m
 }
 
 #[test]
@@ -76,17 +91,25 @@ fn warm_engine_rounds_allocate_nothing() {
         edges.push((v, (v * 17 + 5) % n as NodeId, 3));
     }
     let g = CsrGraph::from_edges(n, &edges);
-    let matrix_labels: Vec<NodeId> = (0..n as NodeId).map(|v| v % 64).collect();
-    let hash_labels: Vec<NodeId> = (0..n as NodeId).map(|v| v / 4).collect();
-    let matrix = (&matrix_labels[..], 64);
-    let hash = (&hash_labels[..], n / 4);
+    let few: Vec<NodeId> = (0..n as NodeId).map(|v| v % 64).collect();
+    let many: Vec<NodeId> = (0..n as NodeId).map(|v| v / 4).collect();
+    // Every 500th vertex merges into its predecessor: n − 16 blocks.
+    let near_identity: Vec<NodeId> = (0..n as NodeId).map(|v| v - v / 500).collect();
+    let near_blocks = *near_identity.last().unwrap() as usize + 1;
+    assert_eq!(near_blocks, n - 16);
+    let shapes = [
+        (&few[..], 64),
+        (&many[..], n / 4),
+        (&near_identity[..], near_blocks),
+    ];
+    let mut memberships: Vec<Membership> = (0..4).map(|_| roomy_membership(n)).collect();
 
-    let mut engine = ContractionEngine::new(1);
-    two_rounds(&mut engine, &g, matrix, hash);
+    let mut engine = ContractionEngine::new();
+    rounds(&mut engine, &g, &shapes, &mut memberships[0]);
 
     let before = allocations();
-    for _ in 0..3 {
-        two_rounds(&mut engine, &g, matrix, hash);
+    for m in &mut memberships[1..] {
+        rounds(&mut engine, &g, &shapes, m);
     }
     assert_eq!(
         allocations() - before,

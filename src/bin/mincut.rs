@@ -85,8 +85,8 @@ OPTIONS:
                           (default noi-viecut)
   -q, --queue <KIND>      bstack | bqueue | heap (default heap)
   -t, --threads <N>       width of every parallel layer: ParCut's scan
-                          workers, label propagation, contraction and
-                          graph rebuilds; 1 runs the solve single-threaded
+                          workers and label propagation (contraction is
+                          sequential); 1 runs the solve single-threaded
                           and deterministic (default: all cores)
   -s, --seed <N>          RNG seed (default 42)
       --budget-ms <N>     fail if a solve exceeds N milliseconds

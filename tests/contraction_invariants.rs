@@ -1,8 +1,9 @@
-//! Property tests for the contraction substrate (§3.2): contraction is
-//! identical at every width and through both accumulators, cut values of
-//! cluster-respecting cuts are preserved, total boundary weight is
-//! conserved, and the membership tracker composes correctly over
-//! multiple rounds.
+//! Property tests for the contraction substrate (§3.2): a recycled
+//! engine builds the graph a fresh one builds, renaming the blocks
+//! renames the result, single-edge rounds equal block contractions,
+//! cut values of cluster-respecting cuts are preserved, total boundary
+//! weight is conserved, and the membership tracker composes correctly
+//! over multiple rounds.
 
 use proptest::prelude::*;
 use sm_mincut::algorithms::{Membership, SolveContext};
@@ -52,16 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn contract_is_identical_at_every_width((g, labels, blocks) in graph_and_labels()) {
-        let one = ContractionEngine::new(1).contract(&g, &labels, blocks);
-        let four = ContractionEngine::new(4).contract(&g, &labels, blocks);
-        prop_assert_eq!(one.fingerprint(), four.fingerprint());
-        prop_assert_eq!(one, four);
-    }
-
-    #[test]
     fn block_respecting_cuts_preserved((g, labels, blocks) in graph_and_labels()) {
-        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract(&g, &labels, blocks);
         // Any bipartition of the blocks lifts to a cut of g with the same
         // value; check a handful of deterministic bipartitions.
         for mask in 1u32..(1u32 << (blocks - 1)).min(16) {
@@ -73,7 +66,7 @@ proptest! {
 
     #[test]
     fn contraction_conserves_cross_block_weight((g, labels, blocks) in graph_and_labels()) {
-        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract(&g, &labels, blocks);
         let cross: u64 = g
             .edges()
             .filter(|&(u, v, _)| labels[u as usize] != labels[v as usize])
@@ -83,45 +76,87 @@ proptest! {
         prop_assert_eq!(c.n(), blocks);
     }
 
-    /// The matrix and hash accumulators must produce
-    /// fingerprint-identical `CsrGraph`s on random multigraphs, warm
-    /// buffers included: `contract` may switch accumulators between
-    /// rounds, so any divergence would break bit-determinism of every
-    /// solver.
-    #[test]
-    fn matrix_and_hash_accumulators_are_fingerprint_identical((g, labels, blocks) in graph_and_labels()) {
-        let mut engine = ContractionEngine::new(4);
-        let h = engine.contract_sequential(&g, &labels, blocks);
-        let m = engine.contract_matrix(&g, &labels, blocks);
-        prop_assert_eq!(h.fingerprint(), m.fingerprint());
-        prop_assert_eq!(&h, &m);
-        // A second round over the contracted graph reuses the warm
-        // matrix; it must still match a fresh hash contraction.
-        let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-        let m2 = engine.contract_matrix(&h, &labels2, 2);
-        let h2 = ContractionEngine::new(1).contract_sequential(&h, &labels2, 2);
-        prop_assert_eq!(h2.fingerprint(), m2.fingerprint());
-    }
-
     /// The engine's reused-scratch output is bit-identical to a fresh
-    /// engine's, including across recycled rounds.
+    /// engine's, including across recycled rounds, and both equal the
+    /// builder's graph over the relabelled edges.
     #[test]
     fn engine_bit_identical_to_free_functions((g, labels, blocks) in graph_and_labels()) {
-        let mut engine = ContractionEngine::new(4);
-        let s = ContractionEngine::new(1).contract(&g, &labels, blocks);
+        let mut engine = ContractionEngine::new();
+        let s = ContractionEngine::new().contract(&g, &labels, blocks);
+        let relabelled: Vec<_> = g
+            .edges()
+            .map(|(u, v, w)| (labels[u as usize], labels[v as usize], w))
+            .collect();
+        let built = CsrGraph::from_edges(blocks, &relabelled);
+        prop_assert_eq!(s.fingerprint(), built.fingerprint());
+        prop_assert_eq!(&s, &built);
         let es = engine.contract(&g, &labels, blocks);
+        prop_assert_eq!(s.fingerprint(), es.fingerprint());
         prop_assert_eq!(&s, &es);
-        let h = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
-        let eh = engine.contract_sequential(&g, &labels, blocks);
-        prop_assert_eq!(&h, &eh);
-        prop_assert_eq!(&s, &h);
+        let eh = engine.contract(&g, &labels, blocks);
+        prop_assert_eq!(&s, &eh);
         // A second, recycled round over the contracted graph: the warm
         // buffers must not leak state between rounds.
         engine.recycle(eh);
         let labels2: Vec<NodeId> = (0..blocks as NodeId).map(|v| v % 2).collect();
-        let s2 = ContractionEngine::new(1).contract_sequential(&es, &labels2, 2);
+        let s2 = ContractionEngine::new().contract(&es, &labels2, 2);
         let e2 = engine.contract(&es, &labels2, 2);
         prop_assert_eq!(s2, e2);
+    }
+
+    /// Renaming the blocks renames the contracted graph: contracting with
+    /// the block ids reversed gives the first contraction with its
+    /// vertices reversed. Random labels make many rows come out of the
+    /// member scan unsorted, so this also drives the engine's row sort.
+    #[test]
+    fn contraction_commutes_with_renaming_the_blocks((g, labels, blocks) in graph_and_labels()) {
+        let rev = |b: NodeId| blocks as NodeId - 1 - b;
+        let reversed: Vec<NodeId> = labels.iter().map(|&b| rev(b)).collect();
+        let perm: Vec<NodeId> = (0..blocks as NodeId).map(rev).collect();
+        let mut engine = ContractionEngine::new();
+        let c = engine.contract(&g, &labels, blocks);
+        let r = engine.contract(&g, &reversed, blocks);
+        let expected = c.permuted(&perm);
+        prop_assert_eq!(r.fingerprint(), expected.fingerprint());
+        prop_assert_eq!(&r, &expected);
+    }
+
+    /// Single-edge rounds on one recycled engine, as Stoer–Wagner and the
+    /// cactus enumeration run them: each round equals a fresh block
+    /// contraction that merges the edge's endpoints, and the membership
+    /// the round folds in maps each vertex of the contracted graph to a
+    /// cut of `g` with the same value.
+    #[test]
+    fn single_edge_rounds_match_block_contraction((g, _, _) in graph_and_labels()) {
+        let mut engine = ContractionEngine::new();
+        let mut membership = Membership::identity(g.n());
+        let mut current = g.clone();
+        let mut round = 0;
+        while current.n() > 2 {
+            let n = current.n() as NodeId;
+            let start = round % n;
+            let Some(a) = (start..n).chain(0..start).find(|&v| current.degree(v) > 0) else {
+                break;
+            };
+            let b = current.neighbors(a)[0];
+            let (lo, hi) = (a.min(b), a.max(b));
+            let labels: Vec<NodeId> = (0..n)
+                .map(|v| if v == hi { lo } else if v > hi { v - 1 } else { v })
+                .collect();
+            let fresh = ContractionEngine::new().contract(&current, &labels, n as usize - 1);
+            let next = engine.contract_edge_tracked(&current, a, b, &mut membership);
+            prop_assert_eq!(next.fingerprint(), fresh.fingerprint());
+            prop_assert_eq!(&next, &fresh);
+            for v in 0..next.n() {
+                let side: Vec<bool> = (0..next.n()).map(|u| u == v).collect();
+                prop_assert_eq!(
+                    g.cut_value(&membership.side_of_bitmap(&side)),
+                    next.cut_value(&side)
+                );
+            }
+            engine.recycle(std::mem::replace(&mut current, next));
+            round += 1;
+        }
     }
 
     /// The kernelization pipeline preserves λ: min(λ̂, λ(kernel)) equals

@@ -387,9 +387,9 @@ fn pack_round_trip_is_identity_on_golden_corpus() {
             let labels: Vec<NodeId> = (0..pg.n() as NodeId)
                 .map(|v| v % blocks as NodeId)
                 .collect();
-            let mut engine = ContractionEngine::new(1);
-            let from_pack = engine.contract_sequential(&pg, &labels, blocks);
-            let from_text = engine.contract_sequential(&g, &labels, blocks);
+            let mut engine = ContractionEngine::new();
+            let from_pack = engine.contract(&pg, &labels, blocks);
+            let from_text = engine.contract(&g, &labels, blocks);
             assert_eq!(from_pack, from_text, "{file}: contraction diverged");
         }
 

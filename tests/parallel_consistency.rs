@@ -105,10 +105,9 @@ fn fixed_seed_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The kernelization pipeline feeds the parallel solver (and runs its
-/// contractions at the solve's width), so its results must be identical
-/// at every worker count and with reductions on or off; the 1- and
-/// 4-thread runs cover both contraction schedules.
+/// The kernelization pipeline feeds the parallel solver, so its results
+/// must be identical at every worker count and with reductions on or
+/// off.
 #[test]
 fn kernelization_is_consistent_across_thread_counts() {
     let instances = vec![

@@ -95,7 +95,7 @@ proptest! {
         }
         let (labels, blocks) = uf.dense_labels();
         prop_assert!(blocks >= 2, "both sides must survive");
-        let c = ContractionEngine::new(1).contract_sequential(&g, &labels, blocks);
+        let c = ContractionEngine::new().contract(&g, &labels, blocks);
         let (contracted_lambda, _) = reference(&c);
         prop_assert_eq!(
             contracted_lambda, lambda,
