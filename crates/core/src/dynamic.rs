@@ -389,8 +389,8 @@ impl DynamicMinCut {
         self.check_consistent()?;
         if self.cactus.is_none() {
             let t0 = Instant::now();
-            let csr = self.graph.to_csr();
-            let cactus = CactusBuilder::new().build_with_lambda(&csr, self.lambda)?;
+            let cactus =
+                CactusBuilder::new().build_with_lambda(self.graph.compact(), self.lambda)?;
             self.stats.cactus_rebuilds += 1;
             self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
             self.cactus = Some(Arc::new(cactus));
@@ -779,8 +779,7 @@ impl DynamicMinCut {
             return Ok(());
         }
         let t0 = Instant::now();
-        let csr = self.graph.to_csr();
-        let cactus = CactusBuilder::new().build_with_lambda(&csr, self.lambda)?;
+        let cactus = CactusBuilder::new().build_with_lambda(self.graph.compact(), self.lambda)?;
         self.stats.cactus_rebuilds += 1;
         self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
         self.cactus = Some(Arc::new(cactus));

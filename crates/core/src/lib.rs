@@ -142,6 +142,8 @@
 //! assert_eq!(dyn_cut.delete_edge(0, 8).unwrap().lambda, 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cactus;
 pub mod capforest;
 mod contracted;

@@ -703,7 +703,7 @@ impl MinCutService {
             deadline: self.config.batch_budget.map(|b| t0 + b),
         };
 
-        mincut_ds::par::for_each_index(workers, workers, |_| self.work(&state));
+        mincut_ds::par::map_each(&mut vec![(); workers], |_, _| self.work(&state));
 
         let mut reports = Vec::with_capacity(jobs.len());
         for slot in &state.results {

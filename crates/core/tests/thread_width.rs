@@ -9,7 +9,9 @@
 //! graph this size stays below, so the test also calls
 //! `label_propagation` directly on a graph past 2^20 arcs: at one thread
 //! it spawns nothing, at two it spawns workers, and its labels are dense
-//! either way.
+//! either way. Building that graph (more than 2^16 edges) and one
+//! insert plus `compact` on a `DeltaGraph` over it spawn no thread:
+//! graph construction and compaction are sequential at every size.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! spawns threads while the counter is read.
@@ -17,7 +19,7 @@
 use mincut_core::viecut::label_propagation;
 use mincut_core::{Session, SolveOptions, SolveOutcome};
 use mincut_ds::par;
-use mincut_graph::{CsrGraph, NodeId};
+use mincut_graph::{CsrGraph, DeltaGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,14 +71,22 @@ fn propagate(g: &CsrGraph, threads: usize) -> u64 {
 
 #[test]
 fn one_thread_spawns_nothing_and_repeats_exactly() {
+    let before = par::threads_spawned();
     let g = ring_with_chords(1 << 17, 4, 22);
+    assert_eq!(par::threads_spawned(), before, "building {} edges", g.m());
     assert!(g.num_arcs() >= 1 << 20, "{} arcs", g.num_arcs());
     assert_eq!(propagate(&g, 1), 0, "label propagation at one thread");
     assert!(
         propagate(&g, 2) > 0,
         "label propagation at two threads goes wide"
     );
-    drop(g);
+    let mut d = DeltaGraph::new(g);
+    let before = par::threads_spawned();
+    d.insert_edge(0, 1 << 16, 1);
+    let m = d.compact().m();
+    assert_eq!(d.compactions(), 1);
+    assert_eq!(par::threads_spawned(), before, "compacting {m} edges");
+    drop(d);
 
     let g = ring_with_chords((1 << 16) + 4000, 1, 14);
     assert!(g.n() > 1 << 16 && g.m() >= 1 << 16);

@@ -17,13 +17,15 @@
 //! * a fast non-cryptographic hasher ([`hash::FxHasher`]) so the hot
 //!   contraction loops do not pay SipHash costs, and the one-word edge
 //!   keys ([`pack_edge`]) those tables use;
-//! * [`par`], the workspace's only spawner of threads: scoped,
-//!   statically split loops at a caller-given width.
+//! * [`par`], the workspace's only spawner of threads: one function,
+//!   [`par::map_each`], runs one scoped worker per caller-owned state.
 //!
 //! All structures are allocation-conscious: the bucket queue lives on flat
 //! intrusive arrays with epoch-stamped O(1) [`pq::MaxPq::reset`], so one
 //! queue instance serves every CAPFOREST pass of a solve without clearing
 //! or reallocating (see the `pq` module docs for the layout).
+
+#![deny(unsafe_code)]
 
 pub mod env_knob;
 pub mod hash;

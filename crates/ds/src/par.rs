@@ -1,18 +1,16 @@
 //! The workspace's one source of threads.
 //!
 //! Every parallel loop — ParCut's CAPFOREST workers, label propagation,
-//! the CSR rebuild of graph construction and `DeltaGraph` compaction,
-//! and the batch service's job workers — runs through the two scoped
-//! helpers below at a width its caller passes in (for a solve,
-//! `SolveOptions::threads`).
-//! Nothing else spawns a thread or asks the OS for its core count.
+//! and the batch service's job workers — runs through [`map_each`], one
+//! scoped worker per caller-owned state, at a width its caller picks
+//! (for a solve, `SolveOptions::threads`). Nothing else spawns a thread
+//! or asks the OS for its core count: graph construction, contraction
+//! and `DeltaGraph` compaction are sequential.
 //!
-//! Splitting is static: [`for_each_index`] hands worker `w` the
-//! contiguous index range `[w·per, (w+1)·per)` with
-//! `per = ⌈tasks / workers⌉`, and one worker runs everything inline, in
-//! order, on the caller's thread — so a 1-thread solve is sequential and
-//! deterministic. There is no work stealing: callers pre-chunk their
-//! work evenly, the shape static splitting handles well.
+//! A single state runs inline on the caller's thread, so a 1-thread
+//! solve is sequential and deterministic. There is no work stealing:
+//! callers split their work evenly across the states, or let the
+//! workers pull indices from a shared cursor, as the service does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -28,35 +26,10 @@ pub fn hardware_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Number of OS threads [`for_each_index`] and [`map_each`] have spawned
-/// since process start (one relaxed counter; width-1 calls spawn none).
+/// Number of OS threads [`map_each`] has spawned since process start
+/// (one relaxed counter; single-state calls spawn none).
 pub fn threads_spawned() -> u64 {
     SPAWNED.load(Ordering::Relaxed)
-}
-
-/// Runs `f(i)` for every `i` in `0..tasks` on `min(threads, tasks)`
-/// workers, each taking one contiguous range in ascending order. With one
-/// worker everything runs inline on the caller's thread.
-pub fn for_each_index<F>(tasks: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = threads.min(tasks);
-    if workers <= 1 {
-        (0..tasks).for_each(f);
-        return;
-    }
-    let per = tasks.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (lo, hi) = (w * per, ((w + 1) * per).min(tasks));
-            if lo < hi {
-                SPAWNED.fetch_add(1, Ordering::Relaxed);
-                scope.spawn(move || (lo..hi).for_each(f));
-            }
-        }
-    });
 }
 
 /// Runs `f(i, &mut states[i])` on one worker per state and returns the
@@ -95,60 +68,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex;
-
-    #[test]
-    fn every_index_runs_exactly_once() {
-        for tasks in [0, 1, 5, 997] {
-            for threads in [1, 2, 3, 4, 8] {
-                let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-                for_each_index(tasks, threads, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "{tasks} tasks at width {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn at_most_threads_workers_each_ascending() {
-        for threads in [2, 3, 4] {
-            let seen: Mutex<Vec<(std::thread::ThreadId, usize)>> = Mutex::new(Vec::new());
-            for_each_index(100, threads, |i| {
-                seen.lock().unwrap().push((std::thread::current().id(), i));
-            });
-            let seen = seen.into_inner().unwrap();
-            let ids: HashSet<_> = seen.iter().map(|&(id, _)| id).collect();
-            assert!(
-                ids.len() <= threads,
-                "{} workers at width {threads}",
-                ids.len()
-            );
-            assert!(!ids.contains(&std::thread::current().id()));
-            for id in ids {
-                let mine: Vec<usize> = seen.iter().filter(|s| s.0 == id).map(|s| s.1).collect();
-                assert!(
-                    mine.windows(2).all(|w| w[1] == w[0] + 1),
-                    "one ascending range"
-                );
-            }
-        }
-    }
 
     #[test]
     fn width_one_runs_inline_in_order() {
         let caller = std::thread::current().id();
-        let order = Mutex::new(Vec::new());
-        for_each_index(50, 1, |i| {
-            assert_eq!(std::thread::current().id(), caller);
-            order.lock().unwrap().push(i);
-        });
-        assert_eq!(order.into_inner().unwrap(), (0..50).collect::<Vec<_>>());
         let mut one = [7u32];
         let out = map_each(&mut one, |i, s| {
             assert_eq!(std::thread::current().id(), caller);

@@ -54,6 +54,7 @@ pub fn active_tier() -> SimdTier {
 /// levels (`prefetcht0`). Out-of-range indices are ignored — prefetch is
 /// a hint, never a fault. No-op on non-x86_64.
 #[inline(always)]
+#[allow(unsafe_code)] // the `_mm_prefetch` intrinsic is an unsafe fn
 pub fn prefetch_read<T>(slice: &[T], i: usize) {
     #[cfg(target_arch = "x86_64")]
     if i < slice.len() {

@@ -73,18 +73,6 @@ impl UnionFind {
         }
     }
 
-    /// Read-only find (no halving); useful when `&mut self` is unavailable.
-    #[inline]
-    pub fn find_const(&self, mut x: u32) -> u32 {
-        loop {
-            let p = self.parent[x as usize];
-            if p == x {
-                return x;
-            }
-            x = p;
-        }
-    }
-
     /// Unites the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let mut ra = self.find(a);

@@ -17,6 +17,8 @@
 //!   the paper's comparator **HO-CGKLS** (the `ho` variant of Chekuri,
 //!   Goldberg, Karger, Levine and Stein).
 
+#![deny(unsafe_code)]
+
 mod closed_sets;
 mod gomory_hu;
 mod hao_orlin;

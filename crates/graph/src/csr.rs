@@ -1,37 +1,9 @@
 //! Compressed-sparse-row graph representation and its builder.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-use mincut_ds::par;
 
 use crate::storage::CsrStorage;
 use crate::{EdgeWeight, NodeId};
-
-/// Below this many (deduplicated) edges the CSR rebuild stays fully
-/// sequential: the atomic counting/scatter machinery only pays off once
-/// the arc arrays dwarf the per-chunk scheduling cost.
-const PAR_REBUILD_MIN_EDGES: usize = 1 << 16;
-
-/// Edge-chunk granularity of the parallel rebuild.
-const PAR_REBUILD_CHUNK: usize = 1 << 13;
-
-/// Views an exclusively borrowed `usize` buffer as atomics for the
-/// chunk-parallel degree count / cursor scatter of the CSR rebuild.
-#[inline]
-fn atomic_view(buf: &mut [usize]) -> &[AtomicUsize] {
-    // SAFETY: AtomicUsize has the same size and alignment as usize, and
-    // the exclusive borrow guarantees no non-atomic access for the
-    // lifetime of the view.
-    unsafe { &*(buf as *const [usize] as *const [AtomicUsize]) }
-}
-
-/// Raw pointer wrapper asserting that concurrent writers touch disjoint
-/// indices (guaranteed by the fetch_add cursor claims in the rebuild).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// An immutable simple undirected graph with positive integer edge weights,
 /// stored in compressed-sparse-row form (every undirected edge appears as
@@ -375,15 +347,14 @@ impl CsrGraph {
         b.build()
     }
 
-    /// Internal constructor from normalised parts, used by the builder.
-    /// Graph construction happens outside any solve, so a large rebuild
-    /// uses every hardware thread.
+    /// Internal constructor from normalised parts, used by the builder
+    /// and the METIS reader.
     pub(crate) fn from_sorted_dedup_edges(
         n: usize,
         edges: &[(NodeId, NodeId, EdgeWeight)],
     ) -> CsrGraph {
         let mut g = CsrGraph::empty();
-        g.rebuild_from_sorted_dedup_edges(n, edges, &mut Vec::new(), par::hardware_threads());
+        g.rebuild_from_sorted_dedup_edges(n, edges);
         g
     }
 
@@ -392,8 +363,9 @@ impl CsrGraph {
     /// kept. The caller refills them to the CSR invariants (`xadj` starts
     /// at 0 and has n + 1 entries; rows sorted, no self-loops, no repeated
     /// targets). The cached fingerprint is reset. The
-    /// [`ContractionEngine`](crate::contract::ContractionEngine) writes its
-    /// rows through this, so a recycled graph's allocation is reused.
+    /// [`ContractionEngine`](crate::contract::ContractionEngine) and the
+    /// edge-list rebuild below write their rows through this, so a
+    /// recycled graph's allocation is reused.
     pub(crate) fn sections_for_rebuild(
         &mut self,
     ) -> (
@@ -414,152 +386,60 @@ impl CsrGraph {
         (xadj, adj, weight, wdeg)
     }
 
-    /// Rebuilds this graph in place from a normalised (sorted, deduplicated,
-    /// `u < v`) edge list, reusing the existing CSR buffers' capacity: the
-    /// core of [`GraphBuilder::build`] and of
+    /// Rebuilds this graph in place from a normalised edge list (`u < v`,
+    /// strictly ascending by `(u, v)`), reusing the existing CSR buffers'
+    /// capacity: the core of [`GraphBuilder::build`] and of
     /// [`DeltaGraph::compact`](crate::DeltaGraph::compact), which recycles
-    /// its retired base. `sort_scratch` is the caller's reusable per-list
-    /// sort buffer; `threads` is the width of the chunk-parallel
-    /// counting/scatter of large edge lists.
+    /// its retired base. One counting scatter in edge order writes every
+    /// row already sorted: row `x` first receives its lower neighbours
+    /// from the edges `(u, x)`, in ascending `u`, and then its upper
+    /// neighbours from the edges `(x, v)`, in ascending `v`.
     pub(crate) fn rebuild_from_sorted_dedup_edges(
         &mut self,
         n: usize,
         edges: &[(NodeId, NodeId, EdgeWeight)],
-        sort_scratch: &mut Vec<(NodeId, EdgeWeight)>,
-        threads: usize,
     ) {
-        // The edge set changes, so any cached fingerprint is stale.
-        self.fp = OnceLock::new();
-        // Count arc degrees into xadj (prefix-summed below). Large edge
-        // lists take the chunk-parallel counting/scatter path; the final
-        // graph is identical either way (per-list sort normalises).
-        // `owned()` drops any mmap backing up front: a mapped graph
-        // recycled as a rebuild target becomes an ordinary owned one.
-        let parallel = edges.len() >= PAR_REBUILD_MIN_EDGES;
-        let chunks = edges.len().div_ceil(PAR_REBUILD_CHUNK);
-        let chunk = |c: usize| {
-            &edges[c * PAR_REBUILD_CHUNK..((c + 1) * PAR_REBUILD_CHUNK).min(edges.len())]
-        };
-        let xadj = self.xadj.owned();
-        xadj.clear();
+        debug_assert!(
+            edges.iter().all(|&(u, v, _)| u < v),
+            "edges must be normalised u < v"
+        );
+        debug_assert!(
+            edges
+                .windows(2)
+                .all(|e| (e[0].0, e[0].1) < (e[1].0, e[1].1)),
+            "edges must be strictly ascending by (u, v)"
+        );
+        // A mapped graph recycled as a rebuild target becomes an ordinary
+        // owned one here.
+        let (xadj, adj, weight, wdeg) = self.sections_for_rebuild();
         xadj.resize(n + 1, 0);
-        if parallel {
-            let xadj = atomic_view(xadj);
-            par::for_each_index(chunks, threads, |c| {
-                for &(u, v, _) in chunk(c) {
-                    debug_assert!(u < v, "edges must be normalised u < v");
-                    xadj[u as usize + 1].fetch_add(1, Ordering::Relaxed);
-                    xadj[v as usize + 1].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        } else {
-            for &(u, v, _) in edges {
-                debug_assert!(u < v, "edges must be normalised u < v");
-                xadj[u as usize + 1] += 1;
-                xadj[v as usize + 1] += 1;
-            }
+        wdeg.resize(n, 0);
+        for &(u, v, w) in edges {
+            xadj[u as usize + 1] += 1;
+            xadj[v as usize + 1] += 1;
+            wdeg[u as usize] = wdeg[u as usize].wrapping_add(w);
+            wdeg[v as usize] = wdeg[v as usize].wrapping_add(w);
         }
         for i in 0..n {
             xadj[i + 1] += xadj[i];
         }
-        let num_arcs = xadj[n];
-        let adj = self.adj.owned();
-        adj.clear();
-        adj.resize(num_arcs, 0);
-        let weight = self.weight.owned();
-        weight.clear();
-        weight.resize(num_arcs, 0);
-        // Fill using xadj[0..n] itself as the write cursor (each slot walks
-        // from the start of its zone to the end), then shift the array right
-        // one slot to restore the canonical offsets — avoids the cursor
-        // clone the previous implementation allocated every round. The
-        // parallel path claims cursor slots with fetch_add: every arc gets
-        // a distinct index, so the raw writes below never alias.
-        if parallel {
-            let xadj = atomic_view(xadj);
-            let adj = SendPtr(adj.as_mut_ptr());
-            let weight = SendPtr(weight.as_mut_ptr());
-            par::for_each_index(chunks, threads, |c| {
-                // Capture the wrappers whole (not their raw-pointer
-                // fields) so the Send/Sync assertions apply.
-                let (adj, weight) = (adj, weight);
-                for &(u, v, w) in chunk(c) {
-                    let cu = xadj[u as usize].fetch_add(1, Ordering::Relaxed);
-                    let cv = xadj[v as usize].fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: cu/cv are unique claims < num_arcs; adj and
-                    // weight are exactly num_arcs long and borrowed
-                    // mutably for the whole call.
-                    unsafe {
-                        *adj.0.add(cu) = v;
-                        *weight.0.add(cu) = w;
-                        *adj.0.add(cv) = u;
-                        *weight.0.add(cv) = w;
-                    }
-                }
-            });
-        } else {
-            for &(u, v, w) in edges {
-                let cu = xadj[u as usize];
-                adj[cu] = v;
-                weight[cu] = w;
-                xadj[u as usize] += 1;
-                let cv = xadj[v as usize];
-                adj[cv] = u;
-                weight[cv] = w;
-                xadj[v as usize] += 1;
-            }
+        adj.resize(xadj[n], 0);
+        weight.resize(xadj[n], 0);
+        // `xadj[x]` is row x's write cursor: it walks from the row's start
+        // to its end, the start of row x + 1, so one shift right restores
+        // the offsets.
+        for &(u, v, w) in edges {
+            let cu = xadj[u as usize];
+            adj[cu] = v;
+            weight[cu] = w;
+            xadj[u as usize] += 1;
+            let cv = xadj[v as usize];
+            adj[cv] = u;
+            weight[cv] = w;
+            xadj[v as usize] += 1;
         }
-        for i in (1..=n).rev() {
-            xadj[i] = xadj[i - 1];
-        }
+        xadj.copy_within(0..n, 1);
         xadj[0] = 0;
-        // u-side insertions (targets v, ascending per u) interleave with
-        // v-side insertions (targets u, ascending across the scan), so each
-        // list is a merge of two ascending runs — but the runs interleave in
-        // scan order, which is not globally sorted per list (and the
-        // parallel scatter interleaves arbitrarily). Sort each list;
-        // neighbour ids are unique per list, so the result — and therefore
-        // the whole rebuilt graph — is deterministic regardless of the
-        // scatter schedule.
-        self.sort_adjacency_lists(sort_scratch);
-        self.rebuild_weighted_degrees();
-    }
-
-    fn sort_adjacency_lists(&mut self, scratch: &mut Vec<(NodeId, EdgeWeight)>) {
-        let n = self.n();
-        let xadj = &self.xadj;
-        let adj = self.adj.owned();
-        let weight = self.weight.owned();
-        for v in 0..n {
-            let lo = xadj[v];
-            let hi = xadj[v + 1];
-            if adj[lo..hi].windows(2).all(|w| w[0] <= w[1]) {
-                continue;
-            }
-            // Sort (adj, weight) pairs of this list by neighbour id.
-            scratch.clear();
-            scratch.extend(
-                adj[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(weight[lo..hi].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|p| p.0);
-            for (i, &(a, w)) in scratch.iter().enumerate() {
-                adj[lo + i] = a;
-                weight[lo + i] = w;
-            }
-        }
-    }
-
-    fn rebuild_weighted_degrees(&mut self) {
-        let n = self.n();
-        let wdeg = self.wdeg.owned();
-        wdeg.clear();
-        wdeg.extend((0..n).map(|v| {
-            let row = &self.weight[self.xadj[v]..self.xadj[v + 1]];
-            row.iter().copied().fold(0, EdgeWeight::wrapping_add)
-        }));
     }
 }
 
@@ -612,11 +492,6 @@ impl GraphBuilder {
         }
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         self.edges.push((a, b, w));
-    }
-
-    /// Number of edge records currently buffered (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Normalises and freezes into a [`CsrGraph`].

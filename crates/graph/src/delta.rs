@@ -94,8 +94,6 @@ pub struct DeltaGraph {
     compactions: u64,
     /// Merged-edge staging area recycled across compactions.
     edges_scratch: Vec<(NodeId, NodeId, EdgeWeight)>,
-    /// Per-adjacency-list sort buffer for the CSR rebuild.
-    sort_scratch: Vec<(NodeId, EdgeWeight)>,
     /// Retired base buffer; the next compaction rebuilds inside it.
     spare: Option<CsrGraph>,
 }
@@ -127,7 +125,6 @@ impl DeltaGraph {
             epoch: 0,
             compactions: 0,
             edges_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
             spare: None,
         }
     }
@@ -340,10 +337,9 @@ impl DeltaGraph {
 
     /// Folds the overlay into a fresh canonical [`CsrGraph`] base and
     /// returns it. The rebuild reuses the retired base's CSR buffers and
-    /// the engine-style sort scratch, so repeated compactions are
-    /// allocation-free once warm; like graph construction, a large
-    /// rebuild runs at the hardware width. The logical graph and the
-    /// epoch are unchanged; the new base is fingerprint-identical to
+    /// the merged-edge staging list, so repeated compactions are
+    /// allocation-free once warm. The logical graph and the epoch are
+    /// unchanged; the new base is fingerprint-identical to
     /// [`CsrGraph::from_edges`] over the merged edge list.
     pub fn compact(&mut self) -> &CsrGraph {
         if self.overlay.is_empty() {
@@ -358,12 +354,7 @@ impl DeltaGraph {
         // unique), so no merge pass is needed.
         edges.sort_unstable_by_key(|&(u, v, _)| ((u as u64) << 32) | v as u64);
         let mut next = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        next.rebuild_from_sorted_dedup_edges(
-            self.n(),
-            &edges,
-            &mut self.sort_scratch,
-            mincut_ds::par::hardware_threads(),
-        );
+        next.rebuild_from_sorted_dedup_edges(self.n(), &edges);
         let old = std::mem::replace(&mut self.base, next);
         self.spare = Some(old);
         self.edges_scratch = edges;

@@ -34,6 +34,8 @@
 //!   **zero-copy** (sections borrow the mapping via [`storage`], no
 //!   per-edge allocation, parse, or hash on reload).
 
+#![deny(unsafe_code)]
+
 pub mod components;
 pub mod contract;
 mod csr;
@@ -43,7 +45,6 @@ pub mod io;
 pub mod kcore;
 pub mod pack;
 pub mod partition;
-pub mod stats;
 pub mod storage;
 
 pub use contract::ContractionEngine;

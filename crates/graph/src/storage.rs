@@ -13,9 +13,10 @@
 //! Mutation always lands in owned storage: `CsrStorage::owned` (and
 //! the `DerefMut` impl built on it) converts a mapped window into an
 //! owned `Vec` by copying once. The only mutation path in the workspace
-//! is the contraction engine's in-place rebuild, which clears every
-//! section first, so a recycled mapped graph degrades gracefully into
-//! an ordinary owned one instead of faulting on a read-only page.
+//! is the in-place rebuild of a recycled graph (contraction and
+//! `DeltaGraph` compaction), which clears every section first, so a
+//! recycled mapped graph degrades gracefully into an ordinary owned one
+//! instead of faulting on a read-only page.
 //!
 //! The mmap machinery binds `mmap(2)`/`munmap(2)` directly from libc
 //! (always linked on unix targets) rather than pulling in a binding
@@ -37,6 +38,7 @@ impl CsrScalar for u64 {}
 impl CsrScalar for usize {}
 
 #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+#[allow(unsafe_code)] // mmap(2)/munmap(2) and borrowing typed slices of the mapping
 pub(crate) mod mapped {
     //! Read-only file mappings shared across CSR sections via `Arc`.
 

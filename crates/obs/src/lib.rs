@@ -63,6 +63,8 @@
 //! (The repo-level `examples/obs_quickstart.rs` drives the same flow
 //! through a real solve.)
 
+#![deny(unsafe_code)]
+
 mod chrome;
 mod flight;
 mod metrics;

@@ -405,6 +405,17 @@ fn pack_round_trip_is_identity_on_golden_corpus() {
             materialize(&d_text),
             "{file}: overlay diverged"
         );
+        // Two compactions: the first retires the mapped base, the second
+        // rebuilds inside it.
+        for round in 1..=2 {
+            for d in [&mut d_pack, &mut d_text] {
+                d.insert_edge(0, (g.n() - 1) as NodeId, round);
+            }
+            let want = materialize(&d_text);
+            assert_eq!(d_pack.compact(), &want, "{file}: pack compaction {round}");
+            assert_eq!(d_text.compact(), &want, "{file}: text compaction {round}");
+        }
+        assert_eq!(d_pack.compactions(), 2, "{file}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
