@@ -88,6 +88,9 @@ fn dynamic_stats_json_round_trips() {
         TraceOp::Query,
         TraceOp::Insert { u: 0, v: 7, w: 2 },
         TraceOp::Delete { u: 0, v: 7 },
+        // An intra-community edge: no minimum cut separates 1 and 2, so
+        // one u–v max flow decides this delete.
+        TraceOp::Delete { u: 1, v: 2 },
         TraceOp::Query,
     ] {
         dm.apply(&op).expect("update");
@@ -104,6 +107,7 @@ fn dynamic_stats_json_round_trips() {
     assert_eq!(field(obj, "incremental").as_u64(), s.incremental);
     assert_eq!(field(obj, "resolves").as_u64(), s.resolves);
     assert!((field(obj, "resolve_seconds").as_f64() - s.resolve_seconds).abs() < 1e-6);
+    assert_eq!(field(obj, "flow_deletes").as_u64(), s.flow_deletes);
     assert_eq!(field(obj, "cactus_rebuilds").as_u64(), s.cactus_rebuilds);
     assert_eq!(field(obj, "cactus_absorbed").as_u64(), s.cactus_absorbed);
     assert_eq!(field(obj, "cactus_repairs").as_u64(), s.cactus_repairs);
@@ -113,6 +117,7 @@ fn dynamic_stats_json_round_trips() {
     // Exercised counters really are non-zero, so the equalities above
     // compared real values, not default zeros.
     assert_eq!(s.insertions, 1);
-    assert_eq!(s.deletions, 1);
+    assert_eq!(s.deletions, 2);
+    assert_eq!(s.flow_deletes, 1);
     assert_eq!(s.queries, 2);
 }

@@ -5,7 +5,7 @@
 //! from scratch — n−1 max flows — but most updates change the family in
 //! a way the **old structure already describes**, so the new family can
 //! be derived from the old cactus alone and reassembled through the
-//! same `assemble` machinery, skipping the flows entirely:
+//! same `assemble` machinery, skipping the n − 1 enumeration flows:
 //!
 //! | update (λ > 0) | new λ | surviving family |
 //! |---|---|---|
@@ -13,8 +13,12 @@
 //! | insert `{u, v}`, cross-node, λ kept | λ | old cuts **not** separating `u, v` |
 //! | insert `{u, v}`, cross-node, λ rose | λ′ > λ | not derivable → rebuild |
 //! | delete `{u, v}` crossing some min cut | λ − w | old cuts separating `u, v` |
-//! | delete `{u, v}`, same node, λ kept | λ | old family, plus the min u-v cuts of one residual |
-//! | delete `{u, v}`, same node, λ dropped | λ′ < λ | not derivable → rebuild |
+//! | delete `{u, v}`, same node, u–v flow > λ | λ | unchanged — the structure is kept |
+//! | delete `{u, v}`, same node, u–v flow = λ | λ | old family, plus the min u–v cuts of the flow |
+//! | delete `{u, v}`, same node, u–v flow < λ | flow | exactly the min u–v cuts of the flow |
+//!
+//! A delete that takes λ to 0 changes regime (one node per component)
+//! and rebuilds; so does an insert at λ = 0 that connects the graph.
 //!
 //! The derivations are exact, not heuristic. Insertions only ever raise
 //! cut values: after a cross-node insert that left λ unchanged, every
@@ -27,10 +31,13 @@
 //! non-separating cut stays at ≥ λ, so the separating old cuts (the
 //! tree-path bridges and the cross-arc cycle pairs through the deleted
 //! edge's node pair) are exactly the new family. A same-node deletion
-//! that kept λ leaves the old family intact but can *grow* it — cuts of
-//! old value λ + w separating `u, v` drop onto λ — and every joining
-//! cut separates `u` from `v`, so all of them fall out of the residual
-//! closed sets of **one** conservation max flow instead of n − 1.
+//! leaves every old minimum cut at λ, and every cut whose value fell
+//! separates `u` from `v` and costs at least maxflow(u, v) in the new
+//! graph. The maintainer runs that one u–v max flow to decide λ′ =
+//! min(λ, flow) and hands it over: above λ the family is unchanged, at
+//! λ it *grows* by the minimum u–v cuts, and below λ those cuts are the
+//! whole new family. Either way they fall out of the residual closed
+//! sets of that **one** flow instead of the n − 1 of a rebuild.
 //!
 //! λ = 0 has its own local case: an insert joining two of c ≥ 3
 //! components merges their cactus nodes in O(n) and the family stays
@@ -41,11 +48,21 @@
 //! before it is accepted; any disagreement returns `None` and the
 //! caller falls back to the full rebuild.
 
-use mincut_flow::max_flow;
-use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
+use mincut_flow::MaxFlowResult;
+use mincut_graph::{EdgeWeight, NodeId};
 
 use super::builder::assemble;
 use super::Cactus;
+
+/// A successful repair: the family either stayed as it was, so the
+/// maintainer keeps sharing its current structure, or changed into the
+/// certified new structure.
+pub(crate) enum Repaired {
+    /// The family is unchanged; keep the current cactus.
+    Unchanged,
+    /// The family changed; install this cactus.
+    Changed(Box<Cactus>),
+}
 
 impl Cactus {
     /// Repair after inserting edge `{u, v}` across two cactus nodes
@@ -97,40 +114,44 @@ impl Cactus {
     }
 
     /// Repair after deleting edge `{u, v}` with both endpoints in one
-    /// cactus node **when λ did not change**. No old minimum cut
-    /// separates `u` from `v`, so the old family survives untouched;
-    /// the only possible change is *growth* — cuts separating `u, v`
-    /// whose value dropped onto λ — and every such cut is a minimum
-    /// u-v cut of the current graph `g`, so one conservation max flow
-    /// either certifies the family unchanged (`maxflow > λ`) or hands
-    /// over every joining cut from its residual closed sets.
+    /// cactus node, from `flow`, the delete's u–v maximum flow over the
+    /// current graph (run by the caller, which also took its new λ from
+    /// it: λ′ = min(λ, flow)). No old minimum cut separates `u` from
+    /// `v`, so every old cut kept its value λ, and every cut whose value
+    /// changed separates `u` from `v` and costs at least the flow:
+    ///
+    /// - flow > λ: the family is unchanged ([`Repaired::Unchanged`]);
+    /// - flow = λ: the old family survives and the minimum u–v cuts
+    ///   (value λ) join it;
+    /// - flow < λ: every cut below λ separates `u` from `v`, so the
+    ///   minimum u–v cuts are the whole new family at λ′ = flow.
+    ///
+    /// The joining cuts come from the flow's residual closed sets. Flow
+    /// 0 (the delete disconnected the graph) and λ = 0 return `None`:
+    /// the caller rebuilds the component structure.
     pub(crate) fn repaired_after_internal_delete(
         &self,
-        g: &CsrGraph,
+        flow: &MaxFlowResult,
         u: NodeId,
         v: NodeId,
-    ) -> Option<Cactus> {
-        if self.lambda == 0 || !self.same_node(u, v) {
+    ) -> Option<Repaired> {
+        if self.lambda == 0 || flow.value == 0 || !self.same_node(u, v) {
             return None;
         }
-        let flow = max_flow(g, u, v);
         if flow.value > self.lambda {
-            // No cut separating u, v reaches λ: family — and therefore
-            // structure — unchanged.
-            return Some(self.clone());
+            return Some(Repaired::Unchanged);
         }
-        if flow.value < self.lambda {
-            // λ itself dropped; the caller's λ check should have caught
-            // this before asking for a repair.
-            return None;
-        }
-        let mut family = self.enumerate_min_cuts(usize::MAX);
+        let mut family = if flow.value == self.lambda {
+            self.enumerate_min_cuts(usize::MAX)
+        } else {
+            Vec::new()
+        };
         let bound = self.n * (self.n - 1) / 2;
         if family.len() >= bound {
             return None;
         }
         let (sides, truncated) = flow.min_cut_sides(bound + 1 - family.len());
-        if truncated {
+        if truncated || family.len() + sides.len() > bound {
             return None;
         }
         for mut side in sides {
@@ -147,7 +168,8 @@ impl Cactus {
         if family.windows(2).any(|w| w[0] == w[1]) {
             return None;
         }
-        self.reassembled(self.lambda, family)
+        self.reassembled(flow.value, family)
+            .map(|c| Repaired::Changed(Box::new(c)))
     }
 
     /// λ = 0 repair: an insert joining two different components while
@@ -205,6 +227,8 @@ impl Cactus {
 #[cfg(test)]
 mod tests {
     use super::super::CactusBuilder;
+    use super::*;
+    use mincut_flow::max_flow;
     use mincut_graph::generators::known;
     use mincut_graph::{CsrGraph, DeltaGraph};
 
@@ -247,6 +271,13 @@ mod tests {
         );
     }
 
+    /// The cactus a same-node delete repairs to, from the delete's u–v
+    /// flow on the current graph.
+    fn internal_delete_repair(old: &Cactus, g: &DeltaGraph, u: NodeId, v: NodeId) -> Repaired {
+        old.repaired_after_internal_delete(&max_flow(g, u, v), u, v)
+            .expect("repairable")
+    }
+
     #[test]
     fn internal_delete_repair_grows_the_family_from_one_residual() {
         // Square + heavy chord 0-2: λ = 2, cuts {1} and {3} only, with
@@ -258,11 +289,12 @@ mod tests {
         assert!(old.same_node(0, 2));
         let mut dg = DeltaGraph::new(g);
         dg.delete_edge(0, 2).unwrap();
-        let now = dg.to_csr();
-        let repaired = old
-            .repaired_after_internal_delete(&now, 0, 2)
-            .expect("repairable");
-        let fresh = CactusBuilder::new().build_with_lambda(&now, 2).unwrap();
+        let Repaired::Changed(repaired) = internal_delete_repair(&old, &dg, 0, 2) else {
+            panic!("the family grew");
+        };
+        let fresh = CactusBuilder::new()
+            .build_with_lambda(&dg.to_csr(), 2)
+            .unwrap();
         assert_eq!(repaired.count_min_cuts(), 6);
         assert_eq!(
             repaired.enumerate_min_cuts(usize::MAX),
@@ -274,20 +306,71 @@ mod tests {
     fn internal_delete_repair_certifies_an_unchanged_family() {
         // Two communities, unique bridge cut; deleting an intra-clique
         // edge keeps λ and the u-v max flow stays above λ: the old
-        // structure is reused as-is.
+        // structure is kept as it is.
         let (g, l) = known::two_communities(5, 5, 1, 3, 2);
         let old = CactusBuilder::new().build_with_lambda(&g, l).unwrap();
         let mut dg = DeltaGraph::new(g);
         dg.delete_edge(0, 1).unwrap();
+        assert_eq!(sm_lambda(&dg.to_csr()), l);
+        assert!(matches!(
+            internal_delete_repair(&old, &dg, 0, 1),
+            Repaired::Unchanged
+        ));
+    }
+
+    #[test]
+    fn internal_delete_repair_replaces_the_family_when_lambda_drops() {
+        // Triangles A = {0, 2, 3} and B = {1, 4, 5} (weight 4), joined
+        // by the heavy edge 0-1 (10), the light edge 2-4 (1) and the
+        // path 3-6-5 (2 + 2). λ = 4: vertex 6 alone, the unique minimum
+        // cut, so 0 and 1 share a cactus node. Without 0-1 both A|B
+        // cuts cost 1 + 2 = 3 < 4: every new minimum cut separates 0
+        // from 1, and the repair takes them from the flow alone.
+        let g = CsrGraph::from_edges(
+            7,
+            &[
+                (0, 2, 4),
+                (0, 3, 4),
+                (2, 3, 4),
+                (1, 4, 4),
+                (1, 5, 4),
+                (4, 5, 4),
+                (0, 1, 10),
+                (2, 4, 1),
+                (3, 6, 2),
+                (6, 5, 2),
+            ],
+        );
+        assert_eq!(sm_lambda(&g), 4);
+        let old = CactusBuilder::new().build_with_lambda(&g, 4).unwrap();
+        assert_eq!(old.count_min_cuts(), 1);
+        assert!(old.same_node(0, 1));
+        let mut dg = DeltaGraph::new(g);
+        dg.delete_edge(0, 1).unwrap();
         let now = dg.to_csr();
-        assert_eq!(sm_lambda(&now), l);
-        let repaired = old
-            .repaired_after_internal_delete(&now, 0, 1)
-            .expect("repairable");
+        assert_eq!(max_flow(&dg, 0, 1).value, 3);
+        assert_eq!(sm_lambda(&now), 3);
+        let Repaired::Changed(repaired) = internal_delete_repair(&old, &dg, 0, 1) else {
+            panic!("λ dropped, so the family changed");
+        };
+        let fresh = CactusBuilder::new().build_with_lambda(&now, 3).unwrap();
+        assert_eq!(repaired.lambda(), 3);
+        assert_eq!(repaired.count_min_cuts(), 2);
         assert_eq!(
             repaired.enumerate_min_cuts(usize::MAX),
-            old.enumerate_min_cuts(usize::MAX)
+            fresh.enumerate_min_cuts(usize::MAX)
         );
+        // A flow of 0 (the delete disconnected the graph) is left to
+        // the component rebuild.
+        let path = CsrGraph::from_edges(3, &[(0, 1, 5), (1, 2, 1), (0, 2, 9)]);
+        let old = CactusBuilder::new().build_with_lambda(&path, 6).unwrap();
+        assert!(old.same_node(0, 2));
+        let mut dg = DeltaGraph::new(path);
+        dg.delete_edge(0, 2).unwrap();
+        dg.delete_edge(0, 1).unwrap();
+        assert!(old
+            .repaired_after_internal_delete(&max_flow(&dg, 0, 2), 0, 2)
+            .is_none());
     }
 
     #[test]

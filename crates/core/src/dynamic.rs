@@ -4,29 +4,37 @@
 //! a serving deployment also sees *changing* graphs — edges appear and
 //! disappear between queries. [`DynamicMinCut`] maintains the current
 //! `(λ, witness)` pair **exactly** across edge insertions and deletions
-//! over a [`DeltaGraph`] overlay, re-solving only when an update can
-//! actually change the answer — and then seeded through the existing
+//! over a [`DeltaGraph`] overlay. A registry solver runs only when an
+//! insert can raise λ — and then seeded through the existing
 //! [`SolveOptions::initial_bound`] machinery so the re-solve starts from
-//! a proven cut instead of cold.
+//! a proven cut instead of cold. Every delete is decided without one.
 //!
-//! ## The four update cases
+//! ## The update cases
 //!
 //! Let `W` be the maintained witness cut with value λ, and let the
 //! update touch edge `{u, v}` with weight `w`. Insertions only ever
 //! raise cut values and deletions only ever lower them, which gives:
 //!
-//! | update | crosses `W`? | new λ | work |
+//! | update | known min cut separates `u`, `v`? | new λ | work |
 //! |---|---|---|---|
-//! | insert | no  | λ (W still optimal: no cut decreased) | O(Δ) |
-//! | insert | yes | re-solve with bound λ + w (W now costs λ + w) | bounded solve |
-//! | delete | yes | **λ − w exactly**, same witness | O(Δ) |
-//! | delete | no  | re-solve with bound λ (W still costs λ) | bounded solve |
+//! | insert | no (`W` does not)  | λ (W still optimal: no cut decreased) | O(Δ) |
+//! | insert | yes (`W` does) | re-solve with bound λ + w (W now costs λ + w) | bounded solve |
+//! | delete | yes: `W` | **λ − w exactly**, same witness | O(Δ) |
+//! | delete | yes: a cut the cactus names | **λ − w exactly**, that cut the witness | O(Δ) + one cactus walk |
+//! | delete | no  | **min(λ, maxflow(u, v))**, a smaller flow's min cut the witness | one u–v max flow |
 //!
-//! The crossing-deletion case needs no re-solve at all: every cut loses
-//! at most `w` (only cuts crossing `{u, v}` lose anything), so no cut
-//! can drop below λ − w — and `W` lands on λ − w exactly. Deleting a
-//! crossing bridge degenerates gracefully: λ − w = 0 and `W` is a
-//! component side. Both re-solve cases run the full
+//! A delete changes only the cuts that separate `u` from `v`. When some
+//! minimum cut separates them — the witness, or with the cactus on any
+//! of the cuts it represents ([`Cactus::min_cut_separating`]) — that cut
+//! loses exactly `w` and no cut can lose more, so λ − w is exact without
+//! any further work. Deleting a crossing bridge degenerates gracefully:
+//! λ − w = 0 and the cut is a component side. Otherwise every cut that
+//! does not separate `u` from `v` keeps a value of at least λ, and the
+//! cheapest cut that does costs exactly maxflow(u, v) in the new graph,
+//! so λ′ = min(λ, maxflow(u, v)). That flow runs through
+//! [`mincut_flow::max_flow`] on the live [`DeltaGraph`], which streams
+//! its overlay into the residual network: the delete path never
+//! compacts. The crossing-insert re-solve runs the full
 //! [`Solver`](crate::Solver) preflight — kernelization pipeline seeded
 //! with the bound, then the registered solver family on the
 //! [compacted](DeltaGraph::compact) graph — so every registry family
@@ -53,12 +61,13 @@
 //! derivable from the old structure — cross-node inserts that kept λ
 //! (the non-separating cuts survive), deletions crossed by some minimum
 //! cut (λ − w exactly, the separating cuts survive), same-node
-//! deletions that kept λ (old family plus the minimum u-v cuts of one
-//! residual) — the cactus is reassembled from the derived family with
-//! no enumeration flows, and the bijection is re-certified before the
-//! repair is accepted. Only when no case applies (λ moved unexpectedly,
-//! or certification failed) does the maintainer fall back to the full
-//! rebuild ([`CactusBuilder::build_with_lambda`], no solver run).
+//! deletions (from the delete's own u–v flow: the family is unchanged
+//! above λ, grows by the minimum u–v cuts at λ, and is exactly those
+//! cuts below λ) — the cactus is reassembled from the derived family
+//! with no enumeration flows, and the bijection is re-certified before
+//! the repair is accepted. Only when no case applies (λ rose, λ fell to
+//! 0, or certification failed) does the maintainer fall back to the
+//! full rebuild ([`CactusBuilder::build_with_lambda`], no solver run).
 //! `DynamicStats::{cactus_repairs, repair_fallbacks}` count the split;
 //! [`DynamicMinCut::set_cactus_repair`] is the rebuild-only A/B knob.
 //!
@@ -74,8 +83,10 @@
 //! // A heavy chord never lowers λ; crossing inserts re-solve bounded.
 //! assert_eq!(dyn_cut.insert_edge(0, 2, 5).unwrap().lambda, 2);
 //!
-//! // Dropping 1–2 leaves vertex 1 hanging off one unit edge: λ = 1.
-//! assert_eq!(dyn_cut.delete_edge(1, 2).unwrap().lambda, 1);
+//! // Dropping 1–2 leaves vertex 1 hanging off one unit edge: λ = 1,
+//! // decided without a solver run.
+//! let report = dyn_cut.delete_edge(1, 2).unwrap();
+//! assert_eq!((report.lambda, report.resolved), (1, false));
 //! assert_eq!(dyn_cut.graph().cut_value(dyn_cut.witness()), 1);
 //! ```
 
@@ -83,8 +94,10 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Instant;
 
+use mincut_flow::{max_flow, MaxFlowResult};
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
+use crate::cactus::repair::Repaired;
 use crate::cactus::{Cactus, CactusBuilder};
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
@@ -208,7 +221,8 @@ pub fn parse_trace<R: BufRead>(reader: R, n: usize) -> Result<Vec<TraceOp>, MinC
 pub struct UpdateReport {
     /// The maintained cut value after the update.
     pub lambda: EdgeWeight,
-    /// Whether a solver ran (`false`: the update was absorbed in O(Δ)).
+    /// Whether a registry solver ran. `false` for every delete: it is
+    /// absorbed in O(Δ) or decided by one u–v max flow.
     pub resolved: bool,
     /// The graph epoch after the update (unchanged for [`TraceOp::Query`]).
     pub epoch: u64,
@@ -220,12 +234,18 @@ pub struct DynamicStats {
     pub insertions: u64,
     pub deletions: u64,
     pub queries: u64,
-    /// Updates absorbed in O(Δ) without running a solver.
+    /// Updates absorbed in O(Δ) without running a solver or a flow:
+    /// inserts no witness crosses, and deletes a known minimum cut (the
+    /// witness or a cactus cut) separates.
     pub incremental: u64,
-    /// Bound-seeded re-solves (including the initial solve).
+    /// Registry solver runs: bound-seeded re-solves of crossing inserts
+    /// and rebuilds, including the initial solve.
     pub resolves: u64,
-    /// Wall-clock spent inside re-solves.
+    /// Wall-clock spent inside solver runs.
     pub resolve_seconds: f64,
+    /// Deletes decided by one u–v max flow over the current graph (no
+    /// known minimum cut separated the endpoints).
+    pub flow_deletes: u64,
     /// Cactus rebuilds triggered by updates (cactus maintenance on).
     pub cactus_rebuilds: u64,
     /// Updates absorbed with the cactus provably unchanged.
@@ -247,15 +267,16 @@ impl DynamicStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"insertions\":{},\"deletions\":{},\"queries\":{},\"incremental\":{},\
-             \"resolves\":{},\"resolve_seconds\":{:.9},\"cactus_rebuilds\":{},\
-             \"cactus_absorbed\":{},\"cactus_repairs\":{},\"repair_fallbacks\":{},\
-             \"cactus_seconds\":{:.9}}}",
+             \"resolves\":{},\"resolve_seconds\":{:.9},\"flow_deletes\":{},\
+             \"cactus_rebuilds\":{},\"cactus_absorbed\":{},\"cactus_repairs\":{},\
+             \"repair_fallbacks\":{},\"cactus_seconds\":{:.9}}}",
             self.insertions,
             self.deletions,
             self.queries,
             self.incremental,
             self.resolves,
             self.resolve_seconds,
+            self.flow_deletes,
             self.cactus_rebuilds,
             self.cactus_absorbed,
             self.cactus_repairs,
@@ -599,11 +620,14 @@ impl DynamicMinCut {
         Ok(self.report(crossing))
     }
 
-    /// Deletes the edge `{u, v}` and updates `(λ, witness)`: a crossing
-    /// deletion lands on λ − w with the same witness **without solving**
-    /// (no cut can lose more than w); a non-crossing deletion re-solves
-    /// with `initial_bound = λ` (the witness kept its value but some
-    /// other cut may now be cheaper).
+    /// Deletes the edge `{u, v}` and updates `(λ, witness)` **without a
+    /// solver run**. When a known minimum cut separates `u` and `v` —
+    /// the witness, or with the cactus on any cut it represents — that
+    /// cut lands on λ − w exactly and becomes the witness, in O(Δ) (no
+    /// cut can lose more than w). Otherwise one u–v max flow over the
+    /// current graph decides: λ′ = min(λ, flow), and a smaller flow's
+    /// minimum cut becomes the witness. The flow reads the overlay in
+    /// place; the delete never compacts the graph.
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReport, MinCutError> {
         self.check_consistent()?;
         self.check_endpoints(u, v)?;
@@ -620,24 +644,34 @@ impl DynamicMinCut {
         };
         self.total_weight -= w;
         self.stats.deletions += 1;
-        let report = if crossing {
-            // Exact: every cut loses at most w, the witness loses exactly
-            // w. (λ ≥ w always holds here: the witness's crossing weight
-            // is λ and includes this edge.)
+        let flow = if crossing || separated == Some(true) {
+            // Exact: every cut loses at most w, and a minimum cut that
+            // separates u, v loses exactly w. (λ ≥ w: that cut's value
+            // λ includes this edge.) The witness is the first such cut,
+            // or else the one the old cactus names.
+            if !crossing {
+                self.side = self
+                    .cactus
+                    .as_ref()
+                    .and_then(|c| c.min_cut_separating(u, v))
+                    .expect("different cactus nodes name a separating minimum cut");
+            }
             self.lambda -= w;
             self.stats.incremental += 1;
-            self.report(false)
+            None
         } else {
-            let side = self.side.clone();
-            self.resolve(Some((self.lambda, side)))?;
-            self.report(true)
+            // Cuts that do not separate u, v kept their values (≥ λ);
+            // the cheapest one that does costs exactly the u–v flow.
+            let flow = max_flow(&self.graph, u, v);
+            self.stats.flow_deletes += 1;
+            if flow.value < self.lambda {
+                self.lambda = flow.value;
+                self.side = flow.min_cut_side();
+            }
+            Some(flow)
         };
-        match separated {
-            None => {}
-            Some(true) => self.update_cactus_after_crossing_delete(u, v, w, old_lambda)?,
-            Some(false) => self.update_cactus_after_internal_delete(u, v, old_lambda)?,
-        }
-        Ok(report)
+        self.update_cactus_after_delete(u, v, w, old_lambda, flow.as_ref())?;
+        Ok(self.report(false))
     }
 
     /// Cactus update for an insert across two cactus nodes. When λ kept
@@ -666,85 +700,60 @@ impl DynamicMinCut {
                     c.repaired_after_insert(u, v)
                 }
             })
-            .flatten();
+            .flatten()
+            .map(|c| Repaired::Changed(Box::new(c)));
         self.commit_repair(repaired, t0)
     }
 
-    /// Cactus update for a deletion whose endpoints sat in different
-    /// cactus nodes: some minimum cut separates them, so λ drops to
-    /// λ − w exactly and the old separating cuts are the whole new
-    /// family — derivable from the structure alone. λ − w = 0 (the
-    /// graph disconnected) falls back to the cheap component rebuild.
-    fn update_cactus_after_crossing_delete(
+    /// Cactus update for a deletion. Without `flow` some minimum cut
+    /// separated `u` and `v`: λ dropped to λ − w exactly and the old
+    /// separating cuts are the whole new family, derivable from the
+    /// structure alone. With the delete's u–v `flow` the endpoints
+    /// shared a cactus node, and the flow decides the new family (see
+    /// [`crate::cactus::repair`]). A delete that takes λ to 0 falls back
+    /// to the cheap component rebuild.
+    fn update_cactus_after_delete(
         &mut self,
         u: NodeId,
         v: NodeId,
         w: EdgeWeight,
         old_lambda: EdgeWeight,
+        flow: Option<&MaxFlowResult>,
     ) -> Result<(), MinCutError> {
-        if self.cactus.is_none() {
+        let Some(cactus) = &self.cactus else {
             return Ok(());
-        }
+        };
         if !self.repair_cactus {
             return self.refresh_cactus();
         }
         let t0 = Instant::now();
-        let repaired = (old_lambda >= w && self.lambda == old_lambda - w)
-            .then(|| {
-                self.cactus
-                    .as_ref()
-                    .expect("cactus maintenance is on")
-                    .repaired_after_crossing_delete(u, v, self.lambda)
-            })
-            .flatten();
-        self.commit_repair(repaired, t0)
-    }
-
-    /// Cactus update for a deletion inside one cactus node. When λ kept
-    /// its value the old family survives whole and one conservation max
-    /// flow over the current graph either certifies it unchanged or
-    /// hands over every joining cut; a λ drop falls back to the rebuild.
-    fn update_cactus_after_internal_delete(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        old_lambda: EdgeWeight,
-    ) -> Result<(), MinCutError> {
-        if self.cactus.is_none() {
-            return Ok(());
-        }
-        if !self.repair_cactus {
-            return self.refresh_cactus();
-        }
-        let t0 = Instant::now();
-        let repaired = if old_lambda > 0 && self.lambda == old_lambda {
-            // The non-crossing re-solve already compacted the overlay,
-            // so this is a cheap no-op handing back the current CSR.
-            let g = self.graph.compact();
-            self.cactus
-                .as_ref()
-                .expect("cactus maintenance is on")
-                .repaired_after_internal_delete(g, u, v)
-        } else {
-            None
+        let repaired = match flow {
+            None => (old_lambda >= w && self.lambda == old_lambda - w)
+                .then(|| cactus.repaired_after_crossing_delete(u, v, self.lambda))
+                .flatten()
+                .map(|c| Repaired::Changed(Box::new(c))),
+            Some(flow) => cactus.repaired_after_internal_delete(flow, u, v),
         };
         self.commit_repair(repaired, t0)
     }
 
-    /// Installs a certified repair, or counts the fallback and rebuilds.
-    fn commit_repair(&mut self, repaired: Option<Cactus>, t0: Instant) -> Result<(), MinCutError> {
-        match repaired {
-            Some(cactus) => {
-                self.cactus = Some(Arc::new(cactus));
-                self.stats.cactus_repairs += 1;
-                self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
-                Ok(())
-            }
-            None => {
-                self.stats.repair_fallbacks += 1;
-                self.refresh_cactus()
-            }
+    /// Installs a certified repair (an unchanged family keeps the
+    /// current `Arc`), or counts the fallback and rebuilds.
+    fn commit_repair(
+        &mut self,
+        repaired: Option<Repaired>,
+        t0: Instant,
+    ) -> Result<(), MinCutError> {
+        let Some(repaired) = repaired else {
+            self.stats.repair_fallbacks += 1;
+            return self.refresh_cactus();
+        };
+        if let Repaired::Changed(cactus) = repaired {
+            self.cactus = Some(Arc::new(*cactus));
         }
+        self.stats.cactus_repairs += 1;
+        self.stats.cactus_seconds += t0.elapsed().as_secs_f64();
+        Ok(())
     }
 
     /// Switches edge-local cactus repair off (`false`: every
@@ -983,6 +992,75 @@ mod tests {
     }
 
     #[test]
+    fn deletes_run_no_solver_and_never_compact() {
+        // Two unit K8s joined by the bridges 0-8 and 1-9 of weight 3:
+        // λ = 6, the community split, and every other vertex has
+        // degree 7. Deleting an intra-clique edge and inserting it back
+        // crosses no witness, and the overlay never holds more than a
+        // few entries, far below the automatic compaction threshold.
+        let mut edges = vec![(0, 8, 3), (1, 9, 3)];
+        for offset in [0, 8] {
+            for u in 0..8 {
+                for v in u + 1..8 {
+                    edges.push((offset + u, offset + v, 1));
+                }
+            }
+        }
+        let g = CsrGraph::from_edges(16, &edges);
+        let mut dm = DynamicMinCut::new(g, "noi-viecut", SolveOptions::new().seed(5)).unwrap();
+        let mut shadow = DeltaGraph::new(materialize(dm.graph()));
+        let check = |dm: &DynamicMinCut, shadow: &DeltaGraph, what: &str| {
+            let current = materialize(shadow);
+            let expected = crate::Session::new(&current)
+                .run("stoer-wagner")
+                .unwrap()
+                .cut
+                .value;
+            assert_eq!(dm.lambda(), expected, "{what}");
+            assert!(current.is_proper_cut(dm.witness()), "{what}");
+            assert_eq!(current.cut_value(dm.witness()), expected, "{what}");
+            assert_eq!(
+                dm.graph().compactions(),
+                0,
+                "{what}: the delete path compacted"
+            );
+        };
+        assert_eq!(dm.lambda(), 6);
+        let mut deletes = 0;
+        for offset in [0, 8] {
+            for u in offset..offset + 8 {
+                for v in u + 1..offset + 8 {
+                    let r = dm.delete_edge(u, v).unwrap();
+                    shadow.delete_edge(u, v).unwrap();
+                    assert!(!r.resolved);
+                    check(&dm, &shadow, &format!("d {u} {v}"));
+                    dm.insert_edge(u, v, 1).unwrap();
+                    shadow.insert_edge(u, v, 1);
+                    check(&dm, &shadow, &format!("i {u} {v} 1"));
+                    deletes += 1;
+                }
+            }
+        }
+        assert_eq!(deletes, 56);
+        // Vertex 2 drops to degree 5 < 6: the second delete's flow is
+        // below λ and its minimum cut becomes the witness. Deletes on
+        // the other side then leave λ = 5 in place.
+        for (u, v) in [(2, 3), (2, 4), (10, 11), (12, 13)] {
+            dm.delete_edge(u, v).unwrap();
+            shadow.delete_edge(u, v).unwrap();
+            check(&dm, &shadow, &format!("d {u} {v}"));
+        }
+        assert_eq!(dm.lambda(), 5);
+        assert_eq!(
+            dm.stats().flow_deletes,
+            60,
+            "no known minimum cut separated"
+        );
+        assert_eq!(dm.stats().resolves, 1, "the initial solve only");
+        assert!(dm.graph().overlay_len() < DeltaGraph::COMPACT_MIN_OVERLAY);
+    }
+
+    #[test]
     fn invalid_updates_are_errors_and_leave_state_untouched() {
         let (g, l) = known::cycle_graph(5, 2);
         let mut dm = DynamicMinCut::new(g, "noi", SolveOptions::new()).unwrap();
@@ -1165,6 +1243,27 @@ mod tests {
         assert_eq!(dm.stats().repair_fallbacks, 0);
         assert!(dm.stats().to_json().contains("\"cactus_rebuilds\""));
         assert!(dm.stats().to_json().contains("\"cactus_repairs\""));
+    }
+
+    #[test]
+    fn unchanged_family_keeps_the_shared_cactus() {
+        // Two K5s (weight 3) joined by two unit bridges: λ = 2, the
+        // community split, unique. Deleting an intra-clique edge leaves
+        // its endpoints 3 · 3 = 9 > λ apart: the u–v flow certifies the
+        // family unchanged, and readers keep sharing the same cactus.
+        let (g, l) = known::two_communities(5, 5, 2, 3, 1);
+        let mut dm = DynamicMinCut::new(g, "noi", SolveOptions::new()).unwrap();
+        dm.enable_cactus().unwrap();
+        let before = Arc::clone(dm.cactus().unwrap());
+        assert!(before.same_node(2, 3));
+        let r = dm.apply(&TraceOp::Delete { u: 2, v: 3 }).unwrap();
+        assert_eq!((r.lambda, r.resolved), (l, false));
+        assert!(Arc::ptr_eq(&before, dm.cactus().unwrap()), "no new cactus");
+        let s = dm.stats();
+        assert_eq!(
+            (s.flow_deletes, s.cactus_repairs, s.cactus_rebuilds),
+            (1, 1, 1)
+        );
     }
 
     #[test]

@@ -121,9 +121,10 @@
 //! Real traffic mutates its graphs. [`DynamicMinCut`] maintains
 //! `(λ, witness)` exactly across edge insertions and deletions over a
 //! [`DeltaGraph`](mincut_graph::DeltaGraph) overlay, re-solving — seeded
-//! through [`SolveOptions::initial_bound`] — only when an update crosses
-//! the witness in a way that can change the answer (see the
-//! [`dynamic`] module docs for the case analysis). The service hosts it
+//! through [`SolveOptions::initial_bound`] — only when an insert crosses
+//! the witness; a delete is absorbed or decided by one max flow between
+//! its endpoints (see the [`dynamic`] module docs for the case
+//! analysis). The service hosts it
 //! behind a handle that answers every read from its own maintainer, and
 //! the CLI exposes it as `mincut --stream <trace>`:
 //!

@@ -61,7 +61,7 @@ impl Ho {
         let n = g.n();
         let max_h = 2 * n + 2;
         Ho {
-            net: Residual::new(g),
+            net: Residual::new(g.n(), g.m(), g.edges()),
             height: vec![0; n],
             excess: vec![0; n],
             cur: vec![0; n],

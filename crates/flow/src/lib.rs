@@ -4,7 +4,8 @@
 //!
 //! * [`max_flow`] — the Goldberg–Tarjan push-relabel maximum-flow
 //!   algorithm (highest-label selection, gap heuristic, exact initial
-//!   distance labels) on undirected [`mincut_graph::CsrGraph`]s, the
+//!   distance labels) on undirected graphs — a [`mincut_graph::CsrGraph`]
+//!   or a live [`mincut_graph::DeltaGraph`], through [`FlowGraph`] — the
 //!   crate's one s-t engine. Its [`MaxFlowResult`] yields the flow value,
 //!   the largest minimum-cut source side, and *every* minimum s-t cut
 //!   from the closed sets of the residual network (the per-pair primitive
@@ -27,4 +28,4 @@ mod residual;
 
 pub use gomory_hu::GomoryHuTree;
 pub use hao_orlin::{hao_orlin, HaoOrlinResult};
-pub use push_relabel::{max_flow, MaxFlowResult};
+pub use push_relabel::{max_flow, FlowGraph, MaxFlowResult};

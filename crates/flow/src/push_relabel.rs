@@ -4,9 +4,54 @@
 //! distance labels from a reverse BFS — the configuration that performs
 //! well on the sparse, shallow graphs of the paper's benchmark families.
 
-use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
+use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
 use crate::residual::Residual;
+
+/// An undirected weighted graph [`max_flow`] can read: its size, its
+/// weighted degrees and one pass over its edges. Implemented for the
+/// static [`CsrGraph`] and for the live [`DeltaGraph`], whose overlay
+/// the flow then reads in place, without compacting it.
+pub trait FlowGraph {
+    /// Number of vertices.
+    fn n(&self) -> usize;
+    /// Number of undirected edges.
+    fn m(&self) -> usize;
+    /// Weighted degree c(v).
+    fn weighted_degree(&self, v: NodeId) -> EdgeWeight;
+    /// Every undirected edge `(u, v, w)` once, with `u < v`.
+    fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeWeight)> + '_;
+}
+
+impl FlowGraph for CsrGraph {
+    fn n(&self) -> usize {
+        CsrGraph::n(self)
+    }
+    fn m(&self) -> usize {
+        CsrGraph::m(self)
+    }
+    fn weighted_degree(&self, v: NodeId) -> EdgeWeight {
+        CsrGraph::weighted_degree(self, v)
+    }
+    fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeWeight)> + '_ {
+        CsrGraph::edges(self)
+    }
+}
+
+impl FlowGraph for DeltaGraph {
+    fn n(&self) -> usize {
+        DeltaGraph::n(self)
+    }
+    fn m(&self) -> usize {
+        DeltaGraph::m(self)
+    }
+    fn weighted_degree(&self, v: NodeId) -> EdgeWeight {
+        DeltaGraph::weighted_degree(self, v)
+    }
+    fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeWeight)> + '_ {
+        DeltaGraph::edges(self)
+    }
+}
 
 /// Result of a maximum-flow computation.
 pub struct MaxFlowResult {
@@ -48,21 +93,23 @@ impl MaxFlowResult {
 }
 
 /// Computes the maximum flow between `s` and `t` in the undirected graph
-/// `g`. Panics if `s == t` or either is out of range.
+/// `g`. Panics if `s == t` or either is out of range. A [`DeltaGraph`]
+/// and its compacted [`CsrGraph`] stream the same edges in the same
+/// order, so they give the same residual network.
 ///
 /// Push-relabel opens by saturating every source arc, and any excess
 /// that cannot reach the sink must travel back. So the flow runs from
 /// the endpoint of smaller weighted degree; when that is `t`, the t→s
 /// flow is reversed afterwards into an s→t flow of the same value
 /// (λ(s, t) = λ(t, s) on undirected graphs).
-pub fn max_flow(g: &CsrGraph, s: NodeId, t: NodeId) -> MaxFlowResult {
+pub fn max_flow<G: FlowGraph>(g: &G, s: NodeId, t: NodeId) -> MaxFlowResult {
     assert_ne!(s, t, "source and sink must differ");
     assert!((s as usize) < g.n() && (t as usize) < g.n());
     let mut _sp = mincut_obs::span("flow/max_flow");
     _sp.arg("n", g.n());
     _sp.arg("s", s);
     _sp.arg("t", t);
-    let mut net = Residual::new(g);
+    let mut net = Residual::new(g.n(), g.m(), g.edges());
     let value = if g.weighted_degree(t) < g.weighted_degree(s) {
         let value = push_relabel(&mut net, t, s);
         net.reverse_flow();

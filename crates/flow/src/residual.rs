@@ -1,6 +1,6 @@
 //! Residual network representation shared by push-relabel and Hao–Orlin.
 
-use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
+use mincut_graph::{EdgeWeight, NodeId};
 
 /// Residual network of an undirected graph.
 ///
@@ -19,30 +19,41 @@ pub struct Residual {
 }
 
 impl Residual {
-    pub fn new(g: &CsrGraph) -> Self {
-        let n = g.n();
-        let m = g.m();
+    /// The residual network of the undirected graph on `n` vertices
+    /// whose `m` edges `edges` yields, each once. Arc pair `k` is the
+    /// `k`-th edge, and every vertex lists its arcs in stream order, so
+    /// two streams of the same edges in the same order build the same
+    /// network. One pass over the stream: the arc index is filled
+    /// afterwards from the endpoints the pairs already hold in `to`.
+    pub fn new(
+        n: usize,
+        m: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, EdgeWeight)>,
+    ) -> Self {
         let mut to = vec![0 as NodeId; 2 * m];
         let mut cap = vec![0 as EdgeWeight; 2 * m];
-        let mut deg = vec![0usize; n + 1];
-        for (k, (u, v, w)) in g.edges().enumerate() {
+        let mut first = vec![0usize; n + 1];
+        let mut k = 0;
+        for (u, v, w) in edges {
             to[2 * k] = v;
             to[2 * k + 1] = u;
             cap[2 * k] = w;
             cap[2 * k + 1] = w;
-            deg[u as usize + 1] += 1;
-            deg[v as usize + 1] += 1;
+            first[u as usize + 1] += 1;
+            first[v as usize + 1] += 1;
+            k += 1;
         }
-        let mut first = deg;
+        assert_eq!(k, m, "the edge stream must yield exactly m edges");
         for i in 0..n {
             first[i + 1] += first[i];
         }
         let mut cursor = first.clone();
         let mut arc_ids = vec![0u32; 2 * m];
-        for (k, (u, v, _)) in g.edges().enumerate() {
-            arc_ids[cursor[u as usize]] = (2 * k) as u32;
+        for (a, pair) in to.chunks_exact(2).enumerate() {
+            let (v, u) = (pair[0], pair[1]);
+            arc_ids[cursor[u as usize]] = (2 * a) as u32;
             cursor[u as usize] += 1;
-            arc_ids[cursor[v as usize]] = (2 * k + 1) as u32;
+            arc_ids[cursor[v as usize]] = (2 * a + 1) as u32;
             cursor[v as usize] += 1;
         }
         Residual {
@@ -99,11 +110,12 @@ impl Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mincut_graph::CsrGraph;
 
     #[test]
     fn arc_pairing_and_adjacency() {
         let g = CsrGraph::from_edges(3, &[(0, 1, 4), (1, 2, 5)]);
-        let r = Residual::new(&g);
+        let r = Residual::new(g.n(), g.m(), g.edges());
         assert_eq!(r.n(), 3);
         assert_eq!(r.to.len(), 4);
         // Vertex 1 has two out arcs, heads 0 and 2 in some order.
@@ -124,7 +136,7 @@ mod tests {
     #[test]
     fn reverse_flow_swaps_every_arc_pair() {
         let g = CsrGraph::from_edges(3, &[(0, 1, 4), (1, 2, 5)]);
-        let mut r = Residual::new(&g);
+        let mut r = Residual::new(g.n(), g.m(), g.edges());
         // One unit 0→1→2: the forward arcs lose it, the reverse arcs gain it.
         for a in [0usize, 2] {
             r.cap[a] -= 1;
@@ -137,7 +149,7 @@ mod tests {
     #[test]
     fn sink_side_on_saturated_cut() {
         let g = CsrGraph::from_edges(3, &[(0, 1, 2), (1, 2, 3)]);
-        let mut r = Residual::new(&g);
+        let mut r = Residual::new(g.n(), g.m(), g.edges());
         // Saturate the 0→1 arc manually: cut {0} | {1,2}.
         for &a in r.out_arcs(0).to_vec().iter() {
             if r.to[a as usize] == 1 {

@@ -360,7 +360,8 @@ impl CsrGraph {
 
     /// Empties this graph for an in-place rebuild and hands out its owned
     /// `(xadj, adj, weight, wdeg)` buffers, each cleared with its capacity
-    /// kept. The caller refills them to the CSR invariants (`xadj` starts
+    /// kept (a mapped section is replaced by an empty `Vec`, not copied).
+    /// The caller refills them to the CSR invariants (`xadj` starts
     /// at 0 and has n + 1 entries; rows sorted, no self-loops, no repeated
     /// targets). The cached fingerprint is reset. The
     /// [`ContractionEngine`](crate::contract::ContractionEngine) and the
@@ -375,15 +376,12 @@ impl CsrGraph {
         &mut Vec<EdgeWeight>,
     ) {
         self.fp = OnceLock::new();
-        let xadj = self.xadj.owned();
-        let adj = self.adj.owned();
-        let weight = self.weight.owned();
-        let wdeg = self.wdeg.owned();
-        xadj.clear();
-        adj.clear();
-        weight.clear();
-        wdeg.clear();
-        (xadj, adj, weight, wdeg)
+        (
+            self.xadj.cleared(),
+            self.adj.cleared(),
+            self.weight.cleared(),
+            self.wdeg.cleared(),
+        )
     }
 
     /// Rebuilds this graph in place from a normalised edge list (`u < v`,

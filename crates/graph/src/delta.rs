@@ -8,14 +8,18 @@
 //! advances on every successful mutation. All queries compose base and
 //! overlay in O(Δ) extra work (Δ = overlay size): [`n`]/[`m`] and
 //! [`weighted_degree`] are O(1) against maintained counters,
-//! [`edge_weight`] is one hash probe plus the base's binary search,
-//! [`cut_value`] adds one pass over the overlay to the base's cost, and
-//! [`edges`] streams base arcs with overlay overrides applied.
+//! [`edge_weight`] is one O(log Δ) overlay lookup plus the base's
+//! binary search, [`cut_value`] adds one pass over the overlay to the
+//! base's cost, and [`edges`] merges the base's sorted edge stream with
+//! the overlay, which is kept in the same `(u, v)` order. Readers that
+//! need the whole current graph (the max-flow engine of `mincut-flow`
+//! among them) stream it from [`edges`] without compacting.
 //!
 //! Once the overlay crosses a size ratio of the base
 //! ([`DeltaGraph::COMPACT_MIN_OVERLAY`], [`DeltaGraph::COMPACT_RATIO`]),
-//! [`compact`] folds it into a fresh canonical `CsrGraph` — rebuilt
-//! inside recycled double-buffered scratch the way the
+//! [`compact`] folds it into a fresh canonical `CsrGraph` — rebuilt from
+//! the already sorted merged stream, inside recycled double-buffered
+//! scratch the way the
 //! [`ContractionEngine`](crate::contract::ContractionEngine) ping-pongs
 //! its round buffers, so steady-state compaction stops allocating.
 //! Compaction never changes the logical graph: the epoch is untouched and
@@ -37,7 +41,8 @@
 //! [`edges`]: DeltaGraph::edges
 //! [`compact`]: DeltaGraph::compact
 
-use mincut_ds::hash::FxHashMap;
+use std::collections::BTreeMap;
+
 use mincut_ds::{pack_edge, unpack_edge};
 
 use crate::{CsrGraph, EdgeWeight, NodeId};
@@ -68,12 +73,10 @@ struct OverlayEdge {
 /// assert_eq!(g.edge_weight(0, 3), Some(5));
 /// assert_eq!(g.edge_weight(1, 2), None);
 ///
-/// // Folding the overlay yields the canonical CSR of the merged edges.
-/// let merged: Vec<_> = {
-///     let mut e: Vec<_> = g.edges().collect();
-///     e.sort_unstable();
-///     e
-/// };
+/// // Folding the overlay yields the canonical CSR of the merged edges,
+/// // which stream in ascending (u, v) order.
+/// let merged: Vec<_> = g.edges().collect();
+/// assert_eq!(merged, [(0, 1, 2), (0, 3, 5), (2, 3, 2)]);
 /// assert_eq!(
 ///     g.compact().fingerprint(),
 ///     CsrGraph::from_edges(4, &merged).fingerprint()
@@ -83,7 +86,9 @@ struct OverlayEdge {
 pub struct DeltaGraph {
     base: CsrGraph,
     /// `pack_edge(u, v)` → override; invariant `weight != base_weight`.
-    overlay: FxHashMap<u64, OverlayEdge>,
+    /// Key order is `(u, v)` order, so the overlay merges into the
+    /// base's sorted edge stream.
+    overlay: BTreeMap<u64, OverlayEdge>,
     /// Maintained weighted degrees of the *current* graph.
     wdeg: Vec<EdgeWeight>,
     /// Current undirected edge count.
@@ -100,7 +105,7 @@ pub struct DeltaGraph {
 
 impl DeltaGraph {
     /// Overlays smaller than this never trigger an automatic compaction
-    /// (rebuilding a tiny CSR costs more than a handful of hash probes).
+    /// (rebuilding a tiny CSR costs more than a handful of overlay lookups).
     pub const COMPACT_MIN_OVERLAY: usize = 64;
 
     /// Automatic compaction once `overlay ≥ base_m / COMPACT_RATIO` (and
@@ -119,7 +124,7 @@ impl DeltaGraph {
         let m = base.m();
         DeltaGraph {
             base,
-            overlay: FxHashMap::default(),
+            overlay: BTreeMap::new(),
             wdeg,
             m,
             epoch: 0,
@@ -178,8 +183,8 @@ impl DeltaGraph {
         self.wdeg[v as usize]
     }
 
-    /// Current weight of the edge `{u, v}`, if present: one overlay probe,
-    /// falling back to the base's binary search.
+    /// Current weight of the edge `{u, v}`, if present: one overlay
+    /// lookup, falling back to the base's binary search.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<EdgeWeight> {
         if u == v {
             return None;
@@ -284,26 +289,29 @@ impl DeltaGraph {
     }
 
     /// Iterator over the current undirected edges `(u, v, w)` with
-    /// `u < v`: the base stream with overlay overrides applied, then the
-    /// overlay's new edges. Order is unspecified (the base prefix is
-    /// lexicographic; overlay additions follow in map order).
+    /// `u < v`, in ascending `(u, v)` order, each edge once: the base's
+    /// sorted stream merged with the overlay (whose keys sort the same
+    /// way), an override replacing or dropping its base edge.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeWeight)> + '_ {
-        let overridden = self.base.edges().filter_map(move |(u, v, w)| {
-            match self.overlay.get(&pack_edge(u, v)) {
-                Some(e) if e.weight == 0 => None,
-                Some(e) => Some((u, v, e.weight)),
-                None => Some((u, v, w)),
+        let mut base = self.base.edges().peekable();
+        let mut overlay = self.overlay.iter().peekable();
+        std::iter::from_fn(move || loop {
+            let next_base = base.peek().map(|&(u, v, _)| pack_edge(u, v));
+            match (next_base, overlay.peek().map(|(&key, _)| key)) {
+                (None, None) => return None,
+                (b, Some(key)) if b.is_none_or(|b| key <= b) => {
+                    if b == Some(key) {
+                        base.next();
+                    }
+                    let (_, e) = overlay.next().expect("peeked");
+                    if e.weight > 0 {
+                        let (u, v) = unpack_edge(key);
+                        return Some((u, v, e.weight));
+                    }
+                }
+                _ => return base.next(),
             }
-        });
-        let added = self
-            .overlay
-            .iter()
-            .filter(|(_, e)| e.base_weight == 0 && e.weight > 0)
-            .map(|(&key, e)| {
-                let (u, v) = unpack_edge(key);
-                (u, v, e.weight)
-            });
-        overridden.chain(added)
+        })
     }
 
     /// Value of the cut defined by `side` on the current graph: the
@@ -347,12 +355,9 @@ impl DeltaGraph {
         }
         let mut edges = std::mem::take(&mut self.edges_scratch);
         edges.clear();
+        // Already in the strictly ascending `(u, v)` order the rebuild
+        // requires: no sort.
         edges.extend(self.edges());
-        // Base edges stream sorted, overlay additions do not; one sort
-        // restores the canonical order the rebuild requires. Every edge
-        // appears exactly once (base is deduplicated, overlay keys are
-        // unique), so no merge pass is needed.
-        edges.sort_unstable_by_key(|&(u, v, _)| ((u as u64) << 32) | v as u64);
         let mut next = self.spare.take().unwrap_or_else(CsrGraph::empty);
         next.rebuild_from_sorted_dedup_edges(self.n(), &edges);
         let old = std::mem::replace(&mut self.base, next);
@@ -469,6 +474,60 @@ mod tests {
         // Second compact is a no-op on an empty overlay.
         g.compact();
         assert_eq!(g.compactions(), 1);
+    }
+
+    proptest::proptest! {
+        /// Random overlays over a random base — deletes, inserts on new
+        /// and existing edges, and deleted edges re-inserted at their
+        /// base weight (the override vanishes): `edges()` streams the
+        /// current edges, checked against a shadow map, in strictly
+        /// ascending `(u, v)` order, and `compact()` builds the graph
+        /// `from_edges` builds over them.
+        #[test]
+        fn merged_edge_stream_is_ascending_and_compacts_canonically(
+            base in proptest::collection::vec((0u32..10, 0u32..10, 1u64..4), 0..30),
+            ops in proptest::collection::vec((0u32..10, 0u32..10, 0u64..5), 1..50),
+        ) {
+            let n = 10;
+            let base: Vec<_> = base.into_iter().filter(|&(u, v, _)| u != v).collect();
+            let mut shadow = std::collections::BTreeMap::new();
+            for &(u, v, w) in &base {
+                *shadow.entry((u.min(v), u.max(v))).or_insert(0) += w;
+            }
+            let mut g = DeltaGraph::new(CsrGraph::from_edges(n, &base));
+            for (u, v, op) in ops {
+                if u == v {
+                    continue;
+                }
+                let key = (u.min(v), u.max(v));
+                match op {
+                    0 => {
+                        proptest::prop_assert_eq!(g.delete_edge(u, v), shadow.remove(&key));
+                    }
+                    1 => {
+                        if let Some(w) = g.base().edge_weight(u, v) {
+                            g.delete_edge(u, v);
+                            g.insert_edge(u, v, w);
+                            shadow.insert(key, w);
+                        }
+                    }
+                    w => {
+                        g.insert_edge(u, v, w - 1);
+                        *shadow.entry(key).or_insert(0) += w - 1;
+                    }
+                }
+            }
+            let edges: Vec<_> = g.edges().collect();
+            let expected: Vec<_> = shadow.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+            proptest::prop_assert_eq!(&edges, &expected);
+            proptest::prop_assert!(edges.windows(2).all(|e| (e[0].0, e[0].1) < (e[1].0, e[1].1)));
+            proptest::prop_assert_eq!(edges.len(), g.m());
+            let csr_edges: Vec<_> = g.to_csr().edges().collect();
+            proptest::prop_assert_eq!(&edges, &csr_edges);
+            let reference = CsrGraph::from_edges(n, &expected);
+            proptest::prop_assert_eq!(g.compact(), &reference);
+            proptest::prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]

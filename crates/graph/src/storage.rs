@@ -10,13 +10,14 @@
 //! through `Deref<Target = [T]>`, so neither backing is visible past
 //! this module.
 //!
-//! Mutation always lands in owned storage: `CsrStorage::owned` (and
-//! the `DerefMut` impl built on it) converts a mapped window into an
-//! owned `Vec` by copying once. The only mutation path in the workspace
-//! is the in-place rebuild of a recycled graph (contraction and
-//! `DeltaGraph` compaction), which clears every section first, so a
-//! recycled mapped graph degrades gracefully into an ordinary owned one
-//! instead of faulting on a read-only page.
+//! Sections are never written in place through the mapping. The only
+//! mutation path is the in-place rebuild of a recycled graph
+//! (contraction and `DeltaGraph` compaction), which overwrites every
+//! section and so takes each through `CsrStorage::cleared`: owned
+//! storage is cleared with its capacity kept, and a mapped window is
+//! replaced by an empty owned `Vec` without being copied, so a recycled
+//! mapped graph turns into an ordinary owned one instead of faulting on
+//! a read-only page.
 //!
 //! The mmap machinery binds `mmap(2)`/`munmap(2)` directly from libc
 //! (always linked on unix targets) rather than pulling in a binding
@@ -25,7 +26,7 @@
 //! the pack loader falls back to the portable owned reader.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// Marker for element types that may back a CSR section: plain-old-data
 /// scalars whose alignment divides the pack format's 8-byte section
@@ -188,11 +189,12 @@ pub(crate) mod mapped {
 
 /// Storage behind one CSR section: an owned `Vec` or a borrowed window
 /// of a shared read-only mmap. Reads go through `Deref<Target = [T]>`;
-/// mutation converts to owned first (see `CsrStorage::owned`).
+/// a rebuild replaces the contents through `CsrStorage::cleared`.
 pub enum CsrStorage<T: CsrScalar> {
-    /// Heap-allocated, mutable in place.
+    /// Heap-allocated; a rebuild reuses its capacity.
     Owned(Vec<T>),
-    /// Borrowed from a read-only file mapping; copy-on-write.
+    /// Borrowed from a read-only file mapping; a rebuild drops it for a
+    /// new owned `Vec`.
     #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
     Mapped(mapped::MappedSlice<T>),
 }
@@ -209,20 +211,22 @@ impl<T: CsrScalar> CsrStorage<T> {
         }
     }
 
-    /// Mutable access as a `Vec`, converting a mapped window into owned
-    /// heap storage by copying once. Rebuild paths call this before any
-    /// write, so mapped graphs recycled through the contraction engine
-    /// silently become owned.
+    /// An empty `Vec` to refill, for rebuild paths that overwrite the
+    /// whole section: owned storage is cleared with its capacity kept,
+    /// and a mapped window is dropped for a new empty `Vec` without being
+    /// copied.
     #[inline]
-    pub(crate) fn owned(&mut self) -> &mut Vec<T> {
-        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-        if let CsrStorage::Mapped(m) = self {
-            *self = CsrStorage::Owned(m.as_slice().to_vec());
+    pub(crate) fn cleared(&mut self) -> &mut Vec<T> {
+        if self.is_mapped() {
+            *self = CsrStorage::Owned(Vec::new());
         }
         match self {
-            CsrStorage::Owned(v) => v,
+            CsrStorage::Owned(v) => {
+                v.clear();
+                v
+            }
             #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-            CsrStorage::Mapped(_) => unreachable!("mapped storage was just converted"),
+            CsrStorage::Mapped(_) => unreachable!("mapped storage was just replaced"),
         }
     }
 }
@@ -237,13 +241,6 @@ impl<T: CsrScalar> Deref for CsrStorage<T> {
             #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
             CsrStorage::Mapped(m) => m.as_slice(),
         }
-    }
-}
-
-impl<T: CsrScalar> DerefMut for CsrStorage<T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [T] {
-        self.owned()
     }
 }
 

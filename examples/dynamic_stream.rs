@@ -8,10 +8,11 @@
 //!
 //! * changes that don't cross the current witness are absorbed in O(Δ);
 //! * a deleted crossing link lowers λ exactly, **without** a solver run;
-//! * only crossing insertions / witness-preserving deletions re-solve —
-//!   and then seeded with the old cut as the `initial_bound`, through
-//!   the same kernelization pipeline and solver registry as any static
-//!   query.
+//! * any other deleted link is decided by one max flow between its
+//!   endpoints: λ becomes the smaller of λ and that flow;
+//! * only crossing insertions re-solve — seeded with the old cut as the
+//!   `initial_bound`, through the same kernelization pipeline and solver
+//!   registry as any static query.
 //!
 //! The same trace is then replayed through the `MinCutService` dynamic
 //! API, which answers every read from the handle's own maintainer —
@@ -37,6 +38,7 @@ fn main() {
         TraceOp::Delete { u: 1, v: 13 }, // second trunk down
         TraceOp::Query,
         TraceOp::Insert { u: 0, v: 12, w: 3 }, // maintenance done, upgraded
+        TraceOp::Delete { u: 3, v: 4 },        // an intra-district link fails
         TraceOp::Query,
     ];
 
@@ -45,12 +47,15 @@ fn main() {
         DynamicMinCut::new(g.clone(), "noi-viecut", SolveOptions::new().seed(42)).unwrap();
     println!("initial λ = {}", dyn_cut.lambda());
     for op in &trace {
+        let flows = dyn_cut.stats().flow_deletes;
         let r = dyn_cut.apply(op).unwrap();
         println!(
             "{op:?}: λ = {} ({})",
             r.lambda,
             if r.resolved {
                 "bound-seeded re-solve"
+            } else if dyn_cut.stats().flow_deletes > flows {
+                "one u–v max flow"
             } else {
                 "absorbed in O(Δ)"
             }
@@ -58,9 +63,10 @@ fn main() {
     }
     let s = dyn_cut.stats();
     println!(
-        "maintainer: {} updates, {} absorbed incrementally, {} re-solves",
+        "maintainer: {} updates, {} absorbed incrementally, {} decided by a flow, {} re-solves",
         s.insertions + s.deletions,
         s.incremental,
+        s.flow_deletes,
         s.resolves
     );
 

@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.cut.verify(&mapped)
     );
 
-    // Dynamic updates too: the overlay copies a section only when an
-    // update actually touches it (copy-on-write via the storage enum).
+    // Dynamic updates too: they land in the `DeltaGraph` overlay, the
+    // mapped sections are never copied, and a compaction writes owned ones.
     let mut dm = DynamicMinCut::new(mapped, "noi-viecut", SolveOptions::new().seed(42))?;
     let report = dm.insert_edge(0, 700, 5)?;
     println!(

@@ -234,8 +234,9 @@ fn dynamic_maintainer_matches_from_scratch_on_random_traces() {
 /// (which absorbs non-structural inserts and rebuilds otherwise) must be
 /// indistinguishable from a from-scratch `CactusBuilder` run on the
 /// materialised graph: same λ, same min-cut count, identical enumerated
-/// family, and agreeing separating-cut answers on every vertex pair —
-/// at 1 and 4 worker threads, the width of every parallel layer.
+/// family, and agreeing separating-cut answers on every vertex pair,
+/// and both maintainers' witnesses are proper cuts of value λ — at 1
+/// and 4 worker threads, the width of every parallel layer.
 #[test]
 fn maintained_cactus_matches_from_scratch_rebuild_on_random_traces() {
     let mut rng = SmallRng::seed_from_u64(0xCAC7);
@@ -317,6 +318,17 @@ fn maintained_cactus_matches_from_scratch_rebuild_on_random_traces() {
                     oracle.enumerate_min_cuts(usize::MAX),
                     "{tag}: enumerated family"
                 );
+                for (mode, m) in [("repair", &dm), ("rebuild-only", &dm_off)] {
+                    assert!(
+                        current.is_proper_cut(m.witness()),
+                        "{tag}: {mode} improper witness"
+                    );
+                    assert_eq!(
+                        current.cut_value(m.witness()),
+                        oracle.lambda(),
+                        "{tag}: {mode} witness must re-cost to λ"
+                    );
+                }
                 let rebuilt_only = dm_off.cactus().expect("maintenance is on");
                 assert_eq!(
                     (rebuilt_only.lambda(), rebuilt_only.count_min_cuts()),

@@ -10,17 +10,26 @@
 //! * the cactus of all minimum cuts is a bijection: every cut it
 //!   enumerates has value exactly λ, the count matches the brute-force
 //!   all-min-cuts oracle, and `min_cut_separating(u, v)` agrees with
-//!   the enumeration for every vertex pair.
+//!   the enumeration for every vertex pair;
+//! * every delete case of the dynamic maintainer is exact: after random
+//!   deletes, λ is Stoer–Wagner's, the witness costs λ and, with the
+//!   cactus on, the maintained family is a from-scratch build's.
 //!
 //! The generated edge lists are multigraphs — duplicate pairs and
 //! self-loops included — exercising the builder's normalisation too.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use sm_mincut::ds::UnionFind;
+use sm_mincut::flow::max_flow;
 use sm_mincut::graph::contract::ContractionEngine;
 use sm_mincut::graph::generators::known::brute_force_all_min_cuts;
-use sm_mincut::{CactusBuilder, CsrGraph, Session, SolveOptions, SolverRegistry};
+use sm_mincut::{
+    materialize, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut, NodeId, Session, SolveOptions,
+    SolverRegistry,
+};
 
 /// Builds a graph on `n` vertices from raw (multigraph) edge records.
 fn build(n: usize, raw: &[(u32, u32, u64)]) -> CsrGraph {
@@ -151,6 +160,155 @@ proptest! {
                     None => prop_assert!(!split, "missed separator for ({}, {})", u, v),
                 }
             }
+        }
+    }
+}
+
+/// How the maintainer decided one delete of `{u, v}`, classified by the
+/// test from the state before the delete and an independent flow after.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DeleteCase {
+    /// The witness separated `u` and `v`: λ − w.
+    Witness,
+    /// The witness did not, the cactus did: λ − w, its cut the witness.
+    Cactus,
+    /// No known minimum cut separated them; the u–v flow of the new
+    /// graph was above, at, or below the old λ.
+    FlowAbove,
+    FlowEqual,
+    FlowBelow,
+}
+
+/// Random weighted multigraphs under random deletes (inserts only keep
+/// the graph from running dry), with cactus maintenance off and on.
+/// After every update λ is Stoer–Wagner's on the materialised graph,
+/// the witness is a proper cut of value λ, no delete runs a solver, and
+/// with the cactus on the maintained family is a from-scratch build's.
+/// Every delete case must occur, so no branch goes untested: with the
+/// cactus off the three flow cases, with it on also the cactus
+/// shortcut and a λ-dropping delete inside one cactus node repaired
+/// from its flow.
+#[test]
+fn every_delete_case_matches_stoer_wagner_and_a_fresh_cactus() {
+    let mut rng = SmallRng::seed_from_u64(0xDE1E);
+    let fresh = CactusBuilder::new().options(SolveOptions::new().seed(9));
+    for cactus in [false, true] {
+        let mut seen: Vec<DeleteCase> = Vec::new();
+        let mut dropped_and_repaired = 0;
+        for trial in 0..40u64 {
+            let n = rng.gen_range(4..9usize);
+            let mut edges: Vec<(NodeId, NodeId, u64)> = (1..n as NodeId)
+                .map(|v| (rng.gen_range(0..v), v, rng.gen_range(1..5)))
+                .collect();
+            for _ in 0..rng.gen_range(n..3 * n) {
+                let (u, v) = (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId));
+                if u != v {
+                    edges.push((u, v, rng.gen_range(1..5)));
+                }
+            }
+            let base = CsrGraph::from_edges(n, &edges);
+            let mut dm = DynamicMinCut::new(base.clone(), "noi", SolveOptions::new().seed(trial))
+                .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+            if cactus {
+                dm.enable_cactus()
+                    .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+            }
+            let mut shadow = DeltaGraph::new(base);
+            for step in 0..16 {
+                let tag = format!("cactus {cactus}, trial {trial}, step {step}");
+                let mut case = None;
+                if shadow.m() < n || rng.gen_bool(0.2) {
+                    let (mut u, mut v) = (0, 0);
+                    while u == v {
+                        u = rng.gen_range(0..n as NodeId);
+                        v = rng.gen_range(0..n as NodeId);
+                    }
+                    let w = rng.gen_range(1..5);
+                    dm.insert_edge(u, v, w)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    shadow.insert_edge(u, v, w);
+                } else {
+                    let live: Vec<_> = shadow.edges().collect();
+                    let (u, v, _) = live[rng.gen_range(0..live.len())];
+                    let lambda = dm.lambda();
+                    let witness = dm.witness()[u as usize] != dm.witness()[v as usize];
+                    let in_cactus = dm.cactus().map(|c| !c.same_node(u, v)) == Some(true);
+                    let before = dm.stats().clone();
+                    let report = dm
+                        .delete_edge(u, v)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    shadow.delete_edge(u, v).expect("picked a live edge");
+                    let flow = max_flow(&materialize(&shadow), u, v).value;
+                    let c = match (witness, in_cactus) {
+                        (true, _) => DeleteCase::Witness,
+                        (false, true) => DeleteCase::Cactus,
+                        _ if flow > lambda => DeleteCase::FlowAbove,
+                        _ if flow == lambda => DeleteCase::FlowEqual,
+                        _ => DeleteCase::FlowBelow,
+                    };
+                    let stats = dm.stats();
+                    assert!(!report.resolved, "{tag}: {c:?} ran a solver");
+                    assert_eq!(stats.resolves, before.resolves, "{tag}: {c:?}");
+                    let by_flow = !matches!(c, DeleteCase::Witness | DeleteCase::Cactus);
+                    assert_eq!(
+                        stats.flow_deletes - before.flow_deletes,
+                        by_flow as u64,
+                        "{tag}: {c:?} runs exactly one flow iff no minimum cut was known"
+                    );
+                    if c == DeleteCase::FlowBelow
+                        && dm.lambda() > 0
+                        && stats.cactus_repairs > before.cactus_repairs
+                    {
+                        dropped_and_repaired += 1;
+                    }
+                    case = Some(c);
+                }
+
+                let current = materialize(&shadow);
+                let expected = Session::new(&current)
+                    .run("stoer-wagner")
+                    .unwrap_or_else(|e| panic!("{tag}: oracle: {e}"))
+                    .cut
+                    .value;
+                assert_eq!(dm.lambda(), expected, "{tag}: λ after {case:?}");
+                assert!(current.is_proper_cut(dm.witness()), "{tag}: {case:?}");
+                assert_eq!(
+                    current.cut_value(dm.witness()),
+                    expected,
+                    "{tag}: the witness after {case:?} must cost λ"
+                );
+                if cactus {
+                    let oracle = fresh
+                        .build(&current)
+                        .unwrap_or_else(|e| panic!("{tag}: rebuild: {e}"));
+                    let maintained = dm.cactus().expect("maintenance is on");
+                    assert_eq!(maintained.lambda(), expected, "{tag}: {case:?}");
+                    assert_eq!(
+                        maintained.enumerate_min_cuts(usize::MAX),
+                        oracle.enumerate_min_cuts(usize::MAX),
+                        "{tag}: family after {case:?}"
+                    );
+                }
+                seen.extend(case);
+            }
+        }
+        let mut required = vec![
+            DeleteCase::FlowAbove,
+            DeleteCase::FlowEqual,
+            DeleteCase::FlowBelow,
+        ];
+        if cactus {
+            required.push(DeleteCase::Cactus);
+            assert!(
+                dropped_and_repaired > 0,
+                "no λ-dropping same-node delete was repaired"
+            );
+        }
+        for c in required {
+            assert!(
+                seen.contains(&c),
+                "cactus {cactus}: the {c:?} case never occurred"
+            );
         }
     }
 }
