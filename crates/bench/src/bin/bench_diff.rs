@@ -23,8 +23,11 @@
 //! makes a solve deterministic at every graph size (every parallel layer
 //! runs inline at the solve's width; `crates/core/tests/thread_width.rs`
 //! asserts it), so its operation stream moves only when the scan order
-//! did. Rows at ≥ 2 threads race by design and are not compared. Like the metadata warnings below, drift never changes the
-//! exit code.
+//! did. Rows at ≥ 2 threads race by design and are not compared. Every
+//! row whose key is in only one of the two files prints a `warning:
+//! unmatched row` line, followed by a count: such a row joins nothing,
+//! so no λ or timing of it is compared. Like the metadata warnings below,
+//! drift and unmatched rows never change the exit code.
 //!
 //! Cross-machine baselines are meaningless: both files must come from
 //! the same machine (the committed `results/` protocol regenerates the
@@ -165,6 +168,16 @@ fn main() -> ExitCode {
         joined.push((oe.solver.clone(), speedup));
     }
     table.emit("diff");
+    let mut unmatched = 0usize;
+    for (path, mine, theirs) in [(&args.old, &old, &new), (&args.new, &new, &old)] {
+        for e in mine.unmatched(theirs).filter(|e| matches(e)) {
+            eprintln!(
+                "warning: unmatched row {}/{}/{}t, only in {path}",
+                e.instance, e.solver, e.threads
+            );
+            unmatched += 1;
+        }
+    }
 
     if joined.is_empty() {
         eprintln!("\nerror: no rows joined (check --solver and the two files)");
@@ -195,6 +208,9 @@ fn main() -> ExitCode {
         eprintln!("warning: PQ-op drift on {drifted} of {single_thread_rows} joined 1-thread rows");
     } else {
         println!("PQ-op totals identical on all {single_thread_rows} joined 1-thread rows");
+    }
+    if unmatched > 0 {
+        eprintln!("warning: {unmatched} unmatched rows, in one file only");
     }
 
     if lambda_mismatches > 0 {

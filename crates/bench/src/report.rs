@@ -271,6 +271,18 @@ impl LoadedReport {
             Some((oe, ne))
         })
     }
+
+    /// The rows of `self` that share their [`LoadedEntry::key`] with no
+    /// row of `other`: on `self`'s side, the rows [`LoadedReport::join`]
+    /// skips.
+    pub fn unmatched<'a>(
+        &'a self,
+        other: &'a LoadedReport,
+    ) -> impl Iterator<Item = &'a LoadedEntry> + 'a {
+        self.entries
+            .iter()
+            .filter(move |e| !other.entries.iter().any(|o| o.key() == e.key()))
+    }
 }
 
 fn parse_entry(v: &json::Value) -> Result<LoadedEntry, String> {
@@ -610,6 +622,31 @@ mod tests {
         assert!(LoadedReport::from_json("[1,2]").is_err());
         assert!(LoadedReport::from_json("{\"entries\":[{}]}").is_err());
         assert!(LoadedReport::from_json("{\"name\":\"x\"} trailing").is_err());
+    }
+
+    #[test]
+    fn rows_in_one_report_only_are_unmatched() {
+        let load = |rows: &[(&str, &str, usize)]| {
+            let mut r = BenchReport::new("unit", crate::instances::Scale::Tiny);
+            for &(instance, solver, threads) in rows {
+                r.push(BenchEntry::named(instance, solver, threads, 8, 12));
+            }
+            LoadedReport::from_json(&r.to_json()).expect("round trip")
+        };
+        let key = |instance: &str, solver: &str, threads| {
+            (instance.to_string(), solver.to_string(), threads)
+        };
+        let old = load(&[("a", "noi", 1), ("b", "noi", 1), ("a", "parcut", 2)]);
+        let new = load(&[("a", "parcut", 2), ("a", "noi", 1), ("a", "parcut", 4)]);
+        assert_eq!(old.join(&new).count(), 2);
+        let only = |mine: &LoadedReport, theirs: &LoadedReport| {
+            mine.unmatched(theirs)
+                .map(LoadedEntry::key)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(only(&old, &new), vec![key("b", "noi", 1)]);
+        assert_eq!(only(&new, &old), vec![key("a", "parcut", 4)]);
+        assert!(only(&old, &old).is_empty());
     }
 
     /// Keys of the joined rows of two committed `results/` files that

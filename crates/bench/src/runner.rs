@@ -7,15 +7,19 @@
 //! a thread count.
 //!
 //! Measurement note: the session API always tallies priority-queue
-//! operations (a non-atomic thread-local add per push/raise/pop, ~1 ns).
-//! The overhead is uniform across every variant, so the *relative*
-//! rankings the paper's figures compare are unaffected; absolute ns/edge
-//! numbers include it.
+//! operations. Every solver scans with a [`mincut_ds::CountingPq`], which
+//! bumps plain struct fields per push/raise/pop and hands them over
+//! through `take_ops`. The overhead is uniform across every variant, so
+//! the *relative* rankings the paper's figures compare are unaffected;
+//! absolute ns/edge numbers include it.
 
 use std::time::Instant;
 
 use mincut_core::{PqKind, SolveOptions, SolverRegistry};
 use mincut_graph::{CsrGraph, EdgeWeight};
+
+use crate::instances::Instance;
+use crate::report::{BenchEntry, BenchReport};
 
 /// One benchmarked configuration: a solver name as registered (§4.1
 /// spelling or alias, queue-pinned forms included) and a thread count.
@@ -39,11 +43,6 @@ impl BenchSpec {
     /// NOIλ̂ with the given queue.
     pub fn noi_bounded(pq: PqKind) -> Self {
         BenchSpec::named(format!("NOIλ̂-{pq}"))
-    }
-
-    /// NOIλ̂-·-VieCut with the given queue.
-    pub fn noi_bounded_viecut(pq: PqKind) -> Self {
-        BenchSpec::named(format!("NOIλ̂-{pq}-VieCut"))
     }
 
     /// ParCutλ̂ with the given queue and thread count.
@@ -89,6 +88,31 @@ pub fn fig2_algorithms() -> Vec<BenchSpec> {
     .collect()
 }
 
+/// Figure 5's sequential baselines. The paper's bottom row divides the
+/// faster of the two by ParCut's time.
+pub fn fig5_sequential() -> Vec<BenchSpec> {
+    vec![
+        BenchSpec::noi_bounded(PqKind::Heap),
+        BenchSpec::noi_bounded(PqKind::BStack),
+    ]
+}
+
+/// Figure 5's parallel series: ParCutλ̂ with each queue at each of
+/// `threads`, queue-major in [`PqKind::ALL`] order.
+pub fn fig5_parallel(threads: &[usize]) -> Vec<BenchSpec> {
+    PqKind::ALL
+        .into_iter()
+        .flat_map(|pq| threads.iter().map(move |&p| BenchSpec::parcut(pq, p)))
+        .collect()
+}
+
+/// The solver Table 1 computes each core's λ with.
+pub const TABLE1_SOLVER: &str = "NOIλ̂-Heap";
+
+/// The solver whose cut value the §3.1.2 ablation uses as its VieCut
+/// bound.
+pub const ABLATION_BOUND_SOLVER: &str = "viecut";
+
 /// Runs one configuration once; returns (cut value, seconds).
 pub fn run_once(g: &CsrGraph, spec: &BenchSpec, seed: u64) -> (EdgeWeight, f64) {
     let solver = SolverRegistry::global()
@@ -127,6 +151,38 @@ pub fn run_avg(g: &CsrGraph, spec: &BenchSpec, reps: usize, seed: u64) -> (EdgeW
     (value.unwrap(), total / reps.max(1) as f64)
 }
 
+/// Times each of `specs` on `inst` through [`run_avg`] and pushes one
+/// `report` row per spec, carrying that spec's own λ. Every spec must be
+/// an exact solver: panics unless all of them return the same λ. Returns
+/// that λ and each spec's average seconds, in `specs` order.
+pub fn sweep(
+    report: &mut BenchReport,
+    inst: &Instance,
+    specs: &[BenchSpec],
+    reps: usize,
+    seed: u64,
+) -> (EdgeWeight, Vec<f64>) {
+    let g = &inst.graph;
+    let mut lambda = None;
+    let mut secs = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let (value, s) = run_avg(g, spec, reps, seed);
+        let first = *lambda.get_or_insert(value);
+        assert_eq!(
+            first, value,
+            "exact solvers disagree on {}: {spec}",
+            inst.name
+        );
+        let mut entry = BenchEntry::named(&inst.name, &spec.solver, spec.threads, g.n(), g.m());
+        entry.lambda = value;
+        entry.wall_s = s;
+        entry.reps = reps;
+        report.push(entry);
+        secs.push(s);
+    }
+    (lambda.expect("a sweep runs at least one spec"), secs)
+}
+
 /// Replays per side of a wall-clock gate that compares two replays of
 /// 10–100 ms (`dynamic_throughput`, `cactus_bench`).
 pub const GATE_REPLAYS: usize = 3;
@@ -157,15 +213,42 @@ pub fn best_replay<T: PartialEq + std::fmt::Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instances::Scale;
     use mincut_graph::generators::known;
 
+    /// Every spelling `repro` runs resolves in the registry, the exact
+    /// ones agree on λ, and the sweep writes one row per spec with that
+    /// spec's λ.
     #[test]
-    fn fig2_specs_all_resolve_and_agree() {
-        let (g, l) = known::two_communities(8, 8, 2, 2, 1);
-        for spec in fig2_algorithms() {
-            let (v, _) = run_avg(&g, &spec, 2, 11);
-            assert_eq!(v, l, "{spec}");
-        }
+    fn repro_specs_all_resolve_and_agree() {
+        let (graph, l) = known::two_communities(8, 8, 2, 2, 1);
+        let inst = Instance {
+            name: "two_communities".into(),
+            graph,
+        };
+        let specs: Vec<BenchSpec> = fig2_algorithms()
+            .into_iter()
+            .chain(fig5_sequential())
+            .chain(fig5_parallel(&[1, 2]))
+            .chain([BenchSpec::named(TABLE1_SOLVER)])
+            .collect();
+        let mut report = BenchReport::new("unit", Scale::Tiny);
+        let (v, secs) = sweep(&mut report, &inst, &specs, 2, 11);
+        assert_eq!(v, l);
+        assert_eq!(secs.len(), specs.len());
+        let rows: Vec<_> = report
+            .entries()
+            .iter()
+            .map(|e| (e.solver.as_str(), e.threads, e.lambda, e.reps))
+            .collect();
+        let want: Vec<_> = specs
+            .iter()
+            .map(|s| (s.solver.as_str(), s.threads, l, 2))
+            .collect();
+        assert_eq!(rows, want);
+        // The ablation's bound solver is VieCut, an upper bound.
+        let (ub, _) = run_avg(&inst.graph, &BenchSpec::named(ABLATION_BOUND_SOLVER), 2, 11);
+        assert!(ub >= l, "{ABLATION_BOUND_SOLVER}: {ub} < λ = {l}");
     }
 
     #[test]

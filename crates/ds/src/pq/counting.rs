@@ -5,7 +5,7 @@
 //! values much higher than λ̂ and perform many priority increases until
 //! they reach their final value." This adaptor wraps any [`MaxPq`] and
 //! counts pushes, raises and pops so the claim can be measured directly
-//! (see the `ablation_pq_ops` binary of `mincut-bench`).
+//! (see `repro ablation` in `mincut-bench`).
 //!
 //! Counters are plain struct fields bumped inline — no thread-local
 //! access, no atomics — and are harvested through [`MaxPq::take_ops`],
