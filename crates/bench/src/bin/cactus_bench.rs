@@ -6,7 +6,10 @@
 //! * **build** — wall time of `CactusBuilder::build` (λ solve +
 //!   all-min-cuts enumeration + structure assembly), with the phase
 //!   split reported from `CactusStats` and the min-cut count checked
-//!   against the structural `count_min_cuts()`.
+//!   against the structural `count_min_cuts()`. One more build-only row
+//!   runs on a paper-shaped RHG (average degree 32; 2^11, 2^14 or 2^18
+//!   vertices), where λ must be a `noi` solve's with reductions off and
+//!   every enumerated cut must cost λ.
 //! * **maintain vs rebuild** — a deterministic mixed insert/delete trace
 //!   replayed through (a) a cactus-enabled `DynamicMinCut` with
 //!   incremental repair on (the default), (b) the same maintainer with
@@ -35,8 +38,8 @@ use mincut_bench::runner::best_replay;
 use mincut_bench::table::Table;
 use mincut_core::cactus::CactusBuilder;
 use mincut_core::dynamic::{materialize, DynamicMinCut, TraceOp};
-use mincut_core::SolveOptions;
-use mincut_graph::generators::known;
+use mincut_core::{Session, SolveOptions};
+use mincut_graph::generators::{known, random_hyperbolic_graph, RhgParams};
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,6 +100,64 @@ fn make_trace(g: &CsrGraph, updates: usize, seed: u64) -> Vec<TraceOp> {
         }
     }
     ops
+}
+
+/// A build-only row on a paper-shaped graph: an RHG with average degree
+/// 32, 2^11 vertices at tiny, 2^14 at small and 2^18 at full. It stays
+/// out of the maintenance loop, so no other row, count or gate sees it.
+/// λ must be a `noi` solve's with reductions off, every enumerated cut
+/// must cost λ, and the enumeration must count what the structure does.
+fn paper_shaped_build(scale: Scale) -> BenchEntry {
+    let log_n = match scale {
+        Scale::Tiny => 11,
+        Scale::Small => 14,
+        Scale::Full => 18,
+    };
+    let mut rng = SmallRng::seed_from_u64(0xCAC7);
+    let g = random_hyperbolic_graph(&RhgParams::paper(1 << log_n, 32.0), &mut rng);
+    let name = format!("rhg_2^{log_n}_deg2^5");
+    let opts = SolveOptions::new().seed(5).threads(2);
+    let t0 = Instant::now();
+    let cactus = CactusBuilder::new()
+        .options(opts.clone())
+        .build(&g)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let build_s = t0.elapsed().as_secs_f64();
+    let noi = Session::new(&g)
+        .options(opts.clone().no_reductions())
+        .run("noi")
+        .unwrap_or_else(|e| panic!("{name}: noi: {e}"));
+    let lambda = cactus.lambda();
+    assert_eq!(lambda, noi.cut.value, "{name}: λ disagrees with noi");
+    let cuts = cactus.enumerate_min_cuts(usize::MAX);
+    assert_eq!(
+        cuts.len() as u128,
+        cactus.count_min_cuts(),
+        "{name}: enumeration and structure count differ"
+    );
+    for side in &cuts {
+        assert_eq!(g.cut_value(side), lambda, "{name}: a cut off λ");
+    }
+    let stats = cactus.stats();
+    println!(
+        "\n{name}: n {}, m {}, λ {lambda}, {} min cuts, kernel n {}, \
+         build {build_s:.3} s (solve {:.3} s, enumerate {:.3} s)",
+        g.n(),
+        g.m(),
+        cuts.len(),
+        stats.kernel_n,
+        stats.solve_seconds,
+        stats.enumerate_seconds
+    );
+    let mut e = BenchEntry::named(&name, "cactus-build", opts.threads, g.n(), g.m());
+    e.lambda = lambda;
+    e.wall_s = build_s;
+    // The phase split in the PQ-op columns, as for the other build rows.
+    e.pq_pushes = (stats.solve_seconds * 1e6) as u64;
+    e.pq_raises = (stats.enumerate_seconds * 1e6) as u64;
+    e.pq_pops = (stats.build_seconds * 1e6) as u64;
+    e.kernel_n = stats.kernel_n;
+    e
 }
 
 fn main() {
@@ -298,6 +359,8 @@ fn main() {
             );
         }
     }
+
+    report.push(paper_shaped_build(scale));
 
     // Across the whole workload, the majority of structure-crossing
     // updates must resolve via local repair, not rebuild.

@@ -9,6 +9,9 @@
 //! and its rows to `results/BENCH_<name>.json` for `bench-diff`; `<name>`
 //! is given in parentheses below. `all` runs the six in this order, each
 //! in a process of its own. Sizes come from `SMC_SCALE` ([`Scale`]).
+//! Every solve runs with reductions off, as the paper's do: on these
+//! families the kernelization pipeline alone would collapse the graph,
+//! and the figures would time it instead of the algorithms they name.
 //!
 //! * `fig2` (`fig2_rhg`), **Figure 2**: nanoseconds per edge on random
 //!   hyperbolic graphs, one series per algorithm, over a grid of (number

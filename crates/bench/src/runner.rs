@@ -1,5 +1,6 @@
 //! Algorithm runners for the experiment binaries: value-only (no witness
-//! tracking) timed executions, matching how the paper measures.
+//! tracking) timed executions without the kernelization pipeline,
+//! matching how the paper measures.
 //!
 //! Solvers are resolved through [`SolverRegistry`] — the bench harness
 //! holds no name → algorithm mapping of its own. A [`BenchSpec`] is just
@@ -53,11 +54,15 @@ impl BenchSpec {
         }
     }
 
+    /// The options a spec's solves run under: value only, and without
+    /// the kernelization pipeline, which on the paper's families would
+    /// collapse the graph before the measured algorithm ran.
     fn options(&self, seed: u64) -> SolveOptions {
         SolveOptions::new()
             .seed(seed)
             .threads(self.threads)
             .witness(false)
+            .no_reductions()
     }
 }
 

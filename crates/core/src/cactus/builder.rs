@@ -87,7 +87,7 @@ impl CactusBuilder {
     }
 
     /// Selects the registered solver used to discover λ. The solver must
-    /// be exact — an inexact λ would make the enumeration assert.
+    /// be exact — the build rejects a λ that is not the minimum cut.
     pub fn solver(mut self, name: &str) -> Self {
         self.solver = name.to_string();
         self
@@ -117,8 +117,8 @@ impl CactusBuilder {
 
     /// Builds the cactus from a *known* λ — no solver run. This is the
     /// rebuild path of the dynamic maintenance, where λ is already
-    /// maintained exactly. `lambda` must equal λ(g); the enumeration
-    /// asserts if it does not.
+    /// maintained exactly. `lambda` must equal λ(g): any other value is
+    /// a [`MinCutError::InvalidOptions`].
     pub fn build_with_lambda(
         &self,
         g: &CsrGraph,
@@ -150,7 +150,11 @@ impl CactusBuilder {
             // components; store the component structure directly.
             let t0 = Instant::now();
             let (comp_of, c) = connected_components(g);
-            debug_assert!(c >= 2, "λ = 0 on a connected graph");
+            if c < 2 {
+                return Err(MinCutError::InvalidOptions {
+                    message: "λ = 0 is not the minimum cut value of a connected graph".into(),
+                });
+            }
             let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); c];
             for (v, &comp) in comp_of.iter().enumerate() {
                 nodes[comp as usize].push(v as NodeId);
@@ -170,10 +174,10 @@ impl CactusBuilder {
         }
 
         let t0 = Instant::now();
-        let cuts = all_min_cuts(g, lambda);
+        let (cuts, kernel_n) = all_min_cuts(g, lambda)?;
         stats.enumerate_seconds = t0.elapsed().as_secs_f64();
         stats.cuts = cuts.len() as u64;
-        assert!(!cuts.is_empty(), "a λ > 0 graph has at least one min cut");
+        stats.kernel_n = kernel_n;
 
         let t1 = Instant::now();
         let cactus = assemble(n, lambda, &cuts, stats.clone());
@@ -271,7 +275,8 @@ struct Circular {
 /// Steps 1–5 of the module docs: family → tree of cycles. Also the
 /// engine of [`repair`](super::repair): the incremental repair paths
 /// derive the post-update family from the old structure and reassemble
-/// it here, skipping the n−1 max flows of a full enumeration.
+/// it here, skipping the kernel and the enumeration flows of a full
+/// build.
 pub(crate) fn assemble(
     n: usize,
     lambda: EdgeWeight,
@@ -710,6 +715,44 @@ mod tests {
     fn inexact_solver_is_rejected() {
         let (g, _) = known::cycle_graph(4, 1);
         let err = CactusBuilder::new().solver("viecut").build(&g).unwrap_err();
+        assert!(matches!(err, MinCutError::InvalidOptions { .. }));
+    }
+
+    #[test]
+    fn a_wrong_lambda_is_an_error() {
+        // Two weight-3 triangles joined by a unit bridge: λ = 1. A λ
+        // below it collapses the λ + 1 kernel (2, 5) or misses every cut
+        // of a connected graph (0); a λ above it meets the bridge's
+        // cheaper flow (6, where every triangle vertex's degree cut
+        // costs exactly 6).
+        let g = CsrGraph::from_edges(
+            6,
+            &[
+                (0, 1, 3),
+                (1, 2, 3),
+                (2, 0, 3),
+                (3, 4, 3),
+                (4, 5, 3),
+                (5, 3, 3),
+                (2, 3, 1),
+            ],
+        );
+        for wrong in [0, 2, 5, 6] {
+            let err = CactusBuilder::new()
+                .build_with_lambda(&g, wrong)
+                .unwrap_err();
+            assert!(
+                matches!(err, MinCutError::InvalidOptions { .. }),
+                "λ = {wrong}: {err:?}"
+            );
+        }
+        let c = CactusBuilder::new().build_with_lambda(&g, 1).unwrap();
+        assert_eq!((c.lambda(), c.count_min_cuts()), (1, 1));
+        // λ > 0 on a disconnected graph is wrong too.
+        let split = CsrGraph::from_edges(4, &[(0, 1, 2), (2, 3, 2)]);
+        let err = CactusBuilder::new()
+            .build_with_lambda(&split, 2)
+            .unwrap_err();
         assert!(matches!(err, MinCutError::InvalidOptions { .. }));
     }
 

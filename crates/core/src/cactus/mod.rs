@@ -18,11 +18,13 @@
 //!
 //! Construction ([`builder`]): λ is obtained through the existing
 //! solver registry (kernelization pipeline included), the family is
-//! enumerated output-sensitively ([`enumerate::all_min_cuts`]: one
-//! conservation max flow per contraction level, every minimum s-t cut
-//! from the residual closed sets), and the tree-of-cycles is assembled
-//! from the family — vertex classes, crossing components → circular
-//! partitions, the laminar forest of parts and non-crossing cuts.
+//! enumerated output-sensitively ([`enumerate::all_min_cuts`]: every
+//! edge a CAPFOREST pass at the fixed bound λ + 1 certifies is
+//! contracted first, then one conservation max flow per contraction
+//! level of that kernel yields every minimum s-t cut from the residual
+//! closed sets), and the tree-of-cycles is assembled from the family —
+//! vertex classes, crossing components → circular partitions, the
+//! laminar forest of parts and non-crossing cuts.
 //!
 //! Disconnected graphs (λ = 0) have `2^(c−1) − 1` minimum cuts for c
 //! components — a power set, not a 2-cut family — so the cactus stores

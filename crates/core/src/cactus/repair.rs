@@ -2,10 +2,12 @@
 //!
 //! The dynamic maintainer keeps the cactus of *all* minimum cuts
 //! current across edge updates. A full rebuild re-enumerates the family
-//! from scratch — n−1 max flows — but most updates change the family in
+//! from scratch — the λ + 1 kernel's CAPFOREST passes and contractions,
+//! then (kernel n) − 1 max flows — but most updates change the family in
 //! a way the **old structure already describes**, so the new family can
 //! be derived from the old cactus alone and reassembled through the
-//! same `assemble` machinery, skipping the n − 1 enumeration flows:
+//! same `assemble` machinery, skipping the kernel and the enumeration
+//! flows:
 //!
 //! | update (λ > 0) | new λ | surviving family |
 //! |---|---|---|
@@ -37,7 +39,8 @@
 //! min(λ, flow) and hands it over: above λ the family is unchanged, at
 //! λ it *grows* by the minimum u–v cuts, and below λ those cuts are the
 //! whole new family. Either way they fall out of the residual closed
-//! sets of that **one** flow instead of the n − 1 of a rebuild.
+//! sets of that **one** flow instead of the kernel and the flows of a
+//! rebuild.
 //!
 //! λ = 0 has its own local case: an insert joining two of c ≥ 3
 //! components merges their cactus nodes in O(n) and the family stays

@@ -14,7 +14,11 @@
 //! The pass simultaneously tracks `α`, the value of the cut between the
 //! scanned prefix and the rest, and lowers λ̂ whenever a prefix cut beats
 //! it (lines 14–15 of Algorithm 1) — for the first scanned vertex this is
-//! exactly the trivial degree cut.
+//! exactly the trivial degree cut. The fixed-bound mode
+//! ([`capforest_fixed`]) skips that step, so its marks certify
+//! connectivity at least a bound the caller chose: at λ + 1 they name
+//! edges in no minimum cut, which the cactus contracts before it
+//! enumerates.
 //!
 //! With the bound enabled, queue priorities are capped at λ̂
 //! (`Q(y) ← min(r(y), λ̂)`): vertices whose priority already reached λ̂ stop
@@ -164,6 +168,38 @@ pub fn capforest_with<P: MaxPq>(
     q: &mut P,
     scratch: &mut ScanScratch,
 ) -> ScanInfo {
+    scan(g, lambda_hat, start, bounded, false, q, scratch)
+}
+
+/// The fixed-bound mode of [`capforest_with`]: the same pass with its
+/// queue capped at `bound`, except that the bound never drops. A prefix
+/// cut cheaper than `bound` is not taken, so every union certifies
+/// λ(x, y) ≥ `bound` for the bound the caller chose. At `bound` = λ + 1
+/// every united pair is more than λ-connected, so no minimum cut
+/// separates it and contracting the blocks keeps every minimum cut: the
+/// cactus enumeration's kernel ([`crate::cactus::enumerate`]). The
+/// returned [`ScanInfo`] reports `lambda_hat == bound` and no prefix.
+pub fn capforest_fixed<P: MaxPq>(
+    g: &CsrGraph,
+    bound: EdgeWeight,
+    start: NodeId,
+    q: &mut P,
+    scratch: &mut ScanScratch,
+) -> ScanInfo {
+    scan(g, bound, start, true, true, q, scratch)
+}
+
+/// The one scan body of [`capforest_with`] and [`capforest_fixed`]
+/// (`fixed`: the bound never drops).
+fn scan<P: MaxPq>(
+    g: &CsrGraph,
+    lambda_hat: EdgeWeight,
+    start: NodeId,
+    bounded: bool,
+    fixed: bool,
+    q: &mut P,
+    scratch: &mut ScanScratch,
+) -> ScanInfo {
     let n = g.n();
     assert!((start as usize) < n);
     // One span per pass, not per edge: the disabled path is a single
@@ -196,7 +232,7 @@ pub fn capforest_with<P: MaxPq>(
         alpha += g.weighted_degree(x) as i128 - 2 * scratch.r[xi] as i128;
         debug_assert!(alpha >= 0);
         // A proper prefix (not all of V) is a real cut; compare to λ̂.
-        if scratch.order.len() < n && (alpha as u64) < lambda {
+        if !fixed && scratch.order.len() < n && (alpha as u64) < lambda {
             lambda = alpha as u64;
             best_prefix_len = Some(scratch.order.len());
         }
@@ -287,7 +323,8 @@ pub(crate) const MAX_BUCKET_BOUND: EdgeWeight = 1 << 26;
 /// per-pass dispatch (bucket queues only under [`MAX_BUCKET_BOUND`],
 /// unbounded passes on the heap) can switch queues without dropping warm
 /// allocations. Every sequential driver (NOI, Matula, the ParCut rescue
-/// path) holds one workspace for the lifetime of its solve.
+/// path) holds one workspace for the lifetime of its solve, and the
+/// cactus kernel one for its fixed-bound passes.
 pub(crate) struct ScanWorkspace {
     scratch: ScanScratch,
     bstack: mincut_ds::CountingPq<mincut_ds::BStackPq>,
@@ -330,6 +367,17 @@ impl ScanWorkspace {
             }
             // Heap, or a bound too large for bucket arrays.
             _ => capforest_with(g, bound, start, true, &mut self.heap, s),
+        }
+    }
+
+    /// A fixed-bound pass ([`capforest_fixed`]) on the bucket stack, or on
+    /// the heap when the bound is too large for bucket arrays.
+    pub fn scan_fixed(&mut self, g: &CsrGraph, bound: EdgeWeight, start: NodeId) -> ScanInfo {
+        let s = &mut self.scratch;
+        if bound <= MAX_BUCKET_BOUND {
+            capforest_fixed(g, bound, start, &mut self.bstack, s)
+        } else {
+            capforest_fixed(g, bound, start, &mut self.heap, s)
         }
     }
 
@@ -432,6 +480,58 @@ mod tests {
                             out.lambda_hat
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_bound_never_drops_and_unites_only_pairs_above_it() {
+        // Two weight-3 triangles joined by a unit bridge, λ = 1: from any
+        // start the scan finishes one triangle first, a prefix cut of
+        // value λ. The lowering scan takes it; the fixed-bound scan at
+        // λ + 1 keeps its bound, so every pair it unites is more than
+        // λ-connected.
+        let g = CsrGraph::from_edges(
+            6,
+            &[
+                (0, 1, 3),
+                (1, 2, 3),
+                (2, 0, 3),
+                (3, 4, 3),
+                (4, 5, 3),
+                (5, 3, 3),
+                (2, 3, 1),
+            ],
+        );
+        let lambda = 1;
+        for start in 0..g.n() as NodeId {
+            let lowering = capforest::<BinaryHeapPq>(&g, lambda + 1, start, true);
+            assert_eq!(lowering.lambda_hat, lambda, "start {start}");
+            assert_fixed_certifies::<BStackPq>(&g, lambda, start);
+            assert_fixed_certifies::<BQueuePq>(&g, lambda, start);
+            assert_fixed_certifies::<BinaryHeapPq>(&g, lambda, start);
+        }
+    }
+
+    fn assert_fixed_certifies<P: MaxPq>(g: &CsrGraph, lambda: EdgeWeight, start: NodeId) {
+        let (mut q, mut scratch) = (P::new(), ScanScratch::new());
+        let info = capforest_fixed(g, lambda + 1, start, &mut q, &mut scratch);
+        assert_eq!(
+            info.lambda_hat,
+            lambda + 1,
+            "start {start}: the bound moved"
+        );
+        assert_eq!(info.best_prefix_len, None);
+        assert!(
+            info.unions > 0,
+            "start {start}: the triangles are 6-connected"
+        );
+        for u in 0..g.n() as NodeId {
+            for v in 0..u {
+                if scratch.uf.same(u, v) {
+                    let flow = mincut_flow::max_flow(g, u, v).value;
+                    assert!(flow > lambda, "united ({u},{v}) is only {flow}-connected");
                 }
             }
         }

@@ -31,10 +31,11 @@
 //! λ − w = 0 and the cut is a component side. Otherwise every cut that
 //! does not separate `u` from `v` keeps a value of at least λ, and the
 //! cheapest cut that does costs exactly maxflow(u, v) in the new graph,
-//! so λ′ = min(λ, maxflow(u, v)). That flow runs through
-//! [`mincut_flow::max_flow`] on the live [`DeltaGraph`], which streams
-//! its overlay into the residual network: the delete path never
-//! compacts. The crossing-insert re-solve runs the full
+//! so λ′ = min(λ, maxflow(u, v)). That flow runs through the
+//! maintainer's one [`FlowEngine`] on the live [`DeltaGraph`], which
+//! streams its overlay into the residual network the last delete left:
+//! the delete path never compacts and, once warm, allocates no flow
+//! buffers. The crossing-insert re-solve runs the full
 //! [`Solver`](crate::Solver) preflight — kernelization pipeline seeded
 //! with the bound, then the registered solver family on the
 //! [compacted](DeltaGraph::compact) graph — so every registry family
@@ -94,7 +95,7 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mincut_flow::{max_flow, MaxFlowResult};
+use mincut_flow::{FlowEngine, MaxFlowResult};
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
 use crate::cactus::repair::Repaired;
@@ -320,6 +321,9 @@ pub struct DynamicMinCut {
     /// graph and `(λ, witness)` are out of sync, so every further
     /// operation is refused instead of serving a silently wrong λ.
     poisoned: Option<String>,
+    /// The buffers of the deletes' u–v flows, reused from one delete to
+    /// the next.
+    flows: FlowEngine,
 }
 
 impl DynamicMinCut {
@@ -351,6 +355,7 @@ impl DynamicMinCut {
             cactus: None,
             repair_cactus: true,
             poisoned: None,
+            flows: FlowEngine::new(),
         };
         this.resolve(None)?;
         this.opts.initial_bound = None; // the caller's bound was one-shot
@@ -662,7 +667,7 @@ impl DynamicMinCut {
         } else {
             // Cuts that do not separate u, v kept their values (≥ λ);
             // the cheapest one that does costs exactly the u–v flow.
-            let flow = max_flow(&self.graph, u, v);
+            let flow = self.flows.max_flow(&self.graph, u, v);
             self.stats.flow_deletes += 1;
             if flow.value < self.lambda {
                 self.lambda = flow.value;
@@ -670,7 +675,11 @@ impl DynamicMinCut {
             }
             Some(flow)
         };
-        self.update_cactus_after_delete(u, v, w, old_lambda, flow.as_ref())?;
+        let updated = self.update_cactus_after_delete(u, v, w, old_lambda, flow.as_ref());
+        if let Some(flow) = flow {
+            self.flows.recycle(flow);
+        }
+        updated?;
         Ok(self.report(false))
     }
 

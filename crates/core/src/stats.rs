@@ -194,6 +194,10 @@ pub struct CactusStats {
     /// Vertex classes — vertices never separated by any minimum cut
     /// (λ = 0: connected components).
     pub classes: usize,
+    /// Vertices of the kernel the enumeration flows ran on: the graph
+    /// after contracting every edge a λ + 1 CAPFOREST pass certifies
+    /// (0 when λ = 0, which enumerates nothing).
+    pub kernel_n: usize,
     /// Wall-clock of the λ solve (0 when λ was supplied).
     pub solve_seconds: f64,
     /// Wall-clock of the all-min-cuts enumeration.
@@ -205,13 +209,14 @@ pub struct CactusStats {
 impl CactusStats {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"n\":{},\"m\":{},\"lambda\":{},\"cuts\":{},\"classes\":{},\
+            "{{\"n\":{},\"m\":{},\"lambda\":{},\"cuts\":{},\"classes\":{},\"kernel_n\":{},\
              \"solve_seconds\":{:.9},\"enumerate_seconds\":{:.9},\"build_seconds\":{:.9}}}",
             self.n,
             self.m,
             self.lambda,
             self.cuts,
             self.classes,
+            self.kernel_n,
             self.solve_seconds,
             self.enumerate_seconds,
             self.build_seconds

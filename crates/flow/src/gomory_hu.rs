@@ -16,7 +16,7 @@
 
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 
-use crate::push_relabel::max_flow;
+use crate::push_relabel::FlowEngine;
 
 /// A Gomory–Hu (cut-equivalent) tree.
 #[derive(Clone, Debug)]
@@ -32,8 +32,8 @@ pub struct GomoryHuTree {
 }
 
 impl GomoryHuTree {
-    /// Builds the tree with n−1 push-relabel max-flow computations.
-    /// Requires n ≥ 2.
+    /// Builds the tree with n−1 push-relabel max-flow computations, all
+    /// in one [`FlowEngine`]'s buffers. Requires n ≥ 2.
     pub fn build(g: &CsrGraph) -> GomoryHuTree {
         let n = g.n();
         assert!(n >= 2, "cut tree needs at least two vertices");
@@ -41,12 +41,15 @@ impl GomoryHuTree {
         let mut weight = vec![0 as EdgeWeight; n];
         let mut best = EdgeWeight::MAX;
         let mut min_side = vec![false; n];
+        let mut engine = FlowEngine::new();
 
         for i in 1..n as NodeId {
             let t = parent[i as usize];
-            let r = max_flow(g, i, t);
+            let r = engine.max_flow(g, i, t);
             let side = r.min_cut_side(); // the side containing the source i
-            weight[i as usize] = r.value;
+            let value = r.value;
+            engine.recycle(r);
+            weight[i as usize] = value;
             // Re-home later vertices that fell on i's side of the cut.
             for j in (i + 1)..n as NodeId {
                 if side[j as usize] && parent[j as usize] == t {
@@ -61,10 +64,10 @@ impl GomoryHuTree {
                 parent[i as usize] = pt;
                 parent[t as usize] = i;
                 weight[i as usize] = weight[t as usize];
-                weight[t as usize] = r.value;
+                weight[t as usize] = value;
             }
-            if r.value < best {
-                best = r.value;
+            if value < best {
+                best = value;
                 min_side = side;
             }
         }
@@ -130,6 +133,7 @@ fn resolve_depth(v: NodeId, parent: &[NodeId], depth: &mut [u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::max_flow;
     use mincut_graph::generators::known;
 
     fn assert_all_pairs(g: &CsrGraph) {

@@ -9,9 +9,10 @@
 //!   crate's one s-t engine. Its [`MaxFlowResult`] yields the flow value,
 //!   the largest minimum-cut source side, and *every* minimum s-t cut
 //!   from the closed sets of the residual network (the per-pair primitive
-//!   behind the cactus subsystem of `mincut-core`);
+//!   behind the cactus subsystem of `mincut-core`). A [`FlowEngine`]
+//!   keeps its buffers across the flows of a loop;
 //! * [`GomoryHuTree`] — Gusfield's cut tree of all pairwise connectivities,
-//!   built with n−1 [`max_flow`] calls;
+//!   built with n−1 flows through one [`FlowEngine`];
 //! * [`hao_orlin`] — the Hao–Orlin global minimum cut algorithm, which runs
 //!   n−1 flow phases while *retaining* distance labels and parking
 //!   irrelevant vertices in dormant sets. This is the Rust counterpart of
@@ -28,4 +29,4 @@ mod residual;
 
 pub use gomory_hu::GomoryHuTree;
 pub use hao_orlin::{hao_orlin, HaoOrlinResult};
-pub use push_relabel::{max_flow, FlowGraph, MaxFlowResult};
+pub use push_relabel::{max_flow, FlowEngine, FlowGraph, MaxFlowResult};

@@ -3,10 +3,12 @@
 //! Highest-label vertex selection, gap heuristic, and exact initial
 //! distance labels from a reverse BFS — the configuration that performs
 //! well on the sparse, shallow graphs of the paper's benchmark families.
+//! A [`FlowEngine`] owns every buffer a flow needs, so a loop of flows
+//! allocates nothing once warm; [`max_flow`] is the one-shot form.
 
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
-use crate::residual::Residual;
+use crate::residual::{reset, Residual};
 
 /// An undirected weighted graph [`max_flow`] can read: its size, its
 /// weighted degrees and one pass over its edges. Implemented for the
@@ -92,194 +94,225 @@ impl MaxFlowResult {
     }
 }
 
-/// Computes the maximum flow between `s` and `t` in the undirected graph
-/// `g`. Panics if `s == t` or either is out of range. A [`DeltaGraph`]
-/// and its compacted [`CsrGraph`] stream the same edges in the same
-/// order, so they give the same residual network.
+/// The reusable buffers of the push-relabel engine: the residual
+/// network and the push-relabel scratch (heights, excess, current arcs,
+/// the active buckets and the per-level counts). Each buffer grows to
+/// the largest graph seen and is overwritten in place, so once warm, a
+/// flow over a graph no larger than earlier ones allocates nothing, as
+/// long as the caller hands each result back through
+/// [`recycle`](FlowEngine::recycle) (the `ContractionEngine` pattern of
+/// `mincut-graph`). Loops of flows hold one engine: the cactus
+/// enumeration, Gomory–Hu and the dynamic tier's deletes.
 ///
-/// Push-relabel opens by saturating every source arc, and any excess
-/// that cannot reach the sink must travel back. So the flow runs from
-/// the endpoint of smaller weighted degree; when that is `t`, the t→s
-/// flow is reversed afterwards into an s→t flow of the same value
-/// (λ(s, t) = λ(t, s) on undirected graphs).
-pub fn max_flow<G: FlowGraph>(g: &G, s: NodeId, t: NodeId) -> MaxFlowResult {
-    assert_ne!(s, t, "source and sink must differ");
-    assert!((s as usize) < g.n() && (t as usize) < g.n());
-    let mut _sp = mincut_obs::span("flow/max_flow");
-    _sp.arg("n", g.n());
-    _sp.arg("s", s);
-    _sp.arg("t", t);
-    let mut net = Residual::new(g.n(), g.m(), g.edges());
-    let value = if g.weighted_degree(t) < g.weighted_degree(s) {
-        let value = push_relabel(&mut net, t, s);
-        net.reverse_flow();
-        value
-    } else {
-        push_relabel(&mut net, s, t)
-    };
-    MaxFlowResult {
-        value,
-        residual: net,
-        s,
-        t,
-    }
+/// ```
+/// use mincut_flow::FlowEngine;
+/// use mincut_graph::CsrGraph;
+///
+/// let g = CsrGraph::from_edges(3, &[(0, 1, 2), (1, 2, 3)]);
+/// let mut engine = FlowEngine::new();
+/// for (t, value) in [(1, 2), (2, 2)] {
+///     let r = engine.max_flow(&g, 0, t);
+///     assert_eq!(r.value, value);
+///     engine.recycle(r); // the next flow builds in this residual
+/// }
+/// ```
+#[derive(Default)]
+pub struct FlowEngine {
+    /// The residual network the next flow is built in.
+    spare: Residual,
+    height: Vec<u32>,
+    excess: Vec<EdgeWeight>,
+    /// Current-arc pointer per vertex: a position in its arc list.
+    cur: Vec<usize>,
+    /// Active vertices bucketed by height: `head[h]` starts a list
+    /// linked through `next`. An active vertex sits in exactly one
+    /// bucket, the one of its height, so the lists are intrusive.
+    head: Vec<NodeId>,
+    next: Vec<NodeId>,
+    /// Vertices per height level, the source excluded (gap heuristic).
+    level_count: Vec<u32>,
+    /// Breadth-first queue of the initial labelling.
+    queue: Vec<NodeId>,
 }
 
-/// Runs push-relabel on `net`, returns the flow value (= excess at `t`).
-fn push_relabel(net: &mut Residual, s: NodeId, t: NodeId) -> EdgeWeight {
-    let n = net.n();
-    if n == 0 {
-        return 0;
-    }
-    let max_h = 2 * n + 1;
-    let mut height = initial_heights(net, t, n);
-    height[s as usize] = n as u32;
-    let mut excess = vec![0 as EdgeWeight; n];
-    let mut cur = vec![0usize; n]; // current-arc pointer per vertex
-                                   // Active vertex buckets by height.
-    let mut active: Vec<Vec<NodeId>> = vec![Vec::new(); max_h + 1];
-    let mut highest = 0usize;
-    // Vertices per height level (for the gap heuristic), excluding s and t.
-    let mut level_count = vec![0u32; max_h + 2];
-    for v in 0..n as NodeId {
-        if v != s {
-            level_count[height[v as usize] as usize] += 1;
-        }
+/// End of an active bucket's list.
+const NIL: NodeId = NodeId::MAX;
+
+impl FlowEngine {
+    /// An engine with empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    macro_rules! activate {
-        ($v:expr) => {{
-            let v = $v;
-            if v != s && v != t && excess[v as usize] > 0 {
-                let h = height[v as usize] as usize;
-                active[h].push(v);
-                if h > highest {
-                    highest = h;
-                }
-            }
-        }};
-    }
-
-    // Saturate source arcs.
-    for &a in net.out_arcs(s).to_vec().iter() {
-        let w = net.to[a as usize];
-        let c = net.cap[a as usize];
-        if c > 0 && w != s {
-            net.cap[a as usize] = 0;
-            net.cap[(a ^ 1) as usize] += c;
-            let had = excess[w as usize] > 0;
-            excess[w as usize] += c;
-            if !had {
-                activate!(w);
-            }
-        }
-    }
-
-    while highest > 0 || !active[0].is_empty() {
-        let Some(v) = active[highest].pop() else {
-            if highest == 0 {
-                break;
-            }
-            highest -= 1;
-            continue;
+    /// Computes the maximum flow between `s` and `t` in the undirected
+    /// graph `g`, inside this engine's buffers. Panics if `s == t` or
+    /// either is out of range. A [`DeltaGraph`] and its compacted
+    /// [`CsrGraph`] stream the same edges in the same order, so they
+    /// give the same residual network.
+    ///
+    /// Push-relabel opens by saturating every source arc, and any excess
+    /// that cannot reach the sink must travel back. So the flow runs from
+    /// the endpoint of smaller weighted degree; when that is `t`, the t→s
+    /// flow is reversed afterwards into an s→t flow of the same value
+    /// (λ(s, t) = λ(t, s) on undirected graphs).
+    pub fn max_flow<G: FlowGraph>(&mut self, g: &G, s: NodeId, t: NodeId) -> MaxFlowResult {
+        assert_ne!(s, t, "source and sink must differ");
+        assert!((s as usize) < g.n() && (t as usize) < g.n());
+        let mut _sp = mincut_obs::span("flow/max_flow");
+        _sp.arg("n", g.n());
+        _sp.arg("s", s);
+        _sp.arg("t", t);
+        let mut net = std::mem::take(&mut self.spare);
+        net.rebuild(g.n(), g.m(), g.edges());
+        let value = if g.weighted_degree(t) < g.weighted_degree(s) {
+            let value = self.push_relabel(&mut net, t, s);
+            net.reverse_flow();
+            value
+        } else {
+            self.push_relabel(&mut net, s, t)
         };
-        if excess[v as usize] == 0 || v == s || v == t {
-            continue;
-        }
-        if height[v as usize] as usize != highest {
-            // Stale entry (vertex was relabelled or gapped since queueing).
-            continue;
-        }
-        discharge(
-            net,
-            v,
+        MaxFlowResult {
+            value,
+            residual: net,
             s,
             t,
-            &mut height,
-            &mut excess,
-            &mut cur,
-            &mut active,
-            &mut highest,
-            &mut level_count,
-            max_h,
-        );
+        }
     }
-    debug_assert!(
-        (0..n).all(|v| excess[v] == 0 || v == s as usize || v == t as usize),
-        "push-relabel must end with a flow, not a preflow"
-    );
-    excess[t as usize]
-}
 
-/// Exact initial labels: BFS distance to `t` in the (undirected) residual
-/// graph; unreachable vertices parked at `n`.
-fn initial_heights(net: &Residual, t: NodeId, n: usize) -> Vec<u32> {
-    let mut h = vec![n as u32; n];
-    h[t as usize] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(t);
-    while let Some(u) = queue.pop_front() {
-        for &a in net.out_arcs(u) {
-            // v can push towards u if arc v→u has capacity; initially all
-            // arcs do, so plain BFS over the undirected structure.
-            let v = net.to[a as usize];
-            if h[v as usize] == n as u32 && net.cap[(a ^ 1) as usize] > 0 {
-                h[v as usize] = h[u as usize] + 1;
-                queue.push_back(v);
+    /// Takes a finished result's residual network back: the next
+    /// [`max_flow`](FlowEngine::max_flow) builds inside it.
+    pub fn recycle(&mut self, result: MaxFlowResult) {
+        self.spare = result.residual;
+    }
+
+    /// Runs push-relabel on `net`, returns the flow value (= excess at `t`).
+    fn push_relabel(&mut self, net: &mut Residual, s: NodeId, t: NodeId) -> EdgeWeight {
+        let n = net.n();
+        let max_h = 2 * n + 1;
+        self.initial_heights(net, t);
+        self.height[s as usize] = n as u32;
+        reset(&mut self.excess, n, 0);
+        reset(&mut self.cur, n, 0);
+        reset(&mut self.next, n, NIL);
+        reset(&mut self.head, max_h + 1, NIL);
+        let mut highest = 0usize;
+        reset(&mut self.level_count, max_h + 2, 0);
+        for v in 0..n {
+            if v != s as usize {
+                self.level_count[self.height[v] as usize] += 1;
+            }
+        }
+
+        // Saturate source arcs.
+        for i in net.first[s as usize]..net.first[s as usize + 1] {
+            let a = net.arc_ids[i] as usize;
+            let w = net.to[a];
+            let c = net.cap[a];
+            if c > 0 && w != s {
+                net.cap[a] = 0;
+                net.cap[a ^ 1] += c;
+                let had = self.excess[w as usize] > 0;
+                self.excess[w as usize] += c;
+                if !had && w != t {
+                    self.activate(w, &mut highest);
+                }
+            }
+        }
+
+        loop {
+            let v = self.head[highest];
+            if v == NIL {
+                if highest == 0 {
+                    break;
+                }
+                highest -= 1;
+                continue;
+            }
+            self.head[highest] = self.next[v as usize];
+            debug_assert!(
+                self.excess[v as usize] > 0 && self.height[v as usize] as usize == highest
+            );
+            self.discharge(net, v, s, t, &mut highest, max_h);
+        }
+        debug_assert!(
+            (0..n).all(|v| self.excess[v] == 0 || v == s as usize || v == t as usize),
+            "push-relabel must end with a flow, not a preflow"
+        );
+        self.excess[t as usize]
+    }
+
+    /// Exact initial labels: BFS distance to `t` in the (undirected)
+    /// residual graph; unreachable vertices parked at `n`.
+    fn initial_heights(&mut self, net: &Residual, t: NodeId) {
+        let n = net.n();
+        reset(&mut self.height, n, n as u32);
+        self.height[t as usize] = 0;
+        self.queue.clear();
+        self.queue.reserve(n); // every vertex enters at most once
+        self.queue.push(t);
+        let mut i = 0;
+        while let Some(&u) = self.queue.get(i) {
+            i += 1;
+            for &a in net.out_arcs(u) {
+                // v can push towards u if arc v→u has capacity; initially
+                // all arcs do, so plain BFS over the undirected structure.
+                let v = net.to[a as usize];
+                if self.height[v as usize] == n as u32 && net.cap[(a ^ 1) as usize] > 0 {
+                    self.height[v as usize] = self.height[u as usize] + 1;
+                    self.queue.push(v);
+                }
             }
         }
     }
-    h
-}
 
-#[allow(clippy::too_many_arguments)]
-fn discharge(
-    net: &mut Residual,
-    v: NodeId,
-    s: NodeId,
-    t: NodeId,
-    height: &mut [u32],
-    excess: &mut [EdgeWeight],
-    cur: &mut [usize],
-    active: &mut [Vec<NodeId>],
-    highest: &mut usize,
-    level_count: &mut [u32],
-    max_h: usize,
-) {
-    let vi = v as usize;
-    {
+    /// Puts the active vertex `v` into the bucket of its height.
+    fn activate(&mut self, v: NodeId, highest: &mut usize) {
+        let h = self.height[v as usize] as usize;
+        self.next[v as usize] = self.head[h];
+        self.head[h] = v;
+        if h > *highest {
+            *highest = h;
+        }
+    }
+
+    fn discharge(
+        &mut self,
+        net: &mut Residual,
+        v: NodeId,
+        s: NodeId,
+        t: NodeId,
+        highest: &mut usize,
+        max_h: usize,
+    ) {
+        let vi = v as usize;
         let arcs = net.first[vi + 1] - net.first[vi];
-        while cur[vi] < arcs {
-            let a = net.arc_ids[net.first[vi] + cur[vi]];
-            let w = net.to[a as usize];
-            if net.cap[a as usize] > 0 && height[vi] == height[w as usize] + 1 {
+        while self.cur[vi] < arcs {
+            let a = net.arc_ids[net.first[vi] + self.cur[vi]] as usize;
+            let w = net.to[a];
+            if net.cap[a] > 0 && self.height[vi] == self.height[w as usize] + 1 {
                 // Push.
-                let delta = excess[vi].min(net.cap[a as usize]);
-                net.cap[a as usize] -= delta;
-                net.cap[(a ^ 1) as usize] += delta;
-                let had = excess[w as usize] > 0;
-                excess[w as usize] += delta;
-                excess[vi] -= delta;
+                let delta = self.excess[vi].min(net.cap[a]);
+                net.cap[a] -= delta;
+                net.cap[a ^ 1] += delta;
+                let had = self.excess[w as usize] > 0;
+                self.excess[w as usize] += delta;
+                self.excess[vi] -= delta;
                 if !had && w != s && w != t {
-                    let h = height[w as usize] as usize;
-                    active[h].push(w);
-                    if h > *highest {
-                        *highest = h;
-                    }
+                    self.activate(w, highest);
                 }
-                if excess[vi] == 0 {
+                if self.excess[vi] == 0 {
                     return;
                 }
             } else {
-                cur[vi] += 1;
+                self.cur[vi] += 1;
             }
         }
         // Relabel.
-        let old_h = height[vi] as usize;
+        let old_h = self.height[vi] as usize;
         let mut min_h = u32::MAX;
         for &a in net.out_arcs(v) {
             if net.cap[a as usize] > 0 {
-                min_h = min_h.min(height[net.to[a as usize] as usize]);
+                min_h = min_h.min(self.height[net.to[a as usize] as usize]);
             }
         }
         let new_h = if min_h == u32::MAX {
@@ -287,42 +320,46 @@ fn discharge(
         } else {
             (min_h + 1).min(max_h as u32)
         };
-        level_count[old_h] -= 1;
+        self.level_count[old_h] -= 1;
         // Gap heuristic: if v left level `old_h` empty and old_h < n, every
         // vertex above the gap can never push to t again; lift them past n.
         let n = net.n();
-        if level_count[old_h] == 0 && old_h < n {
+        if self.level_count[old_h] == 0 && old_h < n {
+            // Every vertex of the levels in between is lifted, so their
+            // buckets empty; the active ones are re-queued at n + 1.
+            self.head[old_h + 1..n].fill(NIL);
             for u in 0..n as NodeId {
                 let ui = u as usize;
-                if u != s && u != t && height[ui] as usize > old_h && (height[ui] as usize) < n {
-                    level_count[height[ui] as usize] -= 1;
-                    height[ui] = n as u32 + 1;
-                    level_count[n + 1] += 1;
+                let h = self.height[ui] as usize;
+                if u != s && u != t && h > old_h && h < n {
+                    self.level_count[h] -= 1;
+                    self.height[ui] = n as u32 + 1;
+                    self.level_count[n + 1] += 1;
                     // Re-queue lifted vertices so their excess keeps moving
                     // (back towards the source, above level n).
-                    if excess[ui] > 0 {
-                        active[n + 1].push(u);
-                        if n + 1 > *highest {
-                            *highest = n + 1;
-                        }
+                    if self.excess[ui] > 0 {
+                        self.activate(u, highest);
                     }
                 }
             }
         }
-        height[vi] = new_h.max(height[vi]);
-        level_count[height[vi] as usize] += 1;
-        cur[vi] = 0;
-        if height[vi] as usize >= max_h || excess[vi] == 0 {
+        self.height[vi] = new_h.max(self.height[vi]);
+        self.level_count[self.height[vi] as usize] += 1;
+        self.cur[vi] = 0;
+        if self.height[vi] as usize >= max_h || self.excess[vi] == 0 {
             return;
         }
         // Re-queue at the new level and stop this discharge (highest-label
         // policy processes levels top-down).
-        let h = height[vi] as usize;
-        active[h].push(v);
-        if h > *highest {
-            *highest = h;
-        }
+        self.activate(v, highest);
     }
+}
+
+/// Computes the maximum flow between `s` and `t` in the undirected graph
+/// `g`: the one-shot form of [`FlowEngine::max_flow`], with buffers of
+/// its own.
+pub fn max_flow<G: FlowGraph>(g: &G, s: NodeId, t: NodeId) -> MaxFlowResult {
+    FlowEngine::new().max_flow(g, s, t)
 }
 
 #[cfg(test)]

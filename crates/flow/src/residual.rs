@@ -8,6 +8,7 @@ use mincut_graph::{EdgeWeight, NodeId};
 /// `2k: u→v` and `2k+1: v→u`, both with initial residual capacity `c`
 /// (pushing `f` along one direction adds `f` to the other — the standard
 /// undirected-flow encoding). `rev(a) = a ^ 1`.
+#[derive(Default)]
 pub struct Residual {
     /// Out-arc index: arcs of vertex `v` are `arc_ids[first[v]..first[v+1]]`.
     pub first: Vec<usize>,
@@ -20,19 +21,40 @@ pub struct Residual {
 
 impl Residual {
     /// The residual network of the undirected graph on `n` vertices
-    /// whose `m` edges `edges` yields, each once. Arc pair `k` is the
-    /// `k`-th edge, and every vertex lists its arcs in stream order, so
-    /// two streams of the same edges in the same order build the same
-    /// network. One pass over the stream: the arc index is filled
-    /// afterwards from the endpoints the pairs already hold in `to`.
+    /// whose `m` edges `edges` yields, each once (see
+    /// [`rebuild`](Residual::rebuild)).
     pub fn new(
         n: usize,
         m: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId, EdgeWeight)>,
     ) -> Self {
-        let mut to = vec![0 as NodeId; 2 * m];
-        let mut cap = vec![0 as EdgeWeight; 2 * m];
-        let mut first = vec![0usize; n + 1];
+        let mut net = Residual::default();
+        net.rebuild(n, m, edges);
+        net
+    }
+
+    /// Rebuilds this network, inside its own buffers, as the residual
+    /// network of the undirected graph on `n` vertices whose `m` edges
+    /// `edges` yields, each once. Arc pair `k` is the `k`-th edge, and
+    /// every vertex lists its arcs in stream order, so two streams of
+    /// the same edges in the same order build the same network. One pass
+    /// over the stream: the arc index is filled afterwards from the
+    /// endpoints the pairs already hold in `to`.
+    pub fn rebuild(
+        &mut self,
+        n: usize,
+        m: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, EdgeWeight)>,
+    ) {
+        let Residual {
+            first,
+            arc_ids,
+            to,
+            cap,
+        } = self;
+        reset(to, 2 * m, 0);
+        reset(cap, 2 * m, 0);
+        reset(first, n + 1, 0);
         let mut k = 0;
         for (u, v, w) in edges {
             to[2 * k] = v;
@@ -47,21 +69,18 @@ impl Residual {
         for i in 0..n {
             first[i + 1] += first[i];
         }
-        let mut cursor = first.clone();
-        let mut arc_ids = vec![0u32; 2 * m];
+        // `first[v]` is v's write cursor; it ends on the start of the
+        // next row, so the starts shift back by one afterwards.
+        reset(arc_ids, 2 * m, 0);
         for (a, pair) in to.chunks_exact(2).enumerate() {
             let (v, u) = (pair[0], pair[1]);
-            arc_ids[cursor[u as usize]] = (2 * a) as u32;
-            cursor[u as usize] += 1;
-            arc_ids[cursor[v as usize]] = (2 * a + 1) as u32;
-            cursor[v as usize] += 1;
+            arc_ids[first[u as usize]] = (2 * a) as u32;
+            first[u as usize] += 1;
+            arc_ids[first[v as usize]] = (2 * a + 1) as u32;
+            first[v as usize] += 1;
         }
-        Residual {
-            first,
-            arc_ids,
-            to,
-            cap,
-        }
+        first.copy_within(0..n, 1);
+        first[0] = 0;
     }
 
     #[inline]
@@ -105,6 +124,21 @@ impl Residual {
         }
         side
     }
+}
+
+/// Empties `buf` and refills it with `len` copies of `value`, inside
+/// its existing allocation when that is large enough. A buffer that must
+/// grow is replaced by one with an eighth of headroom, not doubled: a
+/// live graph's edge count creeps up one insert at a time, and the
+/// headroom absorbs the creep in one allocation, where doubling would
+/// keep up to twice the residual network alive and growing to exactly
+/// `len` would reallocate at every new maximum and fragment the heap.
+pub(crate) fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    if buf.capacity() < len {
+        *buf = Vec::with_capacity(len + len / 8);
+    }
+    buf.clear();
+    buf.resize(len, value);
 }
 
 #[cfg(test)]

@@ -680,12 +680,13 @@ fn run_cactus_mode(cli: &Options, g: &CsrGraph) -> ! {
     };
     let s = cactus.stats();
     eprintln!(
-        "cactus: {} min cuts, {} nodes, {} cycles, {} bridges \
+        "cactus: {} min cuts, {} nodes, {} cycles, {} bridges, kernel n {} \
          (solve {:.3} s, enumerate {:.3} s, build {:.3} s)",
         cactus.count_min_cuts(),
         cactus.num_nodes(),
         cactus.num_cycles(),
         cactus.num_bridges(),
+        s.kernel_n,
         s.solve_seconds,
         s.enumerate_seconds,
         s.build_seconds

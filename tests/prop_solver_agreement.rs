@@ -11,6 +11,9 @@
 //!   enumerates has value exactly λ, the count matches the brute-force
 //!   all-min-cuts oracle, and `min_cut_separating(u, v)` agrees with
 //!   the enumeration for every vertex pair;
+//! * the cactus built on the λ + 1 CAPFOREST kernel is the brute-force
+//!   family on multigraphs, cycles with chords and rings of cliques,
+//!   and its kernel is smaller than the graph on the clustered rings;
 //! * every delete case of the dynamic maintainer is exact: after random
 //!   deletes, λ is Stoer–Wagner's, the witness costs λ and, with the
 //!   cactus on, the maintained family is a from-scratch build's.
@@ -25,7 +28,8 @@ use rand::{Rng, SeedableRng};
 use sm_mincut::ds::UnionFind;
 use sm_mincut::flow::max_flow;
 use sm_mincut::graph::contract::ContractionEngine;
-use sm_mincut::graph::generators::known::brute_force_all_min_cuts;
+use sm_mincut::graph::generators::known::{self, brute_force_all_min_cuts};
+use sm_mincut::graph::generators::random_permutation;
 use sm_mincut::{
     materialize, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut, NodeId, Session, SolveOptions,
     SolverRegistry,
@@ -160,6 +164,71 @@ proptest! {
                     None => prop_assert!(!split, "missed separator for ({}, {})", u, v),
                 }
             }
+        }
+    }
+}
+
+/// One of the three shapes the kernel property draws: a random
+/// multigraph on `n` ≤ 8 vertices, a cycle on `n` vertices with chords,
+/// or a ring of `k` cliques of `s` vertices whose cliques are more than
+/// λ-connected inside (the clustered case), its vertices relabelled.
+fn kernel_case(shape: u32, n: usize, raw: &[(u32, u32, u64)], seed: u64) -> (CsrGraph, bool) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    match shape {
+        0 => (build(n.min(8), raw), false),
+        1 => {
+            let w = rng.gen_range(1..4);
+            let mut edges: Vec<(u32, u32, u64)> =
+                (0..n as u32).map(|v| (v, (v + 1) % n as u32, w)).collect();
+            edges.extend(raw.iter().map(|&(u, v, c)| (u % n as u32, v % n as u32, c)));
+            (CsrGraph::from_edges(n, &edges), false)
+        }
+        _ => {
+            let (k, s) = (rng.gen_range(3..5usize), rng.gen_range(2..4usize));
+            let inter: u64 = rng.gen_range(1..3);
+            // (s − 1)·intra > 2·inter: splitting a clique costs more than λ.
+            let intra = 2 * inter / (s as u64 - 1) + rng.gen_range(1..4u64);
+            let (ring, _) = known::ring_of_cliques(k, s, intra, inter);
+            let perm = random_permutation(ring.n(), &mut rng);
+            let edges: Vec<(u32, u32, u64)> = ring
+                .edges()
+                .map(|(u, v, w)| (perm[u as usize], perm[v as usize], w))
+                .collect();
+            (CsrGraph::from_edges(ring.n(), &edges), true)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96 })]
+
+    /// The cactus built on the λ + 1 kernel represents exactly the
+    /// brute-force family, and on clustered graphs the kernel is smaller
+    /// than the graph: every vertex is more than λ-connected to its
+    /// clique, so the first fixed-bound pass already unites a pair.
+    #[test]
+    fn kernel_cactus_matches_brute_force(
+        shape in 0u32..3,
+        n in 4usize..13,
+        raw in prop::collection::vec((0u32..64, 0u32..64, 1u64..6), 0..12),
+        seed in any::<u64>(),
+    ) {
+        let (g, clustered) = kernel_case(shape, n, &raw, seed);
+        let (lambda, all) = brute_force_all_min_cuts(&g);
+        let cactus = CactusBuilder::new()
+            .build_with_lambda(&g, lambda)
+            .unwrap_or_else(|e| panic!("shape {shape} n={n} {raw:?} seed {seed}: {e}"));
+        prop_assert_eq!(
+            cactus.enumerate_min_cuts(usize::MAX), all,
+            "family on shape {} n={} {:?} seed {}", shape, n, &raw, seed
+        );
+        let kernel_n = cactus.stats().kernel_n;
+        prop_assert!(lambda == 0 || (2..=g.n()).contains(&kernel_n));
+        if clustered {
+            prop_assert!(
+                kernel_n < g.n(),
+                "no contraction on a ring of cliques (n {}, seed {})", g.n(), seed
+            );
         }
     }
 }
