@@ -2,8 +2,9 @@
 //! pipeline on vs. off, at 1/2/4 threads.
 //!
 //! For every instance the bin (1) runs the standalone
-//! [`ReductionPipeline`] and reports the kernel, (2) times the solvers
-//! with reductions on and off and checks the λ values agree exactly.
+//! [`ReductionPipeline`] and reports the kernel, with one `reduce/<pass>`
+//! row per pass in the report, (2) times the solvers with reductions on
+//! and off and checks the λ values agree exactly.
 //! On the clustered generator families (`two_communities`,
 //! `ring_of_cliques`, the social-proxy k-core) the kernel must be
 //! *strictly* smaller — that assertion makes this bin double as the CI
@@ -120,6 +121,19 @@ fn main() {
                 "{}: reductions must strictly shrink clustered instances",
                 case.name
             );
+        }
+        // One row per pass (`reduce/<pass>`, sequential, so 1 thread):
+        // its seconds and rounds, with the pipeline's λ̂ and kernel, so
+        // `bench-diff` diffs each kernelization layer.
+        for pass in &red.passes {
+            let solver = format!("reduce/{}", pass.name);
+            let mut e = BenchEntry::named(&case.name, &solver, 1, g.n(), g.m());
+            e.lambda = red.lambda_hat;
+            e.wall_s = pass.seconds;
+            e.rounds = pass.rounds;
+            e.kernel_n = red.kernel.n();
+            e.kernel_m = red.kernel.m();
+            report.push(e);
         }
 
         // Wall time with reductions on vs. off; λ must agree exactly.

@@ -34,9 +34,29 @@
 //!   most the minimum weighted degree of every interim kernel).
 //! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
 //!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
-//!   triangle test 3 on top of the edge-local tests. Test 3 merges the
-//!   two endpoints' sorted adjacency lists only until the common
-//!   neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not the sum.
+//!   triangle test 3 on top of the edge-local tests. Test 3 reads the
+//!   common neighbours off a neighbour bitset: the first edge of `u`
+//!   that reaches it sets the bits of N(u) and keeps each `c(u, x)`,
+//!   O(deg u) once per vertex; each tested edge then probes N(v) against
+//!   those bits, O(deg v), and stops as soon as the common neighbours'
+//!   sum reaches `λ̂ − c(e)`: the bound decides, not the sum. The bitset
+//!   is n/64 words, so it stays in cache; u's words are cleared before
+//!   the next vertex.
+//!
+//! **Re-testing only what a contraction touched.** A contraction
+//! *touches* every vertex it merges and every neighbour of a merged
+//! vertex. When `heavy-edge` or `padberg-rinaldi` runs again at the λ̂ of
+//! its last run, it tests only the edges with a touched endpoint since
+//! that run; at a new λ̂ it tests every edge. This is exact, not a
+//! heuristic: an untouched edge has the same weight, the same endpoint
+//! degrees and the same common neighbours with the same weights as at
+//! the last run. It failed tests 1 and 3 there and fails them again. It
+//! also failed test 2's degree condition: had the condition held, the
+//! edge's union, or the matched or already-united endpoint that blocked
+//! it, would have merged an endpoint. So a full pass would change
+//! nothing on it, and skipping it leaves every union, in order, and so
+//! the kernel, the λ̂ trajectory and the witness as a full pass leaves
+//! them.
 //!
 //! Contractions run through
 //! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
@@ -101,19 +121,28 @@ impl Pass {
         }
     }
 
-    /// Runs the pass once over the kernel; returns whether it contracted.
-    fn apply(self, k: &mut Contracted<'_>) -> bool {
+    /// Runs the pass once over the kernel; returns whether it contracted
+    /// and, for the edge-testing passes, their work. `since` is the
+    /// [`Touched`] epoch of the pass's last run at the current λ̂: the
+    /// edge-testing passes then test only the edges touched after it.
+    /// `None` tests every edge.
+    fn apply(
+        self,
+        k: &mut Contracted<'_>,
+        touched: &mut Touched,
+        since: Option<u32>,
+    ) -> (bool, Option<PrWork>) {
         let g = k.graph();
         let n = g.n();
         match self {
             Pass::Components => {
                 let (comp, ncomp) = connected_components(g);
                 if ncomp <= 1 {
-                    return false;
+                    return (false, None);
                 }
                 k.offer_bitmap(0, Some(&smallest_component_side(&comp, ncomp)));
-                k.contract(&comp, ncomp);
-                true
+                touched.contract(k, &comp, ncomp);
+                (true, None)
             }
             Pass::DegreeBound => {
                 // The first prefix reaching the strict minimum below λ̂;
@@ -127,7 +156,7 @@ impl Pass {
                 if best.1 != usize::MAX {
                     k.offer(best.0, &order[..=best.1]);
                 }
-                false
+                (false, None)
             }
             Pass::HeavyEdge | Pass::PadbergRinaldi => {
                 // Heavy-edge runs only the edge-local tests 1 and 2
@@ -137,19 +166,32 @@ impl Pass {
                     _ => TRIANGLE_DEGREE_BUDGET,
                 };
                 let mut uf = UnionFind::new(n);
-                if pr_pass(g, k.lambda(), &mut uf, budget) == 0 {
-                    return false;
+                let work = match since {
+                    None => pr_pass(g, k.lambda(), &mut uf, budget, |_| true),
+                    Some(epoch) => {
+                        let at = &touched.at;
+                        pr_pass(g, k.lambda(), &mut uf, budget, |v| at[v as usize] > epoch)
+                    }
+                };
+                if work.unions == 0 {
+                    return (false, Some(work));
                 }
                 let (labels, blocks) = uf.dense_labels();
-                k.contract(&labels, blocks);
-                true
+                touched.contract(k, &labels, blocks);
+                (true, Some(work))
             }
         }
     }
 
     /// [`Pass::apply`] under a `reduce/pass` span, adding the pass's
     /// removals and time to `stats`.
-    fn run(self, k: &mut Contracted<'_>, stats: &mut ReductionPassStats) -> bool {
+    fn run(
+        self,
+        k: &mut Contracted<'_>,
+        stats: &mut ReductionPassStats,
+        touched: &mut Touched,
+        since: Option<u32>,
+    ) -> (bool, Option<PrWork>) {
         let t0 = Instant::now();
         let before = (k.graph().n(), k.graph().m());
         let mut pass_span = mincut_obs::span("reduce/pass");
@@ -157,16 +199,63 @@ impl Pass {
         pass_span.arg("n", before.0);
         pass_span.arg("m", before.1);
         pass_span.arg("lambda_hat", k.lambda());
-        let contracted = self.apply(k);
+        let (contracted, work) = self.apply(k, touched, since);
         let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
         pass_span.arg("vertices_removed", removed.0);
         pass_span.arg("edges_removed", removed.1);
+        if let Some(work) = work {
+            pass_span.arg("edges_tested", work.edges_tested);
+            pass_span.arg("probes", work.probes);
+        }
         drop(pass_span);
         stats.rounds += 1;
         stats.vertices_removed += removed.0 as u64;
         stats.edges_removed += removed.1 as u64;
         stats.seconds += t0.elapsed().as_secs_f64();
-        contracted
+        (contracted, work)
+    }
+}
+
+/// Which edges a fixpoint pass must re-test (see the module doc). Every
+/// contraction of the pipeline starts a new epoch and stamps each
+/// vertex it merged, and each neighbour of one, with it; a pass that
+/// last ran at epoch `e` re-tests the edges with an endpoint stamped
+/// after `e`.
+struct Touched {
+    /// Contractions so far.
+    epoch: u32,
+    /// Current vertex → the last epoch that touched it (0: none).
+    at: Vec<u32>,
+}
+
+impl Touched {
+    fn new(n: usize) -> Self {
+        Touched {
+            epoch: 0,
+            at: vec![0; n],
+        }
+    }
+
+    /// Contracts `k` by `labels` (vertex → block in `[0, blocks)`) and
+    /// carries the stamps over: a block keeps its members' latest stamp,
+    /// and a merged block and its neighbours take the new epoch.
+    fn contract(&mut self, k: &mut Contracted<'_>, labels: &[NodeId], blocks: usize) {
+        k.contract(labels, blocks);
+        self.epoch += 1;
+        let mut at = vec![0; blocks];
+        let mut members = vec![0u32; blocks];
+        for (&stamp, &b) in self.at.iter().zip(labels) {
+            at[b as usize] = at[b as usize].max(stamp);
+            members[b as usize] += 1;
+        }
+        let g = k.graph();
+        for b in (0..blocks).filter(|&b| members[b] > 1) {
+            at[b] = self.epoch;
+            for &x in g.neighbors(b as NodeId) {
+                at[x as usize] = self.epoch;
+            }
+        }
+        self.at = at;
     }
 }
 
@@ -246,6 +335,21 @@ impl ReductionPipeline {
         initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
         ctx: &mut SolveContext<'_>,
     ) -> Result<ReduceOutcome, MinCutError> {
+        self.run_with(g, initial_bound, ctx, false)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`ReductionPipeline::run`], also returning how many edges the
+    /// edge-testing passes tested in all. `retest_all` makes every run
+    /// of a pass test every edge: the reference the touched-edge rounds
+    /// must match.
+    fn run_with(
+        &self,
+        g: &CsrGraph,
+        initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
+        ctx: &mut SolveContext<'_>,
+        retest_all: bool,
+    ) -> Result<(ReduceOutcome, u64), MinCutError> {
         assert!(g.n() >= 2, "kernelization needs at least two vertices");
         // Sides are always tracked (even for witness-off runs) so one
         // outcome can be shared across jobs with different witness
@@ -266,17 +370,29 @@ impl ReductionPipeline {
 
         // Every later pass assumes a connected kernel. A split leaves
         // λ̂ = 0, which ends the fixpoint before its first pass.
-        Pass::Components.run(&mut k, &mut split_stats[0]);
+        let mut touched = Touched::new(g.n());
+        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, None);
         ctx.stats.record_lambda(k.lambda());
 
+        // Per fixpoint pass: the epoch and λ̂ of its last run.
+        let mut last_run: Vec<Option<(u32, EdgeWeight)>> = vec![None; self.passes.len()];
+        let mut edges_tested = 0;
         'rounds: for _ in 0..MAX_ROUNDS {
             let mut contracted = false;
-            for (&pass, ps) in self.passes.iter().zip(fixpoint_stats.iter_mut()) {
+            let runs = self.passes.iter().zip(fixpoint_stats.iter_mut());
+            for ((&pass, ps), last) in runs.zip(&mut last_run) {
                 if k.graph().n() <= 2 || k.lambda() <= 1 {
                     break 'rounds;
                 }
                 ctx.check_budget()?;
-                contracted |= pass.run(&mut k, ps);
+                let since = match *last {
+                    Some((epoch, lambda)) if lambda == k.lambda() && !retest_all => Some(epoch),
+                    _ => None,
+                };
+                *last = Some((touched.epoch, k.lambda()));
+                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, since);
+                contracted |= did_contract;
+                edges_tested += work.map_or(0, |w| w.edges_tested);
                 ctx.stats.record_lambda(k.lambda());
             }
             if !contracted {
@@ -285,7 +401,7 @@ impl ReductionPipeline {
         }
 
         let (kernel, membership, lambda_hat, side) = k.into_parts();
-        Ok(ReduceOutcome {
+        let outcome = ReduceOutcome {
             kernel,
             membership: membership.expect("the pipeline tracks sides"),
             lambda_hat,
@@ -293,7 +409,8 @@ impl ReductionPipeline {
             passes: pass_stats,
             original_n: g.n(),
             original_m: g.m(),
-        })
+        };
+        Ok((outcome, edges_tested))
     }
 }
 
@@ -301,12 +418,14 @@ impl ReductionPipeline {
 // Padberg–Rinaldi local tests (also run by each VieCut level).
 // ---------------------------------------------------------------------
 
-/// Degree budget for the triangle test: the sorted-list intersection of
-/// test 3 costs `deg(u) + deg(v)` per edge, which degenerates to
-/// `Σ_v deg(v)²` on hub-heavy graphs. Past this bound the test is skipped
-/// — it only costs contraction opportunities, never correctness (the
-/// linear-work discipline mirrors the reference implementation's bounded
-/// passes).
+/// Degree budget for the triangle test, which runs only on edges with
+/// `deg(u) + deg(v)` at most this. Test 3 sets the neighbour bitset of u
+/// once, O(deg u), and probes N(v) against it, O(deg v) per edge with an
+/// early exit at the bound; unbounded, the probes degenerate to
+/// `Σ_v deg(v)²` on hub-heavy graphs. Past the budget the test is
+/// skipped — it only costs contraction opportunities, never correctness
+/// (the linear-work discipline mirrors the reference implementation's
+/// bounded passes).
 const TRIANGLE_DEGREE_BUDGET: usize = 256;
 
 /// One pass of the Padberg–Rinaldi tests over all edges, for an edge
@@ -328,26 +447,42 @@ const TRIANGLE_DEGREE_BUDGET: usize = 256;
 /// 3. `c(e) + Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x)) ≥ λ̂` — every cut
 ///    separating u and v also pays, for each common neighbour x, the
 ///    cheaper of its two triangle edges (x lands on one side); exact-safe
-///    for cuts below λ̂. The sum is only compared with λ̂, so its merge
-///    stops as soon as the bound is met.
+///    for cuts below λ̂. The sum is only compared with λ̂, so the probe
+///    of N(v) against u's neighbour bitset stops as soon as the bound is
+///    met.
 ///
 /// The fourth Padberg–Rinaldi condition (a triangle/degree hybrid) is
 /// deliberately omitted: tests 1–3 already capture nearly all
 /// contractions on the benchmark families. Marks contractible edges in
 /// `uf`; returns the number of successful unions.
 pub fn padberg_rinaldi_pass(g: &CsrGraph, lambda_hat: EdgeWeight, uf: &mut UnionFind) -> usize {
-    pr_pass(g, lambda_hat, uf, TRIANGLE_DEGREE_BUDGET)
+    pr_pass(g, lambda_hat, uf, TRIANGLE_DEGREE_BUDGET, |_| true).unions
+}
+
+/// What one run of [`pr_pass`] did.
+#[derive(Clone, Copy, Debug, Default)]
+struct PrWork {
+    /// Successful unions.
+    unions: usize,
+    /// Edges the pass examined.
+    edges_tested: u64,
+    /// Adjacency entries of N(v) test 3 probed against u's bitset.
+    probes: u64,
 }
 
 /// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass:
 /// `triangle_budget` = 0 disables test 3, leaving the edge-local tests.
+/// Tests the edges `(u, v)` with `retest(u) || retest(v)`, in the order
+/// of a full pass.
 fn pr_pass(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,
     uf: &mut UnionFind,
     triangle_budget: usize,
-) -> usize {
-    let mut unions = 0;
+    retest: impl Fn(NodeId) -> bool,
+) -> PrWork {
+    let n = g.n();
+    let mut work = PrWork::default();
     // Test 2 endpoints: the shifting argument re-sides the endpoints of
     // the contracted edge, so two test-2 contractions sharing a vertex
     // may have no common surviving minimum cut. Restricting the pass to
@@ -355,18 +490,28 @@ fn pr_pass(
     // are untouched by every earlier move. Tests 1 and 3 lower-bound
     // *every* cut separating their endpoints by λ̂, so they compose
     // freely with each other and with the matching.
-    let mut matched = vec![false; g.n()];
-    for u in 0..g.n() as NodeId {
+    let mut matched = vec![false; n];
+    // Test 3's neighbour bitset of the current u: bit x is set iff
+    // x ∈ N(u), and then `c_u[x]` = c(u, x).
+    let triangles = triangle_budget > 0;
+    let mut bits = vec![0u64; if triangles { n.div_ceil(64) } else { 0 }];
+    let mut c_u: Vec<EdgeWeight> = vec![0; if triangles { n } else { 0 }];
+    for u in 0..n as NodeId {
         let du = g.weighted_degree(u);
-        for (v, w) in g.arcs(u) {
-            if u >= v {
+        let retest_u = retest(u);
+        let (nu, wu) = g.arc_slices(u);
+        let mut bits_set = false;
+        let upper = nu.partition_point(|&v| v <= u);
+        for (&v, &w) in nu[upper..].iter().zip(&wu[upper..]) {
+            if !retest_u && !retest(v) {
                 continue;
             }
+            work.edges_tested += 1;
             let dv = g.weighted_degree(v);
             // Test 1: every u-v-separating cut costs ≥ c(e) ≥ λ̂.
             if w >= lambda_hat {
                 if uf.union(u, v) {
-                    unions += 1;
+                    work.unions += 1;
                 }
                 continue;
             }
@@ -375,49 +520,45 @@ fn pr_pass(
                 if uf.union(u, v) {
                     matched[u as usize] = true;
                     matched[v as usize] = true;
-                    unions += 1;
+                    work.unions += 1;
                 }
                 continue;
             }
-            // Test 3: aggregate triangle bound via sorted-list
-            // intersection. Test 1 failed, so `need` = λ̂ − c(e) > 0.
-            if g.degree(u) + g.degree(v) > triangle_budget {
+            // Test 3: aggregate triangle bound. Test 1 failed, so
+            // `need` = λ̂ − c(e) > 0.
+            if nu.len() + g.degree(v) > triangle_budget {
                 continue;
             }
-            if triangle_bound_reaches(g, u, v, lambda_hat - w) && uf.union(u, v) {
-                unions += 1;
-            }
-        }
-    }
-    unions
-}
-
-/// Whether `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x)) ≥ need`, by merging
-/// the two sorted adjacency lists. Test 3 only compares the sum with the
-/// bound, so the merge stops at the first common neighbour that brings
-/// the running sum to `need`; on dense clusters that is a few matches
-/// into the lists.
-fn triangle_bound_reaches(g: &CsrGraph, u: NodeId, v: NodeId, need: EdgeWeight) -> bool {
-    debug_assert!(need > 0, "test 1 handles c(e) ≥ λ̂");
-    let (nu, wu) = g.arc_slices(u);
-    let (nv, wv) = g.arc_slices(v);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut sum = 0;
-    while i < nu.len() && j < nv.len() {
-        match nu[i].cmp(&nv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                sum += wu[i].min(wv[j]);
-                if sum >= need {
-                    return true;
+            if !bits_set {
+                for (&x, &c) in nu.iter().zip(wu) {
+                    bits[x as usize / 64] |= 1 << (x % 64);
+                    c_u[x as usize] = c;
                 }
-                i += 1;
-                j += 1;
+                bits_set = true;
+            }
+            let need = lambda_hat - w;
+            let mut sum = 0;
+            let (nv, wv) = g.arc_slices(v);
+            for (i, &x) in nv.iter().enumerate() {
+                work.probes += 1;
+                if bits[x as usize / 64] >> (x % 64) & 1 != 0 {
+                    sum += c_u[x as usize].min(wv[i]);
+                    if sum >= need {
+                        break;
+                    }
+                }
+            }
+            if sum >= need && uf.union(u, v) {
+                work.unions += 1;
+            }
+        }
+        if bits_set {
+            for &x in nu {
+                bits[x as usize / 64] = 0;
             }
         }
     }
-    false
+    work
 }
 
 #[cfg(test)]
@@ -665,6 +806,66 @@ mod tests {
         sum
     }
 
+    /// Runs the pass and the full-merge oracle at `lambda_hat` and
+    /// `budget`, asserts the same unions and the same blocks, and returns
+    /// the number of unions.
+    fn assert_matches_full_merge(
+        g: &CsrGraph,
+        lambda_hat: EdgeWeight,
+        budget: usize,
+        tag: &str,
+    ) -> usize {
+        let mut uf = UnionFind::new(g.n());
+        let unions = pr_pass(g, lambda_hat, &mut uf, budget, |_| true).unions;
+        let mut reference = UnionFind::new(g.n());
+        let expected = full_merge_pr_pass(g, lambda_hat, &mut reference, budget);
+        let tag = format!("{tag}, λ̂ {lambda_hat}, budget {budget}");
+        assert_eq!(unions, expected, "{tag}: unions");
+        assert_eq!(uf.dense_labels(), reference.dense_labels(), "{tag}: blocks");
+        unions
+    }
+
+    /// 201–300 vertices: a hub adjacent to at least 200 others (a window
+    /// of ids after it), and runs of consecutive ids that each share a
+    /// few random neighbours and form a path, plus n random unit-to-3
+    /// edges.
+    fn hub_and_runs(rng: &mut SmallRng) -> CsrGraph {
+        let n = rng.gen_range(201..=300usize);
+        let mut edges = Vec::new();
+        let hub = rng.gen_range(0..n);
+        for i in 1..=rng.gen_range(200..n) {
+            edges.push((
+                hub as NodeId,
+                ((hub + i) % n) as NodeId,
+                rng.gen_range(1..4),
+            ));
+        }
+        let mut start = 0;
+        while start < n {
+            let end = (start + rng.gen_range(3..12usize)).min(n);
+            let shared: Vec<NodeId> = (0..rng.gen_range(2..7))
+                .map(|_| rng.gen_range(0..n as NodeId))
+                .collect();
+            for v in start as NodeId..end as NodeId {
+                for &x in &shared {
+                    if rng.gen_bool(0.8) {
+                        edges.push((v, x, rng.gen_range(1..5)));
+                    }
+                }
+                if (v as usize) + 1 < end {
+                    edges.push((v, v + 1, rng.gen_range(1..5)));
+                }
+            }
+            start = end;
+        }
+        for _ in 0..n {
+            let u = rng.gen_range(0..n as NodeId);
+            let v = rng.gen_range(0..n as NodeId);
+            edges.push((u, v, rng.gen_range(1..4)));
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
     #[test]
     fn test3_stopping_at_the_bound_matches_the_full_merge() {
         // Every λ̂ from 1 to past the largest weighted degree meets each
@@ -693,19 +894,127 @@ mod tests {
                 .unwrap();
             for lambda_hat in 1..=max_degree + 1 {
                 for budget in [0, TRIANGLE_DEGREE_BUDGET] {
-                    let mut uf = UnionFind::new(n);
-                    let unions = pr_pass(&g, lambda_hat, &mut uf, budget);
-                    let mut reference = UnionFind::new(n);
-                    let expected = full_merge_pr_pass(&g, lambda_hat, &mut reference, budget);
-                    let tag = format!("trial {trial}, λ̂ {lambda_hat}, budget {budget}");
-                    assert_eq!(unions, expected, "{tag}: unions");
-                    assert_eq!(uf.dense_labels(), reference.dense_labels(), "{tag}: blocks");
+                    let tag = format!("trial {trial}");
+                    let unions = assert_matches_full_merge(&g, lambda_hat, budget, &tag);
                     // Above every weight only test 2 can fire at budget 0.
                     test2_fired |= lambda_hat > max_degree && budget == 0 && unions > 0;
                 }
             }
         }
         assert!(test2_fired, "some graph must exercise test 2");
+
+        // Hub graphs: the hub's edges cross the degree budget on some
+        // neighbours and not on others, and its bits cover most of the
+        // graph, so a word left set after a vertex turns the next
+        // vertices' probes into false triangles. The
+        // shared neighbours of a run make test 3 fire between
+        // consecutive ids.
+        let mut budget_binds = false;
+        for trial in 0..16 {
+            let g = hub_and_runs(&mut rng);
+            let max_degree = (0..g.n() as NodeId)
+                .map(|v| g.weighted_degree(v))
+                .max()
+                .unwrap();
+            let sweep = [2, 3, 4, 5, 6, 8, 10, 13, 17, 24, 40, max_degree + 1];
+            for lambda_hat in sweep {
+                let tag = format!("hub trial {trial}");
+                let unions =
+                    assert_matches_full_merge(&g, lambda_hat, TRIANGLE_DEGREE_BUDGET, &tag);
+                let unbounded = assert_matches_full_merge(&g, lambda_hat, usize::MAX, &tag);
+                budget_binds |= unions != unbounded;
+            }
+        }
+        assert!(budget_binds, "the degree budget must change some pass");
+    }
+
+    /// A ring of 8–24 segments joined by one or two edges of weight 1–2.
+    /// A segment is a clique of 5–8 vertices (40 %), each edge present
+    /// with probability 0.9 at weight 1–2, or a unit-weight K_{h,h} with
+    /// h = 3 or 4, which no test contracts. Vertex ids are shuffled.
+    /// Contracting part of a clique gives its other members new common
+    /// neighbours at an unchanged λ̂, while the K_{h,h} segments between
+    /// cliques stay untouched.
+    fn weighted_ring_of_cliques(rng: &mut SmallRng) -> CsrGraph {
+        let segments: Vec<(bool, usize)> = (0..rng.gen_range(8..25))
+            .map(|_| {
+                if rng.gen_bool(0.4) {
+                    (true, rng.gen_range(5..9usize))
+                } else {
+                    (false, 2 * rng.gen_range(3..5usize))
+                }
+            })
+            .collect();
+        let n: usize = segments.iter().map(|s| s.1).sum();
+        let mut id: Vec<NodeId> = (0..n as NodeId).collect();
+        for i in (1..n).rev() {
+            id.swap(i, rng.gen_range(0..=i));
+        }
+        let mut first = vec![0];
+        for s in &segments {
+            first.push(first.last().unwrap() + s.1);
+        }
+        let mut edges = Vec::new();
+        for (c, &(clique, s)) in segments.iter().enumerate() {
+            for a in first[c]..first[c] + s {
+                for b in a + 1..first[c] + s {
+                    if clique {
+                        if rng.gen_bool(0.9) {
+                            edges.push((id[a], id[b], rng.gen_range(1..3)));
+                        }
+                    } else if (a - first[c] < s / 2) != (b - first[c] < s / 2) {
+                        edges.push((id[a], id[b], 1));
+                    }
+                }
+            }
+            let next = (c + 1) % segments.len();
+            for _ in 0..rng.gen_range(1..3) {
+                let a = first[c] + rng.gen_range(0..s);
+                let b = first[next] + rng.gen_range(0..segments[next].1);
+                edges.push((id[a], id[b], rng.gen_range(1..3)));
+            }
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn touched_edge_rounds_match_full_rounds() {
+        // The pipeline against a fixpoint whose every pass re-tests every
+        // edge: same per-pass rounds and removals, same kernel, same λ̂
+        // trajectory and witness. A later round re-tests the edges around
+        // a partly contracted clique, whose unmerged members neighbour a
+        // merged block: dropping the neighbours from the touched set
+        // changes the kernel of some trial.
+        let trials = 200;
+        let mut rng = SmallRng::seed_from_u64(0x70c);
+        let mut incremental_trials = 0;
+        for trial in 0..trials {
+            let g = weighted_ring_of_cliques(&mut rng);
+            let run = |retest_all| {
+                let mut stats = SolverStats::default();
+                let mut ctx = SolveContext::new(&mut stats);
+                let (out, tested) = ReductionPipeline::standard()
+                    .run_with(&g, None, &mut ctx, retest_all)
+                    .expect("no budget");
+                let passes: Vec<_> = out
+                    .passes
+                    .iter()
+                    .map(|p| (p.name, p.rounds, p.vertices_removed, p.edges_removed))
+                    .collect();
+                let kernel = (out.kernel.n(), out.kernel.m(), out.kernel.fingerprint());
+                let got = (kernel, passes, stats.lambda_trajectory, out.side);
+                (got, tested)
+            };
+            let (got, tested) = run(false);
+            let (want, tested_all) = run(true);
+            assert_eq!(got, want, "trial {trial}");
+            assert!(tested <= tested_all, "trial {trial}");
+            incremental_trials += usize::from(tested < tested_all);
+        }
+        assert!(
+            2 * incremental_trials > trials,
+            "most trials must have a round that tests only touched edges"
+        );
     }
 
     #[test]

@@ -72,6 +72,26 @@ fn enabled_tracing_captures_every_solver_layer() {
         "no reduce/pass span for the component split"
     );
 
+    // The edge-testing passes report their work. A pass's first run is a
+    // full pass (later runs at the same λ̂ test only touched edges), so
+    // it tests all m edges of its graph.
+    for pass in ["heavy-edge", "padberg-rinaldi"] {
+        let name = ArgValue::from(pass);
+        let runs: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
+            .collect();
+        let first = runs.first().unwrap_or_else(|| panic!("no {pass} pass"));
+        assert_eq!(
+            first.arg("edges_tested"),
+            first.arg("m"),
+            "a full {pass} pass tests every edge"
+        );
+        for run in &runs {
+            assert!(run.arg("probes").is_some(), "{pass} span without probes");
+        }
+    }
+
     // The solve span carries the telemetry args the exporter documents.
     let solve = events
         .iter()
