@@ -100,7 +100,8 @@ fn rhg_kernel_is_pinned() {
 #[test]
 fn social_core_kernel_is_pinned() {
     // Three fixpoint rounds; the satellite cliques bring λ̂ from the
-    // core's minimum degree 8 down to 3.
+    // core's minimum degree 8 down to 3. `degree-bound` runs once, ahead
+    // of the fixpoint.
     let (g, _) = k_core_lcc(&social_proxy(1 << 12, 7), 8);
     check(
         "social 8-core",
@@ -112,7 +113,7 @@ fn social_core_kernel_is_pinned() {
             lambda_trajectory: &[8, 5, 3],
             passes: [
                 ("components", 1, 0, 0),
-                ("degree-bound", 3, 0, 0),
+                ("degree-bound", 1, 0, 0),
                 ("heavy-edge", 3, 1028, 7365),
                 ("padberg-rinaldi", 2, 3034, 25135),
             ],
@@ -122,10 +123,10 @@ fn social_core_kernel_is_pinned() {
 
 #[test]
 fn ring_of_cliques_kernel_is_pinned() {
-    // Minimum weighted degree 33, λ = 4. Round 1's `degree-bound` pass,
-    // the first to run on the connected graph, lowers λ̂ to 4 with a
-    // whole clique as its prefix; test 3 then collapses the cliques and
-    // the fixpoint takes a second round to finish the ring.
+    // Minimum weighted degree 33, λ = 4. The `degree-bound` pass, which
+    // runs once ahead of the fixpoint, lowers λ̂ to 4 with a whole clique
+    // as its prefix; test 3 then collapses the cliques and the fixpoint
+    // takes a second round to finish the ring.
     let (g, lambda) = known::ring_of_cliques(8, 12, 3, 2);
     assert_eq!(lambda, 4);
     check(
@@ -138,7 +139,7 @@ fn ring_of_cliques_kernel_is_pinned() {
             lambda_trajectory: &[33, 4],
             passes: [
                 ("components", 1, 0, 0),
-                ("degree-bound", 2, 0, 0),
+                ("degree-bound", 1, 0, 0),
                 ("heavy-edge", 2, 4, 4),
                 ("padberg-rinaldi", 2, 90, 531),
             ],

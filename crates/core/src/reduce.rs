@@ -26,7 +26,11 @@
 //!   Loosely attached structure peels first, so this generalises the
 //!   trivial minimum-degree cut: the first prefix is a single
 //!   minimum-degree vertex, later prefixes capture whole satellite
-//!   communities. Bound only; never contracts.
+//!   communities. Bound only; never contracts, so it runs once, after
+//!   `components` and ahead of the fixpoint. A later peel could only
+//!   lower λ̂, never change λ, and on the pinned graphs
+//!   (`crates/bench/tests/pipeline_kernels.rs`) and the paper-scale
+//!   benchmark inputs its re-runs found nothing.
 //! * `heavy-edge` — contracts every edge with `c(e) ≥ λ̂` (any cut
 //!   separating its endpoints pays at least `c(e)`, so no cut below λ̂ is
 //!   lost) or `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts;
@@ -43,20 +47,29 @@
 //!   is n/64 words, so it stays in cache; u's words are cleared before
 //!   the next vertex.
 //!
-//! **Re-testing only what a contraction touched.** A contraction
-//! *touches* every vertex it merges and every neighbour of a merged
-//! vertex. When `heavy-edge` or `padberg-rinaldi` runs again at the λ̂ of
-//! its last run, it tests only the edges with a touched endpoint since
-//! that run; at a new λ̂ it tests every edge. This is exact, not a
-//! heuristic: an untouched edge has the same weight, the same endpoint
-//! degrees and the same common neighbours with the same weights as at
-//! the last run. It failed tests 1 and 3 there and fails them again. It
-//! also failed test 2's degree condition: had the condition held, the
-//! edge's union, or the matched or already-united endpoint that blocked
-//! it, would have merged an endpoint. So a full pass would change
-//! nothing on it, and skipping it leaves every union, in order, and so
-//! the kernel, the λ̂ trajectory and the witness as a full pass leaves
-//! them.
+//! **Re-testing only what a contraction touched, at any λ̂.** A
+//! contraction *touches* every vertex it merges and every neighbour of a
+//! merged vertex. When `heavy-edge` or `padberg-rinaldi` runs again, it
+//! tests only the edges with an endpoint touched since its last run. An
+//! untouched edge has the same weight, the same endpoint degrees and the
+//! same common neighbours with the same weights as at that run, where it
+//! failed all three tests. It failed test 2's degree condition, which
+//! does not read λ̂: had the condition held, the edge's union, or the
+//! matched or already-united endpoint that blocked it, would have merged
+//! an endpoint. So test 2 fails again. Tests 1 and 3 compare with λ̂,
+//! which only ever falls, so at a lower λ̂ they may now pass. The last
+//! run therefore *records* each test-3 miss with a nonzero
+//! common-neighbour sum as `(u, v, sum)`, in pass order; a miss read all
+//! of N(v), so the sum is whole. Each contraction relabels the entries
+//! of the edges it left untouched and drops the rest. The re-run decides
+//! every untouched edge, in the order of a full pass, by test 1 against
+//! the current λ̂ and by its recorded sum (0 if it has none: no common
+//! neighbour, or past the degree budget) for test 3, which is what a full
+//! pass would compute. Every union happens in the same order, and so the
+//! kernel, the λ̂ trajectory and the witness are those of full passes.
+//! The record stays small: on the seed-1 `social_parcut` benchmark input,
+//! 2 014 659 of the 2 020 165 edges that reach test 3 in the first run
+//! have no common neighbour, and the record holds 5 275 misses.
 //!
 //! Contractions run through
 //! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
@@ -121,15 +134,23 @@ impl Pass {
         }
     }
 
+    /// Whether the pass can contract. A bound-only pass cannot change
+    /// λ(kernel), so it runs once, ahead of the fixpoint.
+    fn contracts(self) -> bool {
+        !matches!(self, Pass::DegreeBound)
+    }
+
     /// Runs the pass once over the kernel; returns whether it contracted
-    /// and, for the edge-testing passes, their work. `since` is the
-    /// [`Touched`] epoch of the pass's last run at the current λ̂: the
-    /// edge-testing passes then test only the edges touched after it.
-    /// `None` tests every edge.
+    /// and, for the edge-testing passes, their work. `slot` is the pass's
+    /// place in the pipeline, which keys its record in `touched`; `since`
+    /// is the [`Touched`] epoch of its last run: the edge-testing passes
+    /// then test only the edges touched after it and decide the rest from
+    /// the record. `None` tests every edge.
     fn apply(
         self,
         k: &mut Contracted<'_>,
         touched: &mut Touched,
+        slot: usize,
         since: Option<u32>,
     ) -> (bool, Option<PrWork>) {
         let g = k.graph();
@@ -166,19 +187,33 @@ impl Pass {
                     _ => TRIANGLE_DEGREE_BUDGET,
                 };
                 let mut uf = UnionFind::new(n);
-                let work = match since {
-                    None => pr_pass(g, k.lambda(), &mut uf, budget, |_| true),
+                let mut misses = Vec::new();
+                let lambda = k.lambda();
+                // A closure per case keeps a full pass free of the
+                // per-edge touched test.
+                let mut work = match since {
+                    None => pr_pass(g, lambda, &mut uf, budget, |_| true, &[], Some(&mut misses)),
                     Some(epoch) => {
-                        let at = &touched.at;
-                        pr_pass(g, k.lambda(), &mut uf, budget, |v| at[v as usize] > epoch)
+                        let (at, record) = (&touched.at, &touched.records[slot]);
+                        let is_touched = |v: NodeId| at[v as usize] > epoch;
+                        pr_pass(
+                            g,
+                            lambda,
+                            &mut uf,
+                            budget,
+                            is_touched,
+                            record,
+                            Some(&mut misses),
+                        )
                     }
                 };
-                if work.unions == 0 {
-                    return (false, Some(work));
+                touched.records[slot] = misses;
+                if work.unions > 0 {
+                    let (labels, blocks) = uf.dense_labels();
+                    touched.contract(k, &labels, blocks);
                 }
-                let (labels, blocks) = uf.dense_labels();
-                touched.contract(k, &labels, blocks);
-                (true, Some(work))
+                work.recorded = touched.records[slot].len();
+                (work.unions > 0, Some(work))
             }
         }
     }
@@ -190,6 +225,7 @@ impl Pass {
         k: &mut Contracted<'_>,
         stats: &mut ReductionPassStats,
         touched: &mut Touched,
+        slot: usize,
         since: Option<u32>,
     ) -> (bool, Option<PrWork>) {
         let t0 = Instant::now();
@@ -199,13 +235,15 @@ impl Pass {
         pass_span.arg("n", before.0);
         pass_span.arg("m", before.1);
         pass_span.arg("lambda_hat", k.lambda());
-        let (contracted, work) = self.apply(k, touched, since);
+        let (contracted, work) = self.apply(k, touched, slot, since);
         let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
         pass_span.arg("vertices_removed", removed.0);
         pass_span.arg("edges_removed", removed.1);
         if let Some(work) = work {
             pass_span.arg("edges_tested", work.edges_tested);
+            pass_span.arg("from_record", work.from_record);
             pass_span.arg("probes", work.probes);
+            pass_span.arg("recorded", work.recorded);
         }
         drop(pass_span);
         stats.rounds += 1;
@@ -216,29 +254,37 @@ impl Pass {
     }
 }
 
-/// Which edges a fixpoint pass must re-test (see the module doc). Every
-/// contraction of the pipeline starts a new epoch and stamps each
-/// vertex it merged, and each neighbour of one, with it; a pass that
-/// last ran at epoch `e` re-tests the edges with an endpoint stamped
-/// after `e`.
+/// Which edges a fixpoint pass must re-test, and what its last run
+/// recorded about the rest (see the module doc). Every contraction of
+/// the pipeline starts a new epoch and stamps each vertex it merged, and
+/// each neighbour of one, with it; a pass that last ran at epoch `e`
+/// re-tests the edges with an endpoint stamped after `e`.
 struct Touched {
     /// Contractions so far.
     epoch: u32,
     /// Current vertex → the last epoch that touched it (0: none).
     at: Vec<u32>,
+    /// Per pipeline pass: its last run's test-3 misses with a nonzero
+    /// common-neighbour sum, over the edges no contraction has touched
+    /// since, in pass order and current vertex ids.
+    records: Vec<Vec<Miss>>,
 }
 
 impl Touched {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, passes: usize) -> Self {
         Touched {
             epoch: 0,
             at: vec![0; n],
+            records: vec![Vec::new(); passes],
         }
     }
 
     /// Contracts `k` by `labels` (vertex → block in `[0, blocks)`) and
     /// carries the stamps over: a block keeps its members' latest stamp,
-    /// and a merged block and its neighbours take the new epoch.
+    /// and a merged block and its neighbours take the new epoch. Each
+    /// record keeps, relabelled, the entries whose endpoints both escaped
+    /// the new stamp. Those endpoints are singleton blocks, which dense
+    /// labels number in vertex order, so the entries stay in pass order.
     fn contract(&mut self, k: &mut Contracted<'_>, labels: &[NodeId], blocks: usize) {
         k.contract(labels, blocks);
         self.epoch += 1;
@@ -254,6 +300,14 @@ impl Touched {
             for &x in g.neighbors(b as NodeId) {
                 at[x as usize] = self.epoch;
             }
+        }
+        for record in &mut self.records {
+            record.retain_mut(|m| {
+                m.u = labels[m.u as usize];
+                m.v = labels[m.v as usize];
+                at[m.u as usize] < self.epoch && at[m.v as usize] < self.epoch
+            });
+            debug_assert!(record.is_sorted_by_key(|m| (m.u, m.v)));
         }
         self.at = at;
     }
@@ -295,17 +349,28 @@ pub fn kernel_is_terminal(kernel_n: usize, lambda_hat: EdgeWeight) -> bool {
     kernel_n < 2 || lambda_hat <= 1
 }
 
-/// The component split followed by a list of exact passes run to a
-/// fixpoint.
+/// The component split and the bound-only passes, followed by the
+/// contracting passes run to a fixpoint.
 pub struct ReductionPipeline {
-    /// The fixpoint passes, in order; the component split runs once ahead
-    /// of them.
+    /// The passes, in order. The component split and the bound-only
+    /// passes run once, ahead of the fixpoint over the others.
     passes: Vec<Pass>,
 }
 
 /// Fixpoint guard: contraction passes strictly shrink the kernel, so this
 /// is never the binding constraint on sane inputs.
 const MAX_ROUNDS: usize = 32;
+
+/// One run of an edge-testing pass: the λ̂ and edge count it started at,
+/// and its work (read by the tests).
+#[derive(Clone, Copy, Debug)]
+#[cfg_attr(not(test), allow(dead_code))]
+struct PassRun {
+    pass: Pass,
+    lambda_hat: EdgeWeight,
+    m: usize,
+    work: PrWork,
+}
 
 impl ReductionPipeline {
     /// The standard pipeline: every pass, canonical order.
@@ -339,17 +404,16 @@ impl ReductionPipeline {
             .map(|(outcome, _)| outcome)
     }
 
-    /// [`ReductionPipeline::run`], also returning how many edges the
-    /// edge-testing passes tested in all. `retest_all` makes every run
-    /// of a pass test every edge: the reference the touched-edge rounds
-    /// must match.
+    /// [`ReductionPipeline::run`], also returning each run of an
+    /// edge-testing pass. `retest_all` makes every such run test every
+    /// edge: the reference the touched-edge rounds must match.
     fn run_with(
         &self,
         g: &CsrGraph,
         initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
         ctx: &mut SolveContext<'_>,
         retest_all: bool,
-    ) -> Result<(ReduceOutcome, u64), MinCutError> {
+    ) -> Result<(ReduceOutcome, Vec<PassRun>), MinCutError> {
         assert!(g.n() >= 2, "kernelization needs at least two vertices");
         // Sides are always tracked (even for witness-off runs) so one
         // outcome can be shared across jobs with different witness
@@ -366,33 +430,51 @@ impl ReductionPipeline {
             .chain(&self.passes)
             .map(|p| ReductionPassStats::new(p.name()))
             .collect();
-        let (split_stats, fixpoint_stats) = pass_stats.split_at_mut(1);
+        let (split_stats, pass_stats_rest) = pass_stats.split_at_mut(1);
+        let done = |k: &Contracted<'_>| k.graph().n() <= 2 || k.lambda() <= 1;
 
         // Every later pass assumes a connected kernel. A split leaves
-        // λ̂ = 0, which ends the fixpoint before its first pass.
-        let mut touched = Touched::new(g.n());
-        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, None);
+        // λ̂ = 0, which ends the pipeline before its next pass.
+        let mut touched = Touched::new(g.n(), self.passes.len());
+        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, 0, None);
         ctx.stats.record_lambda(k.lambda());
+        let bound_only = self.passes.iter().zip(pass_stats_rest.iter_mut());
+        for (&pass, ps) in bound_only.filter(|(p, _)| !p.contracts()) {
+            if done(&k) {
+                break;
+            }
+            ctx.check_budget()?;
+            pass.run(&mut k, ps, &mut touched, 0, None);
+            ctx.stats.record_lambda(k.lambda());
+        }
 
-        // Per fixpoint pass: the epoch and λ̂ of its last run.
-        let mut last_run: Vec<Option<(u32, EdgeWeight)>> = vec![None; self.passes.len()];
-        let mut edges_tested = 0;
+        // Per pass: the epoch of its last run.
+        let mut last_run: Vec<Option<u32>> = vec![None; self.passes.len()];
+        let mut runs = Vec::new();
         'rounds: for _ in 0..MAX_ROUNDS {
             let mut contracted = false;
-            let runs = self.passes.iter().zip(fixpoint_stats.iter_mut());
-            for ((&pass, ps), last) in runs.zip(&mut last_run) {
-                if k.graph().n() <= 2 || k.lambda() <= 1 {
+            let passes = self.passes.iter().zip(pass_stats_rest.iter_mut());
+            for (slot, ((&pass, ps), last)) in passes.zip(&mut last_run).enumerate() {
+                if !pass.contracts() {
+                    continue;
+                }
+                if done(&k) {
                     break 'rounds;
                 }
                 ctx.check_budget()?;
-                let since = match *last {
-                    Some((epoch, lambda)) if lambda == k.lambda() && !retest_all => Some(epoch),
-                    _ => None,
-                };
-                *last = Some((touched.epoch, k.lambda()));
-                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, since);
+                let since = last.filter(|_| !retest_all);
+                *last = Some(touched.epoch);
+                let (lambda_hat, m) = (k.lambda(), k.graph().m());
+                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, slot, since);
                 contracted |= did_contract;
-                edges_tested += work.map_or(0, |w| w.edges_tested);
+                if let Some(work) = work {
+                    runs.push(PassRun {
+                        pass,
+                        lambda_hat,
+                        m,
+                        work,
+                    });
+                }
                 ctx.stats.record_lambda(k.lambda());
             }
             if !contracted {
@@ -410,7 +492,7 @@ impl ReductionPipeline {
             original_n: g.n(),
             original_m: g.m(),
         };
-        Ok((outcome, edges_tested))
+        Ok((outcome, runs))
     }
 }
 
@@ -456,7 +538,16 @@ const TRIANGLE_DEGREE_BUDGET: usize = 256;
 /// contractions on the benchmark families. Marks contractible edges in
 /// `uf`; returns the number of successful unions.
 pub fn padberg_rinaldi_pass(g: &CsrGraph, lambda_hat: EdgeWeight, uf: &mut UnionFind) -> usize {
-    pr_pass(g, lambda_hat, uf, TRIANGLE_DEGREE_BUDGET, |_| true).unions
+    pr_pass(
+        g,
+        lambda_hat,
+        uf,
+        TRIANGLE_DEGREE_BUDGET,
+        |_| true,
+        &[],
+        None,
+    )
+    .unions
 }
 
 /// What one run of [`pr_pass`] did.
@@ -464,22 +555,42 @@ pub fn padberg_rinaldi_pass(g: &CsrGraph, lambda_hat: EdgeWeight, uf: &mut Union
 struct PrWork {
     /// Successful unions.
     unions: usize,
-    /// Edges the pass examined.
+    /// Edges the pass tested: every edge on a full pass, the touched ones
+    /// on a re-run.
     edges_tested: u64,
+    /// Untouched edges a re-run decided from its last run's record,
+    /// without a probe.
+    from_record: u64,
     /// Adjacency entries of N(v) test 3 probed against u's bitset.
     probes: u64,
+    /// Entries the pass left in its record, after its contraction.
+    recorded: usize,
+}
+
+/// A test-3 miss with a nonzero common-neighbour sum: the edge `{u, v}`,
+/// `u < v`, and its whole sum (a miss reads all of N(v)).
+#[derive(Clone, Copy, Debug)]
+struct Miss {
+    u: NodeId,
+    v: NodeId,
+    sum: EdgeWeight,
 }
 
 /// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass:
 /// `triangle_budget` = 0 disables test 3, leaving the edge-local tests.
-/// Tests the edges `(u, v)` with `retest(u) || retest(v)`, in the order
-/// of a full pass.
+/// Tests the edges `(u, v)` with `touched(u) || touched(v)` and decides
+/// every other edge, in the order of a full pass, by test 1 and by its
+/// sum in `record` (the last run's misses over the untouched edges, in
+/// pass order; 0 if absent) for test 3. `misses` collects this run's
+/// record.
 fn pr_pass(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,
     uf: &mut UnionFind,
     triangle_budget: usize,
-    retest: impl Fn(NodeId) -> bool,
+    touched: impl Fn(NodeId) -> bool,
+    record: &[Miss],
+    mut misses: Option<&mut Vec<Miss>>,
 ) -> PrWork {
     let n = g.n();
     let mut work = PrWork::default();
@@ -496,14 +607,35 @@ fn pr_pass(
     let triangles = triangle_budget > 0;
     let mut bits = vec![0u64; if triangles { n.div_ceil(64) } else { 0 }];
     let mut c_u: Vec<EdgeWeight> = vec![0; if triangles { n } else { 0 }];
+    // The record entry of the next untouched edge that has one.
+    let mut next = 0;
     for u in 0..n as NodeId {
         let du = g.weighted_degree(u);
-        let retest_u = retest(u);
+        let touched_u = touched(u);
         let (nu, wu) = g.arc_slices(u);
         let mut bits_set = false;
         let upper = nu.partition_point(|&v| v <= u);
         for (&v, &w) in nu[upper..].iter().zip(&wu[upper..]) {
-            if !retest_u && !retest(v) {
+            if !touched_u && !touched(v) {
+                // Untouched since the last run: test 2 fails again and
+                // test 3's sum is the recorded one (see the module doc).
+                work.from_record += 1;
+                let sum = match record.get(next) {
+                    Some(m) if (m.u, m.v) == (u, v) => {
+                        next += 1;
+                        m.sum
+                    }
+                    _ => 0,
+                };
+                if w >= lambda_hat || sum >= lambda_hat - w {
+                    if uf.union(u, v) {
+                        work.unions += 1;
+                    }
+                } else if sum > 0 {
+                    if let Some(m) = &mut misses {
+                        m.push(Miss { u, v, sum });
+                    }
+                }
                 continue;
             }
             work.edges_tested += 1;
@@ -548,8 +680,14 @@ fn pr_pass(
                     }
                 }
             }
-            if sum >= need && uf.union(u, v) {
-                work.unions += 1;
+            if sum >= need {
+                if uf.union(u, v) {
+                    work.unions += 1;
+                }
+            } else if sum > 0 {
+                if let Some(m) = &mut misses {
+                    m.push(Miss { u, v, sum });
+                }
             }
         }
         if bits_set {
@@ -558,6 +696,7 @@ fn pr_pass(
             }
         }
     }
+    debug_assert_eq!(next, record.len(), "a record entry matched no edge");
     work
 }
 
@@ -816,7 +955,7 @@ mod tests {
         tag: &str,
     ) -> usize {
         let mut uf = UnionFind::new(g.n());
-        let unions = pr_pass(g, lambda_hat, &mut uf, budget, |_| true).unions;
+        let unions = pr_pass(g, lambda_hat, &mut uf, budget, |_| true, &[], None).unions;
         let mut reference = UnionFind::new(g.n());
         let expected = full_merge_pr_pass(g, lambda_hat, &mut reference, budget);
         let tag = format!("{tag}, λ̂ {lambda_hat}, budget {budget}");
@@ -977,6 +1116,52 @@ mod tests {
         CsrGraph::from_edges(n, &edges)
     }
 
+    /// A random core of 150–250 vertices, each joined to 5 random others
+    /// by unit edges (a repeated pair sums to weight 2), with 3–7
+    /// satellite cliques of 6–10 vertices (each edge present with
+    /// probability 0.9, weight 1–2) hung off it by 2–5 unit edges.
+    /// Vertex ids are shuffled. The peel finds only the first satellite
+    /// it removes, so when a later one hangs by fewer edges, contracting
+    /// it lowers λ̂. The core's few triangles give its edges small
+    /// recorded sums, which the next `padberg-rinaldi` run reads at the
+    /// lower λ̂.
+    fn satellites_off_a_core(rng: &mut SmallRng) -> CsrGraph {
+        let core = rng.gen_range(150..251usize);
+        let sizes: Vec<usize> = (0..rng.gen_range(3..8))
+            .map(|_| rng.gen_range(6..11))
+            .collect();
+        let n = core + sizes.iter().sum::<usize>();
+        let mut id: Vec<NodeId> = (0..n as NodeId).collect();
+        for i in (1..n).rev() {
+            id.swap(i, rng.gen_range(0..=i));
+        }
+        let mut edges = Vec::new();
+        for a in 0..core {
+            for _ in 0..5 {
+                let b = rng.gen_range(0..core);
+                if b != a {
+                    edges.push((id[a], id[b], 1));
+                }
+            }
+        }
+        let mut first = core;
+        for &s in &sizes {
+            for a in first..first + s {
+                for b in a + 1..first + s {
+                    if rng.gen_bool(0.9) {
+                        edges.push((id[a], id[b], rng.gen_range(1..3)));
+                    }
+                }
+            }
+            for _ in 0..rng.gen_range(2..6) {
+                let a = first + rng.gen_range(0..s);
+                edges.push((id[a], id[rng.gen_range(0..core)], 1));
+            }
+            first += s;
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
     #[test]
     fn touched_edge_rounds_match_full_rounds() {
         // The pipeline against a fixpoint whose every pass re-tests every
@@ -984,16 +1169,25 @@ mod tests {
         // trajectory and witness. A later round re-tests the edges around
         // a partly contracted clique, whose unmerged members neighbour a
         // merged block: dropping the neighbours from the touched set
-        // changes the kernel of some trial.
+        // changes the kernel of some trial. On the satellite graphs a
+        // `padberg-rinaldi` run at a lowered λ̂ unites untouched core
+        // edges by test 1 and by their recorded sums: reading a recorded
+        // sum as 0, or keeping the record's vertex ids across a
+        // contraction, changes the kernel of some trial.
         let trials = 200;
         let mut rng = SmallRng::seed_from_u64(0x70c);
         let mut incremental_trials = 0;
+        let mut lowered_runs = 0;
         for trial in 0..trials {
-            let g = weighted_ring_of_cliques(&mut rng);
+            let g = if trial % 2 == 0 {
+                weighted_ring_of_cliques(&mut rng)
+            } else {
+                satellites_off_a_core(&mut rng)
+            };
             let run = |retest_all| {
                 let mut stats = SolverStats::default();
                 let mut ctx = SolveContext::new(&mut stats);
-                let (out, tested) = ReductionPipeline::standard()
+                let (out, runs) = ReductionPipeline::standard()
                     .run_with(&g, None, &mut ctx, retest_all)
                     .expect("no budget");
                 let passes: Vec<_> = out
@@ -1003,17 +1197,40 @@ mod tests {
                     .collect();
                 let kernel = (out.kernel.n(), out.kernel.m(), out.kernel.fingerprint());
                 let got = (kernel, passes, stats.lambda_trajectory, out.side);
-                (got, tested)
+                (got, runs)
             };
-            let (got, tested) = run(false);
-            let (want, tested_all) = run(true);
+            let (got, runs) = run(false);
+            let (want, full_runs) = run(true);
             assert_eq!(got, want, "trial {trial}");
-            assert!(tested <= tested_all, "trial {trial}");
-            incremental_trials += usize::from(tested < tested_all);
+            let tested = |runs: &[PassRun]| runs.iter().map(|r| r.work.edges_tested).sum::<u64>();
+            assert!(tested(&runs) <= tested(&full_runs), "trial {trial}");
+            incremental_trials += usize::from(tested(&runs) < tested(&full_runs));
+            for r in &runs {
+                let decided = r.work.edges_tested + r.work.from_record;
+                assert_eq!(
+                    decided, r.m as u64,
+                    "trial {trial}: every edge decided once"
+                );
+            }
+            // `padberg-rinaldi` runs at a λ̂ below that of its last run,
+            // deciding some untouched edges from the record.
+            let pr: Vec<&PassRun> = runs
+                .iter()
+                .filter(|r| r.pass == Pass::PadbergRinaldi)
+                .collect();
+            lowered_runs += pr
+                .windows(2)
+                .filter(|w| w[1].lambda_hat < w[0].lambda_hat && w[1].work.from_record > 0)
+                .inspect(|w| assert!(w[1].work.edges_tested < w[1].m as u64))
+                .count();
         }
         assert!(
             2 * incremental_trials > trials,
             "most trials must have a round that tests only touched edges"
+        );
+        assert!(
+            lowered_runs >= trials / 10,
+            "padberg-rinaldi must re-run at a lowered λ̂ from its record"
         );
     }
 

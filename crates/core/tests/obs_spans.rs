@@ -6,7 +6,44 @@
 
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::known;
+use mincut_graph::CsrGraph;
 use mincut_obs::{ArgValue, EventPhase};
+
+/// A unit-weight circulant core on 120 vertices (offsets 1, 2, 7 and 13:
+/// degree 8; an edge at offset 1 has two common neighbours, one at
+/// offset 2 has one) with two unit-weight satellite cliques: a K5 hung
+/// off it by 4 edges and a K6 by 2. λ = 2, the K6's attachment.
+/// Minimum degree and the degree-bound peel give λ̂ = 4; the first
+/// `padberg-rinaldi` run collapses both cliques and misses every core
+/// edge, and the K6's block lowers λ̂ to 2. The second run then unites
+/// the core's untouched edges from their recorded sums.
+fn satellites_off_a_circulant() -> CsrGraph {
+    let core = 120;
+    let mut edges = Vec::new();
+    for v in 0..core {
+        for d in [1, 2, 7, 13] {
+            edges.push((v, (v + d) % core, 1));
+        }
+    }
+    for (first, size, attach) in [(core, 5, 4), (core + 5, 6, 2)] {
+        for a in first..first + size {
+            for b in a + 1..first + size {
+                edges.push((a, b, 1));
+            }
+        }
+        for i in 0..attach {
+            edges.push((first + i, 30 * i + first % 7, 1));
+        }
+    }
+    CsrGraph::from_edges(core as usize + 11, &edges)
+}
+
+fn u64_arg(e: &mincut_obs::TraceEvent, key: &str) -> u64 {
+    match e.arg(key) {
+        Some(ArgValue::U64(v)) => *v,
+        other => panic!("{} span: {key} = {other:?}", e.name),
+    }
+}
 
 #[test]
 fn enabled_tracing_captures_every_solver_layer() {
@@ -92,6 +129,19 @@ fn enabled_tracing_captures_every_solver_layer() {
         }
     }
 
+    // Every run of either pass also reports the edges it decided from
+    // its last run's record and the record it leaves.
+    for pass in ["heavy-edge", "padberg-rinaldi"] {
+        let name = ArgValue::from(pass);
+        for run in events
+            .iter()
+            .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
+        {
+            u64_arg(run, "from_record");
+            u64_arg(run, "recorded");
+        }
+    }
+
     // The solve span carries the telemetry args the exporter documents.
     let solve = events
         .iter()
@@ -128,4 +178,29 @@ fn enabled_tracing_captures_every_solver_layer() {
     // Structural soundness of everything recorded, as the exporter
     // checks it.
     mincut_obs::validate_events(&events).expect("span families must be laminar per track");
+
+    // A `padberg-rinaldi` run at a λ̂ below that of its last run probes
+    // only the touched edges and decides the rest from its record.
+    let g = satellites_off_a_circulant();
+    mincut_obs::set_tracing(true);
+    let outcome = Session::new(&g).run("noi").expect("solve");
+    assert_eq!(outcome.cut.value, 2);
+    let (events, _) = mincut_obs::take_events();
+    mincut_obs::set_tracing(false);
+    let name = ArgValue::from("padberg-rinaldi");
+    let runs: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
+        .collect();
+    assert!(runs.len() >= 2, "padberg-rinaldi must run twice");
+    let (first, second) = (runs[0], runs[1]);
+    assert!(u64_arg(second, "lambda_hat") < u64_arg(first, "lambda_hat"));
+    assert!(u64_arg(second, "from_record") > 0);
+    assert!(u64_arg(second, "edges_tested") < u64_arg(second, "m"));
+    assert!(
+        u64_arg(second, "probes") < u64_arg(first, "probes"),
+        "the second run probes {} entries, the first {}",
+        u64_arg(second, "probes"),
+        u64_arg(first, "probes")
+    );
 }

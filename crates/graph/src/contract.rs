@@ -17,11 +17,17 @@
 //!    in place, a new target is appended;
 //! 3. a row that did not come out ascending is sorted by target.
 //!
+//! A block of one vertex skips the slot table when it can: its row is
+//! written as its member's row with each target relabelled, and kept if
+//! the relabelled targets come out strictly ascending (no two neighbours
+//! share a block, none moved before another); otherwise the row is
+//! rewritten by the merge above.
+//!
 //! Each row is written once, in order, into the output buffers; no edge
 //! list, hash table or degree scatter sits in between. On a round onto a
 //! few blocks the slot table stays in cache; on a near-identity round
-//! (the reduction pipeline removing a handful of vertices) the rows come
-//! out of the input's sorted rows already ascending.
+//! (the reduction pipeline removing a handful of vertices) nearly every
+//! row is a singleton's, copied out of the input's sorted rows.
 //!
 //! The engine owns a double buffer — the output graph of one round is
 //! rebuilt inside the buffer recycled from two rounds ago — and its
@@ -89,8 +95,25 @@ impl ContractionEngine {
         xadj.push(0);
         for b in 0..num_blocks {
             let row_start = adj.len();
+            let members = &self.members[self.block_start[b]..self.block_start[b + 1]];
+            if let &[v] = members {
+                // A singleton's row is its member's row, relabelled, when
+                // no two targets share a block and none descends.
+                let (targets, weights) = g.arc_slices(v);
+                adj.extend(targets.iter().map(|&u| labels[u as usize]));
+                if adj[row_start..].is_sorted_by(|a, b| a < b) {
+                    weight.extend_from_slice(weights);
+                    let degree = weights
+                        .iter()
+                        .fold(0, |d: EdgeWeight, &w| d.wrapping_add(w));
+                    wdeg.push(degree);
+                    xadj.push(adj.len());
+                    continue;
+                }
+                adj.truncate(row_start);
+            }
             let mut degree: EdgeWeight = 0;
-            for &v in &self.members[self.block_start[b]..self.block_start[b + 1]] {
+            for &v in members {
                 let (targets, weights) = g.arc_slices(v);
                 for (&u, &w) in targets.iter().zip(weights) {
                     let t = labels[u as usize];
@@ -297,6 +320,20 @@ mod tests {
                     .collect();
             shapes.push(near_identity_labels(&g, n / 100 + 1, &mut rng));
             shapes.push(((0..n as NodeId).map(|v| v / 3).collect(), n.div_ceil(3)));
+            // Near-identity rounds whose singleton rows take the merge:
+            // {0, n − 1} as block 0, so a row through n − 1 descends to
+            // 0 and a row through both collides; and block ids permuted,
+            // so most rows descend.
+            let mut span: Vec<NodeId> = (0..n as NodeId).collect();
+            span[n - 1] = 0;
+            shapes.push((span, n - 1));
+            let (labels, blocks) = near_identity_labels(&g, n / 100 + 1, &mut rng);
+            let mut perm: Vec<NodeId> = (0..blocks as NodeId).collect();
+            for i in (1..blocks).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let permuted = labels.iter().map(|&l| perm[l as usize]).collect();
+            shapes.push((permuted, blocks));
             for (labels, blocks) in shapes {
                 let expected = relabelled(&g, &labels, blocks);
                 let c = engine.contract(&g, &labels, blocks);

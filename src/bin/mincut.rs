@@ -753,11 +753,12 @@ fn main() {
         "algorithm: {} ({:.3} s)",
         outcome.stats.algorithm, outcome.stats.total_seconds
     );
-    println!("lambda {}", outcome.cut.value);
+    // A λ on stdout is an answer: print it only once its witness holds.
     if !outcome.cut.verify(&g) {
         eprintln!("internal error: witness failed verification");
         finish(&cli, 1)
     }
+    println!("lambda {}", outcome.cut.value);
     if cli.print_stats {
         // Per-pass kernelization lines (diagnostics → stderr; the JSON on
         // stdout carries the same numbers machine-readably).

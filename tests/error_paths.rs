@@ -407,6 +407,53 @@ fn cli_pack_mode_exit_codes() {
 }
 
 #[test]
+fn cli_prints_no_lambda_whose_witness_fails_verification() {
+    // A pack of C5 (λ = 2) whose first arc weighs 5 more than its
+    // reverse arc. The framing stays valid, so the solvers run and return
+    // a value that their witness's cut value on the loaded graph does not
+    // match: exit 1, and no `lambda` line on stdout.
+    let dir = std::env::temp_dir().join("mincut-error-paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let packed = dir.join("cycle5_skewed.smcpack");
+    let out = mincut_bin()
+        .arg("pack")
+        .arg(data("cycle5.graph"))
+        .arg("-o")
+        .arg(&packed)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let mut bytes = std::fs::read(&packed).unwrap();
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    // Sections start at the header's data offset, each one a byte
+    // length, the payload and padding to 8: skip `xadj` and `adj`.
+    let mut at = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
+    for _ in 0..2 {
+        at += 8 + word(&bytes, at).next_multiple_of(8) as usize;
+    }
+    let first_weight = at + 8;
+    let skewed = word(&bytes, first_weight) + 5;
+    bytes[first_weight..first_weight + 8].copy_from_slice(&skewed.to_le_bytes());
+    std::fs::write(&packed, &bytes).unwrap();
+
+    for solver in ["noi-viecut", "stoer-wagner", "parcut"] {
+        let out = mincut_bin()
+            .args(["-a", solver])
+            .arg(&packed)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{solver}: {stdout} {stderr}");
+        assert!(!stdout.contains("lambda"), "{solver}: {stdout}");
+        assert!(
+            stderr.contains("witness failed verification"),
+            "{solver}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn cli_exit_codes_for_single_graph_failures() {
     // Unreadable graph: runtime failure.
     let out = mincut_bin()
