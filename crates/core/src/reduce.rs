@@ -40,12 +40,12 @@
 //!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
 //!   triangle test 3 on top of the edge-local tests. Test 3 reads the
 //!   common neighbours off a neighbour bitset: the first edge of `u`
-//!   that reaches it sets the bits of N(u) and keeps each `c(u, x)`,
-//!   O(deg u) once per vertex; each tested edge then probes N(v) against
-//!   those bits, O(deg v), and stops as soon as the common neighbours'
-//!   sum reaches `λ̂ − c(e)`: the bound decides, not the sum. The bitset
-//!   is n/64 words, so it stays in cache; u's words are cleared before
-//!   the next vertex.
+//!   that reaches it sets the bits of N(u) and keeps each x's place in
+//!   u's row, O(deg u) once per vertex; each tested edge then probes
+//!   N(v) against those bits, O(deg v), and stops as soon as the common
+//!   neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not the sum.
+//!   The bitset is n/64 words, so it stays in cache; u's words are
+//!   cleared before the next vertex.
 //!
 //! **Re-testing only what a contraction touched, at any λ̂.** A
 //! contraction *touches* every vertex it merges and every neighbour of a
@@ -71,13 +71,32 @@
 //! 2 014 659 of the 2 020 165 edges that reach test 3 in the first run
 //! have no common neighbour, and the record holds 5 275 misses.
 //!
+//! **Classify, then decide.** A run of `heavy-edge` or `padberg-rinaldi`
+//! reads a fixed graph at a fixed λ̂: it contracts only after its last
+//! edge, and λ̂ changes only with a contraction. So no test on an edge —
+//! test 1, test 2's degree condition, test 3's common-neighbour sum, or
+//! the recorded sum of an untouched edge — reads anything an earlier
+//! edge of the run decides. The classify phase runs them on chunks of
+//! consecutive vertices, on as many workers as the solve's threads past
+//! [`par::MIN_PARALLEL_ARCS`] arcs, each worker on its own bitset, and
+//! keeps a two-bit verdict per edge. Every step whose outcome depends on
+//! the order of the edges happens in the decide phase, on one thread,
+//! chunk by chunk in pass order: each union and whether it merged two
+//! blocks, test 2's matching, test 3 on an edge the matching blocks,
+//! each miss's place in the record, and the counters. So every union,
+//! kernel, λ̂ trajectory, witness and record, and every `reduce/pass`
+//! span argument but `workers`, is the same at every width. A lone
+//! worker decides each chunk as soon as it has classified it.
+//!
 //! Contractions run through
 //! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
 //! the same accumulator every solver's round loop uses.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
-use mincut_ds::UnionFind;
+use mincut_ds::{par, UnionFind};
 use mincut_graph::components::{connected_components, smallest_component_side};
 use mincut_graph::kcore::peel_prefix_cuts;
 use mincut_graph::{CsrGraph, EdgeWeight, Membership, NodeId};
@@ -145,13 +164,14 @@ impl Pass {
     /// place in the pipeline, which keys its record in `touched`; `since`
     /// is the [`Touched`] epoch of its last run: the edge-testing passes
     /// then test only the edges touched after it and decide the rest from
-    /// the record. `None` tests every edge.
+    /// the record. `None` tests every edge. `workers` classify the edges.
     fn apply(
         self,
         k: &mut Contracted<'_>,
         touched: &mut Touched,
         slot: usize,
         since: Option<u32>,
+        workers: usize,
     ) -> (bool, Option<PrWork>) {
         let g = k.graph();
         let n = g.n();
@@ -182,29 +202,36 @@ impl Pass {
             Pass::HeavyEdge | Pass::PadbergRinaldi => {
                 // Heavy-edge runs only the edge-local tests 1 and 2
                 // (triangle budget 0).
-                let budget = match self {
+                let triangle_budget = match self {
                     Pass::HeavyEdge => 0,
                     _ => TRIANGLE_DEGREE_BUDGET,
                 };
                 let mut uf = UnionFind::new(n);
                 let mut misses = Vec::new();
-                let lambda = k.lambda();
+                let lambda_hat = k.lambda();
                 // A closure per case keeps a full pass free of the
                 // per-edge touched test.
                 let mut work = match since {
-                    None => pr_pass(g, lambda, &mut uf, budget, |_| true, &[], Some(&mut misses)),
-                    Some(epoch) => {
-                        let (at, record) = (&touched.at, &touched.records[slot]);
-                        let is_touched = |v: NodeId| at[v as usize] > epoch;
-                        pr_pass(
+                    None => {
+                        let input = PrInput {
                             g,
-                            lambda,
-                            &mut uf,
-                            budget,
-                            is_touched,
-                            record,
-                            Some(&mut misses),
-                        )
+                            lambda_hat,
+                            triangle_budget,
+                            touched: |_| true,
+                            record: &[],
+                        };
+                        pr_pass(&input, &mut uf, Some(&mut misses), workers)
+                    }
+                    Some(epoch) => {
+                        let at = &touched.at;
+                        let input = PrInput {
+                            g,
+                            lambda_hat,
+                            triangle_budget,
+                            touched: |v: NodeId| at[v as usize] > epoch,
+                            record: &touched.records[slot],
+                        };
+                        pr_pass(&input, &mut uf, Some(&mut misses), workers)
                     }
                 };
                 touched.records[slot] = misses;
@@ -227,6 +254,7 @@ impl Pass {
         touched: &mut Touched,
         slot: usize,
         since: Option<u32>,
+        workers: usize,
     ) -> (bool, Option<PrWork>) {
         let t0 = Instant::now();
         let before = (k.graph().n(), k.graph().m());
@@ -235,7 +263,7 @@ impl Pass {
         pass_span.arg("n", before.0);
         pass_span.arg("m", before.1);
         pass_span.arg("lambda_hat", k.lambda());
-        let (contracted, work) = self.apply(k, touched, slot, since);
+        let (contracted, work) = self.apply(k, touched, slot, since, workers);
         let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
         pass_span.arg("vertices_removed", removed.0);
         pass_span.arg("edges_removed", removed.1);
@@ -244,6 +272,7 @@ impl Pass {
             pass_span.arg("from_record", work.from_record);
             pass_span.arg("probes", work.probes);
             pass_span.arg("recorded", work.recorded);
+            pass_span.arg("workers", work.workers);
         }
         drop(pass_span);
         stats.rounds += 1;
@@ -362,14 +391,16 @@ pub struct ReductionPipeline {
 const MAX_ROUNDS: usize = 32;
 
 /// One run of an edge-testing pass: the λ̂ and edge count it started at,
-/// and its work (read by the tests).
-#[derive(Clone, Copy, Debug)]
+/// its work and, in tests, the record it left (read by the tests).
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(not(test), allow(dead_code))]
 struct PassRun {
     pass: Pass,
     lambda_hat: EdgeWeight,
     m: usize,
     work: PrWork,
+    #[cfg(test)]
+    record: Vec<Miss>,
 }
 
 impl ReductionPipeline {
@@ -400,19 +431,22 @@ impl ReductionPipeline {
         initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
         ctx: &mut SolveContext<'_>,
     ) -> Result<ReduceOutcome, MinCutError> {
-        self.run_with(g, initial_bound, ctx, false)
+        self.run_with(g, initial_bound, ctx, false, None)
             .map(|(outcome, _)| outcome)
     }
 
     /// [`ReductionPipeline::run`], also returning each run of an
     /// edge-testing pass. `retest_all` makes every such run test every
-    /// edge: the reference the touched-edge rounds must match.
+    /// edge: the reference the touched-edge rounds must match. `workers`
+    /// classifies every run's edges on that many workers, at any graph
+    /// size; `None` applies [`par::width`] at the context's threads.
     fn run_with(
         &self,
         g: &CsrGraph,
         initial_bound: Option<(EdgeWeight, Option<Vec<bool>>)>,
         ctx: &mut SolveContext<'_>,
         retest_all: bool,
+        workers: Option<usize>,
     ) -> Result<(ReduceOutcome, Vec<PassRun>), MinCutError> {
         assert!(g.n() >= 2, "kernelization needs at least two vertices");
         // Sides are always tracked (even for witness-off runs) so one
@@ -436,7 +470,7 @@ impl ReductionPipeline {
         // Every later pass assumes a connected kernel. A split leaves
         // λ̂ = 0, which ends the pipeline before its next pass.
         let mut touched = Touched::new(g.n(), self.passes.len());
-        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, 0, None);
+        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, 0, None, 1);
         ctx.stats.record_lambda(k.lambda());
         let bound_only = self.passes.iter().zip(pass_stats_rest.iter_mut());
         for (&pass, ps) in bound_only.filter(|(p, _)| !p.contracts()) {
@@ -444,7 +478,7 @@ impl ReductionPipeline {
                 break;
             }
             ctx.check_budget()?;
-            pass.run(&mut k, ps, &mut touched, 0, None);
+            pass.run(&mut k, ps, &mut touched, 0, None, 1);
             ctx.stats.record_lambda(k.lambda());
         }
 
@@ -465,7 +499,9 @@ impl ReductionPipeline {
                 let since = last.filter(|_| !retest_all);
                 *last = Some(touched.epoch);
                 let (lambda_hat, m) = (k.lambda(), k.graph().m());
-                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, slot, since);
+                let width =
+                    workers.unwrap_or_else(|| par::width(k.graph().num_arcs(), ctx.threads));
+                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, slot, since, width);
                 contracted |= did_contract;
                 if let Some(work) = work {
                     runs.push(PassRun {
@@ -473,6 +509,8 @@ impl ReductionPipeline {
                         lambda_hat,
                         m,
                         work,
+                        #[cfg(test)]
+                        record: touched.records[slot].clone(),
                     });
                 }
                 ctx.stats.record_lambda(k.lambda());
@@ -536,22 +574,27 @@ const TRIANGLE_DEGREE_BUDGET: usize = 256;
 /// The fourth Padberg–Rinaldi condition (a triangle/degree hybrid) is
 /// deliberately omitted: tests 1–3 already capture nearly all
 /// contractions on the benchmark families. Marks contractible edges in
-/// `uf`; returns the number of successful unions.
-pub fn padberg_rinaldi_pass(g: &CsrGraph, lambda_hat: EdgeWeight, uf: &mut UnionFind) -> usize {
-    pr_pass(
+/// `uf`; returns the number of successful unions. The tests run on up
+/// to `threads` workers past [`par::MIN_PARALLEL_ARCS`] arcs, with the
+/// same unions at every width.
+pub fn padberg_rinaldi_pass(
+    g: &CsrGraph,
+    lambda_hat: EdgeWeight,
+    uf: &mut UnionFind,
+    threads: usize,
+) -> usize {
+    let input = PrInput {
         g,
         lambda_hat,
-        uf,
-        TRIANGLE_DEGREE_BUDGET,
-        |_| true,
-        &[],
-        None,
-    )
-    .unions
+        triangle_budget: TRIANGLE_DEGREE_BUDGET,
+        touched: |_| true,
+        record: &[],
+    };
+    pr_pass(&input, uf, None, par::width(g.num_arcs(), threads)).unions
 }
 
 /// What one run of [`pr_pass`] did.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct PrWork {
     /// Successful unions.
     unions: usize,
@@ -561,143 +604,414 @@ struct PrWork {
     /// Untouched edges a re-run decided from its last run's record,
     /// without a probe.
     from_record: u64,
-    /// Adjacency entries of N(v) test 3 probed against u's bitset.
+    /// Adjacency entries of N(v) test 3 probed.
     probes: u64,
     /// Entries the pass left in its record, after its contraction.
     recorded: usize,
+    /// Workers that classified the edges.
+    workers: usize,
 }
 
 /// A test-3 miss with a nonzero common-neighbour sum: the edge `{u, v}`,
 /// `u < v`, and its whole sum (a miss reads all of N(v)).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Miss {
     u: NodeId,
     v: NodeId,
     sum: EdgeWeight,
 }
 
-/// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass:
-/// `triangle_budget` = 0 disables test 3, leaving the edge-local tests.
-/// Tests the edges `(u, v)` with `touched(u) || touched(v)` and decides
-/// every other edge, in the order of a full pass, by test 1 and by its
-/// sum in `record` (the last run's misses over the untouched edges, in
-/// pass order; 0 if absent) for test 3. `misses` collects this run's
-/// record.
-fn pr_pass(
-    g: &CsrGraph,
+/// What one run of [`pr_pass`] reads. None of it changes during the
+/// run, so any number of classify workers may read it at once.
+struct PrInput<'a, T> {
+    g: &'a CsrGraph,
     lambda_hat: EdgeWeight,
-    uf: &mut UnionFind,
+    /// Test 3 runs on the edges with `deg(u) + deg(v)` at most this; 0
+    /// disables it, leaving the edge-local tests (`heavy-edge`).
     triangle_budget: usize,
-    touched: impl Fn(NodeId) -> bool,
-    record: &[Miss],
-    mut misses: Option<&mut Vec<Miss>>,
-) -> PrWork {
-    let n = g.n();
-    let mut work = PrWork::default();
-    // Test 2 endpoints: the shifting argument re-sides the endpoints of
-    // the contracted edge, so two test-2 contractions sharing a vertex
-    // may have no common surviving minimum cut. Restricting the pass to
-    // a matching keeps the induction valid: each later edge's endpoints
-    // are untouched by every earlier move. Tests 1 and 3 lower-bound
-    // *every* cut separating their endpoints by λ̂, so they compose
-    // freely with each other and with the matching.
-    let mut matched = vec![false; n];
-    // Test 3's neighbour bitset of the current u: bit x is set iff
-    // x ∈ N(u), and then `c_u[x]` = c(u, x).
-    let triangles = triangle_budget > 0;
-    let mut bits = vec![0u64; if triangles { n.div_ceil(64) } else { 0 }];
-    let mut c_u: Vec<EdgeWeight> = vec![0; if triangles { n } else { 0 }];
-    // The record entry of the next untouched edge that has one.
-    let mut next = 0;
-    for u in 0..n as NodeId {
-        let du = g.weighted_degree(u);
-        let touched_u = touched(u);
-        let (nu, wu) = g.arc_slices(u);
-        let mut bits_set = false;
-        let upper = nu.partition_point(|&v| v <= u);
-        for (&v, &w) in nu[upper..].iter().zip(&wu[upper..]) {
-            if !touched_u && !touched(v) {
-                // Untouched since the last run: test 2 fails again and
-                // test 3's sum is the recorded one (see the module doc).
-                work.from_record += 1;
-                let sum = match record.get(next) {
-                    Some(m) if (m.u, m.v) == (u, v) => {
-                        next += 1;
-                        m.sum
-                    }
-                    _ => 0,
-                };
-                if w >= lambda_hat || sum >= lambda_hat - w {
-                    if uf.union(u, v) {
-                        work.unions += 1;
-                    }
-                } else if sum > 0 {
-                    if let Some(m) = &mut misses {
-                        m.push(Miss { u, v, sum });
-                    }
-                }
-                continue;
+    /// Whether a vertex was touched since the pass's last run (every
+    /// vertex on a full pass).
+    touched: T,
+    /// The last run's misses over the untouched edges, in pass order.
+    record: &'a [Miss],
+}
+
+/// A classify verdict on one upper edge. An edge that no test unites
+/// and that leaves nothing to record gets none.
+#[derive(Clone, Copy)]
+enum Verdict {
+    /// Test 1, test 3 or the recorded sum passes: unite the endpoints.
+    Unite,
+    /// Test 2's degree condition holds: unite the endpoints if the
+    /// matching allows it, else decide by test 3.
+    Match,
+    /// Test 3 misses with this nonzero sum.
+    Miss(EdgeWeight),
+}
+
+/// One chunk's verdicts: two bits at the offset of each edge's arc among
+/// the chunk's arcs, 32 arcs to a word (0 none, 1 [`Verdict::Unite`], 2
+/// [`Verdict::Match`], 3 [`Verdict::Miss`]), and the misses' sums in
+/// pass order.
+#[derive(Default)]
+struct Verdicts {
+    codes: Vec<u64>,
+    sums: Vec<EdgeWeight>,
+    /// The chunk's `edges_tested`, `from_record` and `probes`.
+    work: PrWork,
+}
+
+impl Verdicts {
+    fn push(&mut self, at: usize, verdict: Verdict) {
+        let code = match verdict {
+            Verdict::Unite => 1,
+            Verdict::Match => 2,
+            Verdict::Miss(sum) => {
+                self.sums.push(sum);
+                3
             }
-            work.edges_tested += 1;
-            let dv = g.weighted_degree(v);
-            // Test 1: every u-v-separating cut costs ≥ c(e) ≥ λ̂.
-            if w >= lambda_hat {
-                if uf.union(u, v) {
-                    work.unions += 1;
-                }
-                continue;
-            }
-            // Test 2: only on a matching (see above).
-            if 2 * w >= du.min(dv) && !matched[u as usize] && !matched[v as usize] {
-                if uf.union(u, v) {
-                    matched[u as usize] = true;
-                    matched[v as usize] = true;
-                    work.unions += 1;
-                }
-                continue;
-            }
-            // Test 3: aggregate triangle bound. Test 1 failed, so
-            // `need` = λ̂ − c(e) > 0.
-            if nu.len() + g.degree(v) > triangle_budget {
-                continue;
-            }
-            if !bits_set {
-                for (&x, &c) in nu.iter().zip(wu) {
-                    bits[x as usize / 64] |= 1 << (x % 64);
-                    c_u[x as usize] = c;
-                }
-                bits_set = true;
-            }
-            let need = lambda_hat - w;
-            let mut sum = 0;
-            let (nv, wv) = g.arc_slices(v);
-            for (i, &x) in nv.iter().enumerate() {
-                work.probes += 1;
-                if bits[x as usize / 64] >> (x % 64) & 1 != 0 {
-                    sum += c_u[x as usize].min(wv[i]);
-                    if sum >= need {
-                        break;
-                    }
-                }
-            }
-            if sum >= need {
-                if uf.union(u, v) {
-                    work.unions += 1;
-                }
-            } else if sum > 0 {
-                if let Some(m) = &mut misses {
-                    m.push(Miss { u, v, sum });
-                }
-            }
+        };
+        if at / 32 >= self.codes.len() {
+            self.codes.resize(at / 32 + 1, 0);
         }
-        if bits_set {
-            for &x in nu {
-                bits[x as usize / 64] = 0;
+        self.codes[at / 32] |= code << (2 * (at % 32));
+    }
+
+    /// Calls `f(offset, verdict)` on every verdict, in pass order.
+    fn for_each(&self, mut f: impl FnMut(usize, Verdict)) {
+        let mut sums = self.sums.iter();
+        for (i, &word) in self.codes.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let bit = word.trailing_zeros() & !1;
+                let verdict = match word >> bit & 3 {
+                    1 => Verdict::Unite,
+                    2 => Verdict::Match,
+                    _ => Verdict::Miss(*sums.next().expect("a sum per miss")),
+                };
+                f(32 * i + bit as usize / 2, verdict);
+                word &= !(3 << bit);
             }
         }
     }
-    debug_assert_eq!(next, record.len(), "a record entry matched no edge");
-    work
+}
+
+/// A classify worker's buffers: test 3's neighbour bitset of the current
+/// u, where bit x is set iff x ∈ N(u), and then x is entry `at_u[x]` of
+/// u's row. A row index takes half the memory of the weight it points
+/// to.
+struct Classifier {
+    bits: Vec<u64>,
+    at_u: Vec<u32>,
+}
+
+impl Classifier {
+    fn new(n: usize, triangles: bool) -> Self {
+        Classifier {
+            bits: vec![0; if triangles { n.div_ceil(64) } else { 0 }],
+            at_u: vec![0; if triangles { n } else { 0 }],
+        }
+    }
+
+    /// Classifies the upper edges of the vertices `lo..hi` into
+    /// `verdicts`, with their `edges_tested`, `from_record` and `probes`
+    /// counts. A touched edge takes test 1, test 2's degree condition and
+    /// test 3; an untouched one test 1 and, for test 3, its sum in the
+    /// record (0 if absent).
+    fn classify<T: Fn(NodeId) -> bool>(
+        &mut self,
+        input: &PrInput<'_, T>,
+        lo: NodeId,
+        hi: NodeId,
+        verdicts: &mut Verdicts,
+    ) {
+        let PrInput {
+            g,
+            lambda_hat,
+            triangle_budget,
+            record,
+            ..
+        } = *input;
+        let (bits, at_u) = (&mut self.bits, &mut self.at_u);
+        verdicts.codes.clear();
+        verdicts.sums.clear();
+        let mut work = PrWork::default();
+        // The record entry of the next untouched edge that has one.
+        let mut next = record.partition_point(|m| m.u < lo);
+        // The offset of u's first arc among the arcs of `lo..hi`.
+        let mut row = 0;
+        for u in lo..hi {
+            let du = g.weighted_degree(u);
+            let touched_u = (input.touched)(u);
+            let (nu, wu) = g.arc_slices(u);
+            let mut bits_set = false;
+            let upper = nu.partition_point(|&v| v <= u);
+            for (at, (&v, &w)) in (row + upper..).zip(nu[upper..].iter().zip(&wu[upper..])) {
+                let verdict = if !touched_u && !(input.touched)(v) {
+                    // Untouched since the last run: test 2 fails again and
+                    // test 3's sum is the recorded one (see the module doc).
+                    work.from_record += 1;
+                    let sum = match record.get(next) {
+                        Some(m) if (m.u, m.v) == (u, v) => {
+                            next += 1;
+                            m.sum
+                        }
+                        _ => 0,
+                    };
+                    if w >= lambda_hat || sum >= lambda_hat - w {
+                        Verdict::Unite
+                    } else if sum > 0 {
+                        Verdict::Miss(sum)
+                    } else {
+                        continue;
+                    }
+                } else {
+                    work.edges_tested += 1;
+                    if w >= lambda_hat {
+                        // Test 1: every u-v-separating cut costs ≥ c(e) ≥ λ̂.
+                        Verdict::Unite
+                    } else if 2 * w >= du.min(g.weighted_degree(v)) {
+                        // Test 2: the matching depends on the order of the
+                        // edges, so the decide phase applies it.
+                        Verdict::Match
+                    } else if nu.len() + g.degree(v) > triangle_budget {
+                        continue;
+                    } else {
+                        // Test 3: aggregate triangle bound. Test 1 failed,
+                        // so `need` = λ̂ − c(e) > 0.
+                        if !bits_set {
+                            for (i, &x) in (0..).zip(nu) {
+                                bits[x as usize / 64] |= 1 << (x % 64);
+                                at_u[x as usize] = i;
+                            }
+                            bits_set = true;
+                        }
+                        let need = lambda_hat - w;
+                        let (nv, wv) = g.arc_slices(v);
+                        let (mut sum, mut read) = (0, nv.len());
+                        for (i, &x) in nv.iter().enumerate() {
+                            if bits[x as usize / 64] >> (x % 64) & 1 != 0 {
+                                sum += wu[at_u[x as usize] as usize].min(wv[i]);
+                                if sum >= need {
+                                    read = i + 1;
+                                    break;
+                                }
+                            }
+                        }
+                        work.probes += read as u64;
+                        if sum >= need {
+                            Verdict::Unite
+                        } else if sum > 0 {
+                            Verdict::Miss(sum)
+                        } else {
+                            continue;
+                        }
+                    }
+                };
+                verdicts.push(at, verdict);
+            }
+            if bits_set {
+                for &x in nu {
+                    bits[x as usize / 64] = 0;
+                }
+            }
+            row += nu.len();
+        }
+        debug_assert!(
+            record.get(next).is_none_or(|m| m.u >= hi),
+            "a record entry matched no edge"
+        );
+        verdicts.work = work;
+    }
+}
+
+/// The decide phase's state: every step whose outcome depends on the
+/// order of the edges.
+struct Decide<'a> {
+    g: &'a CsrGraph,
+    lambda_hat: EdgeWeight,
+    triangle_budget: usize,
+    uf: &'a mut UnionFind,
+    /// Test 2 endpoints: the shifting argument re-sides the endpoints of
+    /// the contracted edge, so two test-2 contractions sharing a vertex
+    /// may have no common surviving minimum cut. Restricting the pass to
+    /// a matching keeps the induction valid: each later edge's endpoints
+    /// are untouched by every earlier move. Tests 1 and 3 lower-bound
+    /// *every* cut separating their endpoints by λ̂, so they compose
+    /// freely with each other and with the matching.
+    matched: Vec<bool>,
+    misses: Option<&'a mut Vec<Miss>>,
+    work: PrWork,
+}
+
+impl Decide<'_> {
+    /// Applies the verdicts of the chunk that starts at vertex `lo`.
+    fn chunk(&mut self, lo: NodeId, verdicts: &Verdicts) {
+        let g = self.g;
+        // The vertex that owns the verdict's arc, and the offset of its
+        // first arc among the chunk's arcs.
+        let (mut u, mut row) = (lo, 0);
+        verdicts.for_each(|at, verdict| {
+            while at >= row + g.degree(u) {
+                row += g.degree(u);
+                u += 1;
+            }
+            let (nu, wu) = g.arc_slices(u);
+            let (v, w) = (nu[at - row], wu[at - row]);
+            match verdict {
+                Verdict::Unite => self.unite(u, v),
+                Verdict::Match => self.test2(u, v, w),
+                Verdict::Miss(sum) => self.miss(u, v, sum),
+            }
+        });
+        self.work.edges_tested += verdicts.work.edges_tested;
+        self.work.from_record += verdicts.work.from_record;
+        self.work.probes += verdicts.work.probes;
+    }
+
+    fn unite(&mut self, u: NodeId, v: NodeId) {
+        if self.uf.union(u, v) {
+            self.work.unions += 1;
+        }
+    }
+
+    fn miss(&mut self, u: NodeId, v: NodeId, sum: EdgeWeight) {
+        if let Some(m) = &mut self.misses {
+            m.push(Miss { u, v, sum });
+        }
+    }
+
+    /// Test 2 on the matching (see `matched`). An edge the matching
+    /// blocks falls back to test 3, read here off a merge of the two
+    /// rows: the same sum, stopped at the same entry of N(v), as a
+    /// classify's bitset probe.
+    fn test2(&mut self, u: NodeId, v: NodeId, w: EdgeWeight) {
+        let g = self.g;
+        if !self.matched[u as usize] && !self.matched[v as usize] {
+            if self.uf.union(u, v) {
+                self.matched[u as usize] = true;
+                self.matched[v as usize] = true;
+                self.work.unions += 1;
+            }
+            return;
+        }
+        if g.degree(u) + g.degree(v) > self.triangle_budget {
+            return;
+        }
+        let need = self.lambda_hat - w;
+        let (nu, wu) = g.arc_slices(u);
+        let (nv, wv) = g.arc_slices(v);
+        let (mut j, mut sum, mut read) = (0, 0, nv.len());
+        for (i, &x) in nv.iter().enumerate() {
+            j += nu[j..].partition_point(|&y| y < x);
+            if nu.get(j) == Some(&x) {
+                sum += wu[j].min(wv[i]);
+                if sum >= need {
+                    read = i + 1;
+                    break;
+                }
+            }
+        }
+        self.work.probes += read as u64;
+        if sum >= need {
+            self.unite(u, v);
+        } else if sum > 0 {
+            self.miss(u, v, sum);
+        }
+    }
+}
+
+/// Chunk boundaries for the classify phase: runs of consecutive vertices
+/// of about √(2m) arcs each, so a pass has about as many chunks as a
+/// chunk has arcs. Chunk c is `bounds[c]..bounds[c + 1]`.
+fn chunk_bounds(g: &CsrGraph) -> Vec<NodeId> {
+    let target = g.num_arcs().isqrt().max(1);
+    let mut bounds = vec![0];
+    let mut arcs = 0;
+    for u in 0..g.n() as NodeId {
+        arcs += g.degree(u);
+        if arcs >= target {
+            bounds.push(u + 1);
+            arcs = 0;
+        }
+    }
+    if arcs > 0 {
+        bounds.push(g.n() as NodeId);
+    }
+    bounds
+}
+
+/// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass, in
+/// two phases. In the classify phase up to `workers` workers claim
+/// chunks of consecutive vertices (see [`chunk_bounds`]) from a shared
+/// cursor and record, for each upper edge, a verdict from the tests that
+/// read only `input`. In the decide phase one thread applies the chunks'
+/// verdicts in pass order: the unions, test 2's matching, the misses and
+/// the counters. Tests the edges `(u, v)` with `touched(u) || touched(v)`
+/// and decides every other edge by test 1 and by its sum in the record
+/// for test 3. `misses` collects this run's record.
+fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
+    input: &PrInput<'_, T>,
+    uf: &mut UnionFind,
+    misses: Option<&mut Vec<Miss>>,
+    workers: usize,
+) -> PrWork {
+    let g = input.g;
+    let bounds = chunk_bounds(g);
+    let workers = workers.min(bounds.len() - 1).max(1);
+    let mut decide = Decide {
+        g,
+        lambda_hat: input.lambda_hat,
+        triangle_budget: input.triangle_budget,
+        uf,
+        matched: vec![false; g.n()],
+        misses,
+        work: PrWork {
+            workers,
+            ..PrWork::default()
+        },
+    };
+    let triangles = input.triangle_budget > 0;
+    let mut states: Vec<(Classifier, Verdicts, Option<&mut Decide>)> = (0..workers)
+        .map(|_| (Classifier::new(g.n(), triangles), Verdicts::default(), None))
+        .collect();
+    // A lone worker claims the chunks in pass order, so it decides each
+    // one as soon as it has classified it, in one reused buffer.
+    if let [(_, _, lone)] = &mut states[..] {
+        *lone = Some(&mut decide);
+    }
+    // The cursor only hands out chunk indices; several workers return
+    // their verdicts through the join.
+    let cursor = AtomicUsize::new(0);
+    // Every worker is running before any claims a chunk, so even a small
+    // graph's chunks spread over all of them.
+    let start = Barrier::new(workers);
+    let mut classified: Vec<(usize, Verdicts)> =
+        par::map_each(&mut states, |_, (c, verdicts, lone)| {
+            start.wait();
+            let mut mine = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = bounds.get(i..i + 2) else {
+                    return mine;
+                };
+                c.classify(input, chunk[0], chunk[1], verdicts);
+                match lone {
+                    Some(decide) => decide.chunk(chunk[0], verdicts),
+                    None => mine.push((i, std::mem::take(verdicts))),
+                }
+            }
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    drop(states);
+    // Pass order, not the order the workers claimed the chunks in.
+    classified.sort_unstable_by_key(|&(i, _)| i);
+    for (i, verdicts) in &classified {
+        decide.chunk(bounds[*i], verdicts);
+    }
+    decide.work
 }
 
 #[cfg(test)]
@@ -713,6 +1027,68 @@ mod tests {
         let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
         pipeline.run(g, None, &mut ctx).expect("no budget")
+    }
+
+    /// The classify widths every pass test compares with the 1-worker
+    /// run; the tests' graphs span several chunks each.
+    const WIDE: [usize; 2] = [2, 4];
+
+    /// What a pipeline run produces, for comparing runs.
+    #[derive(Debug, PartialEq)]
+    struct Pipelined {
+        /// n, m and fingerprint.
+        kernel: (usize, usize, u64),
+        /// Per pass: name, rounds and removals.
+        passes: Vec<(&'static str, u64, u64, u64)>,
+        trajectory: Vec<EdgeWeight>,
+        side: Option<Vec<bool>>,
+        /// Each run of an edge-testing pass, `workers` set to 0 so that
+        /// runs at different widths compare.
+        runs: Vec<PassRun>,
+    }
+
+    /// Runs `pipeline` on `g` with `workers` classifying every run of an
+    /// edge-testing pass; `retest_all` as in `run_with`.
+    fn pipelined(
+        pipeline: &ReductionPipeline,
+        g: &CsrGraph,
+        retest_all: bool,
+        workers: usize,
+    ) -> Pipelined {
+        let mut stats = SolverStats::default();
+        let mut ctx = SolveContext::new(&mut stats);
+        let (out, mut runs) = pipeline
+            .run_with(g, None, &mut ctx, retest_all, Some(workers))
+            .expect("no budget");
+        for r in &mut runs {
+            assert!(
+                (1..=workers).contains(&r.work.workers),
+                "{} workers",
+                r.work.workers
+            );
+            r.work.workers = 0;
+        }
+        Pipelined {
+            kernel: (out.kernel.n(), out.kernel.m(), out.kernel.fingerprint()),
+            passes: out
+                .passes
+                .iter()
+                .map(|p| (p.name, p.rounds, p.vertices_removed, p.edges_removed))
+                .collect(),
+            trajectory: stats.lambda_trajectory,
+            side: out.side,
+            runs,
+        }
+    }
+
+    /// Asserts that `pipeline` gives the 1-worker run's kernel, λ̂
+    /// trajectory, witness, unions, records and work at every width.
+    fn assert_same_at_every_width(pipeline: &ReductionPipeline, g: &CsrGraph, tag: &str) {
+        let want = pipelined(pipeline, g, false, 1);
+        for workers in WIDE {
+            let got = pipelined(pipeline, g, false, workers);
+            assert_eq!(got, want, "{tag}, {workers} workers");
+        }
     }
 
     /// The pipeline invariant: λ(G) = min(λ̂, λ(kernel)), with a real-cut
@@ -792,8 +1168,28 @@ mod tests {
         assert_eq!(known::brute_force_mincut(&g), 7);
         for (name, p) in single_pass_pipelines() {
             assert_exact(&p, &g, 7, &format!("pass {name}"));
+            assert_same_at_every_width(&p, &g, &format!("pass {name}"));
         }
         assert_exact(&ReductionPipeline::standard(), &g, 7, "standard");
+        assert_same_at_every_width(&ReductionPipeline::standard(), &g, "standard");
+
+        // At λ̂ = 5, edge 0-1 passes test 2 and is matched first. Edge 1-2
+        // passes test 2's degree condition, but the matching blocks it,
+        // so the decide phase falls back to test 3: common neighbour 3
+        // brings the sum to 3 + min(2, 2) = 5. Edges 1-3 and 2-3 miss
+        // tests 2 and 3, so without the fallback 2 stays apart from 1.
+        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 3), (1, 3, 2), (2, 3, 2), (3, 4, 1)]);
+        assert!(chunk_bounds(&g).len() > 3, "the graph spans several chunks");
+        for workers in [1, 2, 4] {
+            let (work, (labels, _), record) = full_pass(&g, 5, TRIANGLE_DEGREE_BUDGET, workers);
+            let tag = format!("{workers} workers");
+            assert_eq!(labels[1], labels[2], "{tag}: test 3 unites 1-2");
+            assert_ne!(labels[2], labels[3], "{tag}: no test unites 2-3");
+            let misses: Vec<_> = record.iter().map(|m| (m.u, m.v, m.sum)).collect();
+            assert_eq!(misses, [(1, 3, 2), (2, 3, 2)], "{tag}");
+            assert_eq!(work.probes, 8, "{tag}: 2 probes by the fallback");
+        }
+        assert_matches_full_merge(&g, 5, TRIANGLE_DEGREE_BUDGET, "fallback");
     }
 
     #[test]
@@ -945,23 +1341,51 @@ mod tests {
         sum
     }
 
+    /// A full pass on `workers` workers: its work, its blocks and its
+    /// record.
+    fn full_pass(
+        g: &CsrGraph,
+        lambda_hat: EdgeWeight,
+        budget: usize,
+        workers: usize,
+    ) -> (PrWork, (Vec<NodeId>, usize), Vec<Miss>) {
+        let input = PrInput {
+            g,
+            lambda_hat,
+            triangle_budget: budget,
+            touched: |_| true,
+            record: &[],
+        };
+        let mut uf = UnionFind::new(g.n());
+        let mut misses = Vec::new();
+        let work = pr_pass(&input, &mut uf, Some(&mut misses), workers);
+        (work, uf.dense_labels(), misses)
+    }
+
     /// Runs the pass and the full-merge oracle at `lambda_hat` and
-    /// `budget`, asserts the same unions and the same blocks, and returns
-    /// the number of unions.
+    /// `budget`, asserts the same unions and the same blocks, and that
+    /// the pass's unions, blocks, record and work are the same at every
+    /// width. Returns the number of unions.
     fn assert_matches_full_merge(
         g: &CsrGraph,
         lambda_hat: EdgeWeight,
         budget: usize,
         tag: &str,
     ) -> usize {
-        let mut uf = UnionFind::new(g.n());
-        let unions = pr_pass(g, lambda_hat, &mut uf, budget, |_| true, &[], None).unions;
+        let tag = format!("{tag}, λ̂ {lambda_hat}, budget {budget}");
+        let (work, blocks, record) = full_pass(g, lambda_hat, budget, 1);
         let mut reference = UnionFind::new(g.n());
         let expected = full_merge_pr_pass(g, lambda_hat, &mut reference, budget);
-        let tag = format!("{tag}, λ̂ {lambda_hat}, budget {budget}");
-        assert_eq!(unions, expected, "{tag}: unions");
-        assert_eq!(uf.dense_labels(), reference.dense_labels(), "{tag}: blocks");
-        unions
+        assert_eq!(work.unions, expected, "{tag}: unions");
+        assert_eq!(blocks, reference.dense_labels(), "{tag}: blocks");
+        for workers in WIDE {
+            let (wide, wide_blocks, wide_record) = full_pass(g, lambda_hat, budget, workers);
+            let tag = format!("{tag}, {workers} workers");
+            assert_eq!(PrWork { workers: 1, ..wide }, work, "{tag}: work");
+            assert_eq!(wide_blocks, blocks, "{tag}: blocks");
+            assert_eq!(wide_record, record, "{tag}: record");
+        }
+        work.unions
     }
 
     /// 201–300 vertices: a hub adjacent to at least 200 others (a window
@@ -1010,7 +1434,9 @@ mod tests {
         // Every λ̂ from 1 to past the largest weighted degree meets each
         // edge's triangle sum exactly once, so a stop one match late or
         // early changes a union somewhere. Dense graphs keep test 2 quiet
-        // and feed test 3; sparse ones are where test 2 fires.
+        // and feed test 3; sparse ones are where test 2 fires. Every pass
+        // also runs at 2 and 4 classify workers, with the same unions,
+        // record and work as at one.
         let mut rng = SmallRng::seed_from_u64(0x3e3);
         let mut test2_fired = false;
         for trial in 0..120 {
@@ -1173,7 +1599,9 @@ mod tests {
         // `padberg-rinaldi` run at a lowered λ̂ unites untouched core
         // edges by test 1 and by their recorded sums: reading a recorded
         // sum as 0, or keeping the record's vertex ids across a
-        // contraction, changes the kernel of some trial.
+        // contraction, changes the kernel of some trial. Every run's
+        // unions, record and work are also the same at 2 and 4 classify
+        // workers as at one.
         let trials = 200;
         let mut rng = SmallRng::seed_from_u64(0x70c);
         let mut incremental_trials = 0;
@@ -1184,24 +1612,17 @@ mod tests {
             } else {
                 satellites_off_a_core(&mut rng)
             };
-            let run = |retest_all| {
-                let mut stats = SolverStats::default();
-                let mut ctx = SolveContext::new(&mut stats);
-                let (out, runs) = ReductionPipeline::standard()
-                    .run_with(&g, None, &mut ctx, retest_all)
-                    .expect("no budget");
-                let passes: Vec<_> = out
-                    .passes
-                    .iter()
-                    .map(|p| (p.name, p.rounds, p.vertices_removed, p.edges_removed))
-                    .collect();
-                let kernel = (out.kernel.n(), out.kernel.m(), out.kernel.fingerprint());
-                let got = (kernel, passes, stats.lambda_trajectory, out.side);
-                (got, runs)
-            };
-            let (got, runs) = run(false);
-            let (want, full_runs) = run(true);
-            assert_eq!(got, want, "trial {trial}");
+            let standard = ReductionPipeline::standard();
+            let got = pipelined(&standard, &g, false, 1);
+            let want = pipelined(&standard, &g, true, 1);
+            let outputs = |p: &Pipelined| (p.kernel, p.passes.clone(), p.trajectory.clone());
+            assert_eq!(outputs(&got), outputs(&want), "trial {trial}");
+            assert_eq!(got.side, want.side, "trial {trial}");
+            for workers in WIDE {
+                let wide = pipelined(&standard, &g, false, workers);
+                assert_eq!(wide, got, "trial {trial}, {workers} workers");
+            }
+            let (runs, full_runs) = (got.runs, want.runs);
             let tested = |runs: &[PassRun]| runs.iter().map(|r| r.work.edges_tested).sum::<u64>();
             assert!(tested(&runs) <= tested(&full_runs), "trial {trial}");
             incremental_trials += usize::from(tested(&runs) < tested(&full_runs));
@@ -1238,7 +1659,7 @@ mod tests {
     fn heavy_edge_contracts_under_test1() {
         let g = CsrGraph::from_edges(3, &[(0, 1, 10), (1, 2, 1), (0, 2, 1)]);
         let mut uf = UnionFind::new(3);
-        let unions = padberg_rinaldi_pass(&g, 5, &mut uf);
+        let unions = padberg_rinaldi_pass(&g, 5, &mut uf, 1);
         assert!(unions >= 1);
         assert!(uf.same(0, 1), "the weight-10 edge must be marked");
     }
@@ -1260,7 +1681,7 @@ mod tests {
             ],
         );
         let mut uf = UnionFind::new(5);
-        padberg_rinaldi_pass(&g, 5, &mut uf);
+        padberg_rinaldi_pass(&g, 5, &mut uf, 1);
         assert!(uf.same(0, 1));
     }
 
@@ -1272,7 +1693,7 @@ mod tests {
         let (g, l) = known::two_communities(8, 8, 2, 3, 1);
         let lambda_hat = g.min_weighted_degree().unwrap().1;
         let mut uf = UnionFind::new(g.n());
-        let unions = padberg_rinaldi_pass(&g, lambda_hat, &mut uf);
+        let unions = padberg_rinaldi_pass(&g, lambda_hat, &mut uf, 1);
         assert!(unions > 0, "cliques must contract");
         let (labels, blocks) = uf.dense_labels();
         let c = ContractionEngine::new().contract(&g, &labels, blocks);
@@ -1290,7 +1711,7 @@ mod tests {
         // safety of the aggressive local tests instead of absence.
         let g = CsrGraph::from_edges(4, &[(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 0, 2)]);
         let mut uf = UnionFind::new(4);
-        let unions = padberg_rinaldi_pass(&g, u64::MAX, &mut uf);
+        let unions = padberg_rinaldi_pass(&g, u64::MAX, &mut uf, 1);
         assert!(unions > 0);
         let (labels, blocks) = uf.dense_labels();
         let c = ContractionEngine::new().contract(&g, &labels, blocks);

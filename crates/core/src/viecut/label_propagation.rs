@@ -11,8 +11,9 @@
 //!
 //! One loop serves every graph. Each [`par::map_each`] worker owns a flat
 //! epoch-stamped tally (two size-n arrays, allocated once per call) over
-//! the shared `AtomicU32` labels. The width has one rule: one worker
-//! below `PAR_LP_MIN_ARCS` arcs, `threads` workers above.
+//! the shared `AtomicU32` labels. The width follows the workspace's one
+//! rule, [`par::width`]: one worker below [`par::MIN_PARALLEL_ARCS`]
+//! arcs, `threads` workers above.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -20,12 +21,6 @@ use mincut_ds::par;
 use mincut_graph::{CsrGraph, EdgeWeight, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Below this many arcs one worker runs every iteration: spawning
-/// scoped threads per iteration and ping-ponging the shared label array
-/// between cores measures ~5× slower than a sequential pass at a few
-/// thousand vertices on a 2-core box.
-const PAR_LP_MIN_ARCS: usize = 1 << 20;
 
 /// Runs `iterations` rounds of label propagation on up to `threads`
 /// workers; returns dense cluster labels in `[0, count)` and the cluster
@@ -49,11 +44,7 @@ pub fn label_propagation(
     if n == 0 {
         return (Vec::new(), 0);
     }
-    let workers = if g.num_arcs() < PAR_LP_MIN_ARCS {
-        1
-    } else {
-        threads.clamp(1, n)
-    };
+    let workers = par::width(g.num_arcs(), threads).min(n);
     let share = n.div_ceil(workers);
     let labels: Vec<AtomicU32> = (0..n as NodeId).map(AtomicU32::new).collect();
     // One `(tally, stamp)` pair per worker: `tally[l]` is the current
@@ -209,8 +200,8 @@ mod tests {
         // The flat epoch-stamped array tally must produce labels
         // bit-identical to the hash-tally reference: the running best
         // depends only on arc order, which both share. All graphs here
-        // sit far below `PAR_LP_MIN_ARCS`, so one worker runs them at any
-        // width and the full label vectors must agree.
+        // sit far below `par::MIN_PARALLEL_ARCS`, so one worker runs them
+        // at any width and the full label vectors must agree.
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(99);
         let mut graphs = vec![
@@ -241,9 +232,10 @@ mod tests {
     fn single_worker_matches_reference() {
         // One worker visits the shuffled order itself, so the labels must
         // equal the sequential reference exactly at any graph size. This
-        // graph is large (n > 2^16) but has fewer than `PAR_LP_MIN_ARCS`
-        // arcs, so one worker runs it at two threads too. Random chords
-        // and weights make racy schedules visibly change the partition.
+        // graph is large (n > 2^16) but has fewer than
+        // `par::MIN_PARALLEL_ARCS` arcs, so one worker runs it at two
+        // threads too. Random chords and weights make racy schedules
+        // visibly change the partition.
         use rand::Rng;
         let n = (1 << 16) + 4000;
         let mut rng = SmallRng::seed_from_u64(2019);

@@ -89,7 +89,7 @@ pub(crate) fn viecut_connected(
                 let mut pr_span = mincut_obs::span("viecut/padberg-rinaldi");
                 pr_span.arg("n", n);
                 uf.reset(n);
-                padberg_rinaldi_pass(k.graph(), k.lambda(), &mut uf)
+                padberg_rinaldi_pass(k.graph(), k.lambda(), &mut uf, ctx.threads)
             };
             if unions > 0 && uf.count() > 1 {
                 let blocks = uf.dense_labels_into(&mut labels_buf);

@@ -130,7 +130,8 @@ fn enabled_tracing_captures_every_solver_layer() {
     }
 
     // Every run of either pass also reports the edges it decided from
-    // its last run's record and the record it leaves.
+    // its last run's record, the record it leaves, and the workers that
+    // classified its edges: one, below `par::MIN_PARALLEL_ARCS` arcs.
     for pass in ["heavy-edge", "padberg-rinaldi"] {
         let name = ArgValue::from(pass);
         for run in events
@@ -139,6 +140,7 @@ fn enabled_tracing_captures_every_solver_layer() {
         {
             u64_arg(run, "from_record");
             u64_arg(run, "recorded");
+            assert_eq!(u64_arg(run, "workers"), 1, "{pass} workers");
         }
     }
 

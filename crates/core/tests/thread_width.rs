@@ -1,24 +1,27 @@
 //! `SolveOptions::threads` bounds every parallel layer of a solve.
 //!
-//! At one thread, label propagation and ParCut's CAPFOREST workers run
-//! inline, and contraction never leaves the caller's thread, so the
-//! solve spawns no thread (`mincut_ds::par::threads_spawned` stays put)
-//! and repeats its operation stream exactly. The solve graph has more
-//! than 2^16 vertices and edges. Label propagation
-//! goes wide only past `PAR_LP_MIN_ARCS` = 2^20 arcs, which a solve
-//! graph this size stays below, so the test also calls
-//! `label_propagation` directly on a graph past 2^20 arcs: at one thread
-//! it spawns nothing, at two it spawns workers, and its labels are dense
-//! either way. Building that graph (more than 2^16 edges) and one
-//! insert plus `compact` on a `DeltaGraph` over it spawn no thread:
-//! graph construction and compaction are sequential at every size.
+//! At one thread, label propagation, the Padberg–Rinaldi classify phase
+//! and ParCut's CAPFOREST workers run inline, and contraction never
+//! leaves the caller's thread, so the solve spawns no thread
+//! (`mincut_ds::par::threads_spawned` stays put) and repeats its
+//! operation stream exactly. The solve graph has more than 2^16 vertices
+//! and edges. Label propagation and the Padberg–Rinaldi tests go wide
+//! only past `par::MIN_PARALLEL_ARCS` = 2^20 arcs, which a solve graph
+//! this size stays below, so the test also calls `label_propagation` and
+//! `padberg_rinaldi_pass` directly on a graph past 2^20 arcs: at one
+//! thread they spawn nothing, at two they spawn workers; the labels are
+//! dense and the pass unites as many pairs at either width. Building
+//! that graph (more than 2^16 edges) and one insert plus `compact` on a
+//! `DeltaGraph` over it spawn no thread: graph construction and
+//! compaction are sequential at every size.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! spawns threads while the counter is read.
 
+use mincut_core::reduce::padberg_rinaldi_pass;
 use mincut_core::viecut::label_propagation;
 use mincut_core::{Session, SolveOptions, SolveOutcome};
-use mincut_ds::par;
+use mincut_ds::{par, UnionFind};
 use mincut_graph::{CsrGraph, DeltaGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -69,6 +72,17 @@ fn propagate(g: &CsrGraph, threads: usize) -> u64 {
     spawned
 }
 
+/// Runs a Padberg–Rinaldi pass at the minimum weighted degree and
+/// returns its unions with the number of threads spawned during the
+/// call.
+fn pr_pass(g: &CsrGraph, threads: usize) -> (usize, u64) {
+    let lambda_hat = g.min_weighted_degree().unwrap().1;
+    let mut uf = UnionFind::new(g.n());
+    let before = par::threads_spawned();
+    let unions = padberg_rinaldi_pass(g, lambda_hat, &mut uf, threads);
+    (unions, par::threads_spawned() - before)
+}
+
 #[test]
 fn one_thread_spawns_nothing_and_repeats_exactly() {
     let before = par::threads_spawned();
@@ -80,6 +94,11 @@ fn one_thread_spawns_nothing_and_repeats_exactly() {
         propagate(&g, 2) > 0,
         "label propagation at two threads goes wide"
     );
+    let (narrow, spawned) = pr_pass(&g, 1);
+    assert_eq!(spawned, 0, "Padberg–Rinaldi tests at one thread");
+    let (wide, spawned) = pr_pass(&g, 2);
+    assert!(spawned > 0, "Padberg–Rinaldi tests at two threads go wide");
+    assert_eq!(wide, narrow, "unions at either width");
     let mut d = DeltaGraph::new(g);
     let before = par::threads_spawned();
     d.insert_edge(0, 1 << 16, 1);
