@@ -130,15 +130,16 @@ pub fn run_once(g: &CsrGraph, spec: &BenchSpec, seed: u64) -> (EdgeWeight, f64) 
     (outcome.cut.value, t0.elapsed().as_secs_f64())
 }
 
-/// Runs `reps` repetitions; returns (value, average seconds). Panics if a
-/// deterministic-value solver disagrees across repetitions (a correctness
-/// tripwire inside the benchmark harness itself).
+/// Runs `reps` repetitions; returns (value, average seconds). Panics if an
+/// exact solver disagrees across repetitions (a correctness tripwire
+/// inside the benchmark harness itself).
 pub fn run_avg(g: &CsrGraph, spec: &BenchSpec, reps: usize, seed: u64) -> (EdgeWeight, f64) {
-    let deterministic = !SolverRegistry::global()
+    let exact = SolverRegistry::global()
         .resolve(&spec.solver)
         .unwrap_or_else(|e| panic!("bench spec: {e}"))
         .capabilities()
-        .randomized_value;
+        .guarantee
+        .is_exact();
     let mut total = 0.0;
     let mut value = None;
     for i in 0..reps.max(1) {
@@ -147,7 +148,7 @@ pub fn run_avg(g: &CsrGraph, spec: &BenchSpec, reps: usize, seed: u64) -> (EdgeW
         match value {
             None => value = Some(v),
             Some(prev) => {
-                if deterministic {
+                if exact {
                     assert_eq!(prev, v, "{spec} returned different values across runs");
                 }
             }

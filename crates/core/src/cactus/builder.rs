@@ -101,15 +101,7 @@ impl CactusBuilder {
 
     /// Solves for λ, then builds the cactus of every minimum cut.
     pub fn build(&self, g: &CsrGraph) -> Result<Cactus, MinCutError> {
-        let solver = SolverRegistry::global().resolve(&self.solver)?;
-        if !solver.capabilities().guarantee.is_exact() {
-            return Err(MinCutError::InvalidOptions {
-                message: format!(
-                    "cactus construction needs an exact solver; {:?} is inexact",
-                    self.solver
-                ),
-            });
-        }
+        let solver = SolverRegistry::global().resolve_exact(&self.solver)?;
         let t0 = Instant::now();
         let out = solver.solve(g, &self.opts)?;
         self.build_inner(g, out.cut.value, t0.elapsed().as_secs_f64())

@@ -322,9 +322,9 @@ pub(crate) const MAX_BUCKET_BOUND: EdgeWeight = 1 << 26;
 /// instrumented instance of each queue implementation, so the bound-capped
 /// per-pass dispatch (bucket queues only under [`MAX_BUCKET_BOUND`],
 /// unbounded passes on the heap) can switch queues without dropping warm
-/// allocations. Every sequential driver (NOI, Matula, the ParCut rescue
-/// path) holds one workspace for the lifetime of its solve, and the
-/// cactus kernel one for its fixed-bound passes.
+/// allocations. Every sequential driver (NOI, the ParCut rescue path)
+/// holds one workspace for the lifetime of its solve, and the cactus
+/// kernel one for its fixed-bound passes.
 pub(crate) struct ScanWorkspace {
     scratch: ScanScratch,
     bstack: mincut_ds::CountingPq<mincut_ds::BStackPq>,

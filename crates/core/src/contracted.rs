@@ -1,7 +1,7 @@
 //! The contraction state every round loop shares.
 //!
-//! NOI (§3.1), ParCut (Algorithm 2), VieCut (§2.4), Matula and the
-//! reduction pipeline all run the same round: mark contractible edges
+//! NOI (§3.1), ParCut (Algorithm 2), VieCut (§2.4) and the reduction
+//! pipeline all run the same round: mark contractible edges
 //! against λ̂, collapse them, and then, per §3.2, "if the collapsed graph
 //! G_C has a minimum degree of less than λ̂, we update λ̂". [`Contracted`]
 //! owns that round's bookkeeping: the current graph, λ̂ with its witness,

@@ -38,9 +38,9 @@
 //! buffers. The crossing-insert re-solve runs the full
 //! [`Solver`](crate::Solver) preflight — kernelization pipeline seeded
 //! with the bound, then the registered solver family on the
-//! [compacted](DeltaGraph::compact) graph — so every registry family
-//! works; the maintained value carries the family's guarantee (exact
-//! families maintain λ exactly).
+//! [compacted](DeltaGraph::compact) graph — so every exact registry
+//! family works. The maintainer takes exact solvers only: an inexact
+//! one is refused at construction.
 //!
 //! ## Traces
 //!
@@ -329,7 +329,9 @@ pub struct DynamicMinCut {
 impl DynamicMinCut {
     /// Wraps `graph` and runs the initial solve with the named registry
     /// solver under `opts` (`witness` is forced on; an
-    /// `initial_bound` in `opts` seeds only this first solve).
+    /// `initial_bound` in `opts` seeds only this first solve). The
+    /// solver must be exact: an inexact one is
+    /// [`MinCutError::InvalidOptions`].
     pub fn new(
         graph: impl Into<DeltaGraph>,
         solver: &str,
@@ -338,8 +340,9 @@ impl DynamicMinCut {
         let mut opts = opts;
         opts.witness = true;
         opts.validate()?;
-        // Resolve now so a typo fails at construction, not mid-trace.
-        SolverRegistry::global().resolve(solver)?;
+        // Resolve now so a typo or an inexact solver fails at
+        // construction, not mid-trace.
+        SolverRegistry::global().resolve_exact(solver)?;
         let graph: DeltaGraph = graph.into();
         let total_weight = graph
             .edges()
@@ -1342,8 +1345,14 @@ mod tests {
     fn unknown_solver_fails_at_construction() {
         let (g, _) = known::cycle_graph(4, 1);
         assert!(matches!(
-            DynamicMinCut::new(g, "no-such-solver", SolveOptions::new()),
+            DynamicMinCut::new(g.clone(), "no-such-solver", SolveOptions::new()),
             Err(MinCutError::UnknownSolver { .. })
+        ));
+        // VieCut's value is only an upper bound: maintaining it would
+        // serve a λ that may be wrong.
+        assert!(matches!(
+            DynamicMinCut::new(g, "viecut", SolveOptions::new()),
+            Err(MinCutError::InvalidOptions { .. })
         ));
     }
 

@@ -20,7 +20,8 @@ pub enum MinCutError {
         known: Vec<String>,
     },
     /// The [`SolveOptions`](crate::SolveOptions) carry a value a solver
-    /// cannot work with (for example ε ≤ 0 for Matula).
+    /// cannot work with (for example `threads == 0`), or a driver that
+    /// needs λ itself was handed an inexact solver.
     InvalidOptions { message: String },
     /// The optional time budget ran out before the solver finished.
     TimeBudgetExceeded { budget: Duration },

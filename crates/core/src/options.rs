@@ -30,20 +30,19 @@ use crate::reduce::Reductions;
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveOptions {
     /// Seed for every randomized component (start vertices, label
-    /// propagation orders, Karger–Stein contractions).
+    /// propagation orders).
     pub seed: u64,
     /// Priority queue for the NOI scans, unless the solver name pins one
     /// (e.g. `NOIλ̂-BStack`).
     pub pq: PqKind,
     /// Width of every parallel layer of a solve: ParCut's CAPFOREST
-    /// workers and label propagation. Contraction is sequential at every
-    /// width. At 1 the whole solve runs on the caller's thread and is
-    /// deterministic. Defaults to the hardware thread count.
+    /// workers, label propagation and the Padberg–Rinaldi classify phase
+    /// (the last two only on graphs of at least
+    /// [`MIN_PARALLEL_ARCS`](mincut_ds::par::MIN_PARALLEL_ARCS) arcs).
+    /// Contraction is sequential at every width. At 1 the whole solve
+    /// runs on the caller's thread and is deterministic. Defaults to the
+    /// hardware thread count.
     pub threads: usize,
-    /// Independent repetitions for Monte-Carlo solvers (Karger–Stein).
-    pub repetitions: usize,
-    /// Approximation slack ε for Matula's (2+ε)-approximation.
-    pub epsilon: f64,
     /// Optional starting bound: the value of an **actual cut** of the
     /// input (with its side, if known). A solve rejects a side that is not
     /// a proper cut of the input or does not cost the value
@@ -69,8 +68,6 @@ impl Default for SolveOptions {
             seed: 0xC0FFEE,
             pq: PqKind::Heap,
             threads: mincut_ds::par::hardware_threads(),
-            repetitions: 16,
-            epsilon: 0.5,
             initial_bound: None,
             witness: true,
             time_budget: None,
@@ -96,16 +93,6 @@ impl SolveOptions {
 
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    pub fn repetitions(mut self, repetitions: usize) -> Self {
-        self.repetitions = repetitions;
-        self
-    }
-
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
         self
     }
 
@@ -145,16 +132,6 @@ impl SolveOptions {
                 message: "threads must be at least 1".into(),
             });
         }
-        if self.repetitions == 0 {
-            return Err(MinCutError::InvalidOptions {
-                message: "repetitions must be at least 1".into(),
-            });
-        }
-        if self.epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(MinCutError::InvalidOptions {
-                message: format!("epsilon must be positive, got {}", self.epsilon),
-            });
-        }
         if self.witness && matches!(&self.initial_bound, Some((_, None))) {
             return Err(MinCutError::InvalidOptions {
                 message: "initial_bound without a witness side cannot improve a witness-tracking \
@@ -176,15 +153,11 @@ mod tests {
             .seed(7)
             .pq(PqKind::BStack)
             .threads(3)
-            .repetitions(5)
-            .epsilon(0.25)
             .witness(false)
             .time_budget(Duration::from_secs(1));
         assert_eq!(o.seed, 7);
         assert_eq!(o.pq, PqKind::BStack);
         assert_eq!(o.threads, 3);
-        assert_eq!(o.repetitions, 5);
-        assert_eq!(o.epsilon, 0.25);
         assert!(!o.witness);
         assert_eq!(o.time_budget, Some(Duration::from_secs(1)));
         assert!(o.validate().is_ok());
@@ -193,9 +166,6 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_values() {
         assert!(SolveOptions::new().threads(0).validate().is_err());
-        assert!(SolveOptions::new().repetitions(0).validate().is_err());
-        assert!(SolveOptions::new().epsilon(0.0).validate().is_err());
-        assert!(SolveOptions::new().epsilon(f64::NAN).validate().is_err());
     }
 
     #[test]

@@ -15,8 +15,6 @@ use mincut_ds::PqKind;
 use mincut_graph::CsrGraph;
 
 use crate::error::MinCutError;
-use crate::karger_stein::karger_stein_connected;
-use crate::matula::matula_approx_connected;
 use crate::noi::{noi_minimum_cut_connected, NoiParams};
 use crate::options::SolveOptions;
 use crate::parallel::mincut::parallel_minimum_cut_connected;
@@ -144,6 +142,21 @@ impl SolverRegistry {
         })
     }
 
+    /// [`resolve`](Self::resolve) for the drivers that build on λ itself,
+    /// the cactus and dynamic maintenance: a solver whose value is only an
+    /// upper bound is [`MinCutError::InvalidOptions`].
+    pub(crate) fn resolve_exact(&self, name: &str) -> Result<Box<dyn Solver>, MinCutError> {
+        let solver = self.resolve(name)?;
+        if !solver.capabilities().guarantee.is_exact() {
+            return Err(MinCutError::InvalidOptions {
+                message: format!(
+                    "the cactus and dynamic maintenance need an exact solver; {name:?} is not"
+                ),
+            });
+        }
+        Ok(solver)
+    }
+
     fn builtin() -> Self {
         let entries = vec![
             SolverEntry {
@@ -242,22 +255,10 @@ impl SolverRegistry {
                 ctor: |_| Box::new(GomoryHuSolver),
             },
             SolverEntry {
-                canonical: "KargerStein",
-                aliases: &["karger-stein", "ks"],
-                summary: "Karger-Stein Monte-Carlo contraction (exact with high probability)",
-                ctor: |_| Box::new(KargerSteinSolver),
-            },
-            SolverEntry {
                 canonical: "VieCut",
                 aliases: &["viecut"],
                 summary: "Multilevel heuristic upper bound (usually exact in practice)",
                 ctor: |_| Box::new(VieCutSolver),
-            },
-            SolverEntry {
-                canonical: "Matula",
-                aliases: &["matula"],
-                summary: "Matula's (2+ε)-approximation in near-linear time (§5 extension)",
-                ctor: |pin| Box::new(MatulaSolver { pin_pq: pin }),
             },
         ];
         SolverRegistry { entries }
@@ -268,7 +269,6 @@ fn caps_exact(uses_pq: bool, uses_initial_bound: bool) -> Capabilities {
     Capabilities {
         guarantee: Guarantee::Exact,
         uses_pq,
-        randomized_value: false,
         uses_initial_bound,
     }
 }
@@ -470,36 +470,6 @@ impl Solver for GomoryHuSolver {
     }
 }
 
-struct KargerSteinSolver;
-
-impl Solver for KargerSteinSolver {
-    fn name(&self) -> &'static str {
-        "KargerStein"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            guarantee: Guarantee::MonteCarlo,
-            uses_pq: false,
-            randomized_value: true,
-            uses_initial_bound: false,
-        }
-    }
-
-    fn instance_name(&self, opts: &SolveOptions) -> String {
-        format!("KargerStein(r={})", opts.repetitions)
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        opts: &SolveOptions,
-        ctx: &mut SolveContext<'_>,
-    ) -> Result<MinCutResult, MinCutError> {
-        karger_stein_connected(g, opts, ctx)
-    }
-}
-
 struct VieCutSolver;
 
 impl Solver for VieCutSolver {
@@ -511,7 +481,6 @@ impl Solver for VieCutSolver {
         Capabilities {
             guarantee: Guarantee::UpperBound,
             uses_pq: false,
-            randomized_value: true,
             uses_initial_bound: false,
         }
     }
@@ -523,42 +492,6 @@ impl Solver for VieCutSolver {
         ctx: &mut SolveContext<'_>,
     ) -> Result<MinCutResult, MinCutError> {
         viecut_connected(g, opts.seed, opts.witness, ctx)
-    }
-}
-
-struct MatulaSolver {
-    pin_pq: Option<PqKind>,
-}
-
-impl Solver for MatulaSolver {
-    fn name(&self) -> &'static str {
-        "Matula"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            guarantee: Guarantee::TwoPlusEpsilon,
-            uses_pq: true,
-            randomized_value: true,
-            uses_initial_bound: false,
-        }
-    }
-
-    fn instance_name(&self, opts: &SolveOptions) -> String {
-        format!(
-            "Matula(ε={}, {})",
-            opts.epsilon,
-            self.pin_pq.unwrap_or(opts.pq)
-        )
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        opts: &SolveOptions,
-        ctx: &mut SolveContext<'_>,
-    ) -> Result<MinCutResult, MinCutError> {
-        matula_approx_connected(g, opts, self.pin_pq.unwrap_or(opts.pq), ctx)
     }
 }
 
@@ -581,9 +514,7 @@ mod tests {
             "stoer-wagner",
             "hao-orlin",
             "gomory-hu",
-            "karger-stein",
             "viecut",
-            "matula",
             "noi-bstack",
             "NOIλ̂-BQueue",
             "noi-heap-viecut",
@@ -596,13 +527,30 @@ mod tests {
 
     #[test]
     fn unknown_names_error_with_known_list() {
-        let err = SolverRegistry::global().resolve("nope").unwrap_err();
-        match err {
-            MinCutError::UnknownSolver { name, known } => {
-                assert_eq!(name, "nope");
-                assert!(known.iter().any(|k| k == "NOIλ̂-VieCut"));
+        // Only exact solvers and VieCut are registered: Matula's
+        // approximation and Karger–Stein are unknown names.
+        for wanted in ["nope", "matula", "karger-stein", "ks"] {
+            match SolverRegistry::global().resolve(wanted).unwrap_err() {
+                MinCutError::UnknownSolver { name, known } => {
+                    assert_eq!(name, wanted);
+                    assert_eq!(
+                        known,
+                        [
+                            "NOI-HNSS",
+                            "NOI-CGKLS",
+                            "NOI-HNSS-VieCut",
+                            "NOIλ̂",
+                            "NOIλ̂-VieCut",
+                            "ParCutλ̂",
+                            "StoerWagner",
+                            "HO-CGKLS",
+                            "GomoryHu",
+                            "VieCut",
+                        ]
+                    );
+                }
+                other => panic!("{wanted}: wrong error: {other:?}"),
             }
-            other => panic!("wrong error: {other:?}"),
         }
     }
 

@@ -555,6 +555,7 @@ impl MinCutService {
     /// [`MinCutService::dynamic_lambda`]. The handle's
     /// [`DynamicMinCut`] is the only copy of its graph's λ and witness,
     /// so every read reflects the handle's own updates and nothing else.
+    /// Like [`DynamicMinCut::new`], it refuses an inexact solver.
     pub fn register_dynamic(
         &self,
         graph: impl Into<DeltaGraph>,
@@ -818,7 +819,7 @@ impl MinCutService {
         // never shadows an exact same-graph one.
         let fp_group = format!("fp:{fingerprint:016x}");
         // The cache key is the resolved instance name (which encodes the
-        // queue, thread count, ε, repetitions) plus the fields that can
+        // queue and ParCut's thread count) plus the fields that can
         // change the result independently of the name.
         let config_key = format!(
             "{instance}|seed={}|witness={}|red={}",

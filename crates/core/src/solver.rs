@@ -22,14 +22,9 @@ use crate::MinCutResult;
 pub enum Guarantee {
     /// Always returns λ(G).
     Exact,
-    /// Returns the value of an actual cut ≥ λ(G); equals λ with high
-    /// probability (Karger–Stein).
-    MonteCarlo,
-    /// Returns the value of an actual cut ≥ λ(G), no probability bound
-    /// (VieCut — in practice usually λ itself).
+    /// Returns the value of an actual cut ≥ λ(G) (VieCut — in practice
+    /// usually λ itself).
     UpperBound,
-    /// Returns the value of an actual cut in [λ, (2+ε)·λ] (Matula).
-    TwoPlusEpsilon,
 }
 
 impl Guarantee {
@@ -45,9 +40,6 @@ pub struct Capabilities {
     pub guarantee: Guarantee,
     /// Reads [`SolveOptions::pq`] (or accepts a queue-pinned name).
     pub uses_pq: bool,
-    /// Output value may vary with [`SolveOptions::seed`] (inexact
-    /// solvers; exact solvers return λ for every seed).
-    pub randomized_value: bool,
     /// Reads [`SolveOptions::initial_bound`] to seed λ̂ (the NOI family).
     /// Drivers that donate bounds — the batch service's bound sharing —
     /// skip solvers without this.

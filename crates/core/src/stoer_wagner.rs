@@ -10,7 +10,7 @@
 //! The paper shows this algorithm is far slower in practice than NOI
 //! (experiments of Jünger et al.), so here it serves two roles: a
 //! comparator, and — one phase at a time — the *guaranteed-progress
-//! fallback* that the NOI, ParCut and Matula drivers take through the
+//! fallback* that the NOI and ParCut drivers take through the
 //! shared contraction state's `sw_rescue` when a (bounded /
 //! early-terminated) CAPFOREST pass marks no edge (§3.3, Algorithm 2
 //! lines 4–6 use plain CAPFOREST; a Stoer–Wagner phase is the classical

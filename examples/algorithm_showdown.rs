@@ -1,13 +1,13 @@
 //! Runs every registered solver — the paper's optimised variants, its
-//! comparators and the inexact heuristics — on one instance and prints a
-//! ranking table, a miniature of the paper's Figure 4.
+//! exact comparators and the VieCut heuristic — on one instance and
+//! prints a ranking table, a miniature of the paper's Figure 4.
 //!
 //! The solver list is *enumerated from the registry*, so a newly
 //! registered algorithm shows up here with no code change.
 //!
 //! Run with: `cargo run --release --example algorithm_showdown`
 //! (set SHOWDOWN_N to change the instance size; default 2^12 vertices;
-//! set SHOWDOWN_ALL=1 to include the very slow comparators)
+//! set SHOWDOWN_ALL=1 to include the very slow Gomory–Hu comparator)
 
 use sm_mincut::graph::generators::{barabasi_albert, random_hyperbolic_graph, RhgParams};
 use sm_mincut::graph::kcore::k_core_lcc;
@@ -34,9 +34,7 @@ fn instances() -> Vec<(&'static str, CsrGraph)> {
 fn kind(g: Guarantee) -> &'static str {
     match g {
         Guarantee::Exact => "exact",
-        Guarantee::MonteCarlo => "monte-carlo",
         Guarantee::UpperBound => "heuristic",
-        Guarantee::TwoPlusEpsilon => "(2+ε)-approx",
     }
 }
 
@@ -46,7 +44,7 @@ fn main() {
     // about flow-based methods). Opt in with SHOWDOWN_ALL=1.
     let skip_slow = std::env::var("SHOWDOWN_ALL").is_err();
     // Every parallel layer runs at the default width: all hardware threads.
-    let opts = SolveOptions::new().seed(9).repetitions(5);
+    let opts = SolveOptions::new().seed(9);
 
     for (name, g) in instances() {
         println!("\n=== {name}: n = {}, m = {} ===", g.n(), g.m());

@@ -85,7 +85,9 @@ OPTIONS:
                           (default noi-viecut)
   -q, --queue <KIND>      bstack | bqueue | heap (default heap)
   -t, --threads <N>       width of every parallel layer: ParCut's scan
-                          workers and label propagation (contraction is
+                          workers, label propagation and Padberg-Rinaldi
+                          edge classification (the last two only on
+                          graphs of 2^20 arcs or more; contraction is
                           sequential); 1 runs the solve single-threaded
                           and deterministic (default: all cores)
   -s, --seed <N>          RNG seed (default 42)
@@ -129,13 +131,13 @@ STREAM MODE:
                           `i u v w` insert, `d u v` delete, `q` query,
                           and with --cactus also `qc` (count all minimum
                           cuts) and `qs u v` (a minimum cut separating u
-                          from v; consecutive `qs` lines are answered as
-                          one batch from a single cached cactus)
+                          from v, read off the maintained cactus)
                           (0-based vertices, `#`/`%` comments) —
                           through the service's dynamic API; emits one
                           JSON object per op on stdout with the
                           maintained lambda, and the DynamicStats on
-                          stderr (--side/--edges are single-graph only)
+                          stderr (--side/--edges are single-graph only;
+                          -a must name an exact solver, not viecut)
 
 SOLVERS (cli name, paper name, description):
 {names}"

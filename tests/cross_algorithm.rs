@@ -78,16 +78,9 @@ proptest! {
     #[test]
     fn inexact_algorithms_upper_bound(g in small_graph(), seed in 0u64..1000) {
         let expected = brute_force_mincut(&g);
-        let opts = SolveOptions::new().seed(seed).repetitions(2).epsilon(0.5);
-        for name in ["VieCut", "KargerStein", "Matula"] {
-            let r = cut(&g, name, opts.clone());
-            prop_assert!(r.value >= expected, "{} went below λ", name);
-            prop_assert!(r.verify(&g), "{} must report an actual cut", name);
-            if name == "Matula" {
-                let bound = ((2.0 + opts.epsilon) * expected as f64).floor() as u64;
-                prop_assert!(r.value <= bound, "(2+ε) violated by {}", name);
-            }
-        }
+        let r = cut(&g, "VieCut", SolveOptions::new().seed(seed));
+        prop_assert!(r.value >= expected, "VieCut went below λ");
+        prop_assert!(r.verify(&g), "VieCut must report an actual cut");
     }
 }
 

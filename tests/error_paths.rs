@@ -468,12 +468,15 @@ fn cli_exit_codes_for_single_graph_failures() {
     assert_eq!(out.status.code(), Some(1));
 
     // Unknown solver: usage error, detected before the graph loads.
-    let out = mincut_bin()
-        .args(["-a", "nope"])
-        .arg(data("triangle.graph"))
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    // Matula's approximation is not a registered solver either.
+    for name in ["nope", "matula"] {
+        let out = mincut_bin()
+            .args(["-a", name])
+            .arg(data("triangle.graph"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{name}");
+    }
 
     // Unknown flag / missing graph: usage errors.
     assert_eq!(
@@ -681,6 +684,21 @@ fn cli_stream_mode_exit_codes_and_output() {
     assert_eq!(lambdas, vec!["1", "2", "1", "1", "0", "1", "1"]);
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("stream: {"), "{stderr}");
+
+    // An inexact solver is refused before the first op: VieCut's value
+    // is only an upper bound, so no λ row may be printed from it.
+    let out = mincut_bin()
+        .args(["--stream"])
+        .arg(data("barbell.trace"))
+        .args(["-a", "viecut"])
+        .arg(data("barbell.txt"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("\"lambda\""), "{stdout}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("exact solver"), "{stderr}");
 
     // Malformed traces: runtime failures (exit 1) naming the line.
     for (name, content) in [
