@@ -45,7 +45,9 @@
 //!   N(v) against those bits, O(deg v), and stops as soon as the common
 //!   neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not the sum.
 //!   The bitset is n/64 words, so it stays in cache; u's words are
-//!   cleared before the next vertex.
+//!   cleared before the next vertex. An edge whose endpoints the run has
+//!   already united takes no test at all (see "Classify, then decide, in
+//!   waves" below).
 //!
 //! **Re-testing only what a contraction touched, at any λ̂.** A
 //! contraction *touches* every vertex it merges and every neighbour of a
@@ -71,29 +73,50 @@
 //! 2 014 659 of the 2 020 165 edges that reach test 3 in the first run
 //! have no common neighbour, and the record holds 5 275 misses.
 //!
-//! **Classify, then decide.** A run of `heavy-edge` or `padberg-rinaldi`
-//! reads a fixed graph at a fixed λ̂: it contracts only after its last
-//! edge, and λ̂ changes only with a contraction. So no test on an edge —
-//! test 1, test 2's degree condition, test 3's common-neighbour sum, or
-//! the recorded sum of an untouched edge — reads anything an earlier
-//! edge of the run decides. The classify phase runs them on chunks of
-//! consecutive vertices, on as many workers as the solve's threads past
-//! [`par::MIN_PARALLEL_ARCS`] arcs, each worker on its own bitset, and
-//! keeps a two-bit verdict per edge. Every step whose outcome depends on
-//! the order of the edges happens in the decide phase, on one thread,
-//! chunk by chunk in pass order: each union and whether it merged two
-//! blocks, test 2's matching, test 3 on an edge the matching blocks,
-//! each miss's place in the record, and the counters. So every union,
-//! kernel, λ̂ trajectory, witness and record, and every `reduce/pass`
-//! span argument but `workers`, is the same at every width. A lone
-//! worker decides each chunk as soon as it has classified it.
+//! **Classify, then decide, in waves.** A run of `heavy-edge` or
+//! `padberg-rinaldi` reads a fixed graph at a fixed λ̂: it contracts only
+//! after its last edge, and λ̂ changes only with a contraction. So no
+//! test on an edge — test 1, test 2's degree condition, test 3's
+//! common-neighbour sum, or the recorded sum of an untouched edge — reads
+//! anything an earlier edge of the run decides. The run splits its
+//! vertices into chunks of consecutive ids and takes them in waves of 1,
+//! 2, 4, … chunks by chunk index (`heavy-edge`, which probes nothing, in
+//! one wave). In a wave's classify phase the workers, as many as the
+//! solve's threads past [`par::MIN_PARALLEL_ARCS`] arcs, run the tests on
+//! its chunks, each worker on its own bitset, and keep a two-bit verdict
+//! per edge. Then one worker decides the wave, chunk by chunk in pass
+//! order, before the next wave starts: each union and whether it merged
+//! two blocks, test 2's matching, test 3 on an edge the matching blocks,
+//! each miss's place in the record, and the counters. One `par::map_each`
+//! runs every wave; its workers meet at a barrier after each phase.
+//!
+//! A wave's classifiers read the run's union-find as the decided waves
+//! left it, and a touched edge whose endpoints it already joins takes no
+//! test: it counts in `edges_tested` and in `united`. The skip changes
+//! only work. A test-1 or test-3 union of joined endpoints merges
+//! nothing. Test 2's union fails on them, so it marks no vertex matched,
+//! and its test-3 fallback can at most record a miss. Such a miss has
+//! both endpoints in one merged block, so the run's own contraction
+//! drops it from the record. A run that joins most vertices into few
+//! blocks skips most edges of its later waves, whatever the vertex
+//! order: on the seed-1 `rhg_solve` benchmark input, whose ids the
+//! benchmark permutes at random, the run that collapses the graph skips
+//! 4 129 130 of its 4 588 905 edges, and test 3 probes 4.73 M adjacency
+//! entries instead of 44.18 M.
+//!
+//! The waves depend on chunk indices only, and a lone worker, which runs
+//! inline, also classifies a whole wave before it decides any of it. So
+//! every union, kernel, λ̂ trajectory, witness and record, and every
+//! `reduce/pass` span argument but `workers` (`probes` and `united`
+//! included), is the same at every width.
 //!
 //! Contractions run through
 //! [`ContractionEngine::contract`](mincut_graph::ContractionEngine::contract),
 //! the same accumulator every solver's round loop uses.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use mincut_ds::{par, UnionFind};
@@ -270,6 +293,7 @@ impl Pass {
         if let Some(work) = work {
             pass_span.arg("edges_tested", work.edges_tested);
             pass_span.arg("from_record", work.from_record);
+            pass_span.arg("united", work.united);
             pass_span.arg("probes", work.probes);
             pass_span.arg("recorded", work.recorded);
             pass_span.arg("workers", work.workers);
@@ -576,7 +600,8 @@ const TRIANGLE_DEGREE_BUDGET: usize = 256;
 /// contractions on the benchmark families. Marks contractible edges in
 /// `uf`; returns the number of successful unions. The tests run on up
 /// to `threads` workers past [`par::MIN_PARALLEL_ARCS`] arcs, with the
-/// same unions at every width.
+/// same unions at every width, and skip every edge whose endpoints `uf`
+/// already joins when its wave is classified (see the module doc).
 pub fn padberg_rinaldi_pass(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,
@@ -599,11 +624,14 @@ struct PrWork {
     /// Successful unions.
     unions: usize,
     /// Edges the pass tested: every edge on a full pass, the touched ones
-    /// on a re-run.
+    /// on a re-run, each skipped edge (`united`) included.
     edges_tested: u64,
     /// Untouched edges a re-run decided from its last run's record,
     /// without a probe.
     from_record: u64,
+    /// Touched edges whose endpoints the run had already joined when it
+    /// classified them, so they took no test; counted in `edges_tested`.
+    united: u64,
     /// Adjacency entries of N(v) test 3 probed.
     probes: u64,
     /// Entries the pass left in its record, after its contraction.
@@ -657,7 +685,7 @@ enum Verdict {
 struct Verdicts {
     codes: Vec<u64>,
     sums: Vec<EdgeWeight>,
-    /// The chunk's `edges_tested`, `from_record` and `probes`.
+    /// The chunk's `edges_tested`, `from_record`, `united` and `probes`.
     work: PrWork,
 }
 
@@ -714,15 +742,18 @@ impl Classifier {
     }
 
     /// Classifies the upper edges of the vertices `lo..hi` into
-    /// `verdicts`, with their `edges_tested`, `from_record` and `probes`
-    /// counts. A touched edge takes test 1, test 2's degree condition and
-    /// test 3; an untouched one test 1 and, for test 3, its sum in the
-    /// record (0 if absent).
+    /// `verdicts`, with their `edges_tested`, `from_record`, `united` and
+    /// `probes` counts. A touched edge whose endpoints `joined` (the
+    /// run's union-find, once it has united anything) already joins takes
+    /// no test; any other touched edge takes test 1, test 2's degree
+    /// condition and test 3; an untouched one test 1 and, for test 3, its
+    /// sum in the record (0 if absent).
     fn classify<T: Fn(NodeId) -> bool>(
         &mut self,
         input: &PrInput<'_, T>,
         lo: NodeId,
         hi: NodeId,
+        joined: Option<&UnionFind>,
         verdicts: &mut Verdicts,
     ) {
         let PrInput {
@@ -744,6 +775,10 @@ impl Classifier {
             let du = g.weighted_degree(u);
             let touched_u = (input.touched)(u);
             let (nu, wu) = g.arc_slices(u);
+            // u's block, when the run has joined u with other vertices.
+            let block = joined
+                .filter(|uf| !uf.is_singleton(u))
+                .map(|uf| (uf, uf.root(u)));
             let mut bits_set = false;
             let upper = nu.partition_point(|&v| v <= u);
             for (at, (&v, &w)) in (row + upper..).zip(nu[upper..].iter().zip(&wu[upper..])) {
@@ -767,6 +802,12 @@ impl Classifier {
                     }
                 } else {
                     work.edges_tested += 1;
+                    if block.is_some_and(|(uf, b)| uf.root(v) == b) {
+                        // Already joined: a union would merge nothing (see
+                        // the module doc).
+                        work.united += 1;
+                        continue;
+                    }
                     if w >= lambda_hat {
                         // Test 1: every u-v-separating cut costs ≥ c(e) ≥ λ̂.
                         Verdict::Unite
@@ -866,6 +907,7 @@ impl Decide<'_> {
         });
         self.work.edges_tested += verdicts.work.edges_tested;
         self.work.from_record += verdicts.work.from_record;
+        self.work.united += verdicts.work.united;
         self.work.probes += verdicts.work.probes;
     }
 
@@ -941,15 +983,36 @@ fn chunk_bounds(g: &CsrGraph) -> Vec<NodeId> {
     bounds
 }
 
+/// The classify phase's waves: runs of 1, 2, 4, … chunks by chunk index,
+/// or one wave of every chunk without test 3 (`heavy-edge`, which
+/// probes nothing).
+fn waves(chunks: usize, triangles: bool) -> Vec<Range<usize>> {
+    let mut waves = Vec::new();
+    let (mut start, mut len) = (0, 1);
+    while start < chunks {
+        let end = if triangles {
+            chunks.min(start + len)
+        } else {
+            chunks
+        };
+        waves.push(start..end);
+        (start, len) = (end, 2 * len);
+    }
+    waves
+}
+
 /// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass, in
-/// two phases. In the classify phase up to `workers` workers claim
-/// chunks of consecutive vertices (see [`chunk_bounds`]) from a shared
-/// cursor and record, for each upper edge, a verdict from the tests that
-/// read only `input`. In the decide phase one thread applies the chunks'
-/// verdicts in pass order: the unions, test 2's matching, the misses and
-/// the counters. Tests the edges `(u, v)` with `touched(u) || touched(v)`
-/// and decides every other edge by test 1 and by its sum in the record
-/// for test 3. `misses` collects this run's record.
+/// two phases per wave (see [`waves`]). In the classify phase up to
+/// `workers` workers claim the wave's chunks of consecutive vertices
+/// (see [`chunk_bounds`]) from a shared cursor and record, for each upper
+/// edge, a verdict from the tests that read only `input`, skipping the
+/// tests on an edge whose endpoints `uf` already joins. In the decide
+/// phase one worker applies the wave's verdicts in pass order: the
+/// unions, test 2's matching, the misses and the counters. Only then does
+/// the next wave start. Tests the edges `(u, v)` with
+/// `touched(u) || touched(v)` and decides every other edge by test 1 and
+/// by its sum in the record for test 3. `misses` collects this run's
+/// record.
 fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
     input: &PrInput<'_, T>,
     uf: &mut UnionFind,
@@ -958,8 +1021,11 @@ fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
 ) -> PrWork {
     let g = input.g;
     let bounds = chunk_bounds(g);
-    let workers = workers.min(bounds.len() - 1).max(1);
-    let mut decide = Decide {
+    let chunks = bounds.len() - 1;
+    let workers = workers.min(chunks).max(1);
+    let triangles = input.triangle_budget > 0;
+    let waves = waves(chunks, triangles);
+    let decide = RwLock::new(Decide {
         g,
         lambda_hat: input.lambda_hat,
         triangle_budget: input.triangle_budget,
@@ -970,48 +1036,51 @@ fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
             workers,
             ..PrWork::default()
         },
-    };
-    let triangles = input.triangle_budget > 0;
-    let mut states: Vec<(Classifier, Verdicts, Option<&mut Decide>)> = (0..workers)
-        .map(|_| (Classifier::new(g.n(), triangles), Verdicts::default(), None))
-        .collect();
-    // A lone worker claims the chunks in pass order, so it decides each
-    // one as soon as it has classified it, in one reused buffer.
-    if let [(_, _, lone)] = &mut states[..] {
-        *lone = Some(&mut decide);
-    }
-    // The cursor only hands out chunk indices; several workers return
-    // their verdicts through the join.
+    });
+    // One verdict buffer per chunk of the widest wave, reused by every
+    // wave.
+    let widest = waves.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+    let slots: Vec<Mutex<Verdicts>> = (0..widest).map(|_| Mutex::default()).collect();
+    // The cursor only hands out chunk indices; the barrier orders
+    // everything else.
     let cursor = AtomicUsize::new(0);
-    // Every worker is running before any claims a chunk, so even a small
-    // graph's chunks spread over all of them.
-    let start = Barrier::new(workers);
-    let mut classified: Vec<(usize, Verdicts)> =
-        par::map_each(&mut states, |_, (c, verdicts, lone)| {
-            start.wait();
-            let mut mine = Vec::new();
+    let barrier = par::Barrier::new(workers);
+    let mut classifiers: Vec<Classifier> = (0..workers)
+        .map(|_| Classifier::new(g.n(), triangles))
+        .collect();
+    const POISONED: &str = "only a panicking worker poisons a lock, and the broken barrier \
+                            stops the others before they lock again";
+    par::map_each(&mut classifiers, |worker, c| {
+        let _guard = barrier.break_on_panic();
+        for wave in &waves {
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = bounds.get(i..i + 2) else {
-                    return mine;
-                };
-                c.classify(input, chunk[0], chunk[1], verdicts);
-                match lone {
-                    Some(decide) => decide.chunk(chunk[0], verdicts),
-                    None => mine.push((i, std::mem::take(verdicts))),
+                if i >= wave.end {
+                    break;
                 }
+                // No decide runs during a classify phase, so every worker
+                // reads the union-find as the last wave left it.
+                let decide = decide.read().expect(POISONED);
+                let joined = (decide.uf.count() < decide.uf.len()).then_some(&*decide.uf);
+                let mut verdicts = slots[i - wave.start].lock().expect(POISONED);
+                c.classify(input, bounds[i], bounds[i + 1], joined, &mut verdicts);
             }
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    drop(states);
-    // Pass order, not the order the workers claimed the chunks in.
-    classified.sort_unstable_by_key(|&(i, _)| i);
-    for (i, verdicts) in &classified {
-        decide.chunk(bounds[*i], verdicts);
-    }
-    decide.work
+            if !barrier.wait() {
+                return;
+            }
+            if worker == 0 {
+                let mut decide = decide.write().expect(POISONED);
+                for (i, slot) in wave.clone().zip(&slots) {
+                    decide.chunk(bounds[i], &slot.lock().expect(POISONED));
+                }
+                cursor.store(wave.end, Ordering::Relaxed);
+            }
+            if !barrier.wait() {
+                return;
+            }
+        }
+    });
+    decide.into_inner().expect(POISONED).work
 }
 
 #[cfg(test)]
@@ -1491,6 +1560,47 @@ mod tests {
             }
         }
         assert!(budget_binds, "the degree budget must change some pass");
+    }
+
+    #[test]
+    fn edges_the_run_has_united_skip_their_tests() {
+        // Six dense cliques of 12 consecutive ids in a ring, each
+        // spanning several chunks, so every wave after the first finds
+        // part of a clique joined by earlier waves. At λ̂ = 2 test 3
+        // unites every clique pair with a common neighbour, and the run
+        // skips the tests on each touched edge it has already united:
+        // the oracle, which tests every edge, gives the same unions and
+        // blocks, at 1, 2 and 4 workers, and every edge still counts as
+        // tested once.
+        let mut rng = SmallRng::seed_from_u64(0x5c1);
+        for trial in 0..8 {
+            let (k, s) = (6u32, 12u32);
+            let mut edges = Vec::new();
+            for c in 0..k {
+                for a in c * s..(c + 1) * s {
+                    for b in a + 1..(c + 1) * s {
+                        if rng.gen_bool(0.9) {
+                            edges.push((a, b, rng.gen_range(1..4)));
+                        }
+                    }
+                }
+                edges.push((c * s, (c + 1) % k * s + 1, 1));
+            }
+            let g = CsrGraph::from_edges((k * s) as usize, &edges);
+            assert!(
+                chunk_bounds(&g).len() > 3 * k as usize,
+                "a clique spans chunks"
+            );
+            for lambda_hat in [2, 4, 6, 9, 13, 20] {
+                let tag = format!("cliques trial {trial}");
+                assert_matches_full_merge(&g, lambda_hat, TRIANGLE_DEGREE_BUDGET, &tag);
+                let (work, _, _) = full_pass(&g, lambda_hat, TRIANGLE_DEGREE_BUDGET, 1);
+                assert_eq!(work.edges_tested, g.m() as u64, "{tag}, λ̂ {lambda_hat}");
+                if lambda_hat == 2 {
+                    assert!(work.united > 0, "{tag}: joined edges skip their tests");
+                }
+            }
+        }
     }
 
     /// A ring of 8–24 segments joined by one or two edges of weight 1–2.

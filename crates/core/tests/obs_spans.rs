@@ -130,7 +130,8 @@ fn enabled_tracing_captures_every_solver_layer() {
     }
 
     // Every run of either pass also reports the edges it decided from
-    // its last run's record, the record it leaves, and the workers that
+    // its last run's record, the edges it skipped because it had already
+    // united their endpoints, the record it leaves, and the workers that
     // classified its edges: one, below `par::MIN_PARALLEL_ARCS` arcs.
     for pass in ["heavy-edge", "padberg-rinaldi"] {
         let name = ArgValue::from(pass);
@@ -139,10 +140,20 @@ fn enabled_tracing_captures_every_solver_layer() {
             .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
         {
             u64_arg(run, "from_record");
+            u64_arg(run, "united");
             u64_arg(run, "recorded");
             assert_eq!(u64_arg(run, "workers"), 1, "{pass} workers");
         }
     }
+    // The ring of cliques has consecutive ids, so the first
+    // `padberg-rinaldi` run has joined part of a clique by the time a
+    // later wave classifies the rest of it.
+    let name = ArgValue::from("padberg-rinaldi");
+    let first = events
+        .iter()
+        .find(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
+        .expect("checked above");
+    assert!(u64_arg(first, "united") > 0, "{:?}", first.args);
 
     // The solve span carries the telemetry args the exporter documents.
     let solve = events

@@ -16,10 +16,11 @@
 //! solve is sequential and deterministic. There is no work stealing:
 //! callers split their work evenly across the states, or let the
 //! workers pull indices from a shared cursor, as the service and the
-//! Padberg–Rinaldi classify phase do.
+//! Padberg–Rinaldi classify phase do. Workers that must meet between
+//! steps, as the classify phase's waves do, share a [`Barrier`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Below this many arcs a loop over a graph runs one worker, inline.
 /// The value was measured for label propagation, whose workers share
@@ -94,9 +95,122 @@ where
     })
 }
 
+/// A barrier for the workers of one [`map_each`] call that a panicking
+/// worker breaks: each worker holds a [`Barrier::break_on_panic`] guard
+/// while it runs, and should it panic, every [`Barrier::wait`] returns
+/// `false` instead of waiting for it forever, so `map_each` can join the
+/// others and resume the panic.
+pub struct Barrier {
+    workers: usize,
+    state: Mutex<BarrierState>,
+    turned: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    /// Workers waiting in the current round.
+    arrived: usize,
+    /// Rounds completed.
+    round: u64,
+    /// A worker panicked.
+    broken: bool,
+}
+
+/// Breaks its [`Barrier`] if dropped while its thread panics.
+pub struct BreakOnPanic<'a>(&'a Barrier);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().broken = true;
+            self.0.turned.notify_all();
+        }
+    }
+}
+
+impl Barrier {
+    /// A barrier for `workers` workers (at least one).
+    pub fn new(workers: usize) -> Self {
+        Barrier {
+            workers: workers.max(1),
+            state: Mutex::default(),
+            turned: Condvar::new(),
+        }
+    }
+
+    /// Blocks until every worker has called `wait` in this round, then
+    /// returns `true`; returns `false` once a worker has panicked. A lone
+    /// worker never blocks.
+    pub fn wait(&self) -> bool {
+        let mut s = self.lock();
+        if s.broken {
+            return false;
+        }
+        s.arrived += 1;
+        if s.arrived == self.workers {
+            s.arrived = 0;
+            s.round += 1;
+            self.turned.notify_all();
+            return true;
+        }
+        let round = s.round;
+        while s.round == round && !s.broken {
+            s = self.turned.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.round != round
+    }
+
+    /// The guard a worker holds while it runs.
+    pub fn break_on_panic(&self) -> BreakOnPanic<'_> {
+        BreakOnPanic(self)
+    }
+
+    /// The state, also after a panic: no code that can panic runs under
+    /// the lock, and each update is a plain store.
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn barrier_rounds_keep_workers_in_step() {
+        // Each round every worker adds one, then all check the total.
+        let barrier = Barrier::new(3);
+        let total = AtomicU64::new(0);
+        let mut states = [0u64; 3];
+        map_each(&mut states, |_, seen| {
+            let _guard = barrier.break_on_panic();
+            for round in 1..=4 {
+                total.fetch_add(1, Ordering::SeqCst);
+                assert!(barrier.wait());
+                *seen = total.load(Ordering::SeqCst);
+                assert_eq!(*seen, 3 * round);
+                assert!(barrier.wait());
+            }
+        });
+        assert_eq!(states, [12; 3]);
+    }
+
+    #[test]
+    fn a_panicking_worker_breaks_the_barrier() {
+        // Worker 1 panics before it reaches the barrier; worker 0 must
+        // stop waiting, so map_each joins both and resumes the panic.
+        let barrier = Barrier::new(2);
+        let mut states = [false; 2];
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_each(&mut states, |i, waited| {
+                let _guard = barrier.break_on_panic();
+                assert_eq!(i, 0, "worker {i} panics");
+                *waited = !barrier.wait();
+            })
+        }));
+        assert!(joined.is_err(), "the panic reaches the caller");
+        assert_eq!(states, [true, false], "worker 0 saw a broken barrier");
+    }
 
     #[test]
     fn width_one_runs_inline_in_order() {

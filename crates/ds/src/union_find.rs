@@ -73,6 +73,26 @@ impl UnionFind {
         }
     }
 
+    /// Representative of the set containing `x`, read without path
+    /// halving, so threads may share the structure while no one unites.
+    #[inline]
+    pub fn root(&self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            if p == x {
+                return x;
+            }
+            x = p;
+        }
+    }
+
+    /// Whether `x` is alone in its set. A root that heads other members
+    /// was linked to, and union by rank leaves such a root at rank ≥ 1.
+    #[inline]
+    pub fn is_singleton(&self, x: u32) -> bool {
+        self.parent[x as usize] == x && self.rank[x as usize] == 0
+    }
+
     /// Unites the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let mut ra = self.find(a);
@@ -284,6 +304,19 @@ mod tests {
         assert!(uf.union(1, 4));
         assert!(uf.same(0, 3));
         assert_eq!(uf.count(), 2);
+    }
+
+    #[test]
+    fn shared_reads_match_find() {
+        let mut uf = UnionFind::new(6);
+        for (a, b) in [(0, 1), (2, 3), (1, 3), (4, 0)] {
+            uf.union(a, b);
+        }
+        for x in 0..6 {
+            assert_eq!(uf.is_singleton(x), x == 5, "vertex {x}");
+            let root = uf.root(x);
+            assert_eq!(root, uf.find(x), "vertex {x}");
+        }
     }
 
     #[test]

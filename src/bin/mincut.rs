@@ -288,8 +288,9 @@ fn parse_args() -> Options {
 }
 
 /// Writes the observability artifacts (`--trace-out`, `--metrics-out`)
-/// and exits. Every post-argument-parsing exit funnels through here so
-/// traces and metrics survive failures too — that is when they matter.
+/// and exits. Every exit after the arguments and the solver name are
+/// checked funnels through here so traces and metrics survive failures
+/// too — that is when they matter.
 fn finish(cli: &Options, code: i32) -> ! {
     if let Some(path) = &cli.trace_out {
         match sm_mincut::obs::export_chrome_trace(path) {
@@ -338,10 +339,10 @@ fn try_load_graph(path: &str) -> Result<CsrGraph, String> {
     parsed.map_err(|e| format!("failed to parse {path}: {e}"))
 }
 
-fn load_graph(path: &str) -> CsrGraph {
-    try_load_graph(path).unwrap_or_else(|e| {
+fn load_graph(cli: &Options) -> CsrGraph {
+    try_load_graph(&cli.path).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        exit(1)
+        finish(cli, 1)
     })
 }
 
@@ -433,7 +434,7 @@ enum Entry {
 fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
     let manifest = std::fs::File::open(manifest_path).unwrap_or_else(|e| {
         eprintln!("error: cannot open manifest {manifest_path}: {e}");
-        exit(1)
+        finish(cli, 1)
     });
     let mut job_opts = cli.opts.clone();
     // Batch output only reports λ — --side/--edges are rejected up
@@ -447,7 +448,7 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
     for (no, line) in std::io::BufReader::new(manifest).lines().enumerate() {
         let line = line.unwrap_or_else(|e| {
             eprintln!("error: reading manifest {manifest_path}: {e}");
-            exit(1)
+            finish(cli, 1)
         });
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
@@ -461,7 +462,7 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
                 "error: manifest line {}: unexpected token {extra:?}",
                 no + 1
             );
-            exit(2)
+            finish(cli, 2)
         }
         // Under --fail-fast an earlier unreadable entry poisons the
         // rest of the manifest, mirroring the service's job policy.
@@ -583,11 +584,11 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
 /// through the service's dynamic API, one JSON line of maintained λ per
 /// operation. Never returns.
 fn run_stream_mode(cli: &Options, trace_path: &str) -> ! {
-    let g = load_graph(&cli.path);
+    let g = load_graph(cli);
     eprintln!("graph: n = {}, m = {}", g.n(), g.m());
     let trace = std::fs::File::open(trace_path).unwrap_or_else(|e| {
         eprintln!("error: cannot open trace {trace_path}: {e}");
-        exit(1)
+        finish(cli, 1)
     });
     let ops = match parse_trace(std::io::BufReader::new(trace), g.n()) {
         Ok(ops) => ops,
@@ -608,8 +609,9 @@ fn run_stream_mode(cli: &Options, trace_path: &str) -> ! {
     let handle = match registered {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("error: initial solve failed: {e}");
-            exit(1)
+            eprintln!("error: cannot register the stream graph: {e}");
+            sm_mincut::obs::flight().dump_to_stderr("stream registration failure");
+            finish(cli, 1)
         }
     };
 
@@ -730,7 +732,7 @@ fn main() {
         run_stream_mode(&cli, trace);
     }
 
-    let g = load_graph(&cli.path);
+    let g = load_graph(&cli);
     eprintln!("graph: n = {}, m = {}", g.n(), g.m());
 
     if cli.cactus {

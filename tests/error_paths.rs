@@ -772,6 +772,57 @@ fn cli_stream_mode_exit_codes_and_output() {
 }
 
 #[test]
+fn cli_failures_still_write_trace_and_metrics() {
+    // Runs that fail after the arguments are checked still export
+    // `--trace-out` and `--metrics-out`: a stream whose solver is refused
+    // (it says what failed), a graph that does not load, and a manifest
+    // that does not open.
+    let dir = std::env::temp_dir().join("mincut-error-paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let refused = [
+        "--stream".into(),
+        data("barbell.trace").display().to_string(),
+        "-a".into(),
+        "viecut".into(),
+        data("barbell.txt").display().to_string(),
+    ];
+    let missing = ["/nonexistent/missing.txt".to_string()];
+    let batch = ["--batch".to_string(), "/nonexistent/manifest.txt".into()];
+    for (tag, args) in [
+        ("stream_refused", &refused[..]),
+        ("missing_graph", &missing[..]),
+        ("missing_manifest", &batch[..]),
+    ] {
+        let trace = dir.join(format!("{tag}.trace.json"));
+        let metrics = dir.join(format!("{tag}.metrics.json"));
+        let _ = std::fs::remove_file(&trace);
+        let _ = std::fs::remove_file(&metrics);
+        let out = mincut_bin()
+            .args(args)
+            .arg("--trace-out")
+            .arg(&trace)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{tag}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(!stdout.contains("lambda"), "{tag}: {stdout}");
+        let trace = std::fs::read_to_string(&trace).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert!(trace.contains("\"traceEvents\""), "{tag}: {trace}");
+        let metrics = std::fs::read_to_string(&metrics).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert!(metrics.starts_with('{'), "{tag}: {metrics}");
+        if tag == "stream_refused" {
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(
+                stderr.contains("cannot register the stream graph"),
+                "{stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn cli_cactus_mode_exit_codes_and_output() {
     // One-shot cactus summary on a golden instance: exit 0, the JSON
     // carries the hand-verified count (triangle: the 3 singletons).
