@@ -11,6 +11,13 @@
 //! a new contraction accumulator) must leave every pin standing; a
 //! change that does change kernels has to update these values and say
 //! why.
+//!
+//! The pipeline used to run two more passes ahead of `padberg-rinaldi`:
+//! a k-core peel that only offered a bound, and Padberg–Rinaldi's tests
+//! 1 and 2 alone. Deleting them left every kernel, final λ̂ and witness
+//! value here as it was. Only the pass rows changed, as `padberg-rinaldi`
+//! now makes the contractions the test-1-and-2 pass made, and the social
+//! core's λ̂ no longer passes through the peel's 5 on its way from 8 to 3.
 
 use mincut_bench::instances::social_proxy;
 use mincut_core::{ReduceOutcome, ReductionPipeline, SolveContext, SolverStats};
@@ -31,7 +38,7 @@ struct Pin {
     kernel_fingerprint: u64,
     /// Every λ̂ improvement in order; the last entry is the outcome's λ̂.
     lambda_trajectory: &'static [EdgeWeight],
-    passes: [PassPin; 4],
+    passes: [PassPin; 2],
 }
 
 fn kernelize(g: &CsrGraph) -> (ReduceOutcome, Vec<EdgeWeight>) {
@@ -87,21 +94,15 @@ fn rhg_kernel_is_pinned() {
             kernel_m: 0,
             kernel_fingerprint: 0x89cd31291d2aefa4,
             lambda_trajectory: &[11],
-            passes: [
-                ("components", 1, 0, 0),
-                ("degree-bound", 1, 0, 0),
-                ("heavy-edge", 1, 0, 0),
-                ("padberg-rinaldi", 1, 4095, 65428),
-            ],
+            passes: [("components", 1, 0, 0), ("padberg-rinaldi", 1, 4095, 65428)],
         },
     );
 }
 
 #[test]
 fn social_core_kernel_is_pinned() {
-    // Three fixpoint rounds; the satellite cliques bring λ̂ from the
-    // core's minimum degree 8 down to 3. `degree-bound` runs once, ahead
-    // of the fixpoint.
+    // Four fixpoint rounds; the first collapses satellite cliques, whose
+    // blocks bring λ̂ from the core's minimum degree 8 down to 3.
     let (g, _) = k_core_lcc(&social_proxy(1 << 12, 7), 8);
     check(
         "social 8-core",
@@ -110,23 +111,17 @@ fn social_core_kernel_is_pinned() {
             kernel_n: 1,
             kernel_m: 0,
             kernel_fingerprint: 0x89cd31291d2aefa4,
-            lambda_trajectory: &[8, 5, 3],
-            passes: [
-                ("components", 1, 0, 0),
-                ("degree-bound", 1, 0, 0),
-                ("heavy-edge", 3, 1028, 7365),
-                ("padberg-rinaldi", 2, 3034, 25135),
-            ],
+            lambda_trajectory: &[8, 3],
+            passes: [("components", 1, 0, 0), ("padberg-rinaldi", 4, 4062, 32500)],
         },
     );
 }
 
 #[test]
 fn ring_of_cliques_kernel_is_pinned() {
-    // Minimum weighted degree 33, λ = 4. The `degree-bound` pass, which
-    // runs once ahead of the fixpoint, lowers λ̂ to 4 with a whole clique
-    // as its prefix; test 3 then collapses the cliques and the fixpoint
-    // takes a second round to finish the ring.
+    // Minimum weighted degree 33, λ = 4. The first round's test 3
+    // collapses the cliques, whose blocks lower λ̂ to 4 as the minimum
+    // degree of the ring they leave; two more rounds finish the ring.
     let (g, lambda) = known::ring_of_cliques(8, 12, 3, 2);
     assert_eq!(lambda, 4);
     check(
@@ -137,12 +132,7 @@ fn ring_of_cliques_kernel_is_pinned() {
             kernel_m: 1,
             kernel_fingerprint: 0x4c4a445954a535e2,
             lambda_trajectory: &[33, 4],
-            passes: [
-                ("components", 1, 0, 0),
-                ("degree-bound", 1, 0, 0),
-                ("heavy-edge", 2, 4, 4),
-                ("padberg-rinaldi", 2, 90, 531),
-            ],
+            passes: [("components", 1, 0, 0), ("padberg-rinaldi", 3, 94, 535)],
         },
     );
 }

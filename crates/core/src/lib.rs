@@ -56,15 +56,15 @@
 //! ## Kernelization
 //!
 //! Every solve first runs the exact reduction pipeline of the
-//! [`reduce`] module (connected-component split, k-core-order degree
-//! bound, heavy-edge and Padberg–Rinaldi contraction), so the algorithm
-//! body only sees the kernel; λ̂ found along the way combines exactly via
-//! `λ(G) = min(λ̂, λ(kernel))`. The [`SolveOptions::reductions`] knob
-//! disables the pipeline (`--no-reduce` on the CLI), and [`SolverStats`]
-//! reports the kernel size plus per-pass removals:
+//! [`reduce`] module (the connected-component split, then Padberg–Rinaldi
+//! contraction to a fixpoint), so the algorithm body only sees the
+//! kernel; λ̂ found along the way combines exactly via
+//! `λ(G) = min(λ̂, λ(kernel))`. [`SolveOptions::reductions`] set to
+//! `false` disables the pipeline (`--no-reduce` on the CLI), and
+//! [`SolverStats`] reports the kernel size plus per-pass removals:
 //!
 //! ```
-//! use mincut_core::{Reductions, Session, SolveOptions};
+//! use mincut_core::{Session, SolveOptions};
 //! use mincut_graph::generators::known;
 //!
 //! let (g, l) = known::two_communities(12, 12, 2, 2, 1);
@@ -73,7 +73,7 @@
 //! assert!(on.stats.kernel_n < g.n(), "clustered graphs kernelize");
 //!
 //! let off = Session::new(&g)
-//!     .options(SolveOptions::new().reductions(Reductions::None))
+//!     .options(SolveOptions::new().reductions(false))
 //!     .run("noi")
 //!     .unwrap();
 //! assert_eq!(off.cut.value, l, "reductions never change exact results");
@@ -167,7 +167,7 @@ pub use error::MinCutError;
 pub use mincut_ds::PqKind;
 pub use mincut_graph::Membership;
 pub use options::SolveOptions;
-pub use reduce::{ReduceOutcome, ReductionPipeline, Reductions};
+pub use reduce::{ReduceOutcome, ReductionPipeline};
 pub use registry::{SolverEntry, SolverRegistry};
 pub use service::{
     BatchJob, BatchReport, BatchStats, CacheStats, DynamicHandle, ErrorPolicy, JobReport,

@@ -12,7 +12,6 @@ use mincut_ds::PqKind;
 use mincut_graph::EdgeWeight;
 
 use crate::error::MinCutError;
-use crate::reduce::Reductions;
 
 /// Unified solver configuration (builder-style).
 ///
@@ -56,10 +55,10 @@ pub struct SolveOptions {
     /// fail with [`MinCutError::TimeBudgetExceeded`] when it runs out.
     pub time_budget: Option<Duration>,
     /// Whether the kernelization pipeline runs before the solver's main
-    /// loop (default: on). See [`Reductions`] and the
-    /// [`reduce`](crate::reduce) module; exactness is never affected —
-    /// the pipeline maintains `λ(G) = min(λ̂, λ(kernel))`.
-    pub reductions: Reductions,
+    /// loop (default: on). See the [`reduce`](crate::reduce) module;
+    /// exactness is never affected — the pipeline maintains
+    /// `λ(G) = min(λ̂, λ(kernel))`.
+    pub reductions: bool,
 }
 
 impl Default for SolveOptions {
@@ -71,7 +70,7 @@ impl Default for SolveOptions {
             initial_bound: None,
             witness: true,
             time_budget: None,
-            reductions: Reductions::default(),
+            reductions: true,
         }
     }
 }
@@ -113,15 +112,15 @@ impl SolveOptions {
         self
     }
 
-    /// Turns kernelization on or off (see [`Reductions`]).
-    pub fn reductions(mut self, reductions: Reductions) -> Self {
+    /// Turns kernelization on or off.
+    pub fn reductions(mut self, reductions: bool) -> Self {
         self.reductions = reductions;
         self
     }
 
     /// Disables kernelization (the CLI's `--no-reduce`).
     pub fn no_reductions(mut self) -> Self {
-        self.reductions = Reductions::None;
+        self.reductions = false;
         self
     }
 

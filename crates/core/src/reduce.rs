@@ -4,14 +4,14 @@
 //! tests shrink the graph to a small kernel before any expensive scan work
 //! (§3; the VieCut line of work). This module makes that a first-class
 //! subsystem instead of per-solver folklore: a [`ReductionPipeline`]
-//! splits off the connected components, then runs its exact passes to a
-//! fixpoint on the same contraction state every solver's round loop uses,
-//! and the resulting [`ReduceOutcome`] carries the kernel, the
-//! [`Membership`] map back to the original vertex set, the best bound λ̂
-//! found on the way (always the value of a real cut, witness included)
-//! and per-pass telemetry.
+//! splits off the connected components, then runs Padberg and Rinaldi's
+//! local tests to a fixpoint on the same contraction state every solver's
+//! round loop uses, and the resulting [`ReduceOutcome`] carries the
+//! kernel, the [`Membership`] map back to the original vertex set, the
+//! best bound λ̂ found on the way (always the value of a real cut, witness
+//! included) and per-pass telemetry.
 //!
-//! **The exactness invariant.** Every pass preserves
+//! **The exactness invariant.** Both passes preserve
 //!
 //! ```text
 //! λ(G) = min(λ̂, λ(kernel))
@@ -20,68 +20,58 @@
 //! * `components` — the mandatory first pass: a disconnected graph has
 //!   λ = 0 with the smallest component as the canonical witness; each
 //!   component collapses to one vertex and the pipeline terminates.
-//! * `degree-bound` — takes the best *prefix cut* along the k-core
-//!   peeling order ([`mincut_graph::kcore::peel_prefix_cuts`]), whose
-//!   values the peel itself sums in its one O(n + m) pass over the arcs.
-//!   Loosely attached structure peels first, so this generalises the
-//!   trivial minimum-degree cut: the first prefix is a single
-//!   minimum-degree vertex, later prefixes capture whole satellite
-//!   communities. Bound only; never contracts, so it runs once, after
-//!   `components` and ahead of the fixpoint. A later peel could only
-//!   lower λ̂, never change λ, and on the pinned graphs
-//!   (`crates/bench/tests/pipeline_kernels.rs`) and the paper-scale
-//!   benchmark inputs its re-runs found nothing.
-//! * `heavy-edge` — contracts every edge with `c(e) ≥ λ̂` (any cut
-//!   separating its endpoints pays at least `c(e)`, so no cut below λ̂ is
-//!   lost) or `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts;
-//!   trivial cuts are covered because the contraction state keeps λ̂ at
-//!   most the minimum weighted degree of every interim kernel).
-//! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
-//!   ([`padberg_rinaldi_pass`], shared with VieCut), adding the
-//!   triangle test 3 on top of the edge-local tests. Test 3 reads the
-//!   common neighbours off a neighbour bitset: the first edge of `u`
-//!   that reaches it sets the bits of N(u) and keeps each x's place in
-//!   u's row, O(deg u) once per vertex; each tested edge then probes
-//!   N(v) against those bits, O(deg v), and stops as soon as the common
-//!   neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not the sum.
-//!   The bitset is n/64 words, so it stays in cache; u's words are
-//!   cleared before the next vertex. An edge whose endpoints the run has
-//!   already united takes no test at all (see "Classify, then decide, in
-//!   waves" below).
+//! * `padberg-rinaldi` — the Padberg–Rinaldi pass
+//!   ([`padberg_rinaldi_pass`], shared with VieCut), run until a run
+//!   unites nothing. Test 1 contracts every edge with `c(e) ≥ λ̂`: any
+//!   cut separating its endpoints pays at least `c(e)`, so no cut below
+//!   λ̂ is lost. Test 2 contracts a matching of the edges with
+//!   `2·c(e) ≥ min(c(u), c(v))`, which is safe for non-trivial cuts.
+//!   Trivial cuts are covered because λ̂ starts at the minimum weighted
+//!   degree and the contraction state re-offers the minimum-degree cut
+//!   after every contraction. Test 3 contracts every edge whose weight,
+//!   plus the cheaper triangle edge of each common neighbour, reaches λ̂.
+//!   It reads the common neighbours off a neighbour bitset: the first
+//!   edge of `u` that reaches it sets the bits of N(u) and keeps each x's
+//!   place in u's row, O(deg u) once per vertex; each tested edge then
+//!   probes N(v) against those bits, O(deg v), and stops as soon as the
+//!   common neighbours' sum reaches `λ̂ − c(e)`: the bound decides, not
+//!   the sum. The bitset is n/64 words, so it stays in cache; u's words
+//!   are cleared before the next vertex. An edge whose endpoints the run
+//!   has already united takes no test at all (see "Classify, then
+//!   decide, in waves" below).
 //!
 //! **Re-testing only what a contraction touched, at any λ̂.** A
 //! contraction *touches* every vertex it merges and every neighbour of a
-//! merged vertex. When `heavy-edge` or `padberg-rinaldi` runs again, it
-//! tests only the edges with an endpoint touched since its last run. An
-//! untouched edge has the same weight, the same endpoint degrees and the
-//! same common neighbours with the same weights as at that run, where it
-//! failed all three tests. It failed test 2's degree condition, which
-//! does not read λ̂: had the condition held, the edge's union, or the
-//! matched or already-united endpoint that blocked it, would have merged
-//! an endpoint. So test 2 fails again. Tests 1 and 3 compare with λ̂,
-//! which only ever falls, so at a lower λ̂ they may now pass. The last
-//! run therefore *records* each test-3 miss with a nonzero
-//! common-neighbour sum as `(u, v, sum)`, in pass order; a miss read all
-//! of N(v), so the sum is whole. Each contraction relabels the entries
-//! of the edges it left untouched and drops the rest. The re-run decides
-//! every untouched edge, in the order of a full pass, by test 1 against
-//! the current λ̂ and by its recorded sum (0 if it has none: no common
-//! neighbour, or past the degree budget) for test 3, which is what a full
-//! pass would compute. Every union happens in the same order, and so the
-//! kernel, the λ̂ trajectory and the witness are those of full passes.
-//! The record stays small: on the seed-1 `social_parcut` benchmark input,
-//! 2 014 659 of the 2 020 165 edges that reach test 3 in the first run
-//! have no common neighbour, and the record holds 5 275 misses.
+//! merged vertex. When `padberg-rinaldi` runs again, it tests only the
+//! edges with an endpoint touched since its last run. An untouched edge
+//! has the same weight, the same endpoint degrees and the same common
+//! neighbours with the same weights as at that run, where it failed all
+//! three tests. It failed test 2's degree condition, which does not read
+//! λ̂: had the condition held, the edge's union, or the matched or
+//! already-united endpoint that blocked it, would have merged an
+//! endpoint. So test 2 fails again. Tests 1 and 3 compare with λ̂, which
+//! only ever falls, so at a lower λ̂ they may now pass. The last run
+//! therefore *records* each test-3 miss with a nonzero common-neighbour
+//! sum as `(u, v, sum)`, in pass order; a miss read all of N(v), so the
+//! sum is whole. Each contraction relabels the entries of the edges it
+//! left untouched and drops the rest. The re-run decides every untouched
+//! edge, in the order of a full pass, by test 1 against the current λ̂
+//! and by its recorded sum (0 if it has none: no common neighbour, or
+//! past the degree budget) for test 3, which is what a full pass would
+//! compute. Every union happens in the same order, and so the kernel, the
+//! λ̂ trajectory and the witness are those of full passes. The record
+//! stays small: on the seed-1 `social_parcut` benchmark input, 2 014 659
+//! of the 2 020 165 edges that reach test 3 in the first run have no
+//! common neighbour, and the record holds 5 275 misses.
 //!
-//! **Classify, then decide, in waves.** A run of `heavy-edge` or
-//! `padberg-rinaldi` reads a fixed graph at a fixed λ̂: it contracts only
-//! after its last edge, and λ̂ changes only with a contraction. So no
-//! test on an edge — test 1, test 2's degree condition, test 3's
-//! common-neighbour sum, or the recorded sum of an untouched edge — reads
-//! anything an earlier edge of the run decides. The run splits its
-//! vertices into chunks of consecutive ids and takes them in waves of 1,
-//! 2, 4, … chunks by chunk index (`heavy-edge`, which probes nothing, in
-//! one wave). In a wave's classify phase the workers, as many as the
+//! **Classify, then decide, in waves.** A run of `padberg-rinaldi` reads
+//! a fixed graph at a fixed λ̂: it contracts only after its last edge, and
+//! λ̂ changes only with a contraction. So no test on an edge — test 1,
+//! test 2's degree condition, test 3's common-neighbour sum, or the
+//! recorded sum of an untouched edge — reads anything an earlier edge of
+//! the run decides. The run splits its vertices into chunks of
+//! consecutive ids and takes them in waves of 1, 2, 4, … chunks by chunk
+//! index. In a wave's classify phase the workers, as many as the
 //! solve's threads past [`par::MIN_PARALLEL_ARCS`] arcs, run the tests on
 //! its chunks, each worker on its own bitset, and keep a two-bit verdict
 //! per edge. Then one worker decides the wave, chunk by chunk in pass
@@ -121,47 +111,17 @@ use std::time::Instant;
 
 use mincut_ds::{par, UnionFind};
 use mincut_graph::components::{connected_components, smallest_component_side};
-use mincut_graph::kcore::peel_prefix_cuts;
 use mincut_graph::{CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::contracted::Contracted;
 use crate::error::MinCutError;
 use crate::stats::{ReductionPassStats, SolveContext};
 
-/// Whether a solve kernelizes before its main loop
-/// ([`SolveOptions::reductions`](crate::SolveOptions::reductions)).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum Reductions {
-    /// The standard pipeline, every pass in canonical order (the default).
-    #[default]
-    All,
-    /// No kernelization (the CLI's `--no-reduce`).
-    None,
-}
-
-impl Reductions {
-    /// Whether any kernelization runs at all.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, Reductions::None)
-    }
-
-    /// Stable spelling used as part of cache keys (the service's kernel
-    /// cache and cut cache must distinguish reduction configurations).
-    pub fn cache_key(&self) -> &'static str {
-        match self {
-            Reductions::All => "all",
-            Reductions::None => "none",
-        }
-    }
-}
-
-/// One exact kernelization pass. Every pass preserves the pipeline
-/// invariant `λ(G) = min(λ̂, λ(kernel))`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One exact kernelization pass. Both preserve the pipeline invariant
+/// `λ(G) = min(λ̂, λ(kernel))`.
+#[derive(Clone, Copy)]
 enum Pass {
     Components,
-    DegreeBound,
-    HeavyEdge,
     PadbergRinaldi,
 }
 
@@ -170,65 +130,34 @@ impl Pass {
     fn name(self) -> &'static str {
         match self {
             Pass::Components => "components",
-            Pass::DegreeBound => "degree-bound",
-            Pass::HeavyEdge => "heavy-edge",
             Pass::PadbergRinaldi => "padberg-rinaldi",
         }
     }
 
-    /// Whether the pass can contract. A bound-only pass cannot change
-    /// λ(kernel), so it runs once, ahead of the fixpoint.
-    fn contracts(self) -> bool {
-        !matches!(self, Pass::DegreeBound)
-    }
-
-    /// Runs the pass once over the kernel; returns whether it contracted
-    /// and, for the edge-testing passes, their work. `slot` is the pass's
-    /// place in the pipeline, which keys its record in `touched`; `since`
-    /// is the [`Touched`] epoch of its last run: the edge-testing passes
-    /// then test only the edges touched after it and decide the rest from
-    /// the record. `None` tests every edge. `workers` classify the edges.
+    /// Runs the pass once over the kernel; returns the work of a
+    /// `padberg-rinaldi` run. `since` is the [`Touched`] epoch of the last
+    /// `padberg-rinaldi` run: it then tests only the edges touched after
+    /// it and decides the rest from the record. `None` tests every edge.
+    /// `workers` classify the edges.
     fn apply(
         self,
         k: &mut Contracted<'_>,
         touched: &mut Touched,
-        slot: usize,
         since: Option<u32>,
         workers: usize,
-    ) -> (bool, Option<PrWork>) {
+    ) -> Option<PrWork> {
         let g = k.graph();
         let n = g.n();
         match self {
             Pass::Components => {
                 let (comp, ncomp) = connected_components(g);
-                if ncomp <= 1 {
-                    return (false, None);
+                if ncomp > 1 {
+                    k.offer_bitmap(0, Some(&smallest_component_side(&comp, ncomp)));
+                    touched.contract(k, &comp, ncomp);
                 }
-                k.offer_bitmap(0, Some(&smallest_component_side(&comp, ncomp)));
-                touched.contract(k, &comp, ncomp);
-                (true, None)
+                None
             }
-            Pass::DegreeBound => {
-                // The first prefix reaching the strict minimum below λ̂;
-                // the whole vertex set (i = n − 1) is no cut.
-                let mut best = (k.lambda(), usize::MAX);
-                let order = peel_prefix_cuts(g, |i, cut| {
-                    if i + 1 < n && cut < best.0 {
-                        best = (cut, i);
-                    }
-                });
-                if best.1 != usize::MAX {
-                    k.offer(best.0, &order[..=best.1]);
-                }
-                (false, None)
-            }
-            Pass::HeavyEdge | Pass::PadbergRinaldi => {
-                // Heavy-edge runs only the edge-local tests 1 and 2
-                // (triangle budget 0).
-                let triangle_budget = match self {
-                    Pass::HeavyEdge => 0,
-                    _ => TRIANGLE_DEGREE_BUDGET,
-                };
+            Pass::PadbergRinaldi => {
                 let mut uf = UnionFind::new(n);
                 let mut misses = Vec::new();
                 let lambda_hat = k.lambda();
@@ -239,7 +168,7 @@ impl Pass {
                         let input = PrInput {
                             g,
                             lambda_hat,
-                            triangle_budget,
+                            triangle_budget: TRIANGLE_DEGREE_BUDGET,
                             touched: |_| true,
                             record: &[],
                         };
@@ -250,20 +179,20 @@ impl Pass {
                         let input = PrInput {
                             g,
                             lambda_hat,
-                            triangle_budget,
+                            triangle_budget: TRIANGLE_DEGREE_BUDGET,
                             touched: |v: NodeId| at[v as usize] > epoch,
-                            record: &touched.records[slot],
+                            record: &touched.record,
                         };
                         pr_pass(&input, &mut uf, Some(&mut misses), workers)
                     }
                 };
-                touched.records[slot] = misses;
+                touched.record = misses;
                 if work.unions > 0 {
                     let (labels, blocks) = uf.dense_labels();
                     touched.contract(k, &labels, blocks);
                 }
-                work.recorded = touched.records[slot].len();
-                (work.unions > 0, Some(work))
+                work.recorded = touched.record.len();
+                Some(work)
             }
         }
     }
@@ -275,10 +204,9 @@ impl Pass {
         k: &mut Contracted<'_>,
         stats: &mut ReductionPassStats,
         touched: &mut Touched,
-        slot: usize,
         since: Option<u32>,
         workers: usize,
-    ) -> (bool, Option<PrWork>) {
+    ) -> Option<PrWork> {
         let t0 = Instant::now();
         let before = (k.graph().n(), k.graph().m());
         let mut pass_span = mincut_obs::span("reduce/pass");
@@ -286,7 +214,7 @@ impl Pass {
         pass_span.arg("n", before.0);
         pass_span.arg("m", before.1);
         pass_span.arg("lambda_hat", k.lambda());
-        let (contracted, work) = self.apply(k, touched, slot, since, workers);
+        let work = self.apply(k, touched, since, workers);
         let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
         pass_span.arg("vertices_removed", removed.0);
         pass_span.arg("edges_removed", removed.1);
@@ -303,38 +231,38 @@ impl Pass {
         stats.vertices_removed += removed.0 as u64;
         stats.edges_removed += removed.1 as u64;
         stats.seconds += t0.elapsed().as_secs_f64();
-        (contracted, work)
+        work
     }
 }
 
-/// Which edges a fixpoint pass must re-test, and what its last run
-/// recorded about the rest (see the module doc). Every contraction of
+/// Which edges a `padberg-rinaldi` re-run must re-test, and what its last
+/// run recorded about the rest (see the module doc). Every contraction of
 /// the pipeline starts a new epoch and stamps each vertex it merged, and
-/// each neighbour of one, with it; a pass that last ran at epoch `e`
+/// each neighbour of one, with it; a run that follows one at epoch `e`
 /// re-tests the edges with an endpoint stamped after `e`.
 struct Touched {
     /// Contractions so far.
     epoch: u32,
     /// Current vertex → the last epoch that touched it (0: none).
     at: Vec<u32>,
-    /// Per pipeline pass: its last run's test-3 misses with a nonzero
-    /// common-neighbour sum, over the edges no contraction has touched
-    /// since, in pass order and current vertex ids.
-    records: Vec<Vec<Miss>>,
+    /// The last run's test-3 misses with a nonzero common-neighbour sum,
+    /// over the edges no contraction has touched since, in pass order and
+    /// current vertex ids.
+    record: Vec<Miss>,
 }
 
 impl Touched {
-    fn new(n: usize, passes: usize) -> Self {
+    fn new(n: usize) -> Self {
         Touched {
             epoch: 0,
             at: vec![0; n],
-            records: vec![Vec::new(); passes],
+            record: Vec::new(),
         }
     }
 
     /// Contracts `k` by `labels` (vertex → block in `[0, blocks)`) and
     /// carries the stamps over: a block keeps its members' latest stamp,
-    /// and a merged block and its neighbours take the new epoch. Each
+    /// and a merged block and its neighbours take the new epoch. The
     /// record keeps, relabelled, the entries whose endpoints both escaped
     /// the new stamp. Those endpoints are singleton blocks, which dense
     /// labels number in vertex order, so the entries stay in pass order.
@@ -354,14 +282,12 @@ impl Touched {
                 at[x as usize] = self.epoch;
             }
         }
-        for record in &mut self.records {
-            record.retain_mut(|m| {
-                m.u = labels[m.u as usize];
-                m.v = labels[m.v as usize];
-                at[m.u as usize] < self.epoch && at[m.v as usize] < self.epoch
-            });
-            debug_assert!(record.is_sorted_by_key(|m| (m.u, m.v)));
-        }
+        self.record.retain_mut(|m| {
+            m.u = labels[m.u as usize];
+            m.v = labels[m.v as usize];
+            at[m.u as usize] < self.epoch && at[m.v as usize] < self.epoch
+        });
+        debug_assert!(self.record.is_sorted_by_key(|m| (m.u, m.v)));
         self.at = at;
     }
 }
@@ -402,24 +328,18 @@ pub fn kernel_is_terminal(kernel_n: usize, lambda_hat: EdgeWeight) -> bool {
     kernel_n < 2 || lambda_hat <= 1
 }
 
-/// The component split and the bound-only passes, followed by the
-/// contracting passes run to a fixpoint.
-pub struct ReductionPipeline {
-    /// The passes, in order. The component split and the bound-only
-    /// passes run once, ahead of the fixpoint over the others.
-    passes: Vec<Pass>,
-}
+/// The component split, followed by Padberg–Rinaldi run to a fixpoint.
+pub struct ReductionPipeline;
 
 /// Fixpoint guard: contraction passes strictly shrink the kernel, so this
 /// is never the binding constraint on sane inputs.
 const MAX_ROUNDS: usize = 32;
 
-/// One run of an edge-testing pass: the λ̂ and edge count it started at,
-/// its work and, in tests, the record it left (read by the tests).
+/// One `padberg-rinaldi` run: the λ̂ and edge count it started at, its
+/// work and, in tests, the record it left (read by the tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(not(test), allow(dead_code))]
 struct PassRun {
-    pass: Pass,
     lambda_hat: EdgeWeight,
     m: usize,
     work: PrWork,
@@ -428,27 +348,21 @@ struct PassRun {
 }
 
 impl ReductionPipeline {
-    /// The standard pipeline: every pass, canonical order.
+    /// The standard pipeline: the component split, then Padberg–Rinaldi
+    /// until a run unites nothing.
     pub fn standard() -> Self {
-        ReductionPipeline {
-            passes: vec![Pass::DegreeBound, Pass::HeavyEdge, Pass::PadbergRinaldi],
-        }
+        ReductionPipeline
     }
 
-    /// Builds the pipeline selected by a [`Reductions`] value: `None` when
-    /// kernelization is disabled.
-    pub fn from_options(r: &Reductions) -> Option<Self> {
-        r.is_enabled().then(Self::standard)
-    }
-
-    /// Kernelizes `g` (n ≥ 2 required). `initial_bound` is an optional
-    /// caller bound — the value of a real cut of `g`, with its side if
-    /// known — that seeds λ̂ and thereby unlocks more heavy-edge
-    /// contractions. Checks the context's time budget between passes.
+    /// Kernelizes `g`. `initial_bound` is an optional caller bound — the
+    /// value of a real cut of `g`, with its side if known — that seeds λ̂
+    /// and thereby unlocks more test-1 and test-3 contractions. Checks the
+    /// context's time budget before each Padberg–Rinaldi run.
     ///
     /// Disconnected inputs terminate immediately with λ̂ = 0 and the
     /// smallest component as witness: the split is the precondition of
-    /// every other pass.
+    /// every other pass. A graph with fewer than two vertices has no cut:
+    /// [`MinCutError::TooFewVertices`].
     pub fn run(
         &self,
         g: &CsrGraph,
@@ -459,11 +373,11 @@ impl ReductionPipeline {
             .map(|(outcome, _)| outcome)
     }
 
-    /// [`ReductionPipeline::run`], also returning each run of an
-    /// edge-testing pass. `retest_all` makes every such run test every
-    /// edge: the reference the touched-edge rounds must match. `workers`
-    /// classifies every run's edges on that many workers, at any graph
-    /// size; `None` applies [`par::width`] at the context's threads.
+    /// [`ReductionPipeline::run`], also returning each `padberg-rinaldi`
+    /// run. `retest_all` makes every run test every edge: the reference
+    /// the touched-edge rounds must match. `workers` classifies every
+    /// run's edges on that many workers, at any graph size; `None` applies
+    /// [`par::width`] at the context's threads.
     fn run_with(
         &self,
         g: &CsrGraph,
@@ -472,7 +386,9 @@ impl ReductionPipeline {
         retest_all: bool,
         workers: Option<usize>,
     ) -> Result<(ReduceOutcome, Vec<PassRun>), MinCutError> {
-        assert!(g.n() >= 2, "kernelization needs at least two vertices");
+        if g.n() < 2 {
+            return Err(MinCutError::TooFewVertices { n: g.n() });
+        }
         // Sides are always tracked (even for witness-off runs) so one
         // outcome can be shared across jobs with different witness
         // settings.
@@ -484,62 +400,40 @@ impl ReductionPipeline {
         }
         ctx.stats.record_lambda(k.lambda());
 
-        let mut pass_stats: Vec<ReductionPassStats> = std::iter::once(&Pass::Components)
-            .chain(&self.passes)
-            .map(|p| ReductionPassStats::new(p.name()))
-            .collect();
-        let (split_stats, pass_stats_rest) = pass_stats.split_at_mut(1);
-        let done = |k: &Contracted<'_>| k.graph().n() <= 2 || k.lambda() <= 1;
+        let mut passes =
+            [Pass::Components, Pass::PadbergRinaldi].map(|p| ReductionPassStats::new(p.name()));
+        let [split_stats, pr_stats] = &mut passes;
 
-        // Every later pass assumes a connected kernel. A split leaves
-        // λ̂ = 0, which ends the pipeline before its next pass.
-        let mut touched = Touched::new(g.n(), self.passes.len());
-        Pass::Components.run(&mut k, &mut split_stats[0], &mut touched, 0, None, 1);
+        // Padberg–Rinaldi assumes a connected kernel. A split leaves
+        // λ̂ = 0, which ends the pipeline before its first run.
+        let mut touched = Touched::new(g.n());
+        Pass::Components.run(&mut k, split_stats, &mut touched, None, 1);
         ctx.stats.record_lambda(k.lambda());
-        let bound_only = self.passes.iter().zip(pass_stats_rest.iter_mut());
-        for (&pass, ps) in bound_only.filter(|(p, _)| !p.contracts()) {
-            if done(&k) {
+
+        // The epoch of the last `padberg-rinaldi` run.
+        let mut last_run = None;
+        let mut runs = Vec::new();
+        for _ in 0..MAX_ROUNDS {
+            if k.graph().n() <= 2 || k.lambda() <= 1 {
                 break;
             }
             ctx.check_budget()?;
-            pass.run(&mut k, ps, &mut touched, 0, None, 1);
+            let since = last_run.filter(|_| !retest_all);
+            last_run = Some(touched.epoch);
+            let (lambda_hat, m) = (k.lambda(), k.graph().m());
+            let width = workers.unwrap_or_else(|| par::width(k.graph().num_arcs(), ctx.threads));
+            let work = Pass::PadbergRinaldi
+                .run(&mut k, pr_stats, &mut touched, since, width)
+                .expect("a padberg-rinaldi run reports its work");
+            runs.push(PassRun {
+                lambda_hat,
+                m,
+                work,
+                #[cfg(test)]
+                record: touched.record.clone(),
+            });
             ctx.stats.record_lambda(k.lambda());
-        }
-
-        // Per pass: the epoch of its last run.
-        let mut last_run: Vec<Option<u32>> = vec![None; self.passes.len()];
-        let mut runs = Vec::new();
-        'rounds: for _ in 0..MAX_ROUNDS {
-            let mut contracted = false;
-            let passes = self.passes.iter().zip(pass_stats_rest.iter_mut());
-            for (slot, ((&pass, ps), last)) in passes.zip(&mut last_run).enumerate() {
-                if !pass.contracts() {
-                    continue;
-                }
-                if done(&k) {
-                    break 'rounds;
-                }
-                ctx.check_budget()?;
-                let since = last.filter(|_| !retest_all);
-                *last = Some(touched.epoch);
-                let (lambda_hat, m) = (k.lambda(), k.graph().m());
-                let width =
-                    workers.unwrap_or_else(|| par::width(k.graph().num_arcs(), ctx.threads));
-                let (did_contract, work) = pass.run(&mut k, ps, &mut touched, slot, since, width);
-                contracted |= did_contract;
-                if let Some(work) = work {
-                    runs.push(PassRun {
-                        pass,
-                        lambda_hat,
-                        m,
-                        work,
-                        #[cfg(test)]
-                        record: touched.records[slot].clone(),
-                    });
-                }
-                ctx.stats.record_lambda(k.lambda());
-            }
-            if !contracted {
+            if work.unions == 0 {
                 break;
             }
         }
@@ -550,7 +444,7 @@ impl ReductionPipeline {
             membership: membership.expect("the pipeline tracks sides"),
             lambda_hat,
             side,
-            passes: pass_stats,
+            passes: passes.into(),
             original_n: g.n(),
             original_m: g.m(),
         };
@@ -654,8 +548,7 @@ struct Miss {
 struct PrInput<'a, T> {
     g: &'a CsrGraph,
     lambda_hat: EdgeWeight,
-    /// Test 3 runs on the edges with `deg(u) + deg(v)` at most this; 0
-    /// disables it, leaving the edge-local tests (`heavy-edge`).
+    /// Test 3 runs on the edges with `deg(u) + deg(v)` at most this.
     triangle_budget: usize,
     /// Whether a vertex was touched since the pass's last run (every
     /// vertex on a full pass).
@@ -734,10 +627,10 @@ struct Classifier {
 }
 
 impl Classifier {
-    fn new(n: usize, triangles: bool) -> Self {
+    fn new(n: usize) -> Self {
         Classifier {
-            bits: vec![0; if triangles { n.div_ceil(64) } else { 0 }],
-            at_u: vec![0; if triangles { n } else { 0 }],
+            bits: vec![0; n.div_ceil(64)],
+            at_u: vec![0; n],
         }
     }
 
@@ -983,25 +876,19 @@ fn chunk_bounds(g: &CsrGraph) -> Vec<NodeId> {
     bounds
 }
 
-/// The classify phase's waves: runs of 1, 2, 4, … chunks by chunk index,
-/// or one wave of every chunk without test 3 (`heavy-edge`, which
-/// probes nothing).
-fn waves(chunks: usize, triangles: bool) -> Vec<Range<usize>> {
+/// The classify phase's waves: runs of 1, 2, 4, … chunks by chunk index.
+fn waves(chunks: usize) -> Vec<Range<usize>> {
     let mut waves = Vec::new();
     let (mut start, mut len) = (0, 1);
     while start < chunks {
-        let end = if triangles {
-            chunks.min(start + len)
-        } else {
-            chunks
-        };
+        let end = chunks.min(start + len);
         waves.push(start..end);
         (start, len) = (end, 2 * len);
     }
     waves
 }
 
-/// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass, in
+/// Shared body of [`padberg_rinaldi_pass`] and the pipeline's pass, in
 /// two phases per wave (see [`waves`]). In the classify phase up to
 /// `workers` workers claim the wave's chunks of consecutive vertices
 /// (see [`chunk_bounds`]) from a shared cursor and record, for each upper
@@ -1023,8 +910,7 @@ fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
     let bounds = chunk_bounds(g);
     let chunks = bounds.len() - 1;
     let workers = workers.min(chunks).max(1);
-    let triangles = input.triangle_budget > 0;
-    let waves = waves(chunks, triangles);
+    let waves = waves(chunks);
     let decide = RwLock::new(Decide {
         g,
         lambda_hat: input.lambda_hat,
@@ -1045,9 +931,7 @@ fn pr_pass<T: Fn(NodeId) -> bool + Sync>(
     // everything else.
     let cursor = AtomicUsize::new(0);
     let barrier = par::Barrier::new(workers);
-    let mut classifiers: Vec<Classifier> = (0..workers)
-        .map(|_| Classifier::new(g.n(), triangles))
-        .collect();
+    let mut classifiers: Vec<Classifier> = (0..workers).map(|_| Classifier::new(g.n())).collect();
     const POISONED: &str = "only a panicking worker poisons a lock, and the broken barrier \
                             stops the others before they lock again";
     par::map_each(&mut classifiers, |worker, c| {
@@ -1092,10 +976,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn kernelize(pipeline: &ReductionPipeline, g: &CsrGraph) -> ReduceOutcome {
+    fn kernelize(g: &CsrGraph) -> ReduceOutcome {
         let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
-        pipeline.run(g, None, &mut ctx).expect("no budget")
+        ReductionPipeline::standard()
+            .run(g, None, &mut ctx)
+            .expect("no budget")
     }
 
     /// The classify widths every pass test compares with the 1-worker
@@ -1111,22 +997,17 @@ mod tests {
         passes: Vec<(&'static str, u64, u64, u64)>,
         trajectory: Vec<EdgeWeight>,
         side: Option<Vec<bool>>,
-        /// Each run of an edge-testing pass, `workers` set to 0 so that
-        /// runs at different widths compare.
+        /// Each `padberg-rinaldi` run, `workers` set to 0 so that runs at
+        /// different widths compare.
         runs: Vec<PassRun>,
     }
 
-    /// Runs `pipeline` on `g` with `workers` classifying every run of an
-    /// edge-testing pass; `retest_all` as in `run_with`.
-    fn pipelined(
-        pipeline: &ReductionPipeline,
-        g: &CsrGraph,
-        retest_all: bool,
-        workers: usize,
-    ) -> Pipelined {
+    /// Runs the pipeline on `g` with `workers` classifying every
+    /// `padberg-rinaldi` run; `retest_all` as in `run_with`.
+    fn pipelined(g: &CsrGraph, retest_all: bool, workers: usize) -> Pipelined {
         let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
-        let (out, mut runs) = pipeline
+        let (out, mut runs) = ReductionPipeline::standard()
             .run_with(g, None, &mut ctx, retest_all, Some(workers))
             .expect("no budget");
         for r in &mut runs {
@@ -1150,20 +1031,20 @@ mod tests {
         }
     }
 
-    /// Asserts that `pipeline` gives the 1-worker run's kernel, λ̂
+    /// Asserts that the pipeline gives the 1-worker run's kernel, λ̂
     /// trajectory, witness, unions, records and work at every width.
-    fn assert_same_at_every_width(pipeline: &ReductionPipeline, g: &CsrGraph, tag: &str) {
-        let want = pipelined(pipeline, g, false, 1);
+    fn assert_same_at_every_width(g: &CsrGraph, tag: &str) {
+        let want = pipelined(g, false, 1);
         for workers in WIDE {
-            let got = pipelined(pipeline, g, false, workers);
+            let got = pipelined(g, false, workers);
             assert_eq!(got, want, "{tag}, {workers} workers");
         }
     }
 
     /// The pipeline invariant: λ(G) = min(λ̂, λ(kernel)), with a real-cut
     /// witness behind λ̂.
-    fn assert_exact(pipeline: &ReductionPipeline, g: &CsrGraph, lambda: EdgeWeight, tag: &str) {
-        let out = kernelize(pipeline, g);
+    fn assert_exact(g: &CsrGraph, lambda: EdgeWeight, tag: &str) {
+        let out = kernelize(g);
         assert!(out.lambda_hat >= lambda, "{tag}: λ̂ below λ");
         let side = out.side.as_ref().expect("pipeline tracks witnesses");
         assert!(g.is_proper_cut(side), "{tag}: improper witness");
@@ -1196,32 +1077,25 @@ mod tests {
         CsrGraph::from_edges(n, &edges)
     }
 
-    /// Each pass alone behind the mandatory component split, which runs
-    /// alone under the name `components`.
-    fn single_pass_pipelines() -> Vec<(&'static str, ReductionPipeline)> {
-        let mut pipelines = vec![("components", ReductionPipeline { passes: vec![] })];
-        for pass in ReductionPipeline::standard().passes {
-            let passes = vec![pass];
-            pipelines.push((pass.name(), ReductionPipeline { passes }));
-        }
-        pipelines
-    }
-
     #[test]
-    fn every_pass_alone_preserves_lambda_on_random_graphs() {
+    fn pipeline_preserves_lambda_on_random_graphs() {
         let mut rng = SmallRng::seed_from_u64(0x2ed);
         for trial in 0..60 {
             let g = random_graph(&mut rng);
             let lambda = known::brute_force_mincut(&g);
-            for (name, p) in single_pass_pipelines() {
-                assert_exact(&p, &g, lambda, &format!("trial {trial}, pass {name}"));
-            }
-            assert_exact(
-                &ReductionPipeline::standard(),
-                &g,
-                lambda,
-                &format!("trial {trial}, standard"),
-            );
+            let tag = format!("trial {trial}");
+            assert_exact(&g, lambda, &tag);
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_vertices_is_an_error() {
+        for n in [0, 1] {
+            let g = CsrGraph::from_edges(n, &[]);
+            let mut stats = SolverStats::default();
+            let mut ctx = SolveContext::new(&mut stats);
+            let err = ReductionPipeline::standard().run(&g, None, &mut ctx);
+            assert_eq!(err.unwrap_err(), MinCutError::TooFewVertices { n });
         }
     }
 
@@ -1235,12 +1109,8 @@ mod tests {
         // triangle's min degree drops λ̂ to 7, and round two finishes.
         let g = CsrGraph::from_edges(5, &[(0, 1, 3), (0, 4, 5), (1, 2, 6), (2, 3, 4), (3, 4, 4)]);
         assert_eq!(known::brute_force_mincut(&g), 7);
-        for (name, p) in single_pass_pipelines() {
-            assert_exact(&p, &g, 7, &format!("pass {name}"));
-            assert_same_at_every_width(&p, &g, &format!("pass {name}"));
-        }
-        assert_exact(&ReductionPipeline::standard(), &g, 7, "standard");
-        assert_same_at_every_width(&ReductionPipeline::standard(), &g, "standard");
+        assert_exact(&g, 7, "standard");
+        assert_same_at_every_width(&g, "standard");
 
         // At λ̂ = 5, edge 0-1 passes test 2 and is matched first. Edge 1-2
         // passes test 2's degree condition, but the matching blocks it,
@@ -1264,20 +1134,21 @@ mod tests {
     #[test]
     fn clustered_instances_shrink_strictly() {
         let (g, l) = known::two_communities(12, 14, 2, 3, 1);
-        let out = kernelize(&ReductionPipeline::standard(), &g);
+        let out = kernelize(&g);
         assert!(out.kernel.n() < g.n(), "clustered graphs must kernelize");
-        assert_eq!(out.lambda_hat, l, "heavy-edge collapse finds λ here");
+        assert_eq!(out.lambda_hat, l, "collapsing the communities finds λ here");
         let (g, l) = known::ring_of_cliques(6, 8, 2, 1);
-        let out = kernelize(&ReductionPipeline::standard(), &g);
+        let out = kernelize(&g);
         assert!(out.kernel.n() < g.n());
         assert!(out.lambda_hat >= l);
     }
 
     #[test]
-    fn degree_bound_finds_satellite_cuts() {
-        // A K5 satellite hanging off a K6 by one unit edge: the peel
-        // order removes the satellite first, and its prefix cut (the
-        // single bridge) beats every single-vertex trivial cut.
+    fn collapsed_satellites_offer_their_cuts() {
+        // A K5 satellite hanging off a K6 by one unit edge: every
+        // single-vertex cut costs at least 8, the bridge 1. Test 3
+        // collapses the K5 into one vertex, whose degree is the bridge,
+        // and the contraction state offers it as the minimum-degree cut.
         let mut edges = Vec::new();
         for u in 0..5u32 {
             for v in u + 1..5 {
@@ -1291,19 +1162,16 @@ mod tests {
         }
         edges.push((0, 5, 1));
         let g = CsrGraph::from_edges(11, &edges);
-        let p = ReductionPipeline {
-            passes: vec![Pass::DegreeBound],
-        };
-        let out = kernelize(&p, &g);
-        assert_eq!(out.lambda_hat, 1, "the bridge is the best prefix cut");
+        let out = kernelize(&g);
+        assert_eq!(out.lambda_hat, 1, "the bridge is the minimum cut");
         assert_eq!(g.cut_value(out.side.as_ref().unwrap()), 1);
-        assert_eq!(out.kernel.n(), g.n(), "bound-only pass never contracts");
+        assert!(out.kernel.n() < g.n(), "the satellite collapses");
     }
 
     #[test]
     fn disconnected_terminates_with_smallest_component_witness() {
         let g = CsrGraph::from_edges(7, &[(0, 1, 2), (1, 2, 2), (3, 4, 1), (5, 6, 9)]);
-        let out = kernelize(&ReductionPipeline::standard(), &g);
+        let out = kernelize(&g);
         assert_eq!(out.lambda_hat, 0);
         assert!(out.is_terminal());
         let side = out.side.unwrap();
@@ -1316,19 +1184,20 @@ mod tests {
     fn terminal_on_bridge_graphs_skips_the_solver() {
         // λ̂ = 1 is the floor for connected integer-weighted graphs.
         let (g, _) = known::barbell(6, 6, 1, 1);
-        let out = kernelize(&ReductionPipeline::standard(), &g);
+        let out = kernelize(&g);
         assert_eq!(out.lambda_hat, 1);
         assert!(out.is_terminal());
     }
 
     #[test]
     fn initial_bound_tightens_reductions() {
-        // With λ̂ donated at the true value, heavy-edge contracts far more.
+        // With λ̂ donated at the true value, tests 1 and 3 contract far
+        // more.
         let (g, l) = known::two_communities(10, 10, 2, 2, 1);
         let mut side = vec![false; g.n()];
         side[..10].fill(true);
         assert_eq!(g.cut_value(&side), l);
-        let free = kernelize(&ReductionPipeline::standard(), &g);
+        let free = kernelize(&g);
         let mut stats = SolverStats::default();
         let mut ctx = SolveContext::new(&mut stats);
         let seeded = ReductionPipeline::standard()
@@ -1336,13 +1205,6 @@ mod tests {
             .unwrap();
         assert!(seeded.kernel.n() <= free.kernel.n());
         assert_eq!(seeded.lambda_hat, l);
-    }
-
-    #[test]
-    fn reductions_switch_and_cache_keys() {
-        assert!(Reductions::All.is_enabled());
-        assert!(!Reductions::None.is_enabled());
-        assert_ne!(Reductions::All.cache_key(), Reductions::None.cache_key());
     }
 
     // ----- Padberg–Rinaldi pass tests (moved with the implementation) ----
@@ -1527,12 +1389,13 @@ mod tests {
                 .max()
                 .unwrap();
             for lambda_hat in 1..=max_degree + 1 {
-                for budget in [0, TRIANGLE_DEGREE_BUDGET] {
-                    let tag = format!("trial {trial}");
-                    let unions = assert_matches_full_merge(&g, lambda_hat, budget, &tag);
-                    // Above every weight only test 2 can fire at budget 0.
-                    test2_fired |= lambda_hat > max_degree && budget == 0 && unions > 0;
-                }
+                let tag = format!("trial {trial}");
+                let unions =
+                    assert_matches_full_merge(&g, lambda_hat, TRIANGLE_DEGREE_BUDGET, &tag);
+                // Above every weighted degree only test 2 can fire: an
+                // edge's weight plus its triangle sum is at most the
+                // weighted degree of either endpoint.
+                test2_fired |= lambda_hat > max_degree && unions > 0;
             }
         }
         assert!(test2_fired, "some graph must exercise test 2");
@@ -1656,11 +1519,10 @@ mod tests {
     /// by unit edges (a repeated pair sums to weight 2), with 3–7
     /// satellite cliques of 6–10 vertices (each edge present with
     /// probability 0.9, weight 1–2) hung off it by 2–5 unit edges.
-    /// Vertex ids are shuffled. The peel finds only the first satellite
-    /// it removes, so when a later one hangs by fewer edges, contracting
-    /// it lowers λ̂. The core's few triangles give its edges small
-    /// recorded sums, which the next `padberg-rinaldi` run reads at the
-    /// lower λ̂.
+    /// Vertex ids are shuffled. A satellite's attachment is often
+    /// lighter than every vertex, so contracting it lowers λ̂. The core's
+    /// few triangles give its edges small recorded sums, which the next
+    /// `padberg-rinaldi` run reads at the lower λ̂.
     fn satellites_off_a_core(rng: &mut SmallRng) -> CsrGraph {
         let core = rng.gen_range(150..251usize);
         let sizes: Vec<usize> = (0..rng.gen_range(3..8))
@@ -1722,14 +1584,13 @@ mod tests {
             } else {
                 satellites_off_a_core(&mut rng)
             };
-            let standard = ReductionPipeline::standard();
-            let got = pipelined(&standard, &g, false, 1);
-            let want = pipelined(&standard, &g, true, 1);
+            let got = pipelined(&g, false, 1);
+            let want = pipelined(&g, true, 1);
             let outputs = |p: &Pipelined| (p.kernel, p.passes.clone(), p.trajectory.clone());
             assert_eq!(outputs(&got), outputs(&want), "trial {trial}");
             assert_eq!(got.side, want.side, "trial {trial}");
             for workers in WIDE {
-                let wide = pipelined(&standard, &g, false, workers);
+                let wide = pipelined(&g, false, workers);
                 assert_eq!(wide, got, "trial {trial}, {workers} workers");
             }
             let (runs, full_runs) = (got.runs, want.runs);
@@ -1745,11 +1606,7 @@ mod tests {
             }
             // `padberg-rinaldi` runs at a λ̂ below that of its last run,
             // deciding some untouched edges from the record.
-            let pr: Vec<&PassRun> = runs
-                .iter()
-                .filter(|r| r.pass == Pass::PadbergRinaldi)
-                .collect();
-            lowered_runs += pr
+            lowered_runs += runs
                 .windows(2)
                 .filter(|w| w[1].lambda_hat < w[0].lambda_hat && w[1].work.from_record > 0)
                 .inspect(|w| assert!(w[1].work.edges_tested < w[1].m as u64))

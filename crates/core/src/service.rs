@@ -823,9 +823,7 @@ impl MinCutService {
         // change the result independently of the name.
         let config_key = format!(
             "{instance}|seed={}|witness={}|red={}",
-            opts.seed,
-            opts.witness,
-            opts.reductions.cache_key()
+            opts.seed, opts.witness, opts.reductions
         );
 
         if self.config.cache {
@@ -849,19 +847,19 @@ impl MinCutService {
             self.adopt_bound(state, &fp_group, job, g, fingerprint, &mut opts);
         }
 
-        // Kernelized-graph reuse: jobs sharing a graph (and reduction
-        // configuration) kernelize once; the shared `ReduceOutcome` fans
-        // out through `solve_with_kernel`. Gated on the caching layer.
+        // Kernelized-graph reuse: jobs with reductions on that share a
+        // graph kernelize once; the shared `ReduceOutcome` fans out
+        // through `solve_with_kernel`. Gated on the caching layer.
         let mut kernel_reused = false;
         let kernel: Option<Arc<ReduceOutcome>> =
-            if self.config.cache && g.n() >= 2 && opts.reductions.is_enabled() {
+            if self.config.cache && g.n() >= 2 && opts.reductions {
                 match self.kernel_for(fingerprint, g, &opts) {
                     Ok((k, reused)) => {
                         if reused {
                             kernel_reused = true;
                             state.kernel_reuses.fetch_add(1, Ordering::Relaxed);
                         }
-                        k
+                        Some(k)
                     }
                     Err(e) => return report(instance, JobStatus::Failed(e), t0),
                 }
@@ -909,37 +907,35 @@ impl MinCutService {
         }
     }
 
-    /// Returns the shared kernel for `(fingerprint, reductions)`, running
-    /// the pipeline on a miss. The boolean reports whether the kernel was
-    /// served from the cache (a "kernelize once" reuse). Connected inputs
-    /// only do useful work here, but any n ≥ 2 graph is safe.
+    /// Returns the shared kernel for `fingerprint`, running the pipeline
+    /// on a miss. The boolean reports whether the kernel was served from
+    /// the cache (a "kernelize once" reuse). Connected inputs only do
+    /// useful work here, but any n ≥ 2 graph is safe.
     fn kernel_for(
         &self,
         fingerprint: u64,
         g: &CsrGraph,
         opts: &SolveOptions,
-    ) -> Result<(Option<Arc<ReduceOutcome>>, bool), MinCutError> {
-        let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions) else {
-            return Ok((None, false));
-        };
-        let key = mincut_ds::hash::fnv1a_bytes(
-            fingerprint ^ mincut_ds::hash::FNV1A_OFFSET,
-            opts.reductions.cache_key().as_bytes(),
-        );
-        let cached = locked(&self.kernels).get(&key).cloned();
+    ) -> Result<(Arc<ReduceOutcome>, bool), MinCutError> {
+        let cached = locked(&self.kernels).get(&fingerprint).cloned();
         if let Some(k) = cached {
             // The n/m check guards against a fingerprint collision; the
             // pipeline is deterministic, so an entry that matches is
             // exactly what this job would compute.
             if (k.original_n, k.original_m) == (g.n(), g.m()) {
-                return Ok((Some(k), true));
+                return Ok((k, true));
             }
         }
         let mut scratch = SolverStats::default();
         let mut ctx = SolveContext::for_options(&mut scratch, opts);
-        let red = Arc::new(pipeline.run(g, None, &mut ctx)?);
-        insert_capped(&self.kernels, key, red.clone(), self.config.cache_capacity);
-        Ok((Some(red), false))
+        let red = Arc::new(ReductionPipeline::standard().run(g, None, &mut ctx)?);
+        insert_capped(
+            &self.kernels,
+            fingerprint,
+            red.clone(),
+            self.config.cache_capacity,
+        );
+        Ok((red, false))
     }
 
     /// Publishes a finished cut into its bound-sharing groups (the graph's

@@ -13,7 +13,7 @@ use mincut_graph::CsrGraph;
 
 use crate::error::MinCutError;
 use crate::options::SolveOptions;
-use crate::reduce::{ReduceOutcome, ReductionPipeline, Reductions};
+use crate::reduce::{ReduceOutcome, ReductionPipeline};
 use crate::stats::{SolveContext, SolverStats};
 use crate::MinCutResult;
 
@@ -86,7 +86,7 @@ pub trait Solver: Send + Sync {
     /// [`MinCutError::TooFewVertices`]; a disconnected graph returns
     /// value 0 with the **smallest component** as the canonical witness,
     /// without running the algorithm. When [`SolveOptions::reductions`]
-    /// is enabled (the default), the shared preflight runs the
+    /// is on (the default), the shared preflight runs the
     /// [`ReductionPipeline`] first and the algorithm body only sees the
     /// kernel; the λ̂ found during kernelization and the kernel
     /// solve combine into the exact answer.
@@ -142,12 +142,11 @@ fn solve_impl<S: Solver + ?Sized>(
             });
         }
     }
-    let kernelize = opts.reductions.is_enabled();
     // The pipeline's mandatory component-split preamble subsumes this
     // scan (same λ = 0, same smallest-component witness), so the O(n+m)
     // connectivity pass runs at most once per solve — and not at all for
     // jobs served a precomputed kernel.
-    if !kernelize {
+    if !opts.reductions {
         let (comp, ncomp) = connected_components(g);
         if ncomp > 1 {
             stats.record_lambda(0);
@@ -167,18 +166,16 @@ fn solve_impl<S: Solver + ?Sized>(
     // into the context (no thread-local counters anywhere).
     let mut ctx = SolveContext::for_options(&mut stats, opts);
     let computed: ReduceOutcome;
-    let kernel: Option<&ReduceOutcome> = if !kernelize {
+    let kernel: Option<&ReduceOutcome> = if !opts.reductions {
         None
     } else if let Some(k) = precomputed {
         debug_assert_eq!((k.original_n, k.original_m), (g.n(), g.m()));
         Some(k)
-    } else if let Some(pipeline) = ReductionPipeline::from_options(&opts.reductions) {
+    } else {
         computed = ctx.time_phase("reduce", |inner| {
-            pipeline.run(g, opts.initial_bound.clone(), inner)
+            ReductionPipeline::standard().run(g, opts.initial_bound.clone(), inner)
         })?;
         Some(&computed)
-    } else {
-        None
     };
 
     let result = match kernel {
@@ -238,7 +235,7 @@ fn finish_with_kernel<S: Solver + ?Sized>(
     // the post-bound-fold λ̂, hence not `red.is_terminal()` directly.
     if !crate::reduce::kernel_is_terminal(red.kernel.n(), lambda_hat) {
         let mut kopts = opts.clone();
-        kopts.reductions = Reductions::None;
+        kopts.reductions = false;
         // λ̂'s witness generally does not survive contraction (that is
         // the point of tracking it), so the kernel solver cannot adopt
         // the side — but a value-only run can still adopt the cap: NOI's

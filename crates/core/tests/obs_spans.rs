@@ -13,10 +13,10 @@ use mincut_obs::{ArgValue, EventPhase};
 /// degree 8; an edge at offset 1 has two common neighbours, one at
 /// offset 2 has one) with two unit-weight satellite cliques: a K5 hung
 /// off it by 4 edges and a K6 by 2. λ = 2, the K6's attachment.
-/// Minimum degree and the degree-bound peel give λ̂ = 4; the first
-/// `padberg-rinaldi` run collapses both cliques and misses every core
-/// edge, and the K6's block lowers λ̂ to 2. The second run then unites
-/// the core's untouched edges from their recorded sums.
+/// The minimum degree gives λ̂ = 4; the first `padberg-rinaldi` run
+/// collapses both cliques and misses every core edge, and the K6's block
+/// lowers λ̂ to 2. The second run then unites the core's untouched edges
+/// from their recorded sums.
 fn satellites_off_a_circulant() -> CsrGraph {
     let core = 120;
     let mut edges = Vec::new();
@@ -109,50 +109,34 @@ fn enabled_tracing_captures_every_solver_layer() {
         "no reduce/pass span for the component split"
     );
 
-    // The edge-testing passes report their work. A pass's first run is a
-    // full pass (later runs at the same λ̂ test only touched edges), so
-    // it tests all m edges of its graph.
-    for pass in ["heavy-edge", "padberg-rinaldi"] {
-        let name = ArgValue::from(pass);
-        let runs: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
-            .collect();
-        let first = runs.first().unwrap_or_else(|| panic!("no {pass} pass"));
-        assert_eq!(
-            first.arg("edges_tested"),
-            first.arg("m"),
-            "a full {pass} pass tests every edge"
-        );
-        for run in &runs {
-            assert!(run.arg("probes").is_some(), "{pass} span without probes");
-        }
-    }
-
-    // Every run of either pass also reports the edges it decided from
-    // its last run's record, the edges it skipped because it had already
+    // Padberg–Rinaldi reports its work. Its first run is a full pass
+    // (later runs test only touched edges), so it tests all m edges of
+    // its graph.
+    let name = ArgValue::from("padberg-rinaldi");
+    let runs: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
+        .collect();
+    let first = runs.first().expect("no padberg-rinaldi pass");
+    assert_eq!(
+        first.arg("edges_tested"),
+        first.arg("m"),
+        "a full pass tests every edge"
+    );
+    // Every run also reports its probes, the edges it decided from its
+    // last run's record, the edges it skipped because it had already
     // united their endpoints, the record it leaves, and the workers that
     // classified its edges: one, below `par::MIN_PARALLEL_ARCS` arcs.
-    for pass in ["heavy-edge", "padberg-rinaldi"] {
-        let name = ArgValue::from(pass);
-        for run in events
-            .iter()
-            .filter(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
-        {
-            u64_arg(run, "from_record");
-            u64_arg(run, "united");
-            u64_arg(run, "recorded");
-            assert_eq!(u64_arg(run, "workers"), 1, "{pass} workers");
-        }
+    for run in &runs {
+        u64_arg(run, "probes");
+        u64_arg(run, "from_record");
+        u64_arg(run, "united");
+        u64_arg(run, "recorded");
+        assert_eq!(u64_arg(run, "workers"), 1, "workers");
     }
-    // The ring of cliques has consecutive ids, so the first
-    // `padberg-rinaldi` run has joined part of a clique by the time a
-    // later wave classifies the rest of it.
-    let name = ArgValue::from("padberg-rinaldi");
-    let first = events
-        .iter()
-        .find(|e| e.name == "reduce/pass" && e.arg("pass") == Some(&name))
-        .expect("checked above");
+    // The ring of cliques has consecutive ids, so the first run has
+    // joined part of a clique by the time a later wave classifies the
+    // rest of it.
     assert!(u64_arg(first, "united") > 0, "{:?}", first.args);
 
     // The solve span carries the telemetry args the exporter documents.

@@ -4,69 +4,23 @@
 //! generate versions of the graphs with a minimum degree of k" and running
 //! on the largest connected component (Appendix A.2). Core numbers are
 //! computed on *unweighted* degrees, matching that setup.
-//!
-//! One bucket peel serves two callers. [`core_decomposition`] reads the
-//! core numbers and the peel order off it. [`peel_prefix_cuts`] also sums,
-//! while the peel visits a vertex's arcs, the weight of the arcs into the
-//! vertices peeled before it: those vertices never move again, so the
-//! value of every prefix cut along the order costs no second sweep over
-//! the arcs.
 
 use crate::components::largest_component;
-use crate::{CsrGraph, EdgeWeight, NodeId};
+use crate::{CsrGraph, NodeId};
 
 /// Core number of every vertex: the largest k such that the vertex belongs
 /// to the k-core (maximal subgraph with all degrees ≥ k).
 ///
-/// Bucket-based peeling in O(n + m).
+/// The Batagelj–Zaversnik bucket peel in O(n + m): it removes the
+/// vertices in non-decreasing order of their current degree, and a
+/// vertex's degree when it leaves is its core number.
 pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
-    core_decomposition(g).0
-}
-
-/// Core numbers plus the peeling order itself: vertices in the
-/// non-decreasing-degree order the Batagelj–Zaversnik peel removes them.
-/// Loosely attached structure (satellite cliques, pendant trees) forms
-/// contiguous prefixes of this order, which is what makes the prefix cuts
-/// along it a useful degree-based λ̂ bound (see [`peel_prefix_cuts`]).
-pub fn core_decomposition(g: &CsrGraph) -> (Vec<u32>, Vec<NodeId>) {
-    let mut core = vec![0u32; g.n()];
-    let order = peel(g, |v, k, _| core[v as usize] = k);
-    (core, order)
-}
-
-/// The peel order of [`core_decomposition`] and the value of every prefix
-/// cut along it, in one pass over the arcs: calls `visit(i, cut)` for
-/// each position `i` in order, where `cut` is the weight of the edges
-/// leaving `order[..=i]`. The last call (`i = n − 1`) reports 0, the
-/// whole vertex set. Returns the order. The reduction pipeline's
-/// `degree-bound` pass takes its best prefix as a λ̂ bound.
-pub fn peel_prefix_cuts(g: &CsrGraph, mut visit: impl FnMut(usize, EdgeWeight)) -> Vec<NodeId> {
-    let mut cut: EdgeWeight = 0;
-    let mut i = 0;
-    peel(g, |v, _, into_prefix| {
-        // cut(P ∪ {v}) = cut(P) + c(v) − 2·w(v, P); never underflows
-        // because w(v, P) ≤ cut(P) and w(v, P) ≤ c(v).
-        cut += g.weighted_degree(v);
-        cut -= 2 * into_prefix;
-        visit(i, cut);
-        i += 1;
-    })
-}
-
-/// The Batagelj–Zaversnik bucket peel. Calls `visit(v, core, into_prefix)`
-/// for every vertex in peel order, with its core number and the weight of
-/// its arcs into the vertices peeled before it; returns the order.
-///
-/// `vert[..i]` holds the vertices already peeled: re-bucketing only swaps
-/// positions after `i`, so they never move again, `vert` ends as the
-/// peel order, and a neighbour `u` with `pos[u] < i` is in the prefix.
-fn peel(g: &CsrGraph, mut visit: impl FnMut(NodeId, u32, EdgeWeight)) -> Vec<NodeId> {
     let n = g.n();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut degree: Vec<u32> = (0..n as NodeId).map(|v| g.degree(v) as u32).collect();
-    let max_deg = *degree.iter().max().unwrap() as usize;
+    let Some(&max_deg) = degree.iter().max() else {
+        return degree;
+    };
+    let max_deg = max_deg as usize;
 
     // Vertices bucketed by current degree (counting sort).
     let mut bin = vec![0usize; max_deg + 2];
@@ -78,24 +32,21 @@ fn peel(g: &CsrGraph, mut visit: impl FnMut(NodeId, u32, EdgeWeight)) -> Vec<Nod
     }
     let mut start = bin.clone(); // start[d] = first index of degree-d zone
 
-    // Positions fit a `NodeId`; the narrow array halves the cache
-    // footprint of the prefix test's random reads of `pos`.
     let mut vert = vec![0 as NodeId; n];
-    let mut pos = vec![0 as NodeId; n];
+    let mut pos = vec![0usize; n];
     for v in 0..n as NodeId {
         let d = degree[v as usize] as usize;
         vert[start[d]] = v;
-        pos[v as usize] = start[d] as NodeId;
+        pos[v as usize] = start[d];
         start[d] += 1;
     }
 
-    // Peel in non-decreasing degree order.
+    // Peel in non-decreasing degree order; a peeled vertex's degree is
+    // final, because only neighbours of higher degree move down.
     for i in 0..n {
         let v = vert[i];
         let dv = degree[v as usize];
-        let mut into_prefix: EdgeWeight = 0;
-        let (targets, weights) = g.arc_slices(v);
-        for (&u, &w) in targets.iter().zip(weights) {
+        for &u in g.neighbors(v) {
             let du = degree[u as usize];
             if du > dv {
                 // Move u one degree-bucket down: swap it with the first
@@ -105,20 +56,17 @@ fn peel(g: &CsrGraph, mut visit: impl FnMut(NodeId, u32, EdgeWeight)) -> Vec<Nod
                 let pw = bin[du];
                 let x = vert[pw];
                 if u != x {
-                    vert[pu as usize] = x;
+                    vert[pu] = x;
                     vert[pw] = u;
-                    pos[u as usize] = pw as NodeId;
+                    pos[u as usize] = pw;
                     pos[x as usize] = pu;
                 }
                 bin[du] += 1;
                 degree[u as usize] -= 1;
-            } else if (pos[u as usize] as usize) < i {
-                into_prefix += w;
             }
         }
-        visit(v, dv, into_prefix);
     }
-    vert
+    degree
 }
 
 /// The k-core as a subgraph: vertices with core number ≥ k, plus the map
@@ -149,55 +97,30 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Reference: the plain Batagelj–Zaversnik loop, recording the order
-    /// as it goes, with no prefix sums.
-    fn reference_core_decomposition(g: &CsrGraph) -> (Vec<u32>, Vec<NodeId>) {
+    /// Reference: peels one vertex of minimum remaining degree at a time,
+    /// in O(n²); a vertex's core number is the largest degree peeled up to
+    /// and including it.
+    fn reference_core_numbers(g: &CsrGraph) -> Vec<u32> {
         let n = g.n();
-        if n == 0 {
-            return (Vec::new(), Vec::new());
-        }
         let mut degree: Vec<u32> = (0..n as NodeId).map(|v| g.degree(v) as u32).collect();
-        let max_deg = *degree.iter().max().unwrap() as usize;
-        let mut bin = vec![0usize; max_deg + 2];
-        for &d in &degree {
-            bin[d as usize + 1] += 1;
-        }
-        for i in 0..max_deg + 1 {
-            bin[i + 1] += bin[i];
-        }
-        let mut start = bin.clone();
-        let mut vert = vec![0 as NodeId; n];
-        let mut pos = vec![0usize; n];
-        for v in 0..n as NodeId {
-            let d = degree[v as usize] as usize;
-            vert[start[d]] = v;
-            pos[v as usize] = start[d];
-            start[d] += 1;
-        }
-        let mut core = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
-        for i in 0..n {
-            let v = vert[i];
-            order.push(v);
-            core[v as usize] = degree[v as usize];
-            for &u in g.neighbors(v) {
-                if degree[u as usize] > degree[v as usize] {
-                    let du = degree[u as usize] as usize;
-                    let pu = pos[u as usize];
-                    let pw = bin[du];
-                    let w = vert[pw];
-                    if u != w {
-                        vert[pu] = w;
-                        vert[pw] = u;
-                        pos[u as usize] = pw;
-                        pos[w as usize] = pu;
-                    }
-                    bin[du] += 1;
+        let mut peeled = vec![false; n];
+        let mut core = vec![0; n];
+        let mut k = 0;
+        for _ in 0..n {
+            let v = (0..n)
+                .filter(|&v| !peeled[v])
+                .min_by_key(|&v| degree[v])
+                .unwrap();
+            k = k.max(degree[v]);
+            core[v] = k;
+            peeled[v] = true;
+            for &u in g.neighbors(v as NodeId) {
+                if !peeled[u as usize] {
                     degree[u as usize] -= 1;
                 }
             }
         }
-        (core, order)
+        core
     }
 
     /// A random weighted multigraph on 1–199 vertices: repeated pairs
@@ -214,44 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_peel_matches_the_reference_peel_and_prefix_sweep() {
+    fn bucket_peel_matches_the_reference_peel() {
         let mut rng = SmallRng::seed_from_u64(0xb2);
         for trial in 0..200 {
             let g = random_weighted_graph(&mut rng);
-            let (ref_core, ref_order) = reference_core_decomposition(&g);
-            let (core, order) = core_decomposition(&g);
-            assert_eq!(core, ref_core, "trial {trial}: core numbers");
-            assert_eq!(order, ref_order, "trial {trial}: peel order");
-
-            // Two-pass reference: the order, then an in-prefix sweep.
-            let mut in_prefix = vec![false; g.n()];
-            let mut cut: EdgeWeight = 0;
-            let mut expected = Vec::new();
-            for &v in &ref_order {
-                let into: EdgeWeight = g
-                    .arcs(v)
-                    .filter(|&(u, _)| in_prefix[u as usize])
-                    .map(|(_, w)| w)
-                    .sum();
-                cut = cut + g.weighted_degree(v) - 2 * into;
-                in_prefix[v as usize] = true;
-                expected.push(cut);
-            }
-            let mut cuts = Vec::new();
-            let order = peel_prefix_cuts(&g, |i, c| {
-                assert_eq!(i, cuts.len());
-                cuts.push(c);
-            });
-            assert_eq!(order, ref_order, "trial {trial}: prefix-cut order");
-            assert_eq!(cuts, expected, "trial {trial}: prefix cuts");
-            // Each prefix cut is the real cut value of that prefix.
-            for (i, &c) in cuts.iter().enumerate().step_by(17) {
-                let mut side = vec![false; g.n()];
-                for &v in &order[..=i] {
-                    side[v as usize] = true;
-                }
-                assert_eq!(g.cut_value(&side), c, "trial {trial}, prefix {i}");
-            }
+            assert_eq!(
+                core_numbers(&g),
+                reference_core_numbers(&g),
+                "trial {trial}"
+            );
         }
     }
 
@@ -264,24 +158,6 @@ mod tests {
     fn core_numbers_triangle_with_tail() {
         let core = core_numbers(&triangle_with_tail());
         assert_eq!(core, vec![2, 2, 2, 1, 1]);
-    }
-
-    #[test]
-    fn peeling_order_is_a_permutation_peeling_loose_structure_first() {
-        let g = triangle_with_tail();
-        let (core, order) = core_decomposition(&g);
-        assert_eq!(core_numbers(&g), core);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..5).collect::<Vec<_>>());
-        // The pendant path peels before the triangle: 4 first, then 3
-        // (whose degree dropped to 1 when 4 left).
-        assert_eq!(order[0], 4);
-        assert_eq!(order[1], 3);
-        // Core numbers along the order never decrease.
-        assert!(order
-            .windows(2)
-            .all(|w| core[w[0] as usize] <= core[w[1] as usize]));
     }
 
     #[test]

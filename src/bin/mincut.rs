@@ -23,7 +23,6 @@ use std::process::exit;
 use std::sync::Arc;
 
 use sm_mincut::algorithms::json_string as json_str;
-use sm_mincut::algorithms::Reductions;
 use sm_mincut::graph::io::{read_edge_list, read_metis, GraphIoError};
 use sm_mincut::{
     parse_trace, BatchJob, Cactus, CactusBuilder, CsrGraph, ErrorPolicy, JobStatus, MinCutError,
@@ -220,7 +219,7 @@ fn parse_args() -> Options {
                     exit(2)
                 }
             },
-            "--no-reduce" => opts.opts.reductions = Reductions::None,
+            "--no-reduce" => opts.opts.reductions = false,
             "--batch" => opts.batch = Some(value("--batch")),
             "--stream" => opts.stream = Some(value("--stream")),
             "-j" | "--jobs" => match value("--jobs").parse() {

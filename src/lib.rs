@@ -88,11 +88,11 @@
 //! without any reduction pass — switch the passes off:
 //!
 //! ```
-//! use sm_mincut::{CsrGraph, Reductions, Session, SolveOptions};
+//! use sm_mincut::{CsrGraph, Session, SolveOptions};
 //!
 //! let g = CsrGraph::from_edges(3, &[(0, 1, 2), (1, 2, 1), (2, 0, 1)]);
 //! let outcome = Session::new(&g)
-//!     .options(SolveOptions::new().reductions(Reductions::None))
+//!     .options(SolveOptions::new().reductions(false))
 //!     .run("NOI-HNSS")
 //!     .unwrap();
 //! assert_eq!(outcome.cut.value, 2);
@@ -110,9 +110,9 @@ pub use mincut_core::{
     materialize, parse_trace, parse_trace_op, BatchJob, BatchReport, BatchStats, CacheStats,
     Cactus, CactusBuilder, CactusStats, Capabilities, DynamicHandle, DynamicMinCut, DynamicStats,
     ErrorPolicy, Guarantee, JobReport, JobStatus, Membership, MinCutError, MinCutResult,
-    MinCutService, PqKind, ReduceOutcome, ReductionPassStats, ReductionPipeline, Reductions,
-    ServiceConfig, Session, SolveOptions, SolveOutcome, Solver, SolverRegistry, SolverStats,
-    TraceOp, UpdateReport,
+    MinCutService, PqKind, ReduceOutcome, ReductionPassStats, ReductionPipeline, ServiceConfig,
+    Session, SolveOptions, SolveOutcome, Solver, SolverRegistry, SolverStats, TraceOp,
+    UpdateReport,
 };
 pub use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, GraphBuilder, NodeId};
 

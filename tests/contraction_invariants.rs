@@ -9,13 +9,13 @@ use proptest::prelude::*;
 use sm_mincut::algorithms::{Membership, SolveContext};
 use sm_mincut::graph::contract::ContractionEngine;
 use sm_mincut::{
-    CsrGraph, EdgeWeight, NodeId, ReductionPipeline, Reductions, Session, SolveOptions, SolverStats,
+    CsrGraph, EdgeWeight, NodeId, ReductionPipeline, Session, SolveOptions, SolverStats,
 };
 
 /// λ(g) by Stoer–Wagner on `g` itself (no kernelization).
 fn sw_lambda(g: &CsrGraph) -> EdgeWeight {
     Session::new(g)
-        .options(SolveOptions::new().reductions(Reductions::None))
+        .options(SolveOptions::new().reductions(false))
         .run("stoer-wagner")
         .unwrap()
         .cut

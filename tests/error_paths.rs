@@ -454,6 +454,42 @@ fn cli_prints_no_lambda_whose_witness_fails_verification() {
 }
 
 #[test]
+fn cli_stats_prints_one_line_per_reduction_pass() {
+    // The pipeline contracts this graph to two vertices. `--stats` prints
+    // one stderr line per pass, the component split and Padberg–Rinaldi,
+    // and the kernel line; `--no-reduce` prints none of them.
+    let graph = data("two_triangles_bridge2.txt");
+    let stderr = |no_reduce: bool| {
+        let mut cmd = mincut_bin();
+        cmd.arg("--stats");
+        if no_reduce {
+            cmd.arg("--no-reduce");
+        }
+        let out = cmd.arg(&graph).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "--no-reduce {no_reduce}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let count = |text: &str, prefix: &str| text.lines().filter(|l| l.starts_with(prefix)).count();
+
+    let on = stderr(false);
+    assert_eq!(count(&on, "reduce["), 2, "{on}");
+    assert_eq!(count(&on, "reduce[components]: "), 1, "{on}");
+    assert_eq!(
+        count(&on, "reduce[padberg-rinaldi]: -4 vertices"),
+        1,
+        "{on}"
+    );
+    assert_eq!(
+        count(&on, "kernel: n = 2, m = 1 (from n = 6, m = 7)"),
+        1,
+        "{on}"
+    );
+
+    let off = stderr(true);
+    assert_eq!(count(&off, "reduce[") + count(&off, "kernel:"), 0, "{off}");
+}
+
+#[test]
 fn cli_exit_codes_for_single_graph_failures() {
     // Unreadable graph: runtime failure.
     let out = mincut_bin()

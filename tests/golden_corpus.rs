@@ -21,7 +21,7 @@ use sm_mincut::graph::generators::known::{brute_force_all_min_cuts, brute_force_
 use sm_mincut::graph::io::{read_edge_list, read_metis};
 use sm_mincut::{
     materialize, parse_trace, BatchJob, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut,
-    MinCutService, Reductions, ServiceConfig, Session, SolveOptions, SolverRegistry, TraceOp,
+    MinCutService, ServiceConfig, Session, SolveOptions, SolverRegistry, TraceOp,
 };
 
 /// `(file, hand-verified λ)` — keep in sync with tests/data/README.md.
@@ -129,28 +129,31 @@ fn golden_lambdas_match_brute_force() {
 /// ones a real cut ≥ λ both ways.
 #[test]
 fn full_solver_matrix_on_golden_corpus() {
-    for reductions in [Reductions::All, Reductions::None] {
+    for reductions in [true, false] {
         let opts = SolveOptions::new()
             .seed(0xC0FFEE)
             .threads(2)
-            .reductions(reductions.clone());
+            .reductions(reductions);
         for (file, g, lambda) in corpus() {
             for solver in SolverRegistry::global().instances() {
                 let name = solver.instance_name(&opts);
                 let out = solver
                     .solve(&g, &opts)
-                    .unwrap_or_else(|e| panic!("{name} on {file} ({reductions:?}): {e}"));
+                    .unwrap_or_else(|e| panic!("{name} on {file} (reductions {reductions}): {e}"));
                 if solver.capabilities().guarantee.is_exact() {
-                    assert_eq!(out.cut.value, lambda, "{name} on {file} ({reductions:?})");
+                    assert_eq!(
+                        out.cut.value, lambda,
+                        "{name} on {file} (reductions {reductions})"
+                    );
                 } else {
                     assert!(
                         out.cut.value >= lambda,
-                        "{name} below λ on {file} ({reductions:?})"
+                        "{name} below λ on {file} (reductions {reductions})"
                     );
                 }
                 assert!(
                     out.cut.verify(&g),
-                    "{name} witness on {file} ({reductions:?})"
+                    "{name} witness on {file} (reductions {reductions})"
                 );
             }
         }
@@ -166,18 +169,18 @@ fn disconnected_witness_is_uniform_across_all_solvers() {
     // Components {0,1,2} and {3,4}: the smaller one is the witness.
     let expected = vec![false, false, false, true, true];
     assert_eq!(g.cut_value(&expected), 0);
-    for reductions in [Reductions::All, Reductions::None] {
-        let opts = SolveOptions::new().reductions(reductions.clone());
+    for reductions in [true, false] {
+        let opts = SolveOptions::new().reductions(reductions);
         for solver in SolverRegistry::global().instances() {
             let name = solver.instance_name(&opts);
             let out = solver
                 .solve(&g, &opts)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(out.cut.value, 0, "{name} ({reductions:?})");
+            assert_eq!(out.cut.value, 0, "{name} (reductions {reductions})");
             assert_eq!(
                 out.cut.side.as_deref(),
                 Some(&expected[..]),
-                "{name} ({reductions:?}): witness must be the smallest component"
+                "{name} (reductions {reductions}): witness must be the smallest component"
             );
         }
     }
