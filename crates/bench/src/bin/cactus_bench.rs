@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use mincut_bench::instances::Scale;
+use mincut_bench::instances::{make_trace, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::runner::best_replay;
 use mincut_bench::table::Table;
@@ -40,9 +40,9 @@ use mincut_core::cactus::CactusBuilder;
 use mincut_core::dynamic::{materialize, DynamicMinCut, TraceOp};
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::{known, random_hyperbolic_graph, RhgParams};
-use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
+use mincut_graph::{CsrGraph, DeltaGraph};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 struct Case {
     name: String,
@@ -73,33 +73,6 @@ fn cases(scale: Scale) -> Vec<Case> {
         graph: g,
     });
     out
-}
-
-/// Deterministic mixed trace over the full vertex range; weights stay
-/// small so updates keep crossing the maintained structure.
-fn make_trace(g: &CsrGraph, updates: usize, seed: u64) -> Vec<TraceOp> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut shadow = DeltaGraph::new(g.clone());
-    let n = g.n() as NodeId;
-    let mut ops = Vec::with_capacity(updates);
-    while ops.len() < updates {
-        if shadow.m() == 0 || rng.gen_bool(0.65) {
-            let (mut u, mut v) = (0, 0);
-            while u == v {
-                u = rng.gen_range(0..n);
-                v = rng.gen_range(0..n);
-            }
-            let w: EdgeWeight = rng.gen_range(1..4);
-            shadow.insert_edge(u, v, w);
-            ops.push(TraceOp::Insert { u, v, w });
-        } else {
-            let live: Vec<_> = shadow.edges().collect();
-            let (u, v, _) = live[rng.gen_range(0..live.len())];
-            shadow.delete_edge(u, v).expect("live edge");
-            ops.push(TraceOp::Delete { u, v });
-        }
-    }
-    ops
 }
 
 /// A build-only row on a paper-shaped graph: an RHG with average degree
@@ -220,7 +193,7 @@ fn main() {
 
         // Maintained path A/B: repair-on (the default policy) vs
         // rebuild-only (`set_cactus_repair(false)`), same trace.
-        let trace = make_trace(&case.graph, updates, 0xCAC);
+        let trace = make_trace(&case.graph, updates, 0.65, 0xCAC);
         let run_maintained = |repair: bool| {
             let mut stats = None;
             let (seq, secs) = best_replay(&format!("{} repair={repair}", case.name), || {

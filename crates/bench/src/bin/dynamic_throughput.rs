@@ -15,16 +15,14 @@
 //!
 //! Sizes follow `SMC_SCALE` (tiny/small/full) like every other bench bin.
 
-use mincut_bench::instances::Scale;
+use mincut_bench::instances::{make_trace, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::runner::best_replay;
 use mincut_bench::table::Table;
 use mincut_core::dynamic::{materialize, DynamicMinCut, TraceOp};
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::known;
-use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight};
 
 struct Case {
     name: String,
@@ -62,33 +60,6 @@ fn cases(scale: Scale) -> Vec<Case> {
     out
 }
 
-/// Deterministic mixed trace: mostly inserts (weights 1..4), deletes of
-/// live edges in between, across the whole vertex range.
-fn make_trace(g: &CsrGraph, updates: usize, seed: u64) -> Vec<TraceOp> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut shadow = DeltaGraph::new(g.clone());
-    let n = g.n() as NodeId;
-    let mut ops = Vec::with_capacity(updates);
-    while ops.len() < updates {
-        if shadow.m() == 0 || rng.gen_bool(0.7) {
-            let (mut u, mut v) = (0, 0);
-            while u == v {
-                u = rng.gen_range(0..n);
-                v = rng.gen_range(0..n);
-            }
-            let w: EdgeWeight = rng.gen_range(1..4);
-            shadow.insert_edge(u, v, w);
-            ops.push(TraceOp::Insert { u, v, w });
-        } else {
-            let live: Vec<_> = shadow.edges().collect();
-            let (u, v, _) = live[rng.gen_range(0..live.len())];
-            shadow.delete_edge(u, v).expect("live edge");
-            ops.push(TraceOp::Delete { u, v });
-        }
-    }
-    ops
-}
-
 fn main() {
     let scale = Scale::from_env();
     let updates = match scale {
@@ -111,7 +82,7 @@ fn main() {
     ]);
 
     for case in cases(scale) {
-        let trace = make_trace(&case.graph, updates, 0xD11A);
+        let trace = make_trace(&case.graph, updates, 0.7, 0xD11A);
         for threads in [1usize, 2, 4] {
             let opts = SolveOptions::new().seed(11).threads(threads);
 

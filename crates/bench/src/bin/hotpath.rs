@@ -27,10 +27,9 @@
 //! fails on λ drift and warns on 1-thread PQ-op drift — see ROADMAP.md
 //! "Performance" for the protocol.
 
-use std::time::Instant;
-
 use mincut_bench::instances::{social_proxy, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
+use mincut_bench::runner::time_reps;
 use mincut_bench::table::Table;
 use mincut_core::capforest::{capforest, capforest_with, ScanInfo, ScanScratch};
 use mincut_core::{Session, SolveOptions};
@@ -107,23 +106,6 @@ fn near_identity_labels(g: &CsrGraph, seed: u64) -> (Vec<NodeId>, usize) {
         }
     }
     uf.dense_labels()
-}
-
-fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    // Best-of-reps, not mean-of-reps: on a throttled shared box a single
-    // descheduling spike inside the batch would otherwise poison it.
-    let mut best = f64::INFINITY;
-    let t0 = Instant::now();
-    let mut out = f();
-    let mut prev = t0.elapsed().as_secs_f64();
-    best = best.min(prev);
-    for _ in 1..reps {
-        out = f();
-        let now = t0.elapsed().as_secs_f64();
-        best = best.min(now - prev);
-        prev = now;
-    }
-    (out, best)
 }
 
 /// Times `reps` warm pooled scan passes with queue `P` from vertex 0 and

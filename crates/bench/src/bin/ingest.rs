@@ -20,10 +20,10 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
-use std::time::Instant;
 
 use mincut_bench::instances::{social_proxy, web_proxy, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
+use mincut_bench::runner::time_reps;
 use mincut_bench::table::Table;
 use mincut_core::{Session, SolveOptions};
 use mincut_graph::generators::known;
@@ -77,24 +77,6 @@ fn cases(scale: Scale) -> Vec<Case> {
         graph: g,
     });
     out
-}
-
-fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    // Best-of-reps, not mean-of-reps (same protocol as `hotpath`): on a
-    // throttled shared box one descheduling spike inside the batch would
-    // otherwise poison the mean.
-    let mut best = f64::INFINITY;
-    let t0 = Instant::now();
-    let mut out = f();
-    let mut prev = t0.elapsed().as_secs_f64();
-    best = best.min(prev);
-    for _ in 1..reps {
-        out = f();
-        let now = t0.elapsed().as_secs_f64();
-        best = best.min(now - prev);
-        prev = now;
-    }
-    (out, best)
 }
 
 fn parse_text(path: &Path) -> CsrGraph {

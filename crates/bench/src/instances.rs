@@ -10,14 +10,15 @@
 //! * `SMC_SCALE=small` — default: minutes on a laptop core;
 //! * `SMC_SCALE=full`  — the largest sizes this machine's memory allows.
 
+use mincut_core::dynamic::TraceOp;
 use mincut_ds::hash::FxHashSet;
 use mincut_graph::generators::{
     barabasi_albert, gnm, random_hyperbolic_graph, rmat, RhgParams, RmatParams,
 };
 use mincut_graph::kcore::k_core_lcc;
-use mincut_graph::{CsrGraph, GraphBuilder};
+use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, GraphBuilder, NodeId};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Social-network proxy (stands in for hollywood-2011 / com-orkut /
 /// twitter-2010): preferential attachment
@@ -278,4 +279,33 @@ pub fn fig5_thread_counts() -> Vec<usize> {
         .into_iter()
         .filter(|&t| t <= (2 * hw).max(2))
         .collect()
+}
+
+/// Deterministic mixed update trace of `updates` operations over the
+/// whole vertex range of `g`: an insert of weight 1..4 between two random
+/// distinct vertices with probability `insert_p` (always, once no edge is
+/// live), else a delete of a random live edge.
+pub fn make_trace(g: &CsrGraph, updates: usize, insert_p: f64, seed: u64) -> Vec<TraceOp> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut shadow = DeltaGraph::new(g.clone());
+    let n = g.n() as NodeId;
+    let mut ops = Vec::with_capacity(updates);
+    while ops.len() < updates {
+        if shadow.m() == 0 || rng.gen_bool(insert_p) {
+            let (mut u, mut v) = (0, 0);
+            while u == v {
+                u = rng.gen_range(0..n);
+                v = rng.gen_range(0..n);
+            }
+            let w: EdgeWeight = rng.gen_range(1..4);
+            shadow.insert_edge(u, v, w);
+            ops.push(TraceOp::Insert { u, v, w });
+        } else {
+            let live: Vec<_> = shadow.edges().collect();
+            let (u, v, _) = live[rng.gen_range(0..live.len())];
+            shadow.delete_edge(u, v).expect("live edge");
+            ops.push(TraceOp::Delete { u, v });
+        }
+    }
+    ops
 }

@@ -216,6 +216,25 @@ pub fn best_replay<T: PartialEq + std::fmt::Debug>(
     (first.expect("at least one replay"), best)
 }
 
+/// Runs `f` `reps` times back to back and returns the last result and the
+/// best single run's time in seconds. Best-of-reps, not mean-of-reps: on
+/// a throttled shared box one descheduling spike inside the batch would
+/// otherwise poison the mean (`hotpath`, `ingest`).
+pub fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let t0 = Instant::now();
+    let mut out = f();
+    let mut prev = t0.elapsed().as_secs_f64();
+    best = best.min(prev);
+    for _ in 1..reps {
+        out = f();
+        let now = t0.elapsed().as_secs_f64();
+        best = best.min(now - prev);
+        prev = now;
+    }
+    (out, best)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,9 +95,9 @@
 //! [`MinCutService`] serves many `(graph, solver, options)` jobs at once:
 //! batches run concurrently on self-scheduling workers, results are
 //! memoised in a [`CsrGraph::fingerprint`]-keyed cut cache so repeat
-//! submissions never re-solve, and jobs sharing a graph or a declared
-//! family reuse the best cut found so far as their initial λ̂ bound (see
-//! the [`service`] module docs):
+//! submissions never re-solve, and jobs on the same graph reuse the best
+//! witnessed cut found so far as their initial λ̂ bound (see the
+//! [`service`] module docs):
 //!
 //! ```
 //! use std::sync::Arc;

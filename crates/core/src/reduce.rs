@@ -135,15 +135,14 @@ impl Pass {
     }
 
     /// Runs the pass once over the kernel; returns the work of a
-    /// `padberg-rinaldi` run. `since` is the [`Touched`] epoch of the last
-    /// `padberg-rinaldi` run: it then tests only the edges touched after
-    /// it and decides the rest from the record. `None` tests every edge.
-    /// `workers` classify the edges.
+    /// `padberg-rinaldi` run. A `retest` run tests every edge; any other
+    /// tests only the edges the last contraction [`Touched`] and decides
+    /// the rest from the record. `workers` classify the edges.
     fn apply(
         self,
         k: &mut Contracted<'_>,
         touched: &mut Touched,
-        since: Option<u32>,
+        retest: bool,
         workers: usize,
     ) -> Option<PrWork> {
         let g = k.graph();
@@ -163,28 +162,25 @@ impl Pass {
                 let lambda_hat = k.lambda();
                 // A closure per case keeps a full pass free of the
                 // per-edge touched test.
-                let mut work = match since {
-                    None => {
-                        let input = PrInput {
-                            g,
-                            lambda_hat,
-                            triangle_budget: TRIANGLE_DEGREE_BUDGET,
-                            touched: |_| true,
-                            record: &[],
-                        };
-                        pr_pass(&input, &mut uf, Some(&mut misses), workers)
-                    }
-                    Some(epoch) => {
-                        let at = &touched.at;
-                        let input = PrInput {
-                            g,
-                            lambda_hat,
-                            triangle_budget: TRIANGLE_DEGREE_BUDGET,
-                            touched: |v: NodeId| at[v as usize] > epoch,
-                            record: &touched.record,
-                        };
-                        pr_pass(&input, &mut uf, Some(&mut misses), workers)
-                    }
+                let mut work = if retest {
+                    let input = PrInput {
+                        g,
+                        lambda_hat,
+                        triangle_budget: TRIANGLE_DEGREE_BUDGET,
+                        touched: |_| true,
+                        record: &[],
+                    };
+                    pr_pass(&input, &mut uf, Some(&mut misses), workers)
+                } else {
+                    let flags = &touched.flags;
+                    let input = PrInput {
+                        g,
+                        lambda_hat,
+                        triangle_budget: TRIANGLE_DEGREE_BUDGET,
+                        touched: |v: NodeId| flags[v as usize],
+                        record: &touched.record,
+                    };
+                    pr_pass(&input, &mut uf, Some(&mut misses), workers)
                 };
                 touched.record = misses;
                 if work.unions > 0 {
@@ -204,7 +200,7 @@ impl Pass {
         k: &mut Contracted<'_>,
         stats: &mut ReductionPassStats,
         touched: &mut Touched,
-        since: Option<u32>,
+        retest: bool,
         workers: usize,
     ) -> Option<PrWork> {
         let t0 = Instant::now();
@@ -214,7 +210,7 @@ impl Pass {
         pass_span.arg("n", before.0);
         pass_span.arg("m", before.1);
         pass_span.arg("lambda_hat", k.lambda());
-        let work = self.apply(k, touched, since, workers);
+        let work = self.apply(k, touched, retest, workers);
         let removed = (before.0 - k.graph().n(), before.1 - k.graph().m());
         pass_span.arg("vertices_removed", removed.0);
         pass_span.arg("edges_removed", removed.1);
@@ -236,15 +232,13 @@ impl Pass {
 }
 
 /// Which edges a `padberg-rinaldi` re-run must re-test, and what its last
-/// run recorded about the rest (see the module doc). Every contraction of
-/// the pipeline starts a new epoch and stamps each vertex it merged, and
-/// each neighbour of one, with it; a run that follows one at epoch `e`
-/// re-tests the edges with an endpoint stamped after `e`.
+/// run recorded about the rest (see the module doc). The pipeline
+/// contracts once between two runs, so a re-run re-tests the edges with
+/// an endpoint that contraction touched.
 struct Touched {
-    /// Contractions so far.
-    epoch: u32,
-    /// Current vertex → the last epoch that touched it (0: none).
-    at: Vec<u32>,
+    /// Current vertex → whether the last contraction merged it or a
+    /// neighbour of it.
+    flags: Vec<bool>,
     /// The last run's test-3 misses with a nonzero common-neighbour sum,
     /// over the edges no contraction has touched since, in pass order and
     /// current vertex ids.
@@ -254,41 +248,37 @@ struct Touched {
 impl Touched {
     fn new(n: usize) -> Self {
         Touched {
-            epoch: 0,
-            at: vec![0; n],
+            flags: vec![false; n],
             record: Vec::new(),
         }
     }
 
     /// Contracts `k` by `labels` (vertex → block in `[0, blocks)`) and
-    /// carries the stamps over: a block keeps its members' latest stamp,
-    /// and a merged block and its neighbours take the new epoch. The
-    /// record keeps, relabelled, the entries whose endpoints both escaped
-    /// the new stamp. Those endpoints are singleton blocks, which dense
-    /// labels number in vertex order, so the entries stay in pass order.
+    /// flags each merged block and each neighbour of one. The record
+    /// keeps, relabelled, the entries whose endpoints both escaped the
+    /// flags. Those endpoints are singleton blocks, which dense labels
+    /// number in vertex order, so the entries stay in pass order.
     fn contract(&mut self, k: &mut Contracted<'_>, labels: &[NodeId], blocks: usize) {
         k.contract(labels, blocks);
-        self.epoch += 1;
-        let mut at = vec![0; blocks];
         let mut members = vec![0u32; blocks];
-        for (&stamp, &b) in self.at.iter().zip(labels) {
-            at[b as usize] = at[b as usize].max(stamp);
+        for &b in labels {
             members[b as usize] += 1;
         }
         let g = k.graph();
+        let mut flags = vec![false; blocks];
         for b in (0..blocks).filter(|&b| members[b] > 1) {
-            at[b] = self.epoch;
+            flags[b] = true;
             for &x in g.neighbors(b as NodeId) {
-                at[x as usize] = self.epoch;
+                flags[x as usize] = true;
             }
         }
         self.record.retain_mut(|m| {
             m.u = labels[m.u as usize];
             m.v = labels[m.v as usize];
-            at[m.u as usize] < self.epoch && at[m.v as usize] < self.epoch
+            !flags[m.u as usize] && !flags[m.v as usize]
         });
         debug_assert!(self.record.is_sorted_by_key(|m| (m.u, m.v)));
-        self.at = at;
+        self.flags = flags;
     }
 }
 
@@ -407,23 +397,21 @@ impl ReductionPipeline {
         // Padberg–Rinaldi assumes a connected kernel. A split leaves
         // λ̂ = 0, which ends the pipeline before its first run.
         let mut touched = Touched::new(g.n());
-        Pass::Components.run(&mut k, split_stats, &mut touched, None, 1);
+        Pass::Components.run(&mut k, split_stats, &mut touched, true, 1);
         ctx.stats.record_lambda(k.lambda());
 
-        // The epoch of the last `padberg-rinaldi` run.
-        let mut last_run = None;
         let mut runs = Vec::new();
-        for _ in 0..MAX_ROUNDS {
+        for round in 0..MAX_ROUNDS {
             if k.graph().n() <= 2 || k.lambda() <= 1 {
                 break;
             }
             ctx.check_budget()?;
-            let since = last_run.filter(|_| !retest_all);
-            last_run = Some(touched.epoch);
+            // The first run tests every edge: it has no record yet.
+            let retest = retest_all || round == 0;
             let (lambda_hat, m) = (k.lambda(), k.graph().m());
             let width = workers.unwrap_or_else(|| par::width(k.graph().num_arcs(), ctx.threads));
             let work = Pass::PadbergRinaldi
-                .run(&mut k, pr_stats, &mut touched, since, width)
+                .run(&mut k, pr_stats, &mut touched, retest, width)
                 .expect("a padberg-rinaldi run reports its work");
             runs.push(PassRun {
                 lambda_hat,

@@ -1,16 +1,15 @@
 //! Batch serving with `MinCutService`: a k-core connectivity sweep.
 //!
 //! The paper prepares its real-world instances as k-cores of one large
-//! graph (Appendix A.2) and solves each core — a *family* of related
-//! jobs. This example submits the whole sweep as one batch:
+//! graph (Appendix A.2) and solves each core. This example submits the
+//! whole sweep as one batch:
 //!
 //! * cores are solved concurrently by the service's worker pool;
-//! * each core is queried under two solver configurations in the same
-//!   `"social-sweep"` bound family: the first finished cut of a graph
-//!   seeds λ̂ for the other configuration of the *same* graph (bounds
-//!   transfer whenever the donated witness side fits the receiving
-//!   graph and is re-costed there, so exactness is never lost; cores of
-//!   different sizes simply don't exchange bounds);
+//! * each core is queried under two solver configurations: the first
+//!   finished cut of a core, with its witness side, seeds λ̂ for the other
+//!   configuration of the *same* core (the receiving job re-costs the
+//!   side on its graph, so exactness is never lost; different cores never
+//!   exchange bounds);
 //! * a second submission of the same sweep is served entirely from the
 //!   fingerprint-keyed cut cache — no solver runs at all.
 //!
@@ -58,10 +57,10 @@ fn main() {
     let g = social_graph(1 << 12, 2019);
     println!("input graph: n = {}, m = {}", g.n(), g.m());
 
-    // Two solver configurations per k-core, one bound-sharing family.
-    // The whole first pass is submitted before the second, so by the
-    // time a `noi-bstack` job starts, the `noi-viecut` cut of the same
-    // core is usually already published as its initial λ̂ bound.
+    // Two solver configurations per k-core. The whole first pass is
+    // submitted before the second, so by the time a `noi-bstack` job
+    // starts, the `noi-viecut` cut of the same core is usually already
+    // published as its initial λ̂ bound.
     let mut cores = Vec::new();
     for k in [4, 5, 6, 7, 8] {
         let (core, _) = k_core_lcc(&g, k);
@@ -77,7 +76,6 @@ fn main() {
             jobs.push(
                 BatchJob::new(core.clone(), solver)
                     .options(SolveOptions::new().seed(1))
-                    .family("social-sweep")
                     .label(format!("k{k} {solver}")),
             );
         }

@@ -9,9 +9,12 @@
 //! `--batch <MANIFEST>` switches to batch serving mode: the manifest
 //! lists one graph file per line (optionally followed by a solver name),
 //! the whole batch runs through [`MinCutService`] — concurrent workers,
-//! fingerprint result cache, shared λ̂ bounds — and one JSON object per
-//! job is emitted on stdout (JSON-lines), with the aggregate
-//! [`BatchStats`](sm_mincut::BatchStats) report on stderr.
+//! fingerprint result cache, λ̂ bounds shared as witnessed cuts between
+//! jobs on the same graph — and one JSON object per job is emitted on
+//! stdout (JSON-lines), with the aggregate
+//! [`BatchStats`](sm_mincut::BatchStats) report on stderr. As in
+//! single-graph mode, a row carries a λ only once the job's witness
+//! verifies on the job's graph.
 //!
 //! Exit codes: 0 success, 1 runtime failure (I/O, parse, solver error,
 //! failed verification, any failed batch job), 2 usage error.
@@ -118,7 +121,9 @@ BATCH MODE:
                           MinCutService (one `path [solver]` per line,
                           `#`/`%` comments); emits one JSON object per
                           job on stdout and the BatchStats on stderr
-                          (--stats adds per-job telemetry to each row;
+                          (a row's lambda is printed only once its
+                          witness verifies on the job's graph;
+                          --stats adds per-job telemetry to each row;
                           --side/--edges are single-graph only; unless
                           -t is given, cores are split between workers)
   -j, --jobs <N>          batch worker threads (default: all cores)
@@ -435,12 +440,6 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
         eprintln!("error: cannot open manifest {manifest_path}: {e}");
         finish(cli, 1)
     });
-    let mut job_opts = cli.opts.clone();
-    // Batch output only reports λ — --side/--edges are rejected up
-    // front — so skip the per-round witness tracking every solver would
-    // otherwise pay for (bounds still share sideless between same-graph
-    // jobs).
-    job_opts.witness = false;
     let mut entries: Vec<Entry> = Vec::new();
     let mut jobs: Vec<BatchJob> = Vec::new();
     let mut poisoned = false;
@@ -471,8 +470,11 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
         }
         match try_load_graph(&file) {
             Ok(g) => {
+                // Jobs keep their witnesses: each row's λ is checked
+                // against its side before it is printed, and same-graph
+                // jobs share bounds through their sides.
                 let job = BatchJob::new(Arc::new(g), solver)
-                    .options(job_opts.clone())
+                    .options(cli.opts.clone())
                     .label(file.clone());
                 entries.push(Entry::Job {
                     file,
@@ -537,7 +539,11 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
             Entry::Job { file, job_index } => {
                 let job = &report.jobs[*job_index];
                 match &job.status {
-                    JobStatus::Solved(o) | JobStatus::Cached(o) => {
+                    // A λ on stdout is an answer: print it only once its
+                    // witness holds on the job's graph.
+                    JobStatus::Solved(o) | JobStatus::Cached(o)
+                        if o.cut.verify(&jobs[*job_index].graph) =>
+                    {
                         let stats = if cli.print_stats {
                             format!(",\"stats\":{}", o.stats.to_json())
                         } else {
@@ -553,14 +559,18 @@ fn run_batch_mode(cli: &Options, manifest_path: &str) -> ! {
                             job.seconds
                         )
                     }
-                    JobStatus::Failed(e) => {
+                    JobStatus::Solved(_) | JobStatus::Cached(_) | JobStatus::Failed(_) => {
                         any_failed = true;
+                        let error = match &job.status {
+                            JobStatus::Failed(e) => e.to_string(),
+                            _ => "witness failed verification".to_string(),
+                        };
                         println!(
                             "{{\"index\":{row},\"file\":{},\"solver\":{},\"status\":\"error\",\
                              \"error\":{}}}",
                             json_str(file),
                             json_str(&job.solver),
-                            json_str(&e.to_string())
+                            json_str(&error)
                         );
                     }
                     JobStatus::Skipped { reason } => {

@@ -40,12 +40,12 @@
 //!
 //! ## Batch serving
 //!
-//! For many queries at once — sweeps, repeated instances, families of
-//! related graphs — use [`MinCutService`]: batches run concurrently,
-//! results memoise in a [`CsrGraph::fingerprint`]-keyed cut cache, and
-//! jobs sharing a graph or family seed each other's λ̂ bound (the
-//! `mincut --batch <manifest>` CLI mode and the `batch_service` example
-//! drive it end to end):
+//! For many queries at once — sweeps and repeated instances — use
+//! [`MinCutService`]: batches run concurrently, results memoise in a
+//! [`CsrGraph::fingerprint`]-keyed cut cache, and jobs on the same graph
+//! seed each other's λ̂ bound with a witnessed cut, re-costed on the
+//! receiving job's graph (the `mincut --batch <manifest>` CLI mode and
+//! the `batch_service` example drive it end to end):
 //!
 //! ```
 //! use std::sync::Arc;

@@ -406,15 +406,14 @@ fn cli_pack_mode_exit_codes() {
     }
 }
 
-#[test]
-fn cli_prints_no_lambda_whose_witness_fails_verification() {
-    // A pack of C5 (λ = 2) whose first arc weighs 5 more than its
-    // reverse arc. The framing stays valid, so the solvers run and return
-    // a value that their witness's cut value on the loaded graph does not
-    // match: exit 1, and no `lambda` line on stdout.
+/// Writes a pack of C5 (λ = 2) whose first arc weighs 5 more than its
+/// reverse arc, and returns its path. The framing stays valid, so the
+/// solvers run and return a value that their witness's cut value on the
+/// loaded graph does not match.
+fn skewed_cycle5_pack(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("mincut-error-paths");
     std::fs::create_dir_all(&dir).unwrap();
-    let packed = dir.join("cycle5_skewed.smcpack");
+    let packed = dir.join(name);
     let out = mincut_bin()
         .arg("pack")
         .arg(data("cycle5.graph"))
@@ -435,7 +434,13 @@ fn cli_prints_no_lambda_whose_witness_fails_verification() {
     let skewed = word(&bytes, first_weight) + 5;
     bytes[first_weight..first_weight + 8].copy_from_slice(&skewed.to_le_bytes());
     std::fs::write(&packed, &bytes).unwrap();
+    packed
+}
 
+#[test]
+fn cli_prints_no_lambda_whose_witness_fails_verification() {
+    // Exit 1, and no `lambda` line on stdout.
+    let packed = skewed_cycle5_pack("cycle5_skewed.smcpack");
     for solver in ["noi-viecut", "stoer-wagner", "parcut"] {
         let out = mincut_bin()
             .args(["-a", solver])
@@ -450,6 +455,36 @@ fn cli_prints_no_lambda_whose_witness_fails_verification() {
             stderr.contains("witness failed verification"),
             "{solver}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn cli_batch_prints_no_lambda_whose_witness_fails_verification() {
+    // The same pack in a manifest: its row is an error without a λ, and
+    // the batch exits 1, as a single-graph solve of it does.
+    let packed = skewed_cycle5_pack("cycle5_skewed_batch.smcpack");
+    for solver in ["noi-viecut", "stoer-wagner", "parcut"] {
+        let manifest = scratch_file(
+            &format!("skewed_manifest_{solver}.txt"),
+            &format!("{} {solver}\n", packed.display()),
+        );
+        let out = mincut_bin()
+            .args(["--batch"])
+            .arg(&manifest)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{solver}: {stdout}");
+        assert_eq!(stdout.lines().count(), 1, "{solver}: {stdout}");
+        assert!(
+            stdout.contains("\"status\":\"error\""),
+            "{solver}: {stdout}"
+        );
+        assert!(
+            stdout.contains("witness failed verification"),
+            "{solver}: {stdout}"
+        );
+        assert!(!stdout.contains("\"lambda\""), "{solver}: {stdout}");
     }
 }
 
